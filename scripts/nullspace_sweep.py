@@ -25,7 +25,8 @@ FAMILY_SCENARIOS = (
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--n", type=int, default=65)
+    ap.add_argument("--n", type=int, nargs="+", default=[65],
+                    help="grid sizes, e.g. --n 65 97 129")
     ap.add_argument("--threshold", type=float, default=None,
                     help="override the per-scenario detection threshold")
     ap.add_argument("--scenarios", nargs="+", default=list(FAMILY_SCENARIOS))
@@ -33,13 +34,16 @@ def main():
     for stem in args.scenarios:
         sc = cli.load_scenario(cli.scenario_dir() / f"{stem}.json")
         thr = args.threshold or sc.tolerances.nullspace_threshold
-        res = null_space_dimension(reduce_system(sc.coefficients), sc.omega,
-                                   args.n, thr)
-        flag = " (ambiguous)" if res.ambiguous else ""
-        print(f"{stem}: n={args.n} threshold={thr:g}")
-        print(f"  dimension={res.dimension} gap={res.gap:.3g}{flag}")
-        ladder = " ".join(f"{v:.2e}" for v in res.smallest[:8])
-        print(f"  smallest relative sigmas: {ladder}")
+        for n in args.n:
+            res = null_space_dimension(reduce_system(sc.coefficients), sc.omega, n, thr)
+            flag = " (ambiguous)" if res.ambiguous else ""
+            print(f"{stem}: n={n} threshold={thr:g}")
+            print(f"  dimension={res.dimension} gap={res.gap:.3g}{flag} "
+                  f"sigma_max={res.sigma_max:.4g}")
+            relative = " ".join(f"{v:.2e}" for v in res.smallest[:8])
+            absolute = " ".join(f"{v * res.sigma_max:.2e}" for v in res.smallest[:8])
+            print(f"  smallest relative sigmas: {relative}")
+            print(f"  smallest absolute sigmas: {absolute}")
 
 
 if __name__ == "__main__":

@@ -383,6 +383,10 @@ def build_map(sys, region, x0, y0, zero_tol=1e-13, n_check=9):
             "neither leading coefficient is bounded away from zero on the region"
         )
 
+    if case == CASE_IDENTITY:
+        # h20 = h02 = 0: the coordinate lines are the characteristics,
+        # so the identity map is exact even for variable coefficients
+        return _linear_map(case, x0, y0, None)
     spread = max(
         np.ptp(h20), np.ptp(h11), np.ptp(h02)
     )

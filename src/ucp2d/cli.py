@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -89,10 +90,10 @@ def load_scenario(path, jobs=1):
     grid = raw["grid"]
     if set(grid) != {"n"} or not isinstance(grid["n"], int):
         raise ScenarioFileError("grid: expected {'n': <int>}")
-    try:
-        tol = pl.Tolerances().updated(raw.get("tolerances", {}))
-    except (TypeError, ValueError) as err:
-        raise ScenarioFileError(f"tolerances: {err}")
+    tol = _load_tolerances(raw.get("tolerances", {}))
+    tasks = raw["tasks"]
+    if not (isinstance(tasks, list) and all(isinstance(t, str) for t in tasks)):
+        raise ScenarioFileError(f"tasks: expected a list of task names, got {tasks!r}")
 
     point_data = None
     if "point_data" in raw:
@@ -124,13 +125,32 @@ def load_scenario(path, jobs=1):
             omega=omega,
             n=grid["n"],
             tolerances=tol,
-            tasks=tuple(raw["tasks"]),
+            tasks=tuple(tasks),
             point_data=point_data,
             expect=raw.get("expect", {}),
             jobs=jobs,
         )
     except ValueError as err:
         raise ScenarioFileError(str(err))
+
+
+def _load_tolerances(raw):
+    """Tolerance overrides: numbers, and an integer for ``conditions_n``."""
+    if not isinstance(raw, dict):
+        raise ScenarioFileError("tolerances: expected an object")
+    defaults = pl.Tolerances()
+    for f in fields(pl.Tolerances):
+        if f.name not in raw:
+            continue
+        value = raw[f.name]
+        integral = isinstance(getattr(defaults, f.name), int)
+        if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
+            kind = "an integer" if integral else "a number"
+            raise ScenarioFileError(f"tolerances.{f.name}: expected {kind}, got {value!r}")
+    try:
+        return defaults.updated(raw)
+    except ValueError as err:
+        raise ScenarioFileError(f"tolerances: {err}")
 
 
 def _write_report(report, out_dir, name):

@@ -18,6 +18,8 @@ from math import factorial
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+from scipy.linalg.lapack import dtbtrs
+from scipy.sparse.linalg import svds
 
 from ucp2d import characteristics as ch
 from ucp2d import riemann as rm
@@ -187,6 +189,11 @@ def _assemble_operator(sys, region, n):
     return sp.vstack([block(sys.hyper), block(sys.ell)], format="csr"), (xs, ys)
 
 
+# Ritz values past the ones the report reads: the block's last columns
+# converge slowest, so they are iterated but not read.
+_RITZ_GUARD = 8
+
+
 @dataclass(frozen=True)
 class NullSpaceResult:
     dimension: int
@@ -200,28 +207,88 @@ class NullSpaceResult:
     grid: tuple
 
 
-def _smallest_right_vectors(a_sparse, r_tri, k, n_unknowns):
-    """Block inverse iteration on the triangular QR factor.
+def _band_sorted(a):
+    """Nonzero rows of the sparse ``a`` in a stable order of their leading
+    column, with those leading columns and the bandwidth ``w``: every row
+    spans at most ``w + 1`` columns from its leading one."""
+    a = a.tocsr(copy=True)
+    a.eliminate_zeros()
+    a.sort_indices()
+    rows = np.flatnonzero(np.diff(a.indptr))
+    lead = a.indices[a.indptr[rows]]
+    last = a.indices[a.indptr[rows + 1] - 1]
+    order = np.argsort(lead, kind="stable")
+    return a[rows[order]], lead[order], int((last - lead).max())
 
-    Returns an orthonormal basis spanning the right-singular subspace of
-    the k smallest singular values, refined by a small Rayleigh-Ritz
-    solve with the sparse operator itself.
+
+def _banded_r(a_sparse):
+    """Upper-triangular factor R of a QR factorisation of the sparse
+    ``a_sparse`` (so ``R^T R = A^T A``), in LAPACK upper-band storage
+    ``ab[w + i - j, j] = R[i, j]``.
+
+    With rows sorted by leading column, row ``i`` of R is a combination of
+    rows leading at or before column ``i``, so R has the rows' bandwidth
+    ``w`` (Golub & Van Loan, *Matrix Computations*, 5.7).  Householder QR
+    then slides along the diagonal in panels of ``w`` columns: each dense
+    block holds the rows left over from the previous panel plus the rows
+    leading inside the panel, over the ``2 w`` columns they can reach.
+    Its first ``w`` rows of R are final; the rest carry over.
     """
-    diag = np.abs(np.diagonal(r_tri))
-    floor = max(diag.max(), 1.0) * 1e-150
-    r_safe = r_tri.copy()
-    np.fill_diagonal(r_safe, np.where(diag < floor, floor, np.diagonal(r_tri)))
+    a, lead, w = _band_sorted(a_sparse)
+    ncol, panel = a.shape[1], max(w, 1)
+    ab = np.zeros((w + 1, ncol))
+    carry = np.zeros((0, 0))
+    for c0 in range(0, ncol, panel):
+        width, c_end = min(panel, ncol - c0), min(c0 + panel + w, ncol)
+        r0, r1 = np.searchsorted(lead, [c0, c0 + width])
+        block = np.zeros((len(carry) + r1 - r0, c_end - c0))
+        block[: len(carry), : carry.shape[1]] = carry
+        block[len(carry):] = a[r0:r1, c0:c_end].toarray()
+        r = sla.qr(block, mode="r", overwrite_a=True, check_finite=False)[0]
+        r = r[: min(r.shape)]
+        # row k of the panel, offset d from the diagonal, inside the block
+        k, d = np.nonzero(
+            np.arange(min(width, len(r)))[:, None] + np.arange(w + 1) < r.shape[1]
+        )
+        ab[w - d, c0 + k + d] = r[k, k + d]
+        carry = r[width:, width:]
+    return ab
+
+
+def _smallest_right_vectors(a_sparse, r_band, k, sigma_max):
+    """Block inverse iteration on the banded QR factor.
+
+    Returns the ascending Ritz values of ``a_sparse`` on a ``k``-column
+    subspace and its orthonormal Ritz vectors (columns), which approximate
+    the right-singular vectors of the ``k`` smallest singular values.
+    Each step solves with ``R^T`` and then with ``R`` (``dtbtrs``),
+    orthonormalising after every solve, and finishes with a Rayleigh-Ritz
+    SVD of ``A V``.  It stops once the first ``k - 8`` Ritz values repeat
+    to 1e-13 relative, or to 1e-15 of ``sigma_max`` for rounding-level
+    values.
+    """
+    w = r_band.shape[0] - 1
+    diag = r_band[w]
+    floor = max(np.abs(diag).max(), 1.0) * 1e-150
+    r_safe = r_band.copy()
+    r_safe[w] = np.where(np.abs(diag) < floor, floor, diag)
     rng = np.random.default_rng(0)
-    v = rng.standard_normal((n_unknowns, k))
-    v, _ = np.linalg.qr(v)
-    for _ in range(6):
-        w = sla.solve_triangular(r_safe, v, trans="T", lower=False)
-        w = sla.solve_triangular(r_safe, w, lower=False)
-        v, _ = np.linalg.qr(w)
-    b = a_sparse @ v
-    _, _, zt = np.linalg.svd(b, full_matrices=False)
-    v = v @ zt.T[:, ::-1]  # ascending singular values
-    return v
+    v, _ = np.linalg.qr(rng.standard_normal((r_band.shape[1], k)))
+    watched = slice(0, max(k - _RITZ_GUARD, 1))
+    previous = None
+    for _ in range(100):
+        for trans in ("T", "N"):
+            v, _ = dtbtrs(r_safe, v, trans=trans)
+            v, _ = np.linalg.qr(v)
+        _, ritz, zt = np.linalg.svd(a_sparse @ v, full_matrices=False)
+        ritz = ritz[::-1]
+        if previous is not None and np.all(
+            np.abs(ritz - previous)[watched]
+            <= np.maximum(1e-13 * ritz, 1e-15 * sigma_max)[watched]
+        ):
+            break
+        previous = ritz
+    return ritz, v @ zt.T[:, ::-1]
 
 
 def null_space_dimension(sys, region, n, threshold=1e-6, k_report=12):
@@ -234,37 +301,35 @@ def null_space_dimension(sys, region, n, threshold=1e-6, k_report=12):
     ``threshold * sigma_max``.  The reported gap is the ratio across the
     threshold index (or first-singular-value over threshold when the
     count is zero); ratios under 1e3 mark the dimension as ambiguous.
+
+    Only the singular values the report reads are computed: ``sigma_max``
+    by ARPACK on the sparse operator, and the smallest ``k_report + 8``
+    by block inverse iteration on a banded QR factor (``_banded_r``).
+    The block doubles while the dimension fills its converged part, so
+    the dimension is never capped.
     """
     if n < 17:
         raise ValueError("need n >= 17 for a meaningful discretisation")
     a_sp, grid = _assemble_operator(sys, region, n)
     nn = n * n
     k_report = min(k_report, nn - 1)
-    if nn <= 2600:
-        dense = a_sp.toarray()
-        _, sv, vt = np.linalg.svd(dense, full_matrices=False)
-        sigma_max = sv[0]
-        if sigma_max == 0.0:
-            raise ValueError("zero operator; null space is everything")
-        asc = sv[::-1]
+    if a_sp.count_nonzero() == 0:
+        raise ValueError("zero operator; null space is everything")
+    v0 = np.random.default_rng(0).standard_normal(nn)  # fixed: reports are deterministic
+    sigma_max = float(svds(a_sp, k=1, v0=v0, tol=0, return_singular_vectors=False)[0])
+    r_band = _banded_r(a_sp)
+    block = k_report + _RITZ_GUARD
+    while True:
+        asc, vecs = _smallest_right_vectors(a_sp, r_band, min(block, nn), sigma_max)
         d = int(np.sum(asc <= threshold * sigma_max))
-        vecs = vt[::-1][:d].T if d else np.zeros((nn, 0))
-    else:
-        r_tri = sla.qr(a_sp.toarray(), mode="r")[0][:nn, :]
-        sv = sla.svdvals(r_tri)
-        sigma_max = sv[0]
-        if sigma_max == 0.0:
-            raise ValueError("zero operator; null space is everything")
-        asc = sv[::-1]
-        d = int(np.sum(asc <= threshold * sigma_max))
-        if d:
-            vecs = _smallest_right_vectors(a_sp, r_tri, max(d, 1), nn)[:, :d]
-        else:
-            vecs = np.zeros((nn, 0))
+        if d + _RITZ_GUARD < block or block >= nn:
+            break
+        block *= 2
+    vecs = vecs[:, :d]
     small = asc[: max(k_report, d + 1)] / sigma_max
     if d == 0:
         gap = float(asc[0] / (threshold * sigma_max))
-    elif d < nn:
+    elif d < len(asc):
         gap = float(asc[d] / max(asc[d - 1], np.finfo(float).tiny))
     else:
         gap = np.inf
@@ -276,7 +341,7 @@ def null_space_dimension(sys, region, n, threshold=1e-6, k_report=12):
         dimension=d,
         basis=basis,
         gap=gap,
-        sigma_max=float(sigma_max),
+        sigma_max=sigma_max,
         smallest=np.asarray(small, dtype=float),
         threshold=float(threshold),
         ambiguous=bool(gap < 1e3),

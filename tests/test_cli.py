@@ -88,6 +88,44 @@ def test_malformed_expression_rejected(tmp_path, capsys):
     assert "tensor" in err
 
 
+def test_string_tasks_rejected_naming_tasks(tmp_path, capsys):
+    path = write_scenario(tmp_path, tasks="conditions")
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "tasks" in err and "unknown tasks: c, o" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("nullspace_threshold", "x"),
+    ("picard_tol", None),
+    ("rank_threshold", True),
+    ("conditions_n", 9.5),
+])
+def test_non_numeric_tolerance_rejected_naming_key(tmp_path, capsys, key, value):
+    path = write_scenario(tmp_path, tolerances={key: value})
+    assert main(["nullspace", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert f"tolerances.{key}" in capsys.readouterr().err
+
+
+def test_integer_tolerance_accepted(tmp_path):
+    path = write_scenario(tmp_path, tolerances={"nullspace_threshold": 1, "conditions_n": 5})
+    tol = load_scenario(path).tolerances
+    assert tol.nullspace_threshold == 1 and tol.conditions_n == 5
+
+
+def test_identity_case_characteristics_exit_zero(tmp_path):
+    # variable orthotropic coefficients: h20 = h02 = 0, h11 varies
+    doc = json.loads((scenario_dir() / "example_exp.json").read_text())
+    doc["tasks"] = ["characteristics"]
+    doc["expect"] = {}
+    path = tmp_path / "example_exp.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "example_exp.report.json").read_text())
+    assert report["characteristics"]["case"] == "orthotropic-identity"
+    assert report["characteristics"]["linear"]
+
+
 def test_four_value_data_requires_second_marker(tmp_path):
     path = write_scenario(tmp_path, point_data=[0, 0, 0, 0])
     with pytest.raises(ScenarioFileError):

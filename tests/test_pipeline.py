@@ -2,7 +2,9 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from ucp2d import pipeline as pl
 from ucp2d.fields import parse
 from ucp2d.geometry import Rect
 from ucp2d.pipeline import (
@@ -76,6 +78,82 @@ def test_fd_matrices_exact_on_quartics(n):
     assert np.abs(d1 @ f5 - 5 * (xs - 0.1) ** 4).max() > 1e-8
 
 
+def _dense_upper(r_band):
+    w, nn = r_band.shape[0] - 1, r_band.shape[1]
+    r = np.zeros((nn, nn))
+    for d in range(w + 1):
+        r[np.arange(nn - d), np.arange(d, nn)] = r_band[w - d, d:]
+    return r
+
+
+ORACLE_CASES = [
+    (iso_with(1.0, 1.0), 1e-6),
+    (iso_with(0.1, 0.1, b221="exp(y)"), 1e-6),
+    (iso_with(1.0, 1.0, b221="x*y", b222="x*y^2"), 1e-10),
+]
+
+
+@pytest.mark.parametrize("n", [17, 25, 33])
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_nullspace_solver_matches_dense_oracle(n, case):
+    coeffs, thr = ORACLE_CASES[case]
+    sys = reduce_system(coeffs)
+    a_sp, _ = pl._assemble_operator(sys, OMEGA, n)
+    a = a_sp.toarray()
+    ata = a.T @ a
+    r = _dense_upper(pl._banded_r(a_sp))
+    assert np.abs(r.T @ r - ata).max() <= 1e-13 * np.abs(ata).max()
+
+    sv = np.linalg.svd(a, compute_uv=False)
+    res = null_space_dimension(sys, OMEGA, n, threshold=thr)
+    assert abs(res.sigma_max - sv[0]) <= 1e-12 * sv[0]
+    assert res.dimension == int(np.sum(sv <= thr * sv[0]))
+    ladder = sv[::-1][: len(res.smallest)] / sv[0]
+    # both solvers round A v to about 1e-17 of sigma_max, hence the
+    # absolute term; structural entries agree to 1e-13
+    big = ladder >= 1e-12
+    assert big.any()
+    assert np.all(np.abs(res.smallest - ladder)[big] <= 1e-8 * ladder[big] + 1e-17)
+
+
+def test_nullspace_block_grows_past_first_block(monkeypatch):
+    # every grid line in y carries the null space {1, y} of the second
+    # derivative, so the dimension is 2n = 34, past the first block of 20
+    n = 17
+    d2 = _d2_matrix(n, 0.6 / (n - 1))
+    op = sp.vstack([sp.kron(sp.identity(n), d2), sp.kron(sp.identity(n), d2 * 0.5)])
+    monkeypatch.setattr(pl, "_assemble_operator", lambda sys, region, n: (
+        op.tocsr(), region.grid(n)))
+    res = null_space_dimension(reduce_system(iso_with(1.0, 1.0)), OMEGA, n, 1e-8)
+    assert res.dimension == 2 * n
+    assert res.gap >= 1e3 and not res.ambiguous
+    xs, ys = res.grid
+    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    for values in (np.exp(xg), xg * xg * yg, np.sin(7 * xg) * (1 + yg)):
+        assert projection_defect(res, values) <= 1e-8
+    assert projection_defect(res, yg * yg) > 1e-3
+
+
+def test_nullspace_solver_stays_sparse(monkeypatch):
+    # no dense operator, no dense R and no full SVD: every dense LAPACK
+    # call sees a panel or a block of vectors, under half the n^2 columns
+    n = 25
+    seen = []
+
+    def recording(fn):
+        def call(x, *args, **kwargs):
+            seen.append(np.shape(x))
+            return fn(x, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(pl.sla, "qr", recording(pl.sla.qr))
+    monkeypatch.setattr(pl.np.linalg, "svd", recording(np.linalg.svd))
+    monkeypatch.setattr(pl.sla, "svdvals", None)
+    res = null_space_dimension(reduce_system(iso_with(1.0, 1.0)), OMEGA, n)
+    assert res.dimension == 4
+    assert seen and max(shape[1] for shape in seen) < n * n // 2
+
+
 def test_nullspace_constant_lame_dimension_four():
     sys = reduce_system(iso_with(1.0, 1.0))
     res = null_space_dimension(sys, OMEGA, 33, threshold=1e-6)
@@ -130,6 +208,18 @@ def test_nullspace_stable_under_refinement():
             res = null_space_dimension(sys, OMEGA, n, threshold=thr)
             assert res.dimension == want, (thr, n)
             assert res.gap >= 1e3
+
+
+@pytest.mark.slow
+def test_nullspace_feasible_at_n129():
+    sys = reduce_system(iso_with(1.0, 1.0))  # the lame_constant golden
+    res = null_space_dimension(sys, OMEGA, 129, threshold=1e-6)
+    assert res.dimension == 4
+    assert res.gap >= 1e3
+    xs, ys = res.grid
+    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    for values in (np.ones_like(xg), xg, yg):
+        assert projection_defect(res, values) <= 1e-6
 
 
 def test_nullspace_scaling_invariance():
