@@ -516,8 +516,7 @@ def transform_system(sys, cmap, region, epsilon=None, n_check=9, rel_tol=1e-8):
     # Solver grids hit these callables once per coefficient with the
     # same (s, t) arrays; for traced maps the pullback dominates the
     # cost, so the full coefficient bundle is computed per distinct
-    # grid and memoised (insert-or-get is deterministic, so sharing the
-    # memo across worker threads is safe).
+    # grid and memoised.
     memo = {}
 
     def bundle(s, t):

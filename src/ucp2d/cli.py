@@ -18,17 +18,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from ucp2d import __version__
-from ucp2d import characteristics as ch
 from ucp2d import pipeline as pl
 from ucp2d import riemann as rm
 from ucp2d import tensors
-from ucp2d.fields import FieldError, parse as parse_field
 from ucp2d.geometry import Rect
 from ucp2d.reduction import reduce_system
 
@@ -49,7 +47,7 @@ def scenario_dir():
     return Path(__file__).resolve().parent / "scenarios"
 
 
-def load_scenario(path, jobs=1):
+def load_scenario(path):
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -70,38 +68,46 @@ def load_scenario(path, jobs=1):
     for key in ("tensor", "point", "omega", "grid", "tasks"):
         if key not in raw:
             raise ScenarioFileError(f"missing scenario key: {key}")
+    for key in ("tensor", "lower_order", "omega", "grid", "tolerances"):
+        if key in raw and not isinstance(raw[key], dict):
+            raise ScenarioFileError(f"{key}: expected an object, got {raw[key]!r}")
     try:
         coeffs = tensors.ElasticityCoefficients.from_components(
             raw["tensor"], raw.get("lower_order")
         )
-    except (FieldError, ValueError) as err:
+    except (TypeError, ValueError) as err:  # FieldError is a ValueError
         raise ScenarioFileError(f"tensor: {err}")
-    point = raw["point"]
-    if not (isinstance(point, list) and len(point) == 2):
-        raise ScenarioFileError("point: expected [x0, y0]")
+    point = _reals("point", raw["point"], (2,))
     omega_raw = raw["omega"]
     if set(omega_raw) != {"center", "halfwidths"}:
         raise ScenarioFileError("omega: expected keys center, halfwidths")
+    center = _reals("omega.center", omega_raw["center"], (2,))
+    halfwidths = _reals("omega.halfwidths", omega_raw["halfwidths"], (2,))
     try:
-        omega = Rect(tuple(map(float, omega_raw["center"])),
-                     tuple(map(float, omega_raw["halfwidths"])))
-    except (TypeError, ValueError) as err:
-        raise ScenarioFileError(f"omega: {err}")
+        omega = Rect(center, halfwidths)
+    except ValueError as err:
+        raise ScenarioFileError(f"omega.halfwidths: {err}")
     grid = raw["grid"]
-    if set(grid) != {"n"} or not isinstance(grid["n"], int):
-        raise ScenarioFileError("grid: expected {'n': <int>}")
+    if set(grid) != {"n"} or pl.json_type_error("grid.n", grid["n"], int):
+        raise ScenarioFileError(f"grid: expected {{'n': <int>}}, got {grid!r}")
     tol = _load_tolerances(raw.get("tolerances", {}))
     tasks = raw["tasks"]
     if not (isinstance(tasks, list) and all(isinstance(t, str) for t in tasks)):
         raise ScenarioFileError(f"tasks: expected a list of task names, got {tasks!r}")
+    name = raw.get("name", path.stem)
+    if not (isinstance(name, str) and name and Path(name).name == name):
+        raise ScenarioFileError(f"name: expected a file name, got {name!r}")
+    expect = raw.get("expect", {})
+    try:
+        pl.validate_expect(expect)
+    except ValueError as err:
+        raise ScenarioFileError(str(err))
 
     point_data = None
     if "point_data" in raw:
-        vals = raw["point_data"]
-        if not isinstance(vals, list) or len(vals) not in (4, 5):
-            raise ScenarioFileError("point_data: expected a list of 4 or 5 reals")
+        vals = _reals("point_data", raw["point_data"], (4, 5))
         if len(vals) == 5:
-            point_data = dict(zip(_POINT_DATA_5, map(float, vals)))
+            point_data = dict(zip(_POINT_DATA_5, vals))
             if "point_data_second" in raw:
                 raise ScenarioFileError(
                     "point_data_second only applies to four-value data"
@@ -112,41 +118,44 @@ def load_scenario(path, jobs=1):
                 raise ScenarioFileError(
                     "point_data_second: four-value data needs 'uxx' or 'uyy'"
                 )
-            point_data = dict(zip(("u", "ux", "uy"), map(float, vals[:3])))
-            point_data[second] = float(vals[3])
+            point_data = dict(zip(("u", "ux", "uy", second), vals))
     elif "point_data_second" in raw:
         raise ScenarioFileError("point_data_second given without point_data")
 
     try:
         return pl.Scenario(
-            name=raw.get("name", path.stem),
+            name=name,
             coefficients=coeffs,
-            point=(float(point[0]), float(point[1])),
+            point=point,
             omega=omega,
             n=grid["n"],
             tolerances=tol,
             tasks=tuple(tasks),
             point_data=point_data,
-            expect=raw.get("expect", {}),
-            jobs=jobs,
+            expect=expect,
         )
     except ValueError as err:
         raise ScenarioFileError(str(err))
 
 
+def _reals(key, value, sizes):
+    """The list ``value`` of ``sizes`` JSON numbers, as a tuple of floats."""
+    if not (isinstance(value, list) and len(value) in sizes) or any(
+        pl.json_type_error(key, v, float) for v in value
+    ):
+        count = " or ".join(map(str, sizes))
+        raise ScenarioFileError(f"{key}: expected a list of {count} reals, got {value!r}")
+    return tuple(map(float, value))
+
+
 def _load_tolerances(raw):
     """Tolerance overrides: numbers, and an integer for ``conditions_n``."""
-    if not isinstance(raw, dict):
-        raise ScenarioFileError("tolerances: expected an object")
     defaults = pl.Tolerances()
     for f in fields(pl.Tolerances):
-        if f.name not in raw:
-            continue
-        value = raw[f.name]
-        integral = isinstance(getattr(defaults, f.name), int)
-        if isinstance(value, bool) or not isinstance(value, int if integral else (int, float)):
-            kind = "an integer" if integral else "a number"
-            raise ScenarioFileError(f"tolerances.{f.name}: expected {kind}, got {value!r}")
+        kind = type(getattr(defaults, f.name))
+        message = f.name in raw and pl.json_type_error(f"tolerances.{f.name}", raw[f.name], kind)
+        if message:
+            raise ScenarioFileError(message)
     try:
         return defaults.updated(raw)
     except ValueError as err:
@@ -162,6 +171,7 @@ def _write_report(report, out_dir, name):
 
 
 def _write_grid_csv(path, xs, ys, values):
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
         for i, x in enumerate(xs):
@@ -199,88 +209,52 @@ def _random_sweep(scenario, seed):
     }
 
 
+def _sub_scenario(scenario, tasks):
+    """``scenario`` cut down to ``tasks`` and the expectations they report."""
+    return replace(scenario, tasks=tasks, expect=pl.expectations_for(scenario.expect, tasks))
+
+
 def _cmd_check(scenario, args):
-    sc = pl.Scenario(
-        name=scenario.name,
-        coefficients=scenario.coefficients,
-        point=scenario.point,
-        omega=scenario.omega,
-        n=scenario.n,
-        tolerances=scenario.tolerances,
-        tasks=("conditions", "reduce"),
-        point_data=scenario.point_data,
-        expect={
-            k: v
-            for k, v in scenario.expect.items()
-            if k in (
-                "ellipticity_positive", "convexity_positive",
-                "delta_positive", "pencil_defective", "rank_at_point",
-            )
-        },
-        jobs=scenario.jobs,
-    )
-    report, failures = pl.run(sc)
-    report["random_sweep"] = _random_sweep(sc, args.seed)
+    report, failures = pl.run(_sub_scenario(scenario, ("conditions", "reduce")))
+    report["random_sweep"] = _random_sweep(scenario, args.seed)
     if scenario.point_data is not None and len(scenario.point_data) == 4:
-        sys_pair = reduce_system(scenario.coefficients)
         second = "uxx" if "uxx" in scenario.point_data else "uyy"
         try:
             pl.complete_second_derivatives(
-                sys_pair, *scenario.point, scenario.point_data, second,
-                scenario.tolerances.rank_threshold,
+                reduce_system(scenario.coefficients), *scenario.point,
+                scenario.point_data, second, scenario.tolerances.rank_threshold,
             )
-            report["reduced_data_degenerate"] = False
+            degenerate = False
         except pl.DegenerateDataError:
-            report["reduced_data_degenerate"] = True
-        if "reduced_data_degenerate" in scenario.expect:
-            want = scenario.expect["reduced_data_degenerate"]
-            got = report["reduced_data_degenerate"]
-            if want != got:
-                failures.append(f"reduced_data_degenerate: expected {want}, got {got}")
-                report["verdict"] = {"passed": False, "failures": failures}
+            degenerate = True
+        key = "reduced_data_degenerate"
+        report[key] = degenerate
+        if key in scenario.expect:
+            want = {key: scenario.expect[key]}
+            failures += pl.check_expectations(want, {"ucp": {key: degenerate}})
+            report["verdict"] = {"passed": not failures, "failures": failures}
     return report, failures
 
 
 def _cmd_run(scenario, args):
     report, failures = pl.run(scenario)
     if args.format == "csv":
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         xs, ys = scenario.omega.grid(scenario.n)
         xg, yg = np.meshgrid(xs, ys, indexing="ij")
         vals = np.broadcast_to(
             tensors.delta_field(scenario.coefficients)(xg, yg), xg.shape
         )
-        _write_grid_csv(out_dir / f"{scenario.name}.delta.csv", xs, ys, vals)
+        _write_grid_csv(Path(args.out) / f"{scenario.name}.delta.csv", xs, ys, vals)
     return report, failures
 
 
 def _cmd_nullspace(scenario, args):
-    sc = pl.Scenario(
-        name=scenario.name,
-        coefficients=scenario.coefficients,
-        point=scenario.point,
-        omega=scenario.omega,
-        n=scenario.n,
-        tolerances=scenario.tolerances,
-        tasks=("nullspace",),
-        expect={
-            k: v for k, v in scenario.expect.items()
-            if k in ("nullspace_dim", "nullspace_gap_min")
-        },
-        jobs=scenario.jobs,
-    )
-    return pl.run(sc)
+    return pl.run(_sub_scenario(scenario, ("nullspace",)))
 
 
 def _cmd_riemann(scenario, args):
-    sys_pair = reduce_system(scenario.coefficients)
-    cmap = ch.build_map(sys_pair, scenario.omega, *scenario.point)
-    tsys = ch.transform_system(sys_pair, cmap, scenario.omega)
-    n_axis = scenario.n if scenario.n % 2 == 1 else scenario.n + 1
-    tab = rm.solve_riemann(
-        tsys, (0.0, 0.0), n_axis, scenario.tolerances.picard_tol
-    )
+    _, tsys = pl.characteristics(scenario, reduce_system(scenario.coefficients))
+    tab = pl.riemann_provider(scenario, tsys).table((0.0, 0.0))
     report = {
         "scenario": scenario.name,
         "epsilon": tsys.epsilon,
@@ -290,24 +264,20 @@ def _cmd_riemann(scenario, args):
         "value_at_parameter": tab.value(0.0, 0.0),
         "value_range": [float(tab.values.min()), float(tab.values.max())],
     }
-    failures = []
-    if "riemann_residual_max" in scenario.expect:
-        bound = scenario.expect["riemann_residual_max"]
-        if not tab.residual <= bound:
-            failures.append(
-                f"riemann_residual_max: expected <= {bound}, got {tab.residual}"
-            )
+    failures = pl.check_expectations(
+        pl.expectations_for(scenario.expect, ("riemann",)), {"riemann": report}
+    )
     report["verdict"] = {"passed": not failures, "failures": failures}
-    if args.format == "csv":
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        tab.to_csv(out_dir / f"{scenario.name}.riemann.csv")
+    if args.format == "csv":  # x is the evaluation s, y the evaluation t
+        _write_grid_csv(
+            Path(args.out) / f"{scenario.name}.riemann.csv",
+            tab.s_nodes, tab.t_nodes, tab.values,
+        )
     return report, failures
 
 
 def _cmd_dump(scenario, args):
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     xs, ys = scenario.omega.grid(scenario.n)
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     fields = {name: getattr(scenario.coefficients, name) for name in tensors.A_NAMES}
@@ -345,7 +315,8 @@ def build_parser():
         p.add_argument("--scenario", required=True, help="scenario JSON file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=int, default=1,
+                       help="accepted and ignored: runs are single-threaded")
         p.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -353,10 +324,9 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        scenario = load_scenario(args.scenario, jobs=max(args.jobs, 1))
+        scenario = load_scenario(args.scenario)
         report, failures = _COMMANDS[args.command](scenario, args)
-    except (ScenarioFileError, pl.StageError, ch.MapError, ch.TransformError,
-            rm.SolveError, FieldError, ValueError) as err:
+    except (pl.StageError, rm.SolveError, ValueError) as err:  # includes ScenarioFileError
         print(f"error: {err}", file=sys.stderr)
         return 2
     path = _write_report(report, args.out, scenario.name)

@@ -10,8 +10,10 @@ pair by singular-value analysis of its finite-difference discretisation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+import operator
+from collections import namedtuple
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
 from math import factorial
 
@@ -24,6 +26,7 @@ from scipy.sparse.linalg import svds
 from ucp2d import characteristics as ch
 from ucp2d import riemann as rm
 from ucp2d import tensors
+from ucp2d.fields import FieldError
 from ucp2d.geometry import Rect
 from ucp2d.reduction import reduce_system, second_order_matrix, second_order_rank
 
@@ -38,6 +41,13 @@ __all__ = [
     "null_space_dimension",
     "point_data_solve",
     "complete_second_derivatives",
+    "EXPECTATIONS",
+    "validate_expect",
+    "check_expectations",
+    "expectations_for",
+    "json_type_error",
+    "characteristics",
+    "riemann_provider",
 ]
 
 TASKS = ("conditions", "reduce", "characteristics", "riemann", "ucp", "nullspace")
@@ -82,7 +92,6 @@ class Scenario:
     tasks: tuple = TASKS[:2]
     point_data: dict | None = None
     expect: dict = field(default_factory=dict)
-    jobs: int = 1
 
     def __post_init__(self):
         if not self.omega.contains(*self.point):
@@ -90,13 +99,6 @@ class Scenario:
         bad = [t for t in self.tasks if t not in TASKS]
         if bad:
             raise ValueError(f"unknown tasks: {', '.join(bad)}")
-
-
-def _parallel_map(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- finite-difference discretisation of the pair -------------------------
@@ -467,20 +469,123 @@ def complete_second_derivatives(sys, x0, y0, data, given_second, rank_threshold=
 
 # -- scenario execution ----------------------------------------------------
 
-_EXPECT_KEYS = {
-    "ellipticity_positive",
-    "convexity_positive",
-    "delta_positive",
-    "pencil_defective",
-    "rank_at_point",
-    "nullspace_dim",
-    "nullspace_gap_min",
-    "reduced_data_degenerate",
-    "transferred_data_max",
-    "traces_sup_max",
-    "w_sup_max",
-    "riemann_residual_max",
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number"}
+_RULES = {"==": operator.eq, ">=": operator.ge, "<=": operator.le}
+
+
+def json_type_error(key, value, kind):
+    """The message naming ``key`` when the parsed JSON ``value`` is not of
+    ``kind`` (bool, int or float), else None.  Booleans are not numbers;
+    integers are also floats."""
+    if isinstance(value, bool) or kind is bool:
+        ok = isinstance(value, bool) and kind is bool
+    else:
+        ok = isinstance(value, int if kind is int else (int, float))
+    return None if ok else f"{key}: expected {_JSON_TYPES[kind]}, got {value!r}"
+
+
+def _get(name, default=None):
+    return lambda section: section.get(name, default)
+
+
+def _positive(name):
+    return lambda section: section.get(name, np.nan) > 0
+
+
+# How one ``expect`` entry is checked: the task whose report section holds
+# the value, the reader of the value from that section, the rule the value
+# must meet against the expected one ("==", ">=" or "<="), and the JSON
+# type of the expected value.
+Expectation = namedtuple("Expectation", "task read rule kind")
+
+
+# Every ``expect`` key, in the order its failures are listed.
+EXPECTATIONS = {
+    "ellipticity_positive": Expectation("conditions", _positive("ellipticity_margin"), "==", bool),
+    "convexity_positive": Expectation("conditions", _positive("convexity_margin"), "==", bool),
+    "delta_positive": Expectation("conditions", _positive("delta_min"), "==", bool),
+    "pencil_defective": Expectation(
+        "conditions", lambda c: c.get("pencil", {}).get("defective"), "==", bool
+    ),
+    "rank_at_point": Expectation("reduce", _get("rank_at_point"), "==", int),
+    "nullspace_dim": Expectation("nullspace", _get("dimension"), "==", int),
+    "nullspace_gap_min": Expectation("nullspace", _get("gap", 0.0), ">=", float),
+    "reduced_data_degenerate": Expectation("ucp", _get("reduced_data_degenerate"), "==", bool),
+    "transferred_data_max": Expectation("ucp", _get("transferred_max", np.inf), "<=", float),
+    "traces_sup_max": Expectation(
+        "ucp", lambda u: max(u.get("phi_sup", np.inf), u.get("psi_sup", np.inf)), "<=", float
+    ),
+    "w_sup_max": Expectation("ucp", _get("w_sup", np.inf), "<=", float),
+    "riemann_residual_max": Expectation("riemann", _get("residual", np.inf), "<=", float),
 }
+
+
+def validate_expect(expect):
+    """Raise ValueError, naming the key, when ``expect`` is not an object,
+    holds a key missing from ``EXPECTATIONS`` or a value of the wrong type."""
+    if not isinstance(expect, dict):
+        raise ValueError(f"expect: expected an object, got {expect!r}")
+    unknown = set(expect) - set(EXPECTATIONS)
+    if unknown:
+        raise ValueError(f"unknown expect keys: {', '.join(sorted(unknown))}")
+    for key, value in expect.items():
+        message = json_type_error(f"expect.{key}", value, EXPECTATIONS[key].kind)
+        if message:
+            raise ValueError(message)
+
+
+def expectations_for(expect, tasks):
+    """The entries of ``expect`` whose values the report sections of ``tasks`` hold."""
+    return {k: v for k, v in expect.items() if EXPECTATIONS[k].task in tasks}
+
+
+def check_expectations(expect, report):
+    """Failure messages of the ``expect`` entries that ``report`` breaks."""
+    failures = []
+    for key, (task, read, rule, _) in EXPECTATIONS.items():
+        if key in expect:
+            want, got = expect[key], read(report.get(task, {}))
+            if not _RULES[rule](got, want):
+                shown = want if rule == "==" else f"{rule} {want}"
+                failures.append(f"{key}: expected {shown}, got {got}")
+    return failures
+
+
+@contextmanager
+def _stage(name):
+    """Re-raise field, map and transform errors as errors of stage ``name``."""
+    try:
+        yield
+    except (FieldError, ch.MapError, ch.TransformError) as err:
+        raise StageError(name, str(err)) from err
+
+
+def _delta_range(scenario):
+    """Least and greatest Delta on the audit grid of omega."""
+    xg, yg = np.meshgrid(*scenario.omega.grid(scenario.tolerances.conditions_n), indexing="ij")
+    delta = np.broadcast_to(tensors.delta_field(scenario.coefficients)(xg, yg), xg.shape)
+    return float(delta.min()), float(delta.max())
+
+
+def characteristics(scenario, sys):
+    """Characteristic map of the pair at the base point and the pair in its
+    coordinates.  Needs Delta > 0 on the audit grid of omega."""
+    with _stage("characteristics"):
+        delta_min = _delta_range(scenario)[0]
+        if delta_min <= 0.0:
+            raise StageError(
+                "characteristics",
+                f"hyperbolicity precondition violated: min Delta = {delta_min} on omega",
+            )
+        cmap = ch.build_map(sys, scenario.omega, *scenario.point)
+        return cmap, ch.transform_system(sys, cmap, scenario.omega)
+
+
+def riemann_provider(scenario, tsys):
+    """Riemann tables of the transformed pair on an odd number of nodes per
+    axis, so that 0 is a node."""
+    n_axis = scenario.n if scenario.n % 2 == 1 else scenario.n + 1
+    return rm.RiemannProvider(tsys, n_axis, scenario.tolerances.picard_tol)
 
 
 def run(scenario):
@@ -490,10 +595,12 @@ def run(scenario):
     (stable structure, JSON-serialisable) and the list of expectation
     mismatches (empty when all ``expect`` entries hold).
     """
-    unknown = set(scenario.expect) - _EXPECT_KEYS
-    if unknown:
-        raise StageError("expect", f"unknown expectation keys: {', '.join(sorted(unknown))}")
+    try:
+        validate_expect(scenario.expect)
+    except ValueError as err:
+        raise StageError("expect", str(err)) from err
     tol = scenario.tolerances
+    tasks = scenario.tasks
     x0, y0 = scenario.point
     report = {
         "scenario": scenario.name,
@@ -504,118 +611,57 @@ def run(scenario):
         },
         "grid_n": scenario.n,
         "tasks": list(scenario.tasks),
-        "tolerances": {
-            "rank_threshold": tol.rank_threshold,
-            "picard_tol": tol.picard_tol,
-            "ivp_tol": tol.ivp_tol,
-            "nullspace_threshold": tol.nullspace_threshold,
-            "conditions_n": tol.conditions_n,
-        },
+        "tolerances": asdict(tol),
     }
     sys = reduce_system(scenario.coefficients)
-    needs_hyperbolic = any(
-        t in scenario.tasks for t in ("characteristics", "riemann", "ucp")
-    )
 
-    xs, ys = scenario.omega.grid(tol.conditions_n)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    delta_grid = np.broadcast_to(tensors.delta_field(scenario.coefficients)(xg, yg), xg.shape)
-    delta_min, delta_max = float(delta_grid.min()), float(delta_grid.max())
+    if "conditions" in tasks:
+        with _stage("conditions"):
+            report["conditions"] = _conditions_report(scenario)
 
-    if "conditions" in scenario.tasks:
-        try:
-            pencil = tensors.pencil_eigenpairs(scenario.coefficients, x0, y0)
-            pencil_report = {
-                "roots": [[float(r.real), float(r.imag)] for r in pencil.roots],
-                "conditioning_min": float(pencil.conditioning.min()),
-                "nullities": [int(v) for v in pencil.nullity],
-                "defective": pencil.defective,
-                "residual_max": float(pencil.residuals.max()),
-            }
-        except ValueError as err:
-            pencil_report = {"error": str(err)}
-        report["conditions"] = {
-            "ellipticity_margin": float(
-                tensors.ellipticity_margin(scenario.coefficients, scenario.omega, tol.conditions_n)
-            ),
-            "convexity_margin": float(
-                tensors.convexity_margin(scenario.coefficients, scenario.omega, tol.conditions_n)
-            ),
-            "delta_min": delta_min,
-            "delta_max": delta_max,
-            "pencil": pencil_report,
-        }
-
-    if "reduce" in scenario.tasks:
-        e20, e11, e02 = (f(xg, yg) for f in sys.ell.coefficients()[:3])
-        edisc = np.broadcast_to(e11 * e11 - 4.0 * np.asarray(e20) * np.asarray(e02), xg.shape)
-        report["reduce"] = {
-            "rank_at_point": second_order_rank(sys, x0, y0, tol.rank_threshold),
-            "elliptic_discriminant_max": float(edisc.max()),
-            "hyper_second_order": [
-                float(f(x0, y0)) for f in sys.hyper.coefficients()[:3]
-            ],
-            "ell_second_order": [float(f(x0, y0)) for f in sys.ell.coefficients()[:3]],
-        }
-
-    cmap = tsys = None
-    if needs_hyperbolic:
-        if delta_min <= 0.0:
-            raise StageError(
-                "characteristics",
-                f"hyperbolicity precondition violated: min Delta = {delta_min} on omega",
+    if "reduce" in tasks:
+        with _stage("reduce"):
+            xg, yg = np.meshgrid(*scenario.omega.grid(tol.conditions_n), indexing="ij")
+            e20, e11, e02 = (f(xg, yg) for f in sys.ell.coefficients()[:3])
+            edisc = np.broadcast_to(
+                e11 * e11 - 4.0 * np.asarray(e20) * np.asarray(e02), xg.shape
             )
-        try:
-            cmap = ch.build_map(sys, scenario.omega, x0, y0)
-            tsys = ch.transform_system(sys, cmap, scenario.omega)
-        except (ch.MapError, ch.TransformError) as err:
-            raise StageError("characteristics", str(err)) from err
+            report["reduce"] = {
+                "rank_at_point": second_order_rank(sys, x0, y0, tol.rank_threshold),
+                "elliptic_discriminant_max": float(edisc.max()),
+                "hyper_second_order": [
+                    float(f(x0, y0)) for f in sys.hyper.coefficients()[:3]
+                ],
+                "ell_second_order": [float(f(x0, y0)) for f in sys.ell.coefficients()[:3]],
+            }
 
-    if "characteristics" in scenario.tasks:
-        u = np.linspace(-tsys.epsilon, tsys.epsilon, 7)
-        sgr, tgr = np.meshgrid(u, u, indexing="ij")
-        xb, yb = cmap.inverse(sgr.ravel(), tgr.ravel())
-        detj = cmap.det_jacobian(np.asarray(xb), np.asarray(yb))
-        a11g = np.asarray(tsys.a11(sgr.ravel(), tgr.ravel()))
-        a12g = np.asarray(tsys.a12(sgr.ravel(), tgr.ravel()))
-        a22g = np.asarray(tsys.a22(sgr.ravel(), tgr.ravel()))
-        report["characteristics"] = {
-            "case": cmap.case,
-            "linear": cmap.linear,
-            "epsilon": tsys.epsilon,
-            "det_jacobian_range": [float(np.min(np.abs(detj))), float(np.max(np.abs(detj)))],
-            "elliptic_discriminant_max": float(np.max(a12g**2 - a11g * a22g)),
-            "normal_form_coefficients_at_origin": {
-                "B11": float(tsys.b11(0.0, 0.0)),
-                "B12": float(tsys.b12(0.0, 0.0)),
-                "C1": float(tsys.c1(0.0, 0.0)),
-                "A11": float(tsys.a11(0.0, 0.0)),
-                "A12": float(tsys.a12(0.0, 0.0)),
-                "A22": float(tsys.a22(0.0, 0.0)),
-            },
-        }
+    if any(t in tasks for t in ("characteristics", "riemann", "ucp")):
+        cmap, tsys = characteristics(scenario, sys)
 
-    provider = None
-    if tsys is not None and ("riemann" in scenario.tasks or "ucp" in scenario.tasks):
-        n_axis = scenario.n if scenario.n % 2 == 1 else scenario.n + 1
-        provider = rm.RiemannProvider(tsys, n_axis, tol.picard_tol)
+    if "characteristics" in tasks:
+        with _stage("characteristics"):
+            report["characteristics"] = _characteristics_report(cmap, tsys)
 
-    if "riemann" in scenario.tasks:
-        tab = provider.table((0.0, 0.0))
-        report["riemann"] = {
-            "nodes_per_axis": int(len(tab.s_nodes)),
-            "iterations": tab.iterations,
-            "residual": tab.residual,
-            "value_at_parameter": tab.value(0.0, 0.0),
-        }
+    if "riemann" in tasks or "ucp" in tasks:
+        provider = riemann_provider(scenario, tsys)
 
-    if "ucp" in scenario.tasks:
-        report["ucp"] = _run_ucp_stage(scenario, sys, cmap, tsys, provider)
+    if "riemann" in tasks:
+        with _stage("riemann"):
+            tab = provider.table((0.0, 0.0))
+            report["riemann"] = {
+                "nodes_per_axis": int(len(tab.s_nodes)),
+                "iterations": tab.iterations,
+                "residual": tab.residual,
+                "value_at_parameter": tab.value(0.0, 0.0),
+            }
 
-    if "nullspace" in scenario.tasks:
-        ns = null_space_dimension(
-            sys, scenario.omega, scenario.n, tol.nullspace_threshold
-        )
+    if "ucp" in tasks:
+        with _stage("ucp"):
+            report["ucp"] = _run_ucp_stage(scenario, sys, cmap, tsys, provider)
+
+    if "nullspace" in tasks:
+        with _stage("nullspace"):
+            ns = null_space_dimension(sys, scenario.omega, scenario.n, tol.nullspace_threshold)
         report["nullspace"] = {
             "dimension": ns.dimension,
             "gap": ns.gap if np.isfinite(ns.gap) else 1e308,
@@ -626,10 +672,63 @@ def run(scenario):
             "basis_residuals": [float(v) for v in ns.basis_residuals],
         }
 
-    failures = _check_expectations(scenario, report)
+    failures = check_expectations(scenario.expect, report)
     report["expect"] = dict(sorted(scenario.expect.items()))
     report["verdict"] = {"passed": not failures, "failures": failures}
     return report, failures
+
+
+def _conditions_report(scenario):
+    x0, y0 = scenario.point
+    n = scenario.tolerances.conditions_n
+    try:
+        pencil = tensors.pencil_eigenpairs(scenario.coefficients, x0, y0)
+        pencil_report = {
+            "roots": [[float(r.real), float(r.imag)] for r in pencil.roots],
+            "conditioning_min": float(pencil.conditioning.min()),
+            "nullities": [int(v) for v in pencil.nullity],
+            "defective": pencil.defective,
+            "residual_max": float(pencil.residuals.max()),
+        }
+    except ValueError as err:
+        pencil_report = {"error": str(err)}
+    delta_min, delta_max = _delta_range(scenario)
+    return {
+        "ellipticity_margin": float(
+            tensors.ellipticity_margin(scenario.coefficients, scenario.omega, n)
+        ),
+        "convexity_margin": float(
+            tensors.convexity_margin(scenario.coefficients, scenario.omega, n)
+        ),
+        "delta_min": delta_min,
+        "delta_max": delta_max,
+        "pencil": pencil_report,
+    }
+
+
+def _characteristics_report(cmap, tsys):
+    u = np.linspace(-tsys.epsilon, tsys.epsilon, 7)
+    sgr, tgr = np.meshgrid(u, u, indexing="ij")
+    xb, yb = cmap.inverse(sgr.ravel(), tgr.ravel())
+    detj = cmap.det_jacobian(np.asarray(xb), np.asarray(yb))
+    a11g = np.asarray(tsys.a11(sgr.ravel(), tgr.ravel()))
+    a12g = np.asarray(tsys.a12(sgr.ravel(), tgr.ravel()))
+    a22g = np.asarray(tsys.a22(sgr.ravel(), tgr.ravel()))
+    return {
+        "case": cmap.case,
+        "linear": cmap.linear,
+        "epsilon": tsys.epsilon,
+        "det_jacobian_range": [float(np.min(np.abs(detj))), float(np.max(np.abs(detj)))],
+        "elliptic_discriminant_max": float(np.max(a12g**2 - a11g * a22g)),
+        "normal_form_coefficients_at_origin": {
+            "B11": float(tsys.b11(0.0, 0.0)),
+            "B12": float(tsys.b12(0.0, 0.0)),
+            "C1": float(tsys.c1(0.0, 0.0)),
+            "A11": float(tsys.a11(0.0, 0.0)),
+            "A12": float(tsys.a12(0.0, 0.0)),
+            "A22": float(tsys.a22(0.0, 0.0)),
+        },
+    }
 
 
 def _run_ucp_stage(scenario, sys, cmap, tsys, provider):
@@ -712,71 +811,6 @@ def _run_ucp_stage(scenario, sys, cmap, tsys, provider):
     probe = np.linspace(-eps, eps, 9)
     targets = [(s, t) for s in probe for t in probe]
 
-    def eval_chunk(chunk):
-        return rm.represent_solution(tsys, provider, wdata.w, traces, chunk)
-
-    chunks = [targets[i::max(scenario.jobs, 1)] for i in range(max(scenario.jobs, 1))]
-    vals = _parallel_map(eval_chunk, [c for c in chunks if c], scenario.jobs)
-    w_sup = float(max(np.max(np.abs(v)) for v in vals))
-    result["w_sup"] = w_sup
+    vals = rm.represent_solution(tsys, provider, wdata.w, traces, targets)
+    result["w_sup"] = float(np.max(np.abs(vals)))
     return result
-
-
-def _check_expectations(scenario, report):
-    failures = []
-
-    def fail(key, want, got):
-        failures.append(f"{key}: expected {want}, got {got}")
-
-    exp = scenario.expect
-    cond = report.get("conditions", {})
-    if "ellipticity_positive" in exp:
-        got = cond.get("ellipticity_margin", np.nan) > 0
-        if got != exp["ellipticity_positive"]:
-            fail("ellipticity_positive", exp["ellipticity_positive"], got)
-    if "convexity_positive" in exp:
-        got = cond.get("convexity_margin", np.nan) > 0
-        if got != exp["convexity_positive"]:
-            fail("convexity_positive", exp["convexity_positive"], got)
-    if "delta_positive" in exp:
-        got = cond.get("delta_min", np.nan) > 0
-        if got != exp["delta_positive"]:
-            fail("delta_positive", exp["delta_positive"], got)
-    if "pencil_defective" in exp:
-        got = cond.get("pencil", {}).get("defective")
-        if got != exp["pencil_defective"]:
-            fail("pencil_defective", exp["pencil_defective"], got)
-    if "rank_at_point" in exp:
-        got = report.get("reduce", {}).get("rank_at_point")
-        if got != exp["rank_at_point"]:
-            fail("rank_at_point", exp["rank_at_point"], got)
-    if "nullspace_dim" in exp:
-        got = report.get("nullspace", {}).get("dimension")
-        if got != exp["nullspace_dim"]:
-            fail("nullspace_dim", exp["nullspace_dim"], got)
-    if "nullspace_gap_min" in exp:
-        got = report.get("nullspace", {}).get("gap", 0.0)
-        if not got >= exp["nullspace_gap_min"]:
-            fail("nullspace_gap_min", f">= {exp['nullspace_gap_min']}", got)
-    if "reduced_data_degenerate" in exp:
-        got = report.get("ucp", {}).get("reduced_data_degenerate")
-        if got != exp["reduced_data_degenerate"]:
-            fail("reduced_data_degenerate", exp["reduced_data_degenerate"], got)
-    if "transferred_data_max" in exp:
-        got = report.get("ucp", {}).get("transferred_max", np.inf)
-        if not got <= exp["transferred_data_max"]:
-            fail("transferred_data_max", f"<= {exp['transferred_data_max']}", got)
-    if "traces_sup_max" in exp:
-        ucp = report.get("ucp", {})
-        got = max(ucp.get("phi_sup", np.inf), ucp.get("psi_sup", np.inf))
-        if not got <= exp["traces_sup_max"]:
-            fail("traces_sup_max", f"<= {exp['traces_sup_max']}", got)
-    if "w_sup_max" in exp:
-        got = report.get("ucp", {}).get("w_sup", np.inf)
-        if not got <= exp["w_sup_max"]:
-            fail("w_sup_max", f"<= {exp['w_sup_max']}", got)
-    if "riemann_residual_max" in exp:
-        got = report.get("riemann", {}).get("residual", np.inf)
-        if not got <= exp["riemann_residual_max"]:
-            fail("riemann_residual_max", f"<= {exp['riemann_residual_max']}", got)
-    return failures

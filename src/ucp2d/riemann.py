@@ -103,15 +103,6 @@ class RiemannTable:
             raise ValueError("0 is not a grid node; use an odd node count")
         return self.t_nodes, self.values[i, :]
 
-    def to_csv(self, path):
-        """Write nodes and values as ``x,y,value`` rows (17 significant
-        digits), x being the evaluation s and y the evaluation t."""
-        with open(path, "w") as fh:
-            fh.write("x,y,value\n")
-            for i, s in enumerate(self.s_nodes):
-                for j, t in enumerate(self.t_nodes):
-                    fh.write(f"{s:.17g},{t:.17g},{self.values[i, j]:.17g}\n")
-
 
 def solve_riemann(tsys, parameter, n, tol=1e-10, max_iter=200):
     """Fixed point of the Riemann integral equation on the square.
@@ -170,11 +161,7 @@ def solve_riemann(tsys, parameter, n, tol=1e-10, max_iter=200):
 
 
 class RiemannProvider:
-    """Memoised Riemann tables keyed by parameter point.
-
-    Tables are deterministic functions of their key, so concurrent
-    insert-or-get returns identical values regardless of scheduling.
-    """
+    """Memoised Riemann tables keyed by parameter point."""
 
     def __init__(self, tsys, n, tol=1e-10):
         self.tsys = tsys

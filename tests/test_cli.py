@@ -245,3 +245,53 @@ def test_seed_changes_sweep_but_not_verdict(tmp_path):
     assert ra["random_sweep"]["seed"] == 1
     assert rb["random_sweep"]["seed"] == 2
     assert ra["verdict"] == rb["verdict"]
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("point_data", [None, 0, 0, 0, 0], "point_data"),
+    ("point_data", [True, 0, 0, 0, 0], "point_data"),
+    ("point", [None, 0], "point"),
+    ("omega", 5, "omega"),
+    ("omega", {"center": [0], "halfwidths": [0.3, 0.3]}, "omega.center"),
+    ("expect", [1, 2], "expect"),
+    ("expect", {"nullspace_gap_min": "big"}, "expect.nullspace_gap_min"),
+    ("lower_order", [1], "lower_order"),
+    ("grid", {"n": True}, "grid"),
+    ("name", "sub/dir", "name"),
+])
+def test_malformed_scenario_exits_two_naming_key(tmp_path, capsys, key, value, named):
+    doc = json.loads((scenario_dir() / "lame_constant.json").read_text())
+    doc[key] = value
+    path = tmp_path / "lame_constant.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert named in err
+
+
+@pytest.mark.parametrize("tasks, stage", [
+    (["conditions", "reduce"], "[conditions]"),
+    (["nullspace"], "[nullspace]"),
+])
+def test_field_error_inside_stage_names_stage(tmp_path, capsys, tasks, stage):
+    # log(x) is undefined on the left half of omega; a1212 enters both equations
+    path = write_scenario(tmp_path, tensor=dict(BASE["tensor"], a1212="log(x)"), tasks=tasks)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {stage}") and "log" in err
+
+
+@pytest.mark.parametrize("command", ["check", "nullspace", "riemann"])
+def test_unknown_expect_key_exits_two_for_every_command(tmp_path, capsys, command):
+    path = write_scenario(tmp_path, expect={"no_such_expectation": 1})
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert "no_such_expectation" in capsys.readouterr().err
+
+
+def test_riemann_on_zero_delta_names_characteristics(tmp_path, capsys):
+    # Delta = (a1122 + a1212)^2 here, so a1122 = -1 puts Delta = 0 everywhere
+    path = write_scenario(tmp_path, tensor=dict(BASE["tensor"], a1122="-1"))
+    assert main(["riemann", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "characteristics" in err and "hyperbolicity" in err

@@ -442,6 +442,21 @@ def test_run_rejects_unknown_expect_key():
         run(lame_scenario(expect={"no_such_key": 1}))
 
 
+def test_expectation_rules_and_messages():
+    report = {"nullspace": {"dimension": 4, "gap": 10.0}, "reduce": {"rank_at_point": 2}}
+    expect = {"w_sup_max": 1e-8, "nullspace_gap_min": 1e3, "rank_at_point": 1,
+              "nullspace_dim": 4}
+    # table order, missing values read as failing, "==" shows the bare value
+    assert pl.check_expectations(expect, report) == [
+        "rank_at_point: expected 1, got 2",
+        "nullspace_gap_min: expected >= 1000.0, got 10.0",
+        "w_sup_max: expected <= 1e-08, got inf",
+    ]
+    assert pl.expectations_for(expect, ("nullspace",)) == {
+        "nullspace_gap_min": 1e3, "nullspace_dim": 4,
+    }
+
+
 def test_run_nullspace_task_reports_dimension():
     sc = Scenario(
         name="xy-single-constant",
@@ -459,8 +474,8 @@ def test_run_nullspace_task_reports_dimension():
 
 
 def test_run_report_is_json_serialisable_and_jobs_invariant():
-    sc1 = lame_scenario(jobs=1)
-    sc4 = lame_scenario(jobs=4)
+    sc1 = lame_scenario()
+    sc4 = lame_scenario()
     r1, _ = run(sc1)
     r4, _ = run(sc4)
     s1 = json.dumps(r1, sort_keys=True)
