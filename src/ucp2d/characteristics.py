@@ -53,6 +53,10 @@ CASE_A1112 = "a1112-nonzero"
 CASE_A1222 = "a1222-nonzero"
 
 _EPS_CANDIDATES = [0.5 / 2**k for k in range(12)]
+_ZERO_TOL = 1e-13  # relative coefficient size (or Jacobian determinant) taken as zero
+_N_SAMPLE = 9  # nodes per axis of the grids that sample the region and the square
+_NORMAL_FORM_TOL = 1e-8  # admissible ds^2/dt^2 residue relative to the mixed term
+_RK4_STEPS = 64  # Runge-Kutta steps along each traced characteristic
 
 
 class MapError(ValueError):
@@ -73,7 +77,7 @@ def _second_order_values(op, x, y):
     return c20(x, y), c11(x, y), c02(x, y), c10(x, y), c01(x, y), c00(x, y)
 
 
-def characteristic_slopes(sys, x, y, zero_tol=1e-13):
+def characteristic_slopes(sys, x, y):
     """Classify the point and return the characteristic slope pair.
 
     Returns ``(case, roots)`` where roots is ``None`` in the identity
@@ -88,9 +92,9 @@ def characteristic_slopes(sys, x, y, zero_tol=1e-13):
         raise MapError(f"hyperbolicity fails at ({x}, {y}): Delta = {delta}")
     scale = max(abs(h20), abs(h11), abs(h02))
     rt = np.sqrt(delta)
-    if abs(h20) > zero_tol * scale:
+    if abs(h20) > _ZERO_TOL * scale:
         return CASE_A1112, (-(h11 - rt) / (2 * h20), -(h11 + rt) / (2 * h20))
-    if abs(h02) > zero_tol * scale:
+    if abs(h02) > _ZERO_TOL * scale:
         return CASE_A1222, (-(h11 - rt) / (2 * h02), -(h11 + rt) / (2 * h02))
     return CASE_IDENTITY, None
 
@@ -191,13 +195,12 @@ class _CurveTracer:
     ``mirrored=True`` swaps the roles of ``x`` and ``y``.
     """
 
-    def __init__(self, m_field, x0, y0, bounds, mirrored=False, n_steps=64):
+    def __init__(self, m_field, x0, y0, bounds, mirrored=False):
         self.m = m_field
         self.dm = m_field.diff("x" if mirrored else "y")
         self.x0, self.y0 = x0, y0
         self.bounds = bounds  # padded containment box as ((lo_x, hi_x), (lo_y, hi_y))
         self.mirrored = mirrored
-        self.n_steps = n_steps
 
     def _slope(self, a, b):
         # independent variable first; mirrored tracing integrates x over y
@@ -234,8 +237,8 @@ class _CurveTracer:
             f, df = self._slope(a_val, b_val)
             return span * f, span * df * v_val
 
-        h = 1.0 / self.n_steps
-        for k in range(self.n_steps):
+        h = 1.0 / _RK4_STEPS
+        for k in range(_RK4_STEPS):
             tau = k * h
             self._check(a0 + span * tau, b)
             k1b, k1v = rhs(a0 + span * tau, b, v)
@@ -248,7 +251,7 @@ class _CurveTracer:
         return b - ref, v
 
 
-def _traced_map(case, sys, x0, y0, region, n_steps=64):
+def _traced_map(case, sys, x0, y0, region):
     h20, h11, h02 = sys.hyper.c20, sys.hyper.c11, sys.hyper.c02
     delta = h11 * h11 - 4.0 * h20 * h02
     rt = _sqrt_field(delta)
@@ -263,8 +266,8 @@ def _traced_map(case, sys, x0, y0, region, n_steps=64):
     bounds_xy = ((rx0 - pad_x, rx1 + pad_x), (ry0 - pad_y, ry1 + pad_y))
     bounds = (bounds_xy[1], bounds_xy[0]) if mirrored else bounds_xy
 
-    tracer_s = _CurveTracer(m_minus, x0, y0, bounds, mirrored=mirrored, n_steps=n_steps)
-    tracer_t = _CurveTracer(m_plus, x0, y0, bounds, mirrored=mirrored, n_steps=n_steps)
+    tracer_s = _CurveTracer(m_minus, x0, y0, bounds, mirrored=mirrored)
+    tracer_t = _CurveTracer(m_plus, x0, y0, bounds, mirrored=mirrored)
 
     def _shape_back(arr, x, y):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
@@ -351,7 +354,7 @@ def _traced_map(case, sys, x0, y0, region, n_steps=64):
     )
 
 
-def build_map(sys, region, x0, y0, zero_tol=1e-13, n_check=9):
+def build_map(sys, region, x0, y0):
     """Construct the characteristic map on a region around ``(x0, y0)``.
 
     Requires ``Delta > 0`` on the closed region and, outside the
@@ -363,7 +366,7 @@ def build_map(sys, region, x0, y0, zero_tol=1e-13, n_check=9):
     """
     if not region.contains(x0, y0):
         raise MapError("base point must lie inside the region")
-    xs, ys = region.grid(n_check)
+    xs, ys = region.grid(_N_SAMPLE)
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     h20 = np.broadcast_to(sys.hyper.c20(xg, yg), xg.shape)
     h11 = np.broadcast_to(sys.hyper.c11(xg, yg), xg.shape)
@@ -372,11 +375,11 @@ def build_map(sys, region, x0, y0, zero_tol=1e-13, n_check=9):
     if delta.min() <= 0:
         raise MapError(f"hyperbolicity fails on the region: min Delta = {delta.min()}")
     scale = max(np.abs(h20).max(), np.abs(h11).max(), np.abs(h02).max())
-    if np.abs(h20).max() <= zero_tol * scale and np.abs(h02).max() <= zero_tol * scale:
+    if np.abs(h20).max() <= _ZERO_TOL * scale and np.abs(h02).max() <= _ZERO_TOL * scale:
         case = CASE_IDENTITY
-    elif np.abs(h20).min() > zero_tol * scale:
+    elif np.abs(h20).min() > _ZERO_TOL * scale:
         case = CASE_A1112
-    elif np.abs(h02).min() > zero_tol * scale:
+    elif np.abs(h02).min() > _ZERO_TOL * scale:
         case = CASE_A1222
     else:
         raise MapError(
@@ -391,7 +394,7 @@ def build_map(sys, region, x0, y0, zero_tol=1e-13, n_check=9):
         np.ptp(h20), np.ptp(h11), np.ptp(h02)
     )
     if spread <= 1e-13 * max(scale, 1.0):
-        case_pt, roots = characteristic_slopes(sys, x0, y0, zero_tol=zero_tol)
+        case_pt, roots = characteristic_slopes(sys, x0, y0)
         return _linear_map(case_pt, x0, y0, roots)
     return _traced_map(case, sys, x0, y0, region)
 
@@ -444,14 +447,14 @@ class TransformedSystem:
         )
 
 
-def _choose_epsilon(sys, cmap, region, n_probe=9):
+def _choose_epsilon(sys, cmap, region):
     """Largest dyadic epsilon <= 0.5 whose square pulls back into the
     region with the discriminant no worse than half its base value."""
     delta0 = float(
         sys.hyper.c11(cmap.x0, cmap.y0) ** 2
         - 4 * sys.hyper.c20(cmap.x0, cmap.y0) * sys.hyper.c02(cmap.x0, cmap.y0)
     )
-    u = np.linspace(-1.0, 1.0, n_probe)
+    u = np.linspace(-1.0, 1.0, _N_SAMPLE)
     su, tu = np.meshgrid(u, u, indexing="ij")
     for eps in _EPS_CANDIDATES:
         try:
@@ -469,16 +472,15 @@ def _choose_epsilon(sys, cmap, region, n_probe=9):
     raise MapError("no admissible square neighbourhood found")
 
 
-def transform_system(sys, cmap, region, epsilon=None, n_check=9, rel_tol=1e-8):
+def transform_system(sys, cmap, region):
     """Push the pair through the characteristic map.
 
     The collected ``ds^2``/``dt^2`` coefficients of the hyperbolic
     equation must vanish (that is what makes the map characteristic);
-    they are verified to ``rel_tol`` on a sample grid and the mixed
-    coefficient is divided out.
+    they are verified to ``_NORMAL_FORM_TOL`` on a sample grid and the
+    mixed coefficient is divided out.
     """
-    if epsilon is None:
-        epsilon = _choose_epsilon(sys, cmap, region)
+    epsilon = _choose_epsilon(sys, cmap, region)
 
     def pullback(s, t):
         return cmap.inverse(s, t)
@@ -495,14 +497,14 @@ def transform_system(sys, cmap, region, epsilon=None, n_check=9, rel_tol=1e-8):
         return qs, qt, mixed, lh_s, lh_t, h00
 
     # validate the normal form on a probe grid of the square
-    u = np.linspace(-epsilon, epsilon, n_check)
+    u = np.linspace(-epsilon, epsilon, _N_SAMPLE)
     sp, tp = np.meshgrid(u, u, indexing="ij")
     xp, yp = pullback(sp.ravel(), tp.ravel())
     qs, qt, mixed, _, _, _ = hyper_pieces(xp, yp)
     scale = np.abs(mixed)
     if np.any(scale <= 0):
         raise TransformError("mixed-derivative coefficient vanished on the square")
-    if np.max(np.abs(qs) / scale) > rel_tol or np.max(np.abs(qt) / scale) > rel_tol:
+    if np.max(np.abs([qs, qt]) / scale) > _NORMAL_FORM_TOL:
         raise TransformError(
             "pure second-derivative residue survives the change of variables"
         )
@@ -602,7 +604,7 @@ class WPointData:
         return np.array([self.w, self.ws, self.wt, self.wss, self.wst, self.wtt])
 
 
-def transfer_point_data(sys, cmap, data, zero_tol=1e-13):
+def transfer_point_data(sys, cmap, data):
     """Transfer point data of u at (x0, y0) to data of w at (0, 0).
 
     ``data`` maps the keys ``u, ux, uy, uxx, uyy`` to values.  The mixed
@@ -626,7 +628,7 @@ def transfer_point_data(sys, cmap, data, zero_tol=1e-13):
         denom, rest = h11, h20 * uxx + h02 * uyy + h10 * ux + h01 * uy + h00 * u
     else:
         denom, rest = e11, e20 * uxx + e02 * uyy + e10 * ux + e01 * uy + e00 * u
-    if abs(denom) <= zero_tol * scale:
+    if abs(denom) <= _ZERO_TOL * scale:
         raise MapError(
             "mixed-derivative coefficients of both equations vanish at the point"
         )
@@ -634,7 +636,7 @@ def transfer_point_data(sys, cmap, data, zero_tol=1e-13):
 
     sx, tx, sy, ty = cmap.jacobian(x0, y0)
     det = sx * ty - tx * sy
-    if abs(det) <= zero_tol:
+    if abs(det) <= _ZERO_TOL:
         raise MapError("Jacobian singular at the base point")
     ws = (ty * ux - sy * uy) / det
     wt = (-tx * ux + sx * uy) / det

@@ -27,6 +27,7 @@ from ucp2d import __version__
 from ucp2d import pipeline as pl
 from ucp2d import riemann as rm
 from ucp2d import tensors
+from ucp2d.fields import FieldError
 from ucp2d.geometry import Rect
 from ucp2d.reduction import reduce_system
 
@@ -217,34 +218,35 @@ def _sub_scenario(scenario, tasks):
 def _cmd_check(scenario, args):
     report, failures = pl.run(_sub_scenario(scenario, ("conditions", "reduce")))
     report["random_sweep"] = _random_sweep(scenario, args.seed)
-    if scenario.point_data is not None and len(scenario.point_data) == 4:
-        second = "uxx" if "uxx" in scenario.point_data else "uyy"
-        try:
-            pl.complete_second_derivatives(
-                reduce_system(scenario.coefficients), *scenario.point,
-                scenario.point_data, second, scenario.tolerances.rank_threshold,
-            )
-            degenerate = False
-        except pl.DegenerateDataError:
-            degenerate = True
-        key = "reduced_data_degenerate"
-        report[key] = degenerate
-        if key in scenario.expect:
-            want = {key: scenario.expect[key]}
-            failures += pl.check_expectations(want, {"ucp": {key: degenerate}})
-            report["verdict"] = {"passed": not failures, "failures": failures}
+    key, ucp = "reduced_data_degenerate", {}
+    if scenario.point_data is not None:
+        _, ucp = pl.point_data_mode(scenario, reduce_system(scenario.coefficients))
+        report[key] = ucp[key]
+    if key in scenario.expect:
+        failures += pl.check_expectations({key: scenario.expect[key]}, {"ucp": ucp})
+        report["verdict"] = {"passed": not failures, "failures": failures}
     return report, failures
+
+
+def _field_on_grid(scenario, name):
+    """Nodes of the ``n x n`` grid of omega and the values there of the
+    coefficient ``name`` (``delta`` for the discriminant); a field error
+    names the field."""
+    xs, ys = scenario.omega.grid(scenario.n)
+    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    coeffs = scenario.coefficients
+    f = tensors.delta_field(coeffs) if name == "delta" else getattr(coeffs, name)
+    try:
+        return xs, ys, np.broadcast_to(f(xg, yg), xg.shape)
+    except FieldError as err:
+        raise FieldError(f"{name}: {err}") from err
 
 
 def _cmd_run(scenario, args):
     report, failures = pl.run(scenario)
     if args.format == "csv":
-        xs, ys = scenario.omega.grid(scenario.n)
-        xg, yg = np.meshgrid(xs, ys, indexing="ij")
-        vals = np.broadcast_to(
-            tensors.delta_field(scenario.coefficients)(xg, yg), xg.shape
-        )
-        _write_grid_csv(Path(args.out) / f"{scenario.name}.delta.csv", xs, ys, vals)
+        path = Path(args.out) / f"{scenario.name}.delta.csv"
+        _write_grid_csv(path, *_field_on_grid(scenario, "delta"))
     return report, failures
 
 
@@ -277,16 +279,10 @@ def _cmd_riemann(scenario, args):
 
 
 def _cmd_dump(scenario, args):
-    out_dir = Path(args.out)
-    xs, ys = scenario.omega.grid(scenario.n)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    fields = {name: getattr(scenario.coefficients, name) for name in tensors.A_NAMES}
-    fields["delta"] = tensors.delta_field(scenario.coefficients)
     written = []
-    for name, f in sorted(fields.items()):
-        values = np.broadcast_to(f(xg, yg), xg.shape)
-        path = out_dir / f"{scenario.name}.{name}.csv"
-        _write_grid_csv(path, xs, ys, values)
+    for name in sorted((*tensors.A_NAMES, "delta")):
+        path = Path(args.out) / f"{scenario.name}.{name}.csv"
+        _write_grid_csv(path, *_field_on_grid(scenario, name))
         written.append(path.name)
     report = {"scenario": scenario.name, "written": written,
               "verdict": {"passed": True, "failures": []}}

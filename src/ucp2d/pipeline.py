@@ -41,6 +41,7 @@ __all__ = [
     "null_space_dimension",
     "point_data_solve",
     "complete_second_derivatives",
+    "point_data_mode",
     "EXPECTATIONS",
     "validate_expect",
     "check_expectations",
@@ -194,6 +195,8 @@ def _assemble_operator(sys, region, n):
 # Ritz values past the ones the report reads: the block's last columns
 # converge slowest, so they are iterated but not read.
 _RITZ_GUARD = 8
+# Smallest singular values a NullSpaceResult keeps (more when the dimension needs them).
+_K_REPORT = 12
 
 
 @dataclass(frozen=True)
@@ -293,7 +296,7 @@ def _smallest_right_vectors(a_sparse, r_band, k, sigma_max):
     return ritz, v @ zt.T[:, ::-1]
 
 
-def null_space_dimension(sys, region, n, threshold=1e-6, k_report=12):
+def null_space_dimension(sys, region, n, threshold=1e-6):
     """Dimension, basis and spectral gap of the pair's discrete null space.
 
     Both equations are discretised on an ``n x n`` grid with fourth-order
@@ -305,7 +308,7 @@ def null_space_dimension(sys, region, n, threshold=1e-6, k_report=12):
     count is zero); ratios under 1e3 mark the dimension as ambiguous.
 
     Only the singular values the report reads are computed: ``sigma_max``
-    by ARPACK on the sparse operator, and the smallest ``k_report + 8``
+    by ARPACK on the sparse operator, and the smallest ``_K_REPORT + 8``
     by block inverse iteration on a banded QR factor (``_banded_r``).
     The block doubles while the dimension fills its converged part, so
     the dimension is never capped.
@@ -314,7 +317,7 @@ def null_space_dimension(sys, region, n, threshold=1e-6, k_report=12):
         raise ValueError("need n >= 17 for a meaningful discretisation")
     a_sp, grid = _assemble_operator(sys, region, n)
     nn = n * n
-    k_report = min(k_report, nn - 1)
+    k_report = min(_K_REPORT, nn - 1)
     if a_sp.count_nonzero() == 0:
         raise ValueError("zero operator; null space is everything")
     v0 = np.random.default_rng(0).standard_normal(nn)  # fixed: reports are deterministic
@@ -731,31 +734,34 @@ def _characteristics_report(cmap, tsys):
     }
 
 
-def _run_ucp_stage(scenario, sys, cmap, tsys, provider):
-    tol = scenario.tolerances
-    x0, y0 = scenario.point
+def point_data_mode(scenario, sys):
+    """The point data as u, ux, uy, uxx, uyy (four values completed through
+    the pair; None when it degenerates under them) and the ``ucp`` report
+    entries that describe it."""
     if scenario.point_data is None:
         raise StageError("ucp", "the ucp task needs point_data in the scenario")
     data = dict(scenario.point_data)
-    result = {}
     seconds = [k for k in ("uxx", "uyy") if k in data]
-    if len(seconds) == 1:
-        result["data_mode"] = f"four-value ({seconds[0]} given)"
-        try:
-            data, _ = complete_second_derivatives(
-                sys, x0, y0, data, seconds[0], tol.rank_threshold
-            )
-            result["reduced_data_degenerate"] = False
-            result["a1222_at_point"] = float(scenario.coefficients.a1222(x0, y0))
-        except DegenerateDataError as err:
-            result["reduced_data_degenerate"] = True
-            result["declined"] = str(err)
-            return result
-    elif len(seconds) == 2:
-        result["data_mode"] = "five-value"
-        result["reduced_data_degenerate"] = False
-    else:
+    if len(seconds) == 2:
+        return data, {"data_mode": "five-value", "reduced_data_degenerate": False}
+    if len(seconds) != 1:
         raise StageError("ucp", "point_data must carry one or both second derivatives")
+    entries = {"data_mode": f"four-value ({seconds[0]} given)"}
+    x0, y0 = scenario.point
+    try:
+        data, _ = complete_second_derivatives(
+            sys, x0, y0, data, seconds[0], scenario.tolerances.rank_threshold
+        )
+    except DegenerateDataError as err:
+        return None, dict(entries, reduced_data_degenerate=True, declined=str(err))
+    a1222 = float(scenario.coefficients.a1222(x0, y0))
+    return data, dict(entries, reduced_data_degenerate=False, a1222_at_point=a1222)
+
+
+def _run_ucp_stage(scenario, sys, cmap, tsys, provider):
+    data, result = point_data_mode(scenario, sys)
+    if data is None:
+        return result
 
     wdata = ch.transfer_point_data(sys, cmap, data)
     result["transferred"] = {
@@ -765,7 +771,7 @@ def _run_ucp_stage(scenario, sys, cmap, tsys, provider):
     }
     transferred_max = float(np.max(np.abs(wdata.as_array())))
     result["transferred_max"] = transferred_max
-    if transferred_max > 100 * tol.ivp_tol:
+    if transferred_max > 100 * scenario.tolerances.ivp_tol:
         result["declined"] = (
             "point data does not vanish, so the vanishing argument does not apply"
         )

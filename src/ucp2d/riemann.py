@@ -45,6 +45,10 @@ class SolveError(RuntimeError):
     """Iteration failed to contract or a solver precondition broke."""
 
 
+_PICARD_MAX_ITER = 200  # Picard steps before a table is declared divergent
+_LEAD_FLOOR = 1e-12  # least admissible |A(s)| in volterra_ivp
+
+
 def _axis_nodes(eps, n, extra):
     """Uniform nodes on [-eps, eps] augmented with one extra abscissa."""
     nodes = np.linspace(-eps, eps, n)
@@ -104,7 +108,7 @@ class RiemannTable:
         return self.t_nodes, self.values[i, :]
 
 
-def solve_riemann(tsys, parameter, n, tol=1e-10, max_iter=200):
+def solve_riemann(tsys, parameter, n, tol=1e-10):
     """Fixed point of the Riemann integral equation on the square.
 
     ``n`` uniform nodes per axis (augmented with the parameter
@@ -139,7 +143,7 @@ def solve_riemann(tsys, parameter, n, tol=1e-10, max_iter=200):
 
     r = np.ones_like(sg)
     diff = np.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, _PICARD_MAX_ITER + 1):
         r_new = picard(r)
         diff = float(np.max(np.abs(r_new - r)))
         r = r_new
@@ -147,7 +151,7 @@ def solve_riemann(tsys, parameter, n, tol=1e-10, max_iter=200):
             break
     else:
         raise SolveError(
-            f"Picard iteration did not contract to {tol} within {max_iter} steps"
+            f"Picard iteration did not contract to {tol} within {_PICARD_MAX_ITER} steps"
         )
     residual = float(np.max(np.abs(picard(r) - r)))
     return RiemannTable(
@@ -289,47 +293,37 @@ def kernel_PQ(tsys, provider, axis, nodes, fd_step=None):
     d = 2 * h if fd_step is None else float(fd_step)
     if d < h - 1e-14:
         raise ValueError("parameter differencing step must not undercut the grid step")
+    if axis == "s":
+        lead, damp, pair = tsys.a11, tsys.b21, lambda a, b: (a, b)
+    else:
+        lead, damp, pair = tsys.a22, tsys.b22, lambda a, b: (b, a)
     out = np.empty(len(nodes))
     for k, v in enumerate(np.asarray(nodes, dtype=float)):
-        if axis == "s":
-            param = (v, 0.0)
-            tab = provider.table(param)
-            a11 = float(tsys.a11(v, 0.0))
-            a12 = float(tsys.a12(v, 0.0))
-            b21 = float(tsys.b21(v, 0.0))
-            r_here = tab.value(v, 0.0)  # equals 1 by construction
-            d_eval = _fd1(lambda z: tab.value(z, 0.0), v, h, -eps, eps)
-            d_cross = _fd1(lambda z: tab.value(v, z), 0.0, h, -eps, eps)
-            d_param = _fd1(
-                lambda z: provider.table((z, 0.0)).value(v, 0.0), v, min(d, max(eps - abs(v), h)), -eps, eps
-            )
-            out[k] = a11 * (d_eval + 2 * d_param) + 2 * a12 * d_cross + b21 * r_here
-        else:
-            param = (0.0, v)
-            tab = provider.table(param)
-            a22 = float(tsys.a22(0.0, v))
-            a12 = float(tsys.a12(0.0, v))
-            b22 = float(tsys.b22(0.0, v))
-            r_here = tab.value(0.0, v)
-            d_eval = _fd1(lambda z: tab.value(0.0, z), v, h, -eps, eps)
-            d_cross = _fd1(lambda z: tab.value(z, v), 0.0, h, -eps, eps)
-            d_param = _fd1(
-                lambda z: provider.table((0.0, z)).value(0.0, v), v, min(d, max(eps - abs(v), h)), -eps, eps
-            )
-            out[k] = a22 * (d_eval + 2 * d_param) + 2 * a12 * d_cross + b22 * r_here
+        here = pair(v, 0.0)
+        tab = provider.table(here)
+        a_lead = float(lead(*here))
+        a12 = float(tsys.a12(*here))
+        b_damp = float(damp(*here))
+        r_here = tab.value(*here)  # equals 1 by construction
+        d_eval = _fd1(lambda z: tab.value(*pair(z, 0.0)), v, h, -eps, eps)
+        d_cross = _fd1(lambda z: tab.value(*pair(v, z)), 0.0, h, -eps, eps)
+        d_param = _fd1(
+            lambda z: provider.table(pair(z, 0.0)).value(*here), v, min(d, max(eps - abs(v), h)), -eps, eps
+        )
+        out[k] = a_lead * (d_eval + 2 * d_param) + 2 * a12 * d_cross + b_damp * r_here
     return out
 
 
-def apply_L(tsys, f, at, step, bounds=None):
+def apply_L(tsys, f, at, step):
     """Apply the elliptic operator in the parameter variables.
 
     ``f`` is a callable of the parameter pair; ``at = (xi0, eta0)`` is
-    where the derivatives are taken.  Near the bounds the stencils shift
-    one-sided rather than leaving the square.
+    where the derivatives are taken.  Near the edges of the square the
+    stencils shift one-sided rather than leaving it.  ``f`` may return R
+    on a row of evaluation points: the stencils are linear, so each entry
+    is what a scalar call gives.
     """
-    if bounds is None:
-        bounds = (-tsys.epsilon, tsys.epsilon)
-    lo, hi = bounds
+    lo, hi = -tsys.epsilon, tsys.epsilon
     xi0, eta0 = at
     a11 = float(tsys.a11(xi0, eta0))
     a12 = float(tsys.a12(xi0, eta0))
@@ -350,14 +344,15 @@ def apply_L(tsys, f, at, step, bounds=None):
     )
 
 
-def volterra_ivp(leading, damping, kernel, forcing, interval, n,
-                 floor=1e-12):
+def volterra_ivp(leading, damping, kernel, forcing, interval, n):
     """March ``A(s) u' + P(s) u + int_0^s K(s,sig) u(sig) dsig = g(s)``
     outward from ``u(0) = 0`` in both directions.
 
     Second-order implicit trapezoid stepping with trapezoid-in-integral;
     ``n`` odd nodes across ``interval`` (which must contain 0).  The
-    leading coefficient must stay above ``floor`` in magnitude.
+    leading coefficient must stay above ``_LEAD_FLOOR`` in magnitude.
+    ``kernel(s, nodes)`` is called once per node and returns the row
+    K(s, nodes), or a scalar for a constant row.
     """
     a, b = float(interval[0]), float(interval[1])
     if not (a < 0.0 < b):
@@ -369,33 +364,31 @@ def volterra_ivp(leading, damping, kernel, forcing, interval, n,
     if abs(nodes[i0]) > 1e-14 * max(abs(a), b):
         raise ValueError("grid does not contain 0")
     lead = np.asarray([leading(s) for s in nodes], dtype=float)
-    if np.min(np.abs(lead)) < floor:
+    if np.min(np.abs(lead)) < _LEAD_FLOOR:
         raise SolveError("leading coefficient falls below the admissible floor")
     damp = np.asarray([damping(s) for s in nodes], dtype=float)
     force = np.asarray([forcing(s) for s in nodes], dtype=float)
+    k_table = np.array([np.broadcast_to(kernel(s, nodes), (n,)) for s in nodes], dtype=float)
     u = np.zeros(n)
 
     def march(direction):
         idx = range(i0, n - 1) if direction > 0 else range(i0, 0, -1)
         for i in idx:
             j = i + direction
-            s_j = nodes[j]
-            h_s = s_j - nodes[i]
-            span = list(range(i0, i + direction, direction)) + [j]
+            h_s = nodes[j] - nodes[i]
+            known = list(range(i0, i + direction, direction))  # nodes from 0 to s_i
+            span = known + [j]
             # trapezoid over [0, s] with the outer kernel argument fixed
-            sig = nodes[span[:-1]]
-            k_row_i = np.asarray([kernel(nodes[i], x) for x in sig])
-            int_i = np.trapezoid(k_row_i * u[span[:-1]], sig) if len(sig) > 1 else 0.0
+            sig = nodes[known]
+            int_i = np.trapezoid(k_table[i, known] * u[known], sig) if len(sig) > 1 else 0.0
             du_i = (force[i] - damp[i] * u[i] - int_i) / lead[i]
             sig_j = nodes[span]
-            k_row_j = np.asarray([kernel(s_j, x) for x in sig_j])
-            w = np.zeros(len(sig_j))
-            if len(sig_j) > 1:
-                steps = np.diff(sig_j)
-                w[:-1] += steps / 2
-                w[1:] += steps / 2
-            int_j_known = float(np.dot(w[:-1], k_row_j[:-1] * u[span[:-1]]))
-            coupling = w[-1] * k_row_j[-1]
+            w = np.zeros(len(sig_j))  # span holds 0 and s_j, so two nodes at least
+            steps = np.diff(sig_j)
+            w[:-1] += steps / 2
+            w[1:] += steps / 2
+            int_j_known = float(np.dot(w[:-1], k_table[j, known] * u[known]))
+            coupling = w[-1] * k_table[j, j]
             denom = 1.0 + (h_s / 2) * (damp[j] + coupling) / lead[j]
             rhs = u[i] + (h_s / 2) * du_i + (h_s / 2) * (force[j] - int_j_known) / lead[j]
             u[j] = rhs / denom

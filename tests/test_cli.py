@@ -32,7 +32,7 @@ def test_golden_files_all_load():
     assert names == {
         "lame_constant", "example_4_1_a", "example_4_1_b", "example_exp",
         "example_b221_expy", "example_xy", "example_c22_xy",
-        "orthotropic_convex_counterexample",
+        "orthotropic_convex_counterexample", "lame_lower_order",
     }
     for f in files:
         sc = load_scenario(f)
@@ -295,3 +295,42 @@ def test_riemann_on_zero_delta_names_characteristics(tmp_path, capsys):
     assert main(["riemann", "--scenario", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "characteristics" in err and "hyperbolicity" in err
+
+
+def golden_copy(tmp_path, stem, **overrides):
+    doc = json.loads((scenario_dir() / f"{stem}.json").read_text())
+    doc.update(overrides)
+    path = tmp_path / f"{stem}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_check_tests_reduced_data_degenerate_for_every_point_data(tmp_path, capsys):
+    expect = {"reduced_data_degenerate": True}
+    five = golden_copy(tmp_path, "lame_constant", tasks=["conditions"], expect=expect)
+    assert main(["check", "--scenario", str(five), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "lame_constant.report.json").read_text())
+    assert report["reduced_data_degenerate"] is False
+    assert "reduced_data_degenerate: expected True, got False" in capsys.readouterr().out
+
+    doc = json.loads(five.read_text())
+    del doc["point_data"]
+    five.write_text(json.dumps(doc))
+    assert main(["check", "--scenario", str(five), "--out", str(tmp_path)]) == 1
+    report = json.loads((tmp_path / "lame_constant.report.json").read_text())
+    assert "reduced_data_degenerate" not in report
+    assert "reduced_data_degenerate: expected True, got None" in capsys.readouterr().out
+
+
+def test_grid_field_error_names_the_field(tmp_path, capsys):
+    tensor = json.loads((scenario_dir() / "lame_constant.json").read_text())["tensor"]
+    path = golden_copy(tmp_path, "lame_constant", tensor=dict(tensor, a1212="log(x)"))
+    assert main(["dump", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: a1212: log")
+    # no task evaluates a field, so the discriminant grid is the first to fail
+    path = golden_copy(tmp_path, "lame_constant", tensor=dict(tensor, a1212="log(x)"), tasks=[])
+    args = ["run", "--scenario", str(path), "--out", str(tmp_path), "--format", "csv"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("error: delta: log")

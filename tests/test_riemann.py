@@ -3,7 +3,10 @@ import pytest
 from scipy.special import j0
 
 from helpers import hyperbolic_bessel_series, hyperbolic_bessel_series_d
+from ucp2d import pipeline as pl
 from ucp2d.characteristics import TransformedSystem
+from ucp2d.cli import load_scenario, scenario_dir
+from ucp2d.reduction import reduce_system
 from ucp2d.riemann import (
     CauchyTraces,
     RiemannProvider,
@@ -138,6 +141,19 @@ def test_parameter_outside_square_rejected():
         solve_riemann(plain_system(), (0.9, 0.0), 33)
     with pytest.raises(ValueError):
         solve_riemann(plain_system(), (0.0, 0.0), 5)
+
+
+def test_lower_order_golden_table_matches_bessel_oracle():
+    # lame_lower_order: B11 = 0.25, B12 = 0.15, C1 = 0.35, so
+    # R(s, t, 0, 0) = exp(B12 s + B11 t) F((C1 - B11 B12) s t)
+    sc = load_scenario(scenario_dir() / "lame_lower_order.json")
+    _, tsys = pl.characteristics(sc, reduce_system(sc.coefficients))
+    tab = pl.riemann_provider(sc, tsys).table((0.0, 0.0))
+    b11, b12, c1 = 0.25, 0.15, 0.35
+    sg, tg = np.meshgrid(tab.s_nodes, tab.t_nodes, indexing="ij")
+    ref = np.exp(b12 * sg + b11 * tg) * hyperbolic_bessel_series((c1 - b11 * b12) * sg * tg)
+    assert np.max(np.abs(ref - 1.0)) > 0.1
+    assert np.max(np.abs(tab.values - ref)) <= 1e-6
 
 
 # -- representation formula ------------------------------------------------
@@ -321,6 +337,24 @@ def test_apply_L_edge_stencils_shift_inside():
     assert apply_L(tsys, quad, (0.5, 0.5), 0.05) == pytest.approx(8.0, abs=1e-8)
 
 
+def test_apply_L_on_a_row_matches_entrywise_calls():
+    tsys = plain_system(b11=0.25, b12=0.15, c1=0.35, a11=1.0, a12=0.2, a22=3.0,
+                        b21=0.4, b22=-0.3, c2=0.6)
+    prov = RiemannProvider(tsys, 33)
+    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, prov.n)
+    step = 2 * prov.grid_step
+    # first two and last two rows take the one-sided stencils
+    for i in (0, 1, prov.n // 2, prov.n - 2, prov.n - 1):
+        at = (nodes[i], 0.0)
+        row = apply_L(tsys, lambda xi, eta: prov.value(nodes, 0.0, xi, eta), at, step)
+        entries = [
+            apply_L(tsys, lambda xi, eta: prov.value(sig, 0.0, xi, eta), at, step)
+            for sig in nodes
+        ]
+        assert row.shape == nodes.shape
+        np.testing.assert_allclose(row, entries, rtol=1e-14, atol=0.0)
+
+
 # -- Volterra integro-differential IVP --------------------------------------
 
 
@@ -398,3 +432,23 @@ def test_ivp_leading_coefficient_floor():
             interval=(-0.5, 0.5),
             n=33,
         )
+
+
+def test_ivp_calls_kernel_once_per_node_on_all_nodes():
+    calls = []
+
+    def kernel(s, sig):
+        calls.append((s, np.array(sig, dtype=float)))
+        return np.cos(s - sig)
+
+    nodes, _ = volterra_ivp(
+        leading=lambda s: 1.0,
+        damping=lambda s: 0.0,
+        kernel=kernel,
+        forcing=np.cos,
+        interval=(-0.5, 0.5),
+        n=33,
+    )
+    assert [s for s, _ in calls] == list(nodes)
+    for _, sig in calls:
+        assert np.array_equal(sig, nodes)
