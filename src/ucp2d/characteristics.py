@@ -57,6 +57,7 @@ _ZERO_TOL = 1e-13  # relative coefficient size (or Jacobian determinant) taken a
 _N_SAMPLE = 9  # nodes per axis of the grids that sample the region and the square
 _NORMAL_FORM_TOL = 1e-8  # admissible ds^2/dt^2 residue relative to the mixed term
 _RK4_STEPS = 64  # Runge-Kutta steps along each traced characteristic
+_NEWTON_STEPS = 25  # Newton steps allowed to invert a traced map
 
 
 class MapError(ValueError):
@@ -280,9 +281,7 @@ def _traced_map(case, sys, x0, y0, region):
         t, _ = tracer_t.intercept_and_sensitivity(x, y)
         return _shape_back(s, x, y), _shape_back(t, x, y)
 
-    def jacobian(x, y):
-        _, s_sec = tracer_s.intercept_and_sensitivity(x, y)
-        _, t_sec = tracer_t.intercept_and_sensitivity(x, y)
+    def partials(s_sec, t_sec, x, y):
         mm = np.asarray(m_minus(x, y)).ravel()
         mp = np.asarray(m_plus(x, y)).ravel()
         if mirrored:
@@ -293,7 +292,12 @@ def _traced_map(case, sys, x0, y0, region):
         else:
             sy, sx = s_sec, mm * s_sec
             ty, tx = t_sec, mp * t_sec
-        return tuple(_shape_back(a, x, y) for a in (sx, tx, sy, ty))
+        return sx, tx, sy, ty
+
+    def jacobian(x, y):
+        _, s_sec = tracer_s.intercept_and_sensitivity(x, y)
+        _, t_sec = tracer_t.intercept_and_sensitivity(x, y)
+        return tuple(_shape_back(a, x, y) for a in partials(s_sec, t_sec, x, y))
 
     fd = 1e-5 * max(region.halfwidths)
 
@@ -323,10 +327,10 @@ def _traced_map(case, sys, x0, y0, region):
         # start from the linearisation at the base point
         x = x0 + (ty0 * sf - sy0 * tf) / det0
         y = y0 + (-tx0 * sf + sx0 * tf) / det0
-        for _ in range(25):
-            s_cur, _ = tracer_s.intercept_and_sensitivity(x, y)
-            t_cur, _ = tracer_t.intercept_and_sensitivity(x, y)
-            sx, tx, sy, ty = jacobian(x, y)
+        for _ in range(_NEWTON_STEPS):
+            s_cur, s_sec = tracer_s.intercept_and_sensitivity(x, y)
+            t_cur, t_sec = tracer_t.intercept_and_sensitivity(x, y)
+            sx, tx, sy, ty = partials(s_sec, t_sec, x, y)
             rs = sf - s_cur
             rt_ = tf - t_cur
             det = sx * ty - tx * sy
@@ -336,8 +340,14 @@ def _traced_map(case, sys, x0, y0, region):
             dy = (-tx * rs + sx * rt_) / det
             x = x + dx
             y = y + dy
-            if np.max(np.abs(dx)) + np.max(np.abs(dy)) < 1e-13:
+            step = np.max(np.abs(dx)) + np.max(np.abs(dy))
+            if step < 1e-13:
                 break
+        else:
+            raise MapError(
+                f"inversion did not converge in {_NEWTON_STEPS} Newton steps "
+                f"(last step {step:.3g})"
+            )
         if np.shape(np.asarray(s)) or np.shape(np.asarray(t)):
             return x.reshape(shape), y.reshape(shape)
         return float(x[0]), float(y[0])
@@ -486,21 +496,24 @@ def transform_system(sys, cmap, region):
         return cmap.inverse(s, t)
 
     def hyper_pieces(x, y):
+        # also returns the map derivatives, which the callers reuse
         h20, h11, h02, h10, h01, h00 = _second_order_values(sys.hyper, x, y)
-        sx, tx, sy, ty = cmap.jacobian(x, y)
-        sxx, sxy, syy, txx, txy, tyy = cmap.second_derivatives(x, y)
+        jac = cmap.jacobian(x, y)
+        second = cmap.second_derivatives(x, y)
+        sx, tx, sy, ty = jac
+        sxx, sxy, syy, txx, txy, tyy = second
         qs = h20 * sx * sx + h11 * sx * sy + h02 * sy * sy
         qt = h20 * tx * tx + h11 * tx * ty + h02 * ty * ty
         mixed = 2 * h20 * sx * tx + h11 * (sx * ty + sy * tx) + 2 * h02 * sy * ty
         lh_s = h20 * sxx + h11 * sxy + h02 * syy + h10 * sx + h01 * sy
         lh_t = h20 * txx + h11 * txy + h02 * tyy + h10 * tx + h01 * ty
-        return qs, qt, mixed, lh_s, lh_t, h00
+        return (qs, qt, mixed, lh_s, lh_t, h00), jac, second
 
     # validate the normal form on a probe grid of the square
     u = np.linspace(-epsilon, epsilon, _N_SAMPLE)
     sp, tp = np.meshgrid(u, u, indexing="ij")
     xp, yp = pullback(sp.ravel(), tp.ravel())
-    qs, qt, mixed, _, _, _ = hyper_pieces(xp, yp)
+    (qs, qt, mixed, _, _, _), jac, _ = hyper_pieces(xp, yp)
     scale = np.abs(mixed)
     if np.any(scale <= 0):
         raise TransformError("mixed-derivative coefficient vanished on the square")
@@ -509,7 +522,7 @@ def transform_system(sys, cmap, region):
             "pure second-derivative residue survives the change of variables"
         )
 
-    a11p, a12p, a22p = _elliptic_principal(sys, cmap, xp, yp)
+    a11p, a12p, a22p = _elliptic_principal(sys, jac, xp, yp)
     if np.any(a12p**2 - a11p * a22p >= 0):
         raise TransformError("ellipticity lost under the change of variables")
     if np.min(np.abs(a11p)) == 0 or np.min(np.abs(a22p)) == 0:
@@ -527,10 +540,10 @@ def transform_system(sys, cmap, region):
         if got is not None:
             return got
         x, y = pullback(s, t)
-        _, _, mixed, lh_s, lh_t, h00 = hyper_pieces(x, y)
+        (_, _, mixed, lh_s, lh_t, h00), jac, second = hyper_pieces(x, y)
         e20, e11, e02, e10, e01, e00 = _second_order_values(sys.ell, x, y)
-        sx, tx, sy, ty = cmap.jacobian(x, y)
-        sxx, sxy, syy, txx, txy, tyy = cmap.second_derivatives(x, y)
+        sx, tx, sy, ty = jac
+        sxx, sxy, syy, txx, txy, tyy = second
         got = {
             "b11": lh_s / mixed,
             "b12": lh_t / mixed,
@@ -561,11 +574,11 @@ def transform_system(sys, cmap, region):
     )
 
 
-def _elliptic_principal(sys, cmap, x, y):
+def _elliptic_principal(sys, jac, x, y):
     e20 = sys.ell.c20(x, y)
     e11 = sys.ell.c11(x, y)
     e02 = sys.ell.c02(x, y)
-    sx, tx, sy, ty = cmap.jacobian(x, y)
+    sx, tx, sy, ty = jac
     a11 = e20 * sx * sx + e11 * sx * sy + e02 * sy * sy
     a12 = 0.5 * (2 * e20 * sx * tx + e11 * (sx * ty + sy * tx) + 2 * e02 * sy * ty)
     a22 = e20 * tx * tx + e11 * tx * ty + e02 * ty * ty

@@ -76,8 +76,8 @@ def load_scenario(path):
         coeffs = tensors.ElasticityCoefficients.from_components(
             raw["tensor"], raw.get("lower_order")
         )
-    except (TypeError, ValueError) as err:  # FieldError is a ValueError
-        raise ScenarioFileError(f"tensor: {err}")
+    except (TypeError, ValueError) as err:  # the message names the key
+        raise ScenarioFileError(str(err))
     point = _reals("point", raw["point"], (2,))
     omega_raw = raw["omega"]
     if set(omega_raw) != {"center", "halfwidths"}:
@@ -217,7 +217,10 @@ def _sub_scenario(scenario, tasks):
 
 def _cmd_check(scenario, args):
     report, failures = pl.run(_sub_scenario(scenario, ("conditions", "reduce")))
-    report["random_sweep"] = _random_sweep(scenario, args.seed)
+    try:
+        report["random_sweep"] = _random_sweep(scenario, args.seed)
+    except FieldError as err:
+        raise pl.StageError("random_sweep", str(err)) from err
     key, ucp = "reduced_data_degenerate", {}
     if scenario.point_data is not None:
         _, ucp = pl.point_data_mode(scenario, reduce_system(scenario.coefficients))

@@ -6,6 +6,15 @@ terms, manufactured solutions) is a closed-form expression in ``x`` and
 exact symbolic differentiation and vectorised evaluation, so chain-rule
 manipulations downstream carry no differencing noise.
 
+Evaluation runs a compiled program, not the tree.  On first use a field
+compiles its tree once into a post-order list of its distinct subtrees
+(hash-consed: equal subtrees share one step, constants compared by type
+and bits so that ``0.0`` and ``-0.0`` stay apart), cached on the
+instance.  Each step applies the numpy operation, and performs the
+domain check, that a recursive walk of the tree would, so results and
+the first domain error are the same bit for bit; the tests keep that
+walker as the oracle.
+
 Grammar, tightest binding first::
 
     ^ (right associative)  >  unary -  >  * /  >  + -
@@ -17,6 +26,8 @@ Derivative trees are not simplified beyond folding of literal subtrees.
 
 from __future__ import annotations
 
+import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -179,7 +190,10 @@ class _Parser:
     def atom(self):
         kind, val, off = self.next()
         if kind == "num":
-            return Const(float(val))
+            value = float(val)
+            if not math.isfinite(value):
+                raise ParseError(f"number literal {val} is not finite", off)
+            return Const(value)
         if kind == "ident":
             if val in VARIABLES:
                 return Var(val)
@@ -211,12 +225,17 @@ def _neg(node):
 
 def _bin(op, lhs, rhs):
     # fold literal subtrees; leave the node intact if folding would raise
+    # or give a non-finite value, so that evaluation reports it
+    node = Bin(op, lhs, rhs)
     if isinstance(lhs, Const) and isinstance(rhs, Const):
         try:
-            return Const(_eval_node(Bin(op, lhs, rhs), 0.0, 0.0))
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                value = _run(_compile(node), 0.0, 0.0)
         except EvalDomainError:
-            pass
-    return Bin(op, lhs, rhs)
+            return node
+        if np.isfinite(value):
+            return Const(value)
+    return node
 
 
 def _pow(base, expo):
@@ -230,41 +249,90 @@ def _pow(base, expo):
     return np.power(base, expo)
 
 
-def _eval_node(node, x, y):
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        return x if node.name == "x" else y
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, x, y)
-    if isinstance(node, Bin):
-        a = _eval_node(node.lhs, x, y)
-        b = _eval_node(node.rhs, x, y)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if node.op == "/":
-            if np.any(np.asarray(b) == 0.0):
-                raise EvalDomainError("division by zero")
-            return a / b
-        return _pow(a, b)
-    a = _eval_node(node.arg, x, y)
-    if node.fn == "exp":
-        return np.exp(a)
-    if node.fn == "log":
-        if np.any(np.asarray(a) <= 0.0):
-            raise EvalDomainError("log of a non-positive argument")
-        return np.log(a)
-    if node.fn == "sin":
-        return np.sin(a)
-    if node.fn == "cos":
-        return np.cos(a)
+def _div(a, b):
+    if np.any(np.asarray(b) == 0.0):
+        raise EvalDomainError("division by zero")
+    return a / b
+
+
+def _log(a):
+    if np.any(np.asarray(a) <= 0.0):
+        raise EvalDomainError("log of a non-positive argument")
+    return np.log(a)
+
+
+def _sqrt(a):
     if np.any(np.asarray(a) < 0.0):
         raise EvalDomainError("sqrt of a negative argument")
     return np.sqrt(a)
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "^": _pow}
+_UNARY = {"exp": np.exp, "log": _log, "sin": np.sin, "cos": np.cos, "sqrt": _sqrt}
+
+
+def _compile(ast):
+    """The program ``(slots, steps, root)`` that :func:`_run` executes.
+
+    Every distinct subtree owns one slot: slots 0 and 1 hold ``x`` and
+    ``y``, ``slots`` holds the constants in theirs, and each step
+    ``(fn, i, j, out, free)`` stores ``fn(slot i)``, or ``fn(slot i,
+    slot j)`` when ``j >= 0``, in slot ``out`` and then empties the
+    slots in ``free``, which no later step reads, so a run holds no more
+    arrays than it needs.  Steps run in the post-order of first
+    appearance, so operands come before their uses and the first domain
+    error raised is the one a tree walk would raise.
+    """
+    slots, steps = [None, None], []
+    by_key = {"x": 0, "y": 1}
+    by_id = {}  # trees share node objects; visit each object once
+
+    def visit(node):
+        slot = by_id.get(id(node))
+        if slot is not None:
+            return slot
+        if isinstance(node, Const):
+            # by type and bits: Const(0.0) == Const(-0.0) as dataclasses
+            key = (type(node.value), np.float64(node.value).tobytes())
+        elif isinstance(node, Var):
+            key = node.name
+        elif isinstance(node, Neg):
+            key = (operator.neg, visit(node.arg), -1)
+        elif isinstance(node, Bin):
+            key = (_BINARY[node.op], visit(node.lhs), visit(node.rhs))
+        else:
+            key = (_UNARY[node.fn], visit(node.arg), -1)
+        slot = by_key.get(key)
+        if slot is None:
+            slot = by_key[key] = len(slots)
+            if isinstance(node, Const):
+                slots.append(node.value)
+            else:
+                slots.append(None)
+                steps.append((*key, slot))
+        by_id[id(node)] = slot
+        return slot
+
+    root = visit(ast)
+    last_read = {}
+    for k, (_, i, j, _) in enumerate(steps):
+        last_read[i] = last_read[j] = k
+    free = [[] for _ in steps]
+    for slot, k in last_read.items():
+        if slot >= 0 and slot != root:
+            free[k].append(slot)
+    return slots, tuple((*step, tuple(f)) for step, f in zip(steps, free)), root
+
+
+def _run(program, x, y):
+    slots, steps, root = program
+    vals = slots.copy()
+    vals[0], vals[1] = x, y
+    for fn, i, j, out, free in steps:
+        vals[out] = fn(vals[i]) if j < 0 else fn(vals[i], vals[j])
+        for k in free:
+            vals[k] = None
+    return vals[root]
 
 
 def _diff_node(node, var):
@@ -330,11 +398,12 @@ class ScalarField:
     double arithmetic and accepts scalars or broadcastable arrays.
     """
 
-    __slots__ = ("ast", "source")
+    __slots__ = ("ast", "source", "_compiled")
 
     def __init__(self, ast, source=None):
         object.__setattr__(self, "ast", ast)
         object.__setattr__(self, "source", source if source is not None else _format(ast))
+        object.__setattr__(self, "_compiled", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarField is immutable")
@@ -344,7 +413,17 @@ class ScalarField:
 
     @classmethod
     def constant(cls, value):
-        return cls(Const(float(value)), source=repr(float(value)))
+        value = float(value)
+        if not math.isfinite(value):
+            raise FieldError(f"constant {value!r} is not finite")
+        return cls(Const(value), source=repr(value))
+
+    def _program(self):
+        """The compiled form of the tree (see :func:`_compile`), built on
+        first use."""
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled", _compile(self.ast))
+        return self._compiled
 
     def __call__(self, x, y):
         return evaluate(self, x, y)
@@ -410,14 +489,14 @@ def evaluate(field, x, y):
     """
     scalar = np.isscalar(x) and np.isscalar(y)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = _eval_node(field.ast, np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        out = _run(field._program(), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     out = np.asarray(out, dtype=float)
     if not np.all(np.isfinite(out)):
         raise EvalDomainError(f"non-finite value in {field.source!r}")
     if scalar:
         return float(out)
-    return np.broadcast_to(out, np.broadcast_shapes(np.shape(x), np.shape(y))).copy() \
-        if out.shape != np.broadcast_shapes(np.shape(x), np.shape(y)) else out
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    return out if out.shape == shape else np.broadcast_to(out, shape).copy()
 
 
 def differentiate(field, var):

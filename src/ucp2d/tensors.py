@@ -52,6 +52,14 @@ def _as_field(v):
     return ScalarField.constant(v)
 
 
+def _named_field(key, v):
+    """``_as_field(v)``; an error names ``key``."""
+    try:
+        return _as_field(v)
+    except (TypeError, ValueError) as err:  # FieldError is a ValueError
+        raise ValueError(f"{key}: {err}") from err
+
+
 @dataclass(frozen=True)
 class ElasticityCoefficients:
     """Six independent stiffness components plus lower-order terms.
@@ -113,17 +121,17 @@ class ElasticityCoefficients:
         unknown = [n for n in tensor if n not in A_NAMES]
         if unknown:
             raise ValueError(f"unknown tensor components: {', '.join(unknown)}")
-        a = {n: _as_field(tensor[n]) for n in A_NAMES}
+        a = {n: _named_field(f"tensor.{n}", tensor[n]) for n in A_NAMES}
         b, c = {}, {}
         for name, expr in (lower_order or {}).items():
             if name in B_NAMES:
                 i, j, k = (int(ch) for ch in name[1:])
-                b[(i, j, k)] = _as_field(expr)
+                b[(i, j, k)] = _named_field(f"lower_order.{name}", expr)
             elif name in C_NAMES:
                 i, j = (int(ch) for ch in name[1:])
-                c[(i, j)] = _as_field(expr)
+                c[(i, j)] = _named_field(f"lower_order.{name}", expr)
             else:
-                raise ValueError(f"unknown lower-order coefficient {name!r}")
+                raise ValueError(f"lower_order: unknown coefficient {name!r}")
         return cls(b=b, c=c, **a)
 
     @classmethod

@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from ucp2d import characteristics as ch
 from ucp2d.characteristics import (
     CASE_A1112,
     CASE_A1222,
@@ -197,6 +200,68 @@ def test_traced_map_normalisation_and_inverse():
     s_back, t_back = cmap.forward(x, y)
     assert np.allclose(s_back, st[:, 0], atol=1e-9)
     assert np.allclose(t_back, st[:, 1], atol=1e-9)
+
+
+def test_traced_inverse_raises_when_newton_does_not_converge(monkeypatch):
+    cmap = build_map(reduce_system(manufactured_variable_tensor()), REGION, 0.0, 0.0)
+    monkeypatch.setattr(ch, "_NEWTON_STEPS", 1)
+    with pytest.raises(MapError, match="did not converge in 1 Newton steps"):
+        cmap.inverse(0.05, 0.02)
+
+
+def _count_traces(monkeypatch):
+    calls = []
+    trace = ch._CurveTracer.intercept_and_sensitivity
+
+    def counted(self, x, y):
+        calls.append(self)
+        return trace(self, x, y)
+
+    monkeypatch.setattr(ch._CurveTracer, "intercept_and_sensitivity", counted)
+    return calls
+
+
+def test_traced_inverse_traces_each_curve_once_per_newton_step(monkeypatch):
+    cmap = build_map(reduce_system(manufactured_variable_tensor()), REGION, 0.0, 0.0)
+    s, t = np.array([0.05, -0.04, 0.0]), np.array([0.02, 0.06, -0.07])
+    steps = 1  # the fewest Newton steps the inversion needs
+    while True:
+        monkeypatch.setattr(ch, "_NEWTON_STEPS", steps)
+        try:
+            expected = cmap.inverse(s, t)
+            break
+        except MapError:
+            steps += 1
+    monkeypatch.undo()
+    calls = _count_traces(monkeypatch)
+    got = cmap.inverse(s, t)
+    assert steps > 1
+    assert len(calls) == 2 + 2 * steps  # the base point, then s and t per step
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def test_transformed_coefficients_differentiate_the_map_once_per_grid(monkeypatch):
+    sys = reduce_system(manufactured_variable_tensor())
+    cmap = build_map(sys, REGION, 0.0, 0.0)
+    counts = {"jacobian": 0, "second_derivatives": 0}
+
+    def counted(name):
+        fn = getattr(cmap, name)
+
+        def call(x, y):
+            counts[name] += 1
+            return fn(x, y)
+
+        return call
+
+    cmap = dataclasses.replace(cmap, **{name: counted(name) for name in counts})
+    tsys = transform_system(sys, cmap, REGION)
+    counts.update(jacobian=0, second_derivatives=0)
+    u = np.linspace(-tsys.epsilon, tsys.epsilon, 5)
+    sg, tg = np.meshgrid(u, u, indexing="ij")
+    for name in ("b11", "b12", "c1", "a11", "a12", "a22", "b21", "b22", "c2"):
+        getattr(tsys, name)(sg, tg)
+    assert counts == {"jacobian": 1, "second_derivatives": 1}
 
 
 def test_mirrored_traced_map_equals_axis_swapped_generic_map():

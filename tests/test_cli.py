@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import re
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucp2d.cli import ScenarioFileError, load_scenario, main, scenario_dir
+from ucp2d.tensors import random_elliptic_tensor
 
 BASE = {
     "schema_version": 1,
@@ -32,7 +40,7 @@ def test_golden_files_all_load():
     assert names == {
         "lame_constant", "example_4_1_a", "example_4_1_b", "example_exp",
         "example_b221_expy", "example_xy", "example_c22_xy",
-        "orthotropic_convex_counterexample", "lame_lower_order",
+        "orthotropic_convex_counterexample", "lame_lower_order", "lame_traced",
     }
     for f in files:
         sc = load_scenario(f)
@@ -258,6 +266,8 @@ def test_seed_changes_sweep_but_not_verdict(tmp_path):
     ("lower_order", [1], "lower_order"),
     ("grid", {"n": True}, "grid"),
     ("name", "sub/dir", "name"),
+    ("lower_order", {"b121": "1 +* x"}, "lower_order.b121"),
+    ("tensor", dict(BASE["tensor"], a1212=float("inf")), "tensor.a1212"),
 ])
 def test_malformed_scenario_exits_two_naming_key(tmp_path, capsys, key, value, named):
     doc = json.loads((scenario_dir() / "lame_constant.json").read_text())
@@ -334,3 +344,74 @@ def test_grid_field_error_names_the_field(tmp_path, capsys):
     assert main(args) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("error: delta: log")
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("a1212, named", [
+    ("1e400*x + 1", "error: tensor.a1212: number literal 1e400 is not finite"),
+    ("1 + 0*10^400", "error: [conditions] non-finite value"),  # the fold overflows
+])
+def test_overflowing_tensor_literal_exits_two_naming_key_or_stage(
+        tmp_path, capsys, recwarn, command, a1212, named):
+    tensor = dict(BASE["tensor"], a1212=a1212)
+    path = golden_copy(tmp_path, "lame_constant", tensor=tensor, tasks=["conditions"], expect={})
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(named) and "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_check_names_the_random_sweep_on_a_field_error(tmp_path, capsys):
+    # negative only for 0.09 < x < 0.13, between the nodes of the audit grid
+    tensor = dict(BASE["tensor"], a1212="1 + 0*sqrt((x - 0.11)^2 - 0.0004)")
+    path = golden_copy(tmp_path, "lame_constant", tensor=tensor, tasks=["conditions"], expect={})
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    assert main(["check", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: [random_sweep] sqrt of a negative")
+
+
+# -- the CLI contract on generated tensor expressions ---------------------
+
+_FUZZ_ATOMS = [
+    "3", "1", "0.5 + 0.1*x", "1 + 0.2*y", "(-0)", "0*(-0)", "1 + (-0)*x",
+    "1e400", "1e308*10", "10^400", "0*10^400", "exp(1000*x)",
+    "log(x - 1)", "log(-1 - y^2)", "sqrt(-1 - x)", "(-2)^0.5",
+    "sqrt((x - 0.11)^2 - 0.0004)",  # negative only between audit grid nodes
+    "1/0", "1/(x - x)", "x/(y - y)",
+]
+_fuzz_expr = st.one_of(
+    st.sampled_from(_FUZZ_ATOMS),
+    st.tuples(st.sampled_from(_FUZZ_ATOMS), st.sampled_from("+-*/^"),
+              st.sampled_from(_FUZZ_ATOMS)).map(lambda t: f"{t[0]} {t[1]} ({t[2]})"),
+    st.sampled_from([3.0, -0.0, 1e308, float("inf")]),  # JSON numbers, Infinity too
+)
+_NAMES_KEY_OR_STAGE = re.compile(
+    r"error: (\[(conditions|reduce|random_sweep)\] |tensor\.a(1111|1112|1122|1212|1222|2222): )"
+)
+
+
+@st.composite
+def _fuzz_tensor(draw):
+    """A random elliptic constant tensor with some components replaced."""
+    coeffs = random_elliptic_tensor(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    tensor = {k: repr(float(getattr(coeffs, k)(0.0, 0.0))) for k in BASE["tensor"]}
+    for key in draw(st.sets(st.sampled_from(sorted(tensor)))):
+        tensor[key] = draw(_fuzz_expr)
+    return tensor
+
+
+@given(_fuzz_tensor())
+@settings(max_examples=60, deadline=None)
+def test_check_keeps_the_cli_contract_on_generated_tensors(tensor):
+    doc = dict(BASE, tensor=tensor, grid={"n": 9}, tolerances={"conditions_n": 3})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["check", "--scenario", str(path), "--out", tmp])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert _NAMES_KEY_OR_STAGE.match(err), err

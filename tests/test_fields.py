@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import walk_evaluate
 from ucp2d.fields import (
+    FUNCTIONS,
+    Bin,
     EvalDomainError,
+    FieldError,
     ParseError,
     ScalarField,
     differentiate,
@@ -200,3 +204,76 @@ def test_source_round_trip():
         assert evaluate(g, x, y) == pytest.approx(
             evaluate(differentiate(f, "y"), x, y), rel=1e-15
         )
+
+
+# -- compiled evaluation against the tree walker --------------------------
+
+_oracle_leaf = st.sampled_from(["x", "y", "0", "(-0)", "1", "2", "0.5", "(-1.5)", "pi"])
+
+
+def _oracle_expr(depth=3):
+    if depth == 0:
+        return _oracle_leaf
+    sub = _oracle_expr(depth - 1)
+    return st.one_of(
+        _oracle_leaf,
+        st.tuples(sub, st.sampled_from(["+", "-", "*", "/", "^"]), sub).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        st.tuples(sub).map(lambda t: f"(-{t[0]})"),
+        st.tuples(st.sampled_from(FUNCTIONS), sub).map(lambda t: f"{t[0]}({t[1]})"),
+        # equal subtrees from the text; the test also reuses node objects
+        sub.map(lambda t: f"({t} * {t} - sin({t}))"),
+    )
+
+
+def _same_outcome(field, x, y):
+    def outcome(fn):
+        try:
+            value = np.asarray(fn(field, x, y))
+        except EvalDomainError as err:
+            return "error", str(err)
+        return value.dtype, value.shape, value.tobytes()
+
+    assert outcome(evaluate) == outcome(walk_evaluate)
+
+
+_points = st.sampled_from([0.0, -0.0, 0.37, -0.21, 1.0, -2.5])
+
+
+@given(_oracle_expr(), _points, _points)
+@settings(max_examples=300, deadline=None)
+def test_compiled_evaluation_matches_tree_walk(text, x, y):
+    f = parse(text)
+    shared = f * f + f / (f - 1.0)
+    cases = [f, shared, ScalarField.constant(-0.0) * f, -f + 0.0]
+    cases += [differentiate(g, var) for g in (f, shared) for var in ("x", "y")]
+    xs = np.array([x, 0.0, -0.0, 0.75])
+    ys = np.array([[y], [-1.25]])
+    for g in cases:
+        _same_outcome(g, x, y)
+        _same_outcome(g, xs, ys)
+
+
+def test_compiled_program_shares_subtrees_and_keeps_signed_zeros():
+    f = parse("sin(x + 1) * sin(x + 1) + sin(x + 1)")
+    _, steps, _ = f._program()
+    assert len(steps) == 4  # x + 1, sin, *, +
+    g = parse("(-0) * x + 0 * x")
+    slots, steps, root = g._program()
+    assert len(steps) == 3 and sum(v == 0.0 for v in slots[2:]) == 2
+    # each product is released by the sum, its last reader
+    assert steps[-1][3] == root and sorted(steps[-1][4]) == [steps[0][3], steps[1][3]]
+    assert evaluate(g, -1.0, 0.0) == 0.0
+
+
+def test_non_finite_literals_rejected_or_left_unfolded():
+    with pytest.raises(ParseError) as err:
+        parse("1e400*x + 1")
+    assert err.value.offset == 0 and "not finite" in str(err.value)
+    with pytest.raises(FieldError):
+        ScalarField.constant(float("inf"))
+    f = parse("1 + 0*10^400")  # the fold overflows: left for evaluation
+    assert isinstance(f.ast, Bin)
+    with pytest.raises(EvalDomainError, match="non-finite value"):
+        evaluate(f, 0.0, 0.0)
