@@ -450,16 +450,16 @@ class TransformedSystem:
             epsilon=float(epsilon),
         )
 
-    def elliptic_coefficients(self, s, t):
-        return (
-            self.a11(s, t), self.a12(s, t), self.a22(s, t),
-            self.b21(s, t), self.b22(s, t), self.c2(s, t),
-        )
-
 
 def _choose_epsilon(sys, cmap, region):
     """Largest dyadic epsilon <= 0.5 whose square pulls back into the
-    region with the discriminant no worse than half its base value."""
+    region with the discriminant no worse than half its base value.
+
+    Returns epsilon and the pullback ``(x, y)`` of the ``_N_SAMPLE x
+    _N_SAMPLE`` grid of the square, flattened in ``ij`` order.  Scaling
+    by a power of two is exact, so that grid has the same bits as one
+    built by ``np.linspace(-epsilon, epsilon, _N_SAMPLE)``.
+    """
     delta0 = float(
         sys.hyper.c11(cmap.x0, cmap.y0) ** 2
         - 4 * sys.hyper.c20(cmap.x0, cmap.y0) * sys.hyper.c02(cmap.x0, cmap.y0)
@@ -478,7 +478,7 @@ def _choose_epsilon(sys, cmap, region):
         h02 = sys.hyper.c02(x, y)
         delta = h11 * h11 - 4 * h20 * h02
         if np.min(delta) >= 0.5 * delta0:
-            return eps
+            return eps, x, y
     raise MapError("no admissible square neighbourhood found")
 
 
@@ -490,31 +490,13 @@ def transform_system(sys, cmap, region):
     they are verified to ``_NORMAL_FORM_TOL`` on a sample grid and the
     mixed coefficient is divided out.
     """
-    epsilon = _choose_epsilon(sys, cmap, region)
+    epsilon, xp, yp = _choose_epsilon(sys, cmap, region)
 
-    def pullback(s, t):
-        return cmap.inverse(s, t)
-
-    def hyper_pieces(x, y):
-        # also returns the map derivatives, which the callers reuse
-        h20, h11, h02, h10, h01, h00 = _second_order_values(sys.hyper, x, y)
-        jac = cmap.jacobian(x, y)
-        second = cmap.second_derivatives(x, y)
-        sx, tx, sy, ty = jac
-        sxx, sxy, syy, txx, txy, tyy = second
-        qs = h20 * sx * sx + h11 * sx * sy + h02 * sy * sy
-        qt = h20 * tx * tx + h11 * tx * ty + h02 * ty * ty
-        mixed = 2 * h20 * sx * tx + h11 * (sx * ty + sy * tx) + 2 * h02 * sy * ty
-        lh_s = h20 * sxx + h11 * sxy + h02 * syy + h10 * sx + h01 * sy
-        lh_t = h20 * txx + h11 * txy + h02 * tyy + h10 * tx + h01 * ty
-        return (qs, qt, mixed, lh_s, lh_t, h00), jac, second
-
-    # validate the normal form on a probe grid of the square
-    u = np.linspace(-epsilon, epsilon, _N_SAMPLE)
-    sp, tp = np.meshgrid(u, u, indexing="ij")
-    xp, yp = pullback(sp.ravel(), tp.ravel())
-    (qs, qt, mixed, _, _, _), jac, _ = hyper_pieces(xp, yp)
-    scale = np.abs(mixed)
+    # validate the normal form on the probe grid of the square
+    h20, h11, h02, _, _, _ = _second_order_values(sys.hyper, xp, yp)
+    jac = cmap.jacobian(xp, yp)
+    qs, half_mixed, qt = _principal(h20, h11, h02, jac)
+    scale = np.abs(2 * half_mixed)
     if np.any(scale <= 0):
         raise TransformError("mixed-derivative coefficient vanished on the square")
     if np.max(np.abs([qs, qt]) / scale) > _NORMAL_FORM_TOL:
@@ -522,7 +504,7 @@ def transform_system(sys, cmap, region):
             "pure second-derivative residue survives the change of variables"
         )
 
-    a11p, a12p, a22p = _elliptic_principal(sys, jac, xp, yp)
+    a11p, a12p, a22p = _principal(*_second_order_values(sys.ell, xp, yp)[:3], jac)
     if np.any(a12p**2 - a11p * a22p >= 0):
         raise TransformError("ellipticity lost under the change of variables")
     if np.min(np.abs(a11p)) == 0 or np.min(np.abs(a22p)) == 0:
@@ -539,18 +521,21 @@ def transform_system(sys, cmap, region):
         got = memo.get(key)
         if got is not None:
             return got
-        x, y = pullback(s, t)
-        (_, _, mixed, lh_s, lh_t, h00), jac, second = hyper_pieces(x, y)
-        e20, e11, e02, e10, e01, e00 = _second_order_values(sys.ell, x, y)
+        x, y = cmap.inverse(s, t)
+        h20, h11, h02, h10, h01, h00 = _second_order_values(sys.hyper, x, y)
+        jac = cmap.jacobian(x, y)
         sx, tx, sy, ty = jac
-        sxx, sxy, syy, txx, txy, tyy = second
+        sxx, sxy, syy, txx, txy, tyy = cmap.second_derivatives(x, y)
+        e20, e11, e02, e10, e01, e00 = _second_order_values(sys.ell, x, y)
+        mixed = 2 * _principal(h20, h11, h02, jac)[1]
+        a11, a12, a22 = _principal(e20, e11, e02, jac)
         got = {
-            "b11": lh_s / mixed,
-            "b12": lh_t / mixed,
+            "b11": (h20 * sxx + h11 * sxy + h02 * syy + h10 * sx + h01 * sy) / mixed,
+            "b12": (h20 * txx + h11 * txy + h02 * tyy + h10 * tx + h01 * ty) / mixed,
             "c1": h00 / mixed,
-            "a11": e20 * sx * sx + e11 * sx * sy + e02 * sy * sy,
-            "a12": 0.5 * (2 * e20 * sx * tx + e11 * (sx * ty + sy * tx) + 2 * e02 * sy * ty),
-            "a22": e20 * tx * tx + e11 * tx * ty + e02 * ty * ty,
+            "a11": a11,
+            "a12": a12,
+            "a22": a22,
             "b21": e20 * sxx + e11 * sxy + e02 * syy + e10 * sx + e01 * sy,
             "b22": e20 * txx + e11 * txy + e02 * tyy + e10 * tx + e01 * ty,
             "c2": e00 + 0.0 * np.asarray(sx),
@@ -574,15 +559,15 @@ def transform_system(sys, cmap, region):
     )
 
 
-def _elliptic_principal(sys, jac, x, y):
-    e20 = sys.ell.c20(x, y)
-    e11 = sys.ell.c11(x, y)
-    e02 = sys.ell.c02(x, y)
+def _principal(c20, c11, c02, jac):
+    """Principal coefficients ``(A11, A12, A22)`` in (s, t) of
+    ``c20 dx^2 + c11 dx dy + c02 dy^2`` under a map with Jacobian
+    ``jac``; the mixed term is ``2 A12 ds dt``."""
     sx, tx, sy, ty = jac
-    a11 = e20 * sx * sx + e11 * sx * sy + e02 * sy * sy
-    a12 = 0.5 * (2 * e20 * sx * tx + e11 * (sx * ty + sy * tx) + 2 * e02 * sy * ty)
-    a22 = e20 * tx * tx + e11 * tx * ty + e02 * ty * ty
-    return np.asarray(a11), np.asarray(a12), np.asarray(a22)
+    a11 = c20 * sx * sx + c11 * sx * sy + c02 * sy * sy
+    a12 = 0.5 * (2 * c20 * sx * tx + c11 * (sx * ty + sy * tx) + 2 * c02 * sy * ty)
+    a22 = c20 * tx * tx + c11 * tx * ty + c02 * ty * ty
+    return a11, a12, a22
 
 
 def second_derivative_matrix(sx, tx, sy, ty):

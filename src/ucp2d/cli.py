@@ -164,10 +164,14 @@ def _load_tolerances(raw):
 
 
 def _write_report(report, out_dir, name):
+    try:
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    except ValueError as err:  # NaN or Infinity, which JSON does not have
+        raise pl.StageError("report", str(err)) from err
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{name}.report.json"
-    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    path.write_text(text)
     return path
 
 
@@ -187,20 +191,21 @@ def _random_sweep(scenario, seed):
     coeffs = scenario.coefficients
     ell = tensors.ellipticity_margin(coeffs, scenario.omega, 3)
     cvx = tensors.convexity_margin(coeffs, scenario.omega, 3)
-    worst_dir, worst_strain = np.inf, np.inf
-    for _ in range(200):
-        x = rng.uniform(*scenario.omega.xlim)
-        y = rng.uniform(*scenario.omega.ylim)
-        a4 = coeffs.a_array(x, y)
-        alpha, beta = rng.uniform(0, np.pi, 2)
-        xi = np.array([np.cos(alpha), np.sin(alpha)])
-        eta = np.array([np.cos(beta), np.sin(beta)])
-        q = float(np.einsum("ijkl,i,j,k,l->", a4, xi, eta, xi, eta))
-        worst_dir = min(worst_dir, q - ell)
-        e = rng.standard_normal(3)
-        mat = np.array([[e[0], e[2]], [e[2], e[1]]])
-        quot = float(np.einsum("ijkl,ij,kl->", a4, mat, mat) / np.sum(mat * mat))
-        worst_strain = min(worst_strain, quot - cvx)
+    # per sample, in this order: x, y, two angles, three strain entries
+    draws = np.array([
+        (rng.uniform(*scenario.omega.xlim), rng.uniform(*scenario.omega.ylim),
+         *rng.uniform(0, np.pi, 2), *rng.standard_normal(3))
+        for _ in range(200)
+    ])
+    x, y, alpha, beta, e0, e1, e2 = draws.T
+    a4 = coeffs.a_array(x, y)
+    xi = np.array([np.cos(alpha), np.sin(alpha)])
+    eta = np.array([np.cos(beta), np.sin(beta)])
+    q = np.einsum("ijklp,ip,jp,kp,lp->p", a4, xi, eta, xi, eta)
+    worst_dir = float(np.min(q - ell))
+    mat = np.array([[e0, e2], [e2, e1]])
+    quot = np.einsum("ijklp,ijp,klp->p", a4, mat, mat) / np.sum(mat * mat, axis=(0, 1))
+    worst_strain = float(np.min(quot - cvx))
     return {
         "seed": seed,
         "samples": 200,
@@ -217,10 +222,8 @@ def _sub_scenario(scenario, tasks):
 
 def _cmd_check(scenario, args):
     report, failures = pl.run(_sub_scenario(scenario, ("conditions", "reduce")))
-    try:
+    with pl.stage("random_sweep"):
         report["random_sweep"] = _random_sweep(scenario, args.seed)
-    except FieldError as err:
-        raise pl.StageError("random_sweep", str(err)) from err
     key, ucp = "reduced_data_degenerate", {}
     if scenario.point_data is not None:
         _, ucp = pl.point_data_mode(scenario, reduce_system(scenario.coefficients))
@@ -325,10 +328,10 @@ def main(argv=None):
     try:
         scenario = load_scenario(args.scenario)
         report, failures = _COMMANDS[args.command](scenario, args)
+        path = _write_report(report, args.out, scenario.name)
     except (pl.StageError, rm.SolveError, ValueError) as err:  # includes ScenarioFileError
         print(f"error: {err}", file=sys.stderr)
         return 2
-    path = _write_report(report, args.out, scenario.name)
     status = "ok" if not failures else "expectation mismatch"
     print(f"{scenario.name}: {status} ({path})")
     for line in failures:

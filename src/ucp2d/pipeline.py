@@ -34,6 +34,7 @@ __all__ = [
     "Tolerances",
     "Scenario",
     "StageError",
+    "stage",
     "DegenerateDataError",
     "NullSpaceResult",
     "PointDataFit",
@@ -555,11 +556,14 @@ def check_expectations(expect, report):
 
 
 @contextmanager
-def _stage(name):
-    """Re-raise field, map and transform errors as errors of stage ``name``."""
+def stage(name):
+    """Run stage ``name`` with floating-point overflow and invalid
+    operations raised; re-raise those and field, map and transform
+    errors as errors of the stage."""
     try:
-        yield
-    except (FieldError, ch.MapError, ch.TransformError) as err:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (FloatingPointError, FieldError, ch.MapError, ch.TransformError) as err:
         raise StageError(name, str(err)) from err
 
 
@@ -573,7 +577,7 @@ def _delta_range(scenario):
 def characteristics(scenario, sys):
     """Characteristic map of the pair at the base point and the pair in its
     coordinates.  Needs Delta > 0 on the audit grid of omega."""
-    with _stage("characteristics"):
+    with stage("characteristics"):
         delta_min = _delta_range(scenario)[0]
         if delta_min <= 0.0:
             raise StageError(
@@ -619,11 +623,11 @@ def run(scenario):
     sys = reduce_system(scenario.coefficients)
 
     if "conditions" in tasks:
-        with _stage("conditions"):
+        with stage("conditions"):
             report["conditions"] = _conditions_report(scenario)
 
     if "reduce" in tasks:
-        with _stage("reduce"):
+        with stage("reduce"):
             xg, yg = np.meshgrid(*scenario.omega.grid(tol.conditions_n), indexing="ij")
             e20, e11, e02 = (f(xg, yg) for f in sys.ell.coefficients()[:3])
             edisc = np.broadcast_to(
@@ -642,14 +646,14 @@ def run(scenario):
         cmap, tsys = characteristics(scenario, sys)
 
     if "characteristics" in tasks:
-        with _stage("characteristics"):
+        with stage("characteristics"):
             report["characteristics"] = _characteristics_report(cmap, tsys)
 
     if "riemann" in tasks or "ucp" in tasks:
         provider = riemann_provider(scenario, tsys)
 
     if "riemann" in tasks:
-        with _stage("riemann"):
+        with stage("riemann"):
             tab = provider.table((0.0, 0.0))
             report["riemann"] = {
                 "nodes_per_axis": int(len(tab.s_nodes)),
@@ -659,11 +663,11 @@ def run(scenario):
             }
 
     if "ucp" in tasks:
-        with _stage("ucp"):
+        with stage("ucp"):
             report["ucp"] = _run_ucp_stage(scenario, sys, cmap, tsys, provider)
 
     if "nullspace" in tasks:
-        with _stage("nullspace"):
+        with stage("nullspace"):
             ns = null_space_dimension(sys, scenario.omega, scenario.n, tol.nullspace_threshold)
         report["nullspace"] = {
             "dimension": ns.dimension,

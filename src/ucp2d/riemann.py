@@ -52,11 +52,10 @@ _LEAD_FLOOR = 1e-12  # least admissible |A(s)| in volterra_ivp
 def _axis_nodes(eps, n, extra):
     """Uniform nodes on [-eps, eps] augmented with one extra abscissa."""
     nodes = np.linspace(-eps, eps, n)
-    h = nodes[1] - nodes[0]
     if np.min(np.abs(nodes - extra)) > 1e-12 * max(eps, 1.0):
         nodes = np.sort(np.append(nodes, extra))
     idx = int(np.argmin(np.abs(nodes - extra)))
-    return nodes, idx, h
+    return nodes, idx
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,8 @@ def solve_riemann(tsys, parameter, n, tol=1e-10):
     eps = tsys.epsilon
     if abs(xi) > eps + 1e-12 or abs(eta) > eps + 1e-12:
         raise ValueError("parameter point outside the working square")
-    s_nodes, i_xi, _ = _axis_nodes(eps, n, xi)
-    t_nodes, j_eta, _ = _axis_nodes(eps, n, eta)
+    s_nodes, i_xi = _axis_nodes(eps, n, xi)
+    t_nodes, j_eta = _axis_nodes(eps, n, eta)
     sg, tg = np.meshgrid(s_nodes, t_nodes, indexing="ij")
     b12 = np.broadcast_to(tsys.b12(sg, tg), sg.shape)
     b11 = np.broadcast_to(tsys.b11(sg, tg), sg.shape)

@@ -43,6 +43,12 @@ C_NAMES = ("c11", "c12", "c21", "c22")
 
 _ZERO = ScalarField.constant(0.0)
 
+_ANGLES = 360  # direction angles scanned per audit node, over [0, pi)
+_GOLDEN_STEPS = 60  # golden-section steps around each node's scan minimum
+_NULLITY_TOL = 1e-8  # singular values below this times the scale count as null
+_ANISOTROPY = 0.25  # random tensors perturb each component by up to this times mu
+_MAX_TRIES = 200  # draws before random_elliptic_tensor gives up
+
 
 def _as_field(v):
     if isinstance(v, ScalarField):
@@ -215,108 +221,54 @@ def lambda_matrices(coeffs, x, y):
     return l11, l12, l22
 
 
-def _direction_form(a4, cos_a, sin_a, cos_b, sin_b):
-    """Q(alpha, beta) = xi.M(eta).xi for direction angle grids.
+def _grid_values(coeffs, region, n):
+    """The six a-components on the ``n x n`` grid of ``region``, flattened."""
+    if n < 2:
+        raise ValueError("need n >= 2")
+    xg, yg = np.meshgrid(*region.grid(n), indexing="ij")
+    return {
+        name: np.broadcast_to(getattr(coeffs, name)(xg, yg), xg.shape).ravel()
+        for name in A_NAMES
+    }
 
-    ``a4``: (2,2,2,2) tensor values at one point; returns (len a, len b).
-    """
-    xi = np.stack([cos_a, sin_a], axis=-1)   # (A, 2)
-    eta = np.stack([cos_b, sin_b], axis=-1)  # (B, 2)
-    m = np.einsum("ijkl,bj,bl->bik", a4, eta, eta)
-    return np.einsum("ai,bik,ak->ab", xi, m, xi)
 
-
-def _newton_refine_direction(a4, alpha, beta, q0):
-    """One safeguarded Newton step on Q(alpha, beta); returns min found."""
-    h = 1e-4
-
-    def q(a, b):
-        ca, sa, cb, sb = np.cos(a), np.sin(a), np.cos(b), np.sin(b)
-        xi = np.array([ca, sa])
-        eta = np.array([cb, sb])
-        m = np.einsum("ijkl,j,l->ik", a4, eta, eta)
-        return float(xi @ m @ xi)
-
-    g = np.array(
-        [
-            (q(alpha + h, beta) - q(alpha - h, beta)) / (2 * h),
-            (q(alpha, beta + h) - q(alpha, beta - h)) / (2 * h),
-        ]
-    )
-    q_c = q(alpha, beta)
-    hess = np.array(
-        [
-            [
-                (q(alpha + h, beta) - 2 * q_c + q(alpha - h, beta)) / h**2,
-                (
-                    q(alpha + h, beta + h)
-                    - q(alpha + h, beta - h)
-                    - q(alpha - h, beta + h)
-                    + q(alpha - h, beta - h)
-                )
-                / (4 * h**2),
-            ],
-            [0.0, (q(alpha, beta + h) - 2 * q_c + q(alpha, beta - h)) / h**2],
-        ]
-    )
-    hess[1, 0] = hess[0, 1]
-    try:
-        evals = np.linalg.eigvalsh(hess)
-        if evals.min() <= 1e-12 * max(1.0, abs(evals).max()):
-            return q0  # flat or indefinite curvature: keep the grid value
-        step = np.linalg.solve(hess, -g)
-    except np.linalg.LinAlgError:
-        return q0
-    cap = 2 * np.pi / 360
-    norm = np.hypot(*step)
-    if norm > cap:
-        step *= cap / norm
-    q_new = q(alpha + step[0], beta + step[1])
-    return min(q0, q_new)
+def _least_eigenvalue(a, theta):
+    """Least eigenvalue of the acoustic tensor ``M_ik = a_ijkl eta_j eta_l``
+    at ``eta = (cos theta, sin theta)``: the minimum of the ellipticity
+    form over unit xi."""
+    c, s = np.cos(theta), np.sin(theta)
+    cc, cs, ss = c * c, c * s, s * s
+    m11 = a["a1111"] * cc + 2 * a["a1112"] * cs + a["a1212"] * ss
+    m12 = a["a1112"] * cc + (a["a1122"] + a["a1212"]) * cs + a["a1222"] * ss
+    m22 = a["a1212"] * cc + 2 * a["a1222"] * cs + a["a2222"] * ss
+    return 0.5 * (m11 + m22) - np.hypot(0.5 * (m11 - m22), m12)
 
 
 def ellipticity_margin(coeffs, region, n):
-    """Certified lower margin of the strong-ellipticity form on a region.
+    """Least value of the strong-ellipticity form on the ``n x n`` grid of
+    a region, over unit direction pairs.
 
-    Minimises the direction form over an ``n x n`` spatial grid and a
-    360 x 360 grid of direction angles (the form has period pi in each
-    angle), then applies one safeguarded Newton refinement at each
-    spatial point's angular minimum.  A positive return certifies the
-    ellipticity constant up to sampling resolution.
+    The minimum over xi is the least eigenvalue of the acoustic tensor
+    M(eta), in closed form.  Over eta (period pi) each node scans
+    ``_ANGLES`` angles and then narrows the bracket around its scan
+    minimum by ``_GOLDEN_STEPS`` golden-section steps.  Every value taken
+    is the form at some unit pair, so a positive return certifies the
+    ellipticity constant up to the sampling of the region.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    xs, ys = region.grid(n)
-    angles = np.linspace(0.0, np.pi, 360, endpoint=False)
-    cos_t, sin_t = np.cos(angles), np.sin(angles)
-    best = np.inf
-    for xv in xs:
-        for yv in ys:
-            a4 = coeffs.a_array(float(xv), float(yv))
-            q = _direction_form(a4, cos_t, sin_t, cos_t, sin_t)
-            ia, ib = np.unravel_index(np.argmin(q), q.shape)
-            local = _newton_refine_direction(
-                a4, angles[ia], angles[ib], float(q[ia, ib])
-            )
-            best = min(best, local)
-    return best
-
-
-def _voigt_matrix(coeffs, x, y):
-    a1111 = coeffs.a1111(x, y)
-    a1112 = coeffs.a1112(x, y)
-    a1122 = coeffs.a1122(x, y)
-    a1212 = coeffs.a1212(x, y)
-    a1222 = coeffs.a1222(x, y)
-    a2222 = coeffs.a2222(x, y)
-    r2 = np.sqrt(2.0)
-    return np.array(
-        [
-            [a1111, a1122, r2 * a1112],
-            [a1122, a2222, r2 * a1222],
-            [r2 * a1112, r2 * a1222, 2 * a1212],
-        ]
-    )
+    a = {k: v[:, None] for k, v in _grid_values(coeffs, region, n).items()}
+    h = np.pi / _ANGLES
+    scan = _least_eigenvalue(a, h * np.arange(_ANGLES))
+    k = np.argmin(scan, axis=1)[:, None]
+    lo, hi = h * (k - 1), h * (k + 1)
+    best = scan.min()
+    g = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(_GOLDEN_STEPS):
+        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+        fc, fd = _least_eigenvalue(a, c), _least_eigenvalue(a, d)
+        best = min(best, fc.min(), fd.min())
+        left = fc < fd  # the minimum lies in [lo, d]
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+    return float(best)
 
 
 def convexity_margin(coeffs, region, n):
@@ -326,15 +278,16 @@ def convexity_margin(coeffs, region, n):
     Voigt matrix, so its smallest eigenvalue at a point equals the
     sharpest constant there.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    xs, ys = region.grid(n)
-    best = np.inf
-    for xv in xs:
-        for yv in ys:
-            v = _voigt_matrix(coeffs, float(xv), float(yv))
-            best = min(best, float(np.linalg.eigvalsh(v)[0]))
-    return best
+    a = _grid_values(coeffs, region, n)
+    r2 = np.sqrt(2.0)
+    voigt = np.array(
+        [
+            [a["a1111"], a["a1122"], r2 * a["a1112"]],
+            [a["a1122"], a["a2222"], r2 * a["a1222"]],
+            [r2 * a["a1112"], r2 * a["a1222"], 2 * a["a1212"]],
+        ]
+    )
+    return float(np.linalg.eigvalsh(np.moveaxis(voigt, -1, 0))[:, 0].min())
 
 
 def hyperbolicity_delta(coeffs, x, y):
@@ -353,7 +306,7 @@ def _pencil_matrix(l11, l12, l22, theta):
     return l11 * theta**2 + l12 * theta + l22
 
 
-def pencil_eigenpairs(coeffs, x, y, nullity_tol=1e-8):
+def pencil_eigenpairs(coeffs, x, y):
     """All four eigenpairs of ``L11 th^2 + L12 th + L22`` at ``(x, y)``.
 
     Roots come from the eigenvalues of the 4x4 companion linearisation
@@ -414,7 +367,7 @@ def pencil_eigenpairs(coeffs, x, y, nullity_tol=1e-8):
         det_zz = z[0] * np.conj(z[1]) - np.conj(z[0]) * z[1]
         conditioning[r] = abs(det_zz)
         local_scale = scale * max(1.0, abs(th)) ** 2
-        nullity[r] = int(np.sum(sv <= nullity_tol * local_scale))
+        nullity[r] = int(np.sum(sv <= _NULLITY_TOL * local_scale))
         residuals[r] = float(np.linalg.norm(pm @ z))
     return PencilEigenpairs(
         roots=roots,
@@ -425,16 +378,14 @@ def pencil_eigenpairs(coeffs, x, y, nullity_tol=1e-8):
     )
 
 
-def random_elliptic_tensor(rng, anisotropy=0.25, require_delta_positive=True,
-                           max_tries=200):
+def random_elliptic_tensor(rng, require_delta_positive=True):
     """Random constant coefficient set with a certified ellipticity margin.
 
     Perturbs an isotropic base tensor componentwise and rejects samples
-    whose direction-form minimum (dense angle scan) or discriminant is
-    not safely positive.
+    whose ellipticity margin or discriminant is not safely positive.
     """
     probe = Rect.square(0.0, 0.0, 1e-3)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         mu = rng.uniform(0.5, 2.0)
         lam = rng.uniform(-0.4 * mu, 2.0)
         base = {
@@ -445,7 +396,7 @@ def random_elliptic_tensor(rng, anisotropy=0.25, require_delta_positive=True,
             "a1222": 0.0,
             "a2222": 2 * mu + lam,
         }
-        delta = {k: rng.uniform(-anisotropy, anisotropy) * mu for k in base}
+        delta = {k: rng.uniform(-_ANISOTROPY, _ANISOTROPY) * mu for k in base}
         comp = {k: base[k] + delta[k] for k in base}
         coeffs = ElasticityCoefficients.from_components(comp)
         if ellipticity_margin(coeffs, probe, 2) <= 0.01 * mu:

@@ -1,4 +1,6 @@
 import dataclasses
+import traceback
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -262,6 +264,26 @@ def test_transformed_coefficients_differentiate_the_map_once_per_grid(monkeypatc
     for name in ("b11", "b12", "c1", "a11", "a12", "a22", "b21", "b22", "c2"):
         getattr(tsys, name)(sg, tg)
     assert counts == {"jacobian": 1, "second_derivatives": 1}
+
+
+def test_transform_system_reuses_the_probe_pullback(monkeypatch):
+    # the probe grid is pulled back once, by _choose_epsilon; the normal
+    # form check there needs the Jacobian only, one trace per family
+    sys = reduce_system(manufactured_variable_tensor())
+    cmap = build_map(sys, REGION, 0.0, 0.0)
+    callers = Counter()
+    trace = ch._CurveTracer.intercept_and_sensitivity
+
+    def counted(self, x, y):
+        names = [f.name for f in traceback.extract_stack()]
+        callers[next(n for n in reversed(names)
+                     if n in ("_choose_epsilon", "transform_system"))] += 1
+        return trace(self, x, y)
+
+    monkeypatch.setattr(ch._CurveTracer, "intercept_and_sensitivity", counted)
+    transform_system(sys, cmap, REGION)
+    assert callers["transform_system"] == 2
+    assert callers["_choose_epsilon"] > 2
 
 
 def test_mirrored_traced_map_equals_axis_swapped_generic_map():

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ucp2d.cli import ScenarioFileError, load_scenario, main, scenario_dir
+from ucp2d.cli import ScenarioFileError, _write_report, load_scenario, main, scenario_dir
+from ucp2d.pipeline import StageError
 from ucp2d.tensors import random_elliptic_tensor
 
 BASE = {
@@ -359,6 +360,24 @@ def test_overflowing_tensor_literal_exits_two_naming_key_or_stage(
     err = capsys.readouterr().err
     assert err.startswith(named) and "Traceback" not in err
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+def test_huge_finite_coefficients_exit_two_naming_the_stage(tmp_path, capsys, recwarn, command):
+    tensor = dict(BASE["tensor"], a1111=1e308, a2222=1e308)
+    path = golden_copy(tmp_path, "lame_constant", tensor=tensor, tasks=["conditions", "reduce"],
+                       expect={})
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert re.match(r"error: \[(conditions|reduce)\] ", err) and "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not list(tmp_path.glob("*.report.json"))
+
+
+def test_report_with_a_non_finite_value_is_not_written(tmp_path):
+    with pytest.raises(StageError, match=r"^\[report\] "):
+        _write_report({"value": float("inf")}, tmp_path, "case")
+    assert not list(tmp_path.iterdir())
 
 
 def test_check_names_the_random_sweep_on_a_field_error(tmp_path, capsys):

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from scipy import optimize
 
+from ucp2d import fields
+from ucp2d.cli import load_scenario, scenario_dir
 from ucp2d.fields import ScalarField
 from ucp2d.geometry import Rect
 from ucp2d.tensors import (
@@ -127,6 +131,65 @@ def test_ellipticity_matches_brute_force_on_anisotropic_sample():
     m = ellipticity_margin(t, UNIT, 2)
     oracle = brute_force_ellipticity(t, 0.0, 0.0, np.random.default_rng(1))
     assert m == pytest.approx(oracle, abs=1e-3)
+
+
+def scan_least_eigenvalue(coeffs, region, n, n_angles=2**16):
+    """Independent oracle: at each node of the ``n x n`` grid the form's
+    minimum over unit xi is the least eigenvalue of the acoustic tensor
+    ``M_ik = a_ijkl eta_j eta_l``, scanned over ``n_angles`` unit eta.
+    Returns that minimum and the largest tensor entry on the grid."""
+    th = np.linspace(0.0, np.pi, n_angles, endpoint=False)
+    eta = np.stack([np.cos(th), np.sin(th)], axis=1)
+    xs, ys = region.grid(n)
+    best, scale = np.inf, 0.0
+    for x in xs:
+        for y in ys:
+            a4 = coeffs.a_array(float(x), float(y))
+            m = np.einsum("ijkl,tj,tl->tik", a4, eta, eta)
+            best = min(best, float(np.linalg.eigvalsh(m)[:, 0].min()))
+            scale = max(scale, float(np.abs(a4).max()))
+    return best, scale
+
+
+def _margin_cases():
+    lame = load_scenario(scenario_dir() / "lame_traced.json")
+    cases = [("EX41A", EX41A, UNIT, 2), ("EX41B", EX41B, UNIT, 2),
+             ("lame_traced", lame.coefficients, lame.omega, lame.tolerances.conditions_n)]
+    rng = np.random.default_rng(11)
+    cases += [(f"random{i}", random_elliptic_tensor(rng), UNIT, 2) for i in range(5)]
+    return cases
+
+
+@pytest.mark.parametrize("name, coeffs, region, n", _margin_cases(),
+                         ids=[c[0] for c in _margin_cases()])
+def test_ellipticity_margin_matches_a_fine_eta_scan(name, coeffs, region, n):
+    # exact in xi and refined in eta, the margin may lie below a 2^16
+    # angle scan by its discretisation error, never above it
+    m = ellipticity_margin(coeffs, region, n)
+    scan, scale = scan_least_eigenvalue(coeffs, region, n)
+    assert m - scan <= 1e-12 * scale
+    assert scan - m <= 1e-8 * scale
+
+
+def test_margins_evaluate_each_component_once(monkeypatch):
+    t = ElasticityCoefficients.from_components({
+        "a1111": "3 + x", "a1112": "0.1*x*y", "a1122": "1 - y",
+        "a1212": "2 + y^2", "a1222": "x/5", "a2222": "3 + 0*x",
+    })
+    calls = Counter()
+    evaluate = fields.evaluate
+
+    def counted(field, x, y):
+        calls[field.source] += 1
+        return evaluate(field, x, y)
+
+    monkeypatch.setattr(fields, "evaluate", counted)
+    once = {getattr(t, name).source: 1 for name in ("a1111", "a1112", "a1122",
+                                                  "a1212", "a1222", "a2222")}
+    for margin in (ellipticity_margin, convexity_margin):
+        calls.clear()
+        margin(t, UNIT, 9)
+        assert calls == once
 
 
 # -- strong convexity ---------------------------------------------------
