@@ -29,11 +29,12 @@ identity shifted to ``(x0, y0)``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ucp2d.fields import Call, ScalarField
+from ucp2d.fields import Call, FieldGroup, ScalarField
 
 __all__ = [
     "MapError",
@@ -186,42 +187,51 @@ def _linear_map(case, x0, y0, roots):
 
 
 class _CurveTracer:
-    """Batched trace of characteristic curves to the reference line.
+    """Batched trace of characteristic curves to the reference line, for
+    one or more families at once.
 
-    For the generic case the level curves of the coordinate satisfy
+    For the generic case the level curves of a coordinate satisfy
     ``dy/dx = -m(x, y)``; the coordinate value is the ``y``-intercept on
     ``x = x0`` (minus ``y0``).  The sensitivity to the starting point is
     integrated alongside through the variational equation, which also
     yields the spatial gradient because ``dx s = m(x*, y*) dy s``.
     ``mirrored=True`` swaps the roles of ``x`` and ``y``.
+
+    Curves of every family start from the same points, so they share
+    each value of the independent variable and one RK4 loop advances
+    them all; each family gets ``m`` and its derivative from one
+    compiled program.
     """
 
-    def __init__(self, m_field, x0, y0, bounds, mirrored=False):
-        self.m = m_field
-        self.dm = m_field.diff("x" if mirrored else "y")
+    def __init__(self, slopes, x0, y0, bounds, mirrored=False):
+        var = "x" if mirrored else "y"
+        self.families = [FieldGroup(m, m.diff(var)) for m in slopes]
         self.x0, self.y0 = x0, y0
         self.bounds = bounds  # padded containment box as ((lo_x, hi_x), (lo_y, hi_y))
         self.mirrored = mirrored
-
-    def _slope(self, a, b):
-        # independent variable first; mirrored tracing integrates x over y
-        if self.mirrored:
-            return -self.m(b, a), -self.dm(b, a)
-        return -self.m(a, b), -self.dm(a, b)
 
     def _check(self, a, b):
         (lo_a, hi_a), (lo_b, hi_b) = self.bounds
         if np.any(b < lo_b) or np.any(b > hi_b) or np.any(a < lo_a - 1e-12) or np.any(a > hi_a + 1e-12):
             raise MapError("characteristic curve escapes the working region")
 
-    def intercept_and_sensitivity(self, x, y):
-        """Intercept value and its derivative along the secondary axis.
+    def intercepts_and_sensitivities(self, x, y):
+        """Intercept value and its derivative along the secondary axis,
+        as a ``(value, dvalue/d b0)`` pair per family.
 
-        Returns ``(value, dvalue/d b0)`` where ``b0`` is y in the generic
-        case and x in the mirrored one.  The derivative along the primary
-        axis follows from the slope ratio at the starting point, so it is
-        not integrated here.
+        ``b0`` is y in the generic case and x in the mirrored one.  The
+        derivative along the primary axis follows from the slope ratio at
+        the starting point, so it is not integrated here.  A failure is
+        reported as tracing the families one after the other reports it.
         """
+        try:
+            return self._trace(self.families, x, y)
+        except (ValueError, ArithmeticError):
+            for family in self.families:
+                self._trace([family], x, y)
+            raise
+
+    def _trace(self, families, x, y):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         x, y = (a.ravel() for a in np.broadcast_arrays(x, y))
@@ -231,34 +241,48 @@ class _CurveTracer:
             a0, b0, a_ref, ref = x.astype(float), y.astype(float), self.x0, self.y0
         span = a_ref - a0
         # rescaled independent variable tau in [0, 1]: db/dtau = span * f
-        b = b0.copy()
-        v = np.ones_like(b)  # sensitivity d b(tau) / d b0
+        bs = [b0.copy() for _ in families]
+        vs = [np.ones_like(b0) for _ in families]  # sensitivities d b(tau) / d b0
 
-        def rhs(a_val, b_val, v_val):
-            f, df = self._slope(a_val, b_val)
+        def rhs(family, a_val, b_val, v_val):
+            # independent variable first; mirrored tracing integrates x over y
+            m, dm = family(b_val, a_val) if self.mirrored else family(a_val, b_val)
+            f, df = -m, -dm
             return span * f, span * df * v_val
 
         h = 1.0 / _RK4_STEPS
         for k in range(_RK4_STEPS):
             tau = k * h
-            self._check(a0 + span * tau, b)
-            k1b, k1v = rhs(a0 + span * tau, b, v)
-            k2b, k2v = rhs(a0 + span * (tau + h / 2), b + h / 2 * k1b, v + h / 2 * k1v)
-            k3b, k3v = rhs(a0 + span * (tau + h / 2), b + h / 2 * k2b, v + h / 2 * k2v)
-            k4b, k4v = rhs(a0 + span * (tau + h), b + h * k3b, v + h * k3v)
-            b = b + h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
-            v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        self._check(np.full_like(b, a_ref), b)
-        return b - ref, v
+            a_start = a0 + span * tau
+            a_mid = a0 + span * (tau + h / 2)
+            a_end = a0 + span * (tau + h)
+            for n, family in enumerate(families):
+                b, v = bs[n], vs[n]
+                self._check(a_start, b)
+                k1b, k1v = rhs(family, a_start, b, v)
+                k2b, k2v = rhs(family, a_mid, b + h / 2 * k1b, v + h / 2 * k1v)
+                k3b, k3v = rhs(family, a_mid, b + h / 2 * k2b, v + h / 2 * k2v)
+                k4b, k4v = rhs(family, a_end, b + h * k3b, v + h * k3v)
+                bs[n] = b + h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+                vs[n] = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        out = []
+        for b, v in zip(bs, vs):
+            self._check(np.full_like(b, a_ref), b)
+            out.append((b - ref, v))
+        return out
 
 
-def _traced_map(case, sys, x0, y0, region):
+def _slope_fields(sys, case):
+    """The slope ratios ``(m-, m+)`` of the s and t families as fields."""
     h20, h11, h02 = sys.hyper.c20, sys.hyper.c11, sys.hyper.c02
     delta = h11 * h11 - 4.0 * h20 * h02
     rt = _sqrt_field(delta)
     lead = h20 if case == CASE_A1112 else h02
-    m_minus = (0.0 - (h11 - rt)) / (2.0 * lead)
-    m_plus = (0.0 - (h11 + rt)) / (2.0 * lead)
+    return (0.0 - (h11 - rt)) / (2.0 * lead), (0.0 - (h11 + rt)) / (2.0 * lead)
+
+
+def _traced_map(case, sys, x0, y0, region):
+    m_minus, m_plus = _slope_fields(sys, case)
     mirrored = case == CASE_A1222
 
     (rx0, rx1), (ry0, ry1) = region.xlim, region.ylim
@@ -267,8 +291,8 @@ def _traced_map(case, sys, x0, y0, region):
     bounds_xy = ((rx0 - pad_x, rx1 + pad_x), (ry0 - pad_y, ry1 + pad_y))
     bounds = (bounds_xy[1], bounds_xy[0]) if mirrored else bounds_xy
 
-    tracer_s = _CurveTracer(m_minus, x0, y0, bounds, mirrored=mirrored)
-    tracer_t = _CurveTracer(m_plus, x0, y0, bounds, mirrored=mirrored)
+    # one tracer for both families: s from m_minus, t from m_plus
+    tracer = _CurveTracer((m_minus, m_plus), x0, y0, bounds, mirrored=mirrored)
 
     def _shape_back(arr, x, y):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
@@ -277,8 +301,7 @@ def _traced_map(case, sys, x0, y0, region):
         return float(np.asarray(arr).ravel()[0])
 
     def forward(x, y):
-        s, _ = tracer_s.intercept_and_sensitivity(x, y)
-        t, _ = tracer_t.intercept_and_sensitivity(x, y)
+        (s, _), (t, _) = tracer.intercepts_and_sensitivities(x, y)
         return _shape_back(s, x, y), _shape_back(t, x, y)
 
     def partials(s_sec, t_sec, x, y):
@@ -295,26 +318,32 @@ def _traced_map(case, sys, x0, y0, region):
         return sx, tx, sy, ty
 
     def jacobian(x, y):
-        _, s_sec = tracer_s.intercept_and_sensitivity(x, y)
-        _, t_sec = tracer_t.intercept_and_sensitivity(x, y)
+        (_, s_sec), (_, t_sec) = tracer.intercepts_and_sensitivities(x, y)
         return tuple(_shape_back(a, x, y) for a in partials(s_sec, t_sec, x, y))
 
     fd = 1e-5 * max(region.halfwidths)
 
     def second_derivatives(x, y):
         # first derivatives come from the variational solve; curvature by
-        # central differencing of those (the fields are smooth)
-        sx_px, tx_px, sy_px, ty_px = jacobian(np.asarray(x) + fd, y)
-        sx_mx, tx_mx, sy_mx, ty_mx = jacobian(np.asarray(x) - fd, y)
-        sx_py, tx_py, sy_py, ty_py = jacobian(x, np.asarray(y) + fd)
-        sx_my, tx_my, sy_my, ty_my = jacobian(x, np.asarray(y) - fd)
+        # central differencing of those (the fields are smooth), all four
+        # stencil points traced together
+        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        xs = np.concatenate([(xb + fd).ravel(), (xb - fd).ravel(), xb.ravel(), xb.ravel()])
+        ys = np.concatenate([yb.ravel(), yb.ravel(), (yb + fd).ravel(), (yb - fd).ravel()])
+        quarters = [np.split(d, 4) for d in jacobian(xs, ys)]
+        (sx_px, sx_mx, sx_py, sx_my), (tx_px, tx_mx, tx_py, tx_my) = quarters[:2]
+        (sy_px, sy_mx, sy_py, sy_my), (ty_px, ty_mx, ty_py, ty_my) = quarters[2:]
         sxx = (sx_px - sx_mx) / (2 * fd)
         txx = (tx_px - tx_mx) / (2 * fd)
         syy = (sy_py - sy_my) / (2 * fd)
         tyy = (ty_py - ty_my) / (2 * fd)
         sxy = 0.5 * ((sx_py - sx_my) / (2 * fd) + (sy_px - sy_mx) / (2 * fd))
         txy = 0.5 * ((tx_py - tx_my) / (2 * fd) + (ty_px - ty_mx) / (2 * fd))
-        return sxx, sxy, syy, txx, txy, tyy
+        return tuple(_shape_back(a, x, y) for a in (sxx, sxy, syy, txx, txy, tyy))
+
+    @functools.cache
+    def base_jacobian():
+        return jacobian(x0, y0)
 
     def inverse(s, t):
         s_in = np.atleast_1d(np.asarray(s, dtype=float))
@@ -322,14 +351,13 @@ def _traced_map(case, sys, x0, y0, region):
         sb, tb = np.broadcast_arrays(s_in, t_in)
         shape = sb.shape
         sf, tf = sb.ravel(), tb.ravel()
-        sx0, tx0, sy0, ty0 = jacobian(x0, y0)
+        sx0, tx0, sy0, ty0 = base_jacobian()  # traced once per map
         det0 = sx0 * ty0 - tx0 * sy0
         # start from the linearisation at the base point
         x = x0 + (ty0 * sf - sy0 * tf) / det0
         y = y0 + (-tx0 * sf + sx0 * tf) / det0
         for _ in range(_NEWTON_STEPS):
-            s_cur, s_sec = tracer_s.intercept_and_sensitivity(x, y)
-            t_cur, t_sec = tracer_t.intercept_and_sensitivity(x, y)
+            (s_cur, s_sec), (t_cur, t_sec) = tracer.intercepts_and_sensitivities(x, y)
             sx, tx, sy, ty = partials(s_sec, t_sec, x, y)
             rs = sf - s_cur
             rt_ = tf - t_cur
@@ -417,6 +445,8 @@ class TransformedSystem:
     Hyperbolic normal form: ``ds dt w + B11 ds w + B12 dt w + C1 w = 0``.
     Elliptic form: ``A11 ds^2 + 2 A12 ds dt + A22 dt^2 + B21 ds +
     B22 dt + C2``.  All coefficient evaluators are vectorised in (s, t).
+    ``det_jacobian`` is the determinant of the map's Jacobian at the
+    pullback of (s, t); systems built from constants have none.
     """
 
     b11: object
@@ -429,6 +459,7 @@ class TransformedSystem:
     b22: object
     c2: object
     epsilon: float
+    det_jacobian: object = None
 
     @classmethod
     def from_constants(cls, b11=0.0, b12=0.0, c1=0.0, a11=1.0, a12=0.0,
@@ -539,6 +570,7 @@ def transform_system(sys, cmap, region):
             "b21": e20 * sxx + e11 * sxy + e02 * syy + e10 * sx + e01 * sy,
             "b22": e20 * txx + e11 * txy + e02 * tyy + e10 * tx + e01 * ty,
             "c2": e00 + 0.0 * np.asarray(sx),
+            "det_jacobian": sx * ty - tx * sy,
         }
         if len(memo) > 64:
             memo.clear()
@@ -555,7 +587,7 @@ def transform_system(sys, cmap, region):
         b11=coeff("b11"), b12=coeff("b12"), c1=coeff("c1"),
         a11=coeff("a11"), a12=coeff("a12"), a22=coeff("a22"),
         b21=coeff("b21"), b22=coeff("b22"), c2=coeff("c2"),
-        epsilon=float(epsilon),
+        epsilon=float(epsilon), det_jacobian=coeff("det_jacobian"),
     )
 
 

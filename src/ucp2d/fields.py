@@ -38,6 +38,7 @@ __all__ = [
     "ParseError",
     "EvalDomainError",
     "ScalarField",
+    "FieldGroup",
     "parse",
     "evaluate",
     "differentiate",
@@ -230,7 +231,7 @@ def _bin(op, lhs, rhs):
     if isinstance(lhs, Const) and isinstance(rhs, Const):
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                value = _run(_compile(node), 0.0, 0.0)
+                value, = _run(_compile(node), 0.0, 0.0)
         except EvalDomainError:
             return node
         if np.isfinite(value):
@@ -271,17 +272,21 @@ _BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": _div, "
 _UNARY = {"exp": np.exp, "log": _log, "sin": np.sin, "cos": np.cos, "sqrt": _sqrt}
 
 
-def _compile(ast):
-    """The program ``(slots, steps, root)`` that :func:`_run` executes.
+def _compile(*asts):
+    """The program ``(slots, segments, roots)`` that :func:`_run` executes
+    for one or more trees.
 
     Every distinct subtree owns one slot: slots 0 and 1 hold ``x`` and
     ``y``, ``slots`` holds the constants in theirs, and each step
     ``(fn, i, j, out, free)`` stores ``fn(slot i)``, or ``fn(slot i,
     slot j)`` when ``j >= 0``, in slot ``out`` and then empties the
     slots in ``free``, which no later step reads, so a run holds no more
-    arrays than it needs.  Steps run in the post-order of first
-    appearance, so operands come before their uses and the first domain
-    error raised is the one a tree walk would raise.
+    arrays than it needs.  Tree k's value ends up in slot ``roots[k]``,
+    and ``segments[k]`` holds the steps it needs beyond those of the
+    trees before it; subtrees the trees share are computed once.  Steps
+    run in the post-order of first appearance, so operands come before
+    their uses and the first domain error raised is the one a tree walk
+    would raise.
     """
     slots, steps = [None, None], []
     by_key = {"x": 0, "y": 1}
@@ -313,26 +318,38 @@ def _compile(ast):
         by_id[id(node)] = slot
         return slot
 
-    root = visit(ast)
+    roots, ends = [], []
+    for ast in asts:
+        roots.append(visit(ast))
+        ends.append(len(steps))
     last_read = {}
     for k, (_, i, j, _) in enumerate(steps):
         last_read[i] = last_read[j] = k
     free = [[] for _ in steps]
     for slot, k in last_read.items():
-        if slot >= 0 and slot != root:
+        if slot >= 0 and slot not in roots:
             free[k].append(slot)
-    return slots, tuple((*step, tuple(f)) for step, f in zip(steps, free)), root
+    steps = [(*step, tuple(f)) for step, f in zip(steps, free)]
+    segments = tuple(tuple(steps[lo:hi]) for lo, hi in zip([0, *ends], ends))
+    return slots, segments, tuple(roots)
 
 
 def _run(program, x, y):
-    slots, steps, root = program
+    """Yield the value of each tree of ``program`` at ``(x, y)`` in turn.
+
+    The steps of a tree's segment run only when its value is asked for,
+    so a caller that checks each value before taking the next one sees
+    the errors in the order that separate runs would raise them.
+    """
+    slots, segments, roots = program
     vals = slots.copy()
     vals[0], vals[1] = x, y
-    for fn, i, j, out, free in steps:
-        vals[out] = fn(vals[i]) if j < 0 else fn(vals[i], vals[j])
-        for k in free:
-            vals[k] = None
-    return vals[root]
+    for steps, root in zip(segments, roots):
+        for fn, i, j, out, free in steps:
+            vals[out] = fn(vals[i]) if j < 0 else fn(vals[i], vals[j])
+            for k in free:
+                vals[k] = None
+        yield vals[root]
 
 
 def _diff_node(node, var):
@@ -489,7 +506,7 @@ def evaluate(field, x, y):
     """
     scalar = np.isscalar(x) and np.isscalar(y)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out = _run(field._program(), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        out, = _run(field._program(), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     out = np.asarray(out, dtype=float)
     if not np.all(np.isfinite(out)):
         raise EvalDomainError(f"non-finite value in {field.source!r}")
@@ -497,6 +514,34 @@ def evaluate(field, x, y):
         return float(out)
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
     return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+
+
+class FieldGroup:
+    """Several fields evaluated by one compiled program, so the subtrees
+    they share are computed once per call.
+
+    Calling the group on float arrays (or floats) ``x`` and ``y`` returns
+    the list of field values in order.  Each value is checked as
+    :func:`evaluate` checks it, before the steps of the next field run,
+    so the first error is the one that evaluating the fields one after
+    the other would raise.  Values are not broadcast: a field that does
+    not vary may come back as a float.
+    """
+
+    __slots__ = ("fields", "_program")
+
+    def __init__(self, *fields):
+        self.fields = fields
+        self._program = _compile(*(f.ast for f in fields))
+
+    def __call__(self, x, y):
+        values = []
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for field, value in zip(self.fields, _run(self._program, x, y)):
+                if not np.isfinite(value).all():
+                    raise EvalDomainError(f"non-finite value in {field.source!r}")
+                values.append(value)
+        return values
 
 
 def differentiate(field, var):

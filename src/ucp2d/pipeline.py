@@ -716,11 +716,11 @@ def _conditions_report(scenario):
 def _characteristics_report(cmap, tsys):
     u = np.linspace(-tsys.epsilon, tsys.epsilon, 7)
     sgr, tgr = np.meshgrid(u, u, indexing="ij")
-    xb, yb = cmap.inverse(sgr.ravel(), tgr.ravel())
-    detj = cmap.det_jacobian(np.asarray(xb), np.asarray(yb))
     a11g = np.asarray(tsys.a11(sgr.ravel(), tgr.ravel()))
     a12g = np.asarray(tsys.a12(sgr.ravel(), tgr.ravel()))
     a22g = np.asarray(tsys.a22(sgr.ravel(), tgr.ravel()))
+    # from the pullback that gave the coefficients: the map is not traced again
+    detj = np.asarray(tsys.det_jacobian(sgr.ravel(), tgr.ravel()))
     return {
         "case": cmap.case,
         "linear": cmap.linear,

@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "SolveError",
@@ -107,6 +106,20 @@ class RiemannTable:
         return self.t_nodes, self.values[i, :]
 
 
+def _cumulative_trapezoid(y, steps, axis):
+    """Trapezoid integrals of ``y`` along ``axis`` from the first node to
+    each node, with ``steps = np.diff(nodes)`` shaped to broadcast along
+    that axis.  The arithmetic is that of
+    ``scipy.integrate.cumulative_trapezoid(y, nodes, axis=axis,
+    initial=0.0)``, so the bits are the same, without its per-call
+    dispatch."""
+    lo = (slice(None),) * axis + (slice(None, -1),)
+    hi = (slice(None),) * axis + (slice(1, None),)
+    out = np.zeros_like(y)
+    np.cumsum(steps * (y[hi] + y[lo]) / 2.0, axis=axis, out=out[hi])
+    return out
+
+
 def solve_riemann(tsys, parameter, n, tol=1e-10):
     """Fixed point of the Riemann integral equation on the square.
 
@@ -128,15 +141,16 @@ def solve_riemann(tsys, parameter, n, tol=1e-10):
     b12 = np.broadcast_to(tsys.b12(sg, tg), sg.shape)
     b11 = np.broadcast_to(tsys.b11(sg, tg), sg.shape)
     c1 = np.broadcast_to(tsys.c1(sg, tg), sg.shape)
+    ds, dt = np.diff(s_nodes)[:, None], np.diff(t_nodes)[None, :]
 
     def picard(r):
-        cs = cumulative_trapezoid(b12 * r, s_nodes, axis=0, initial=0.0)
+        cs = _cumulative_trapezoid(b12 * r, ds, 0)
         int_s = cs - cs[i_xi, :][None, :]
-        ct = cumulative_trapezoid(b11 * r, t_nodes, axis=1, initial=0.0)
+        ct = _cumulative_trapezoid(b11 * r, dt, 1)
         int_t = ct - ct[:, j_eta][:, None]
-        d = cumulative_trapezoid(c1 * r, t_nodes, axis=1, initial=0.0)
+        d = _cumulative_trapezoid(c1 * r, dt, 1)
         d = d - d[:, j_eta][:, None]
-        dd = cumulative_trapezoid(d, s_nodes, axis=0, initial=0.0)
+        dd = _cumulative_trapezoid(d, ds, 0)
         int_st = dd - dd[i_xi, :][None, :]
         return 1.0 + int_s + int_t - int_st
 
@@ -231,7 +245,7 @@ class CauchyTraces:
 def _integral_to(nodes, values, b):
     """Signed trapezoid integral from 0 to b along tabulated values;
     both 0 and b must lie within the node range."""
-    cum = cumulative_trapezoid(values, nodes, initial=0.0)
+    cum = _cumulative_trapezoid(values, np.diff(nodes), 0)
     c0 = np.interp(0.0, nodes, cum)
     cb = np.interp(b, nodes, cum)
     return cb - c0

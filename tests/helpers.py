@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from ucp2d import characteristics as ch
 from ucp2d.fields import Bin, Const, EvalDomainError, Neg, Var
 
 
@@ -99,3 +100,51 @@ def walk_evaluate(field, x, y):
         return float(out)
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
     return np.broadcast_to(out, shape).copy() if out.shape != shape else out
+
+
+def trace_family(m_field, x0, y0, bounds, mirrored, x, y):
+    """Intercept and sensitivity ``(value, dvalue/d b0)`` of one family of
+    characteristic curves, with ``m`` and its derivative evaluated through
+    ``ucp2d.fields.evaluate`` at every RK4 stage: the reference for the
+    tracer of ``ucp2d.characteristics``, which advances both families in
+    one loop.  ``bounds`` is the padded box ``((lo_a, hi_a), (lo_b,
+    hi_b))`` in tracing order (independent variable first)."""
+    dm_field = m_field.diff("x" if mirrored else "y")
+
+    def slope(a, b):
+        if mirrored:
+            return -m_field(b, a), -dm_field(b, a)
+        return -m_field(a, b), -dm_field(a, b)
+
+    def check(a, b):
+        (lo_a, hi_a), (lo_b, hi_b) = bounds
+        if np.any(b < lo_b) or np.any(b > hi_b) or np.any(a < lo_a - 1e-12) or np.any(a > hi_a + 1e-12):
+            raise ch.MapError("characteristic curve escapes the working region")
+
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    x, y = (a.ravel() for a in np.broadcast_arrays(x, y))
+    if mirrored:
+        a0, b0, a_ref, ref = y.astype(float), x.astype(float), y0, x0
+    else:
+        a0, b0, a_ref, ref = x.astype(float), y.astype(float), x0, y0
+    span = a_ref - a0
+    b = b0.copy()
+    v = np.ones_like(b)
+
+    def rhs(a_val, b_val, v_val):
+        f, df = slope(a_val, b_val)
+        return span * f, span * df * v_val
+
+    h = 1.0 / ch._RK4_STEPS
+    for k in range(ch._RK4_STEPS):
+        tau = k * h
+        check(a0 + span * tau, b)
+        k1b, k1v = rhs(a0 + span * tau, b, v)
+        k2b, k2v = rhs(a0 + span * (tau + h / 2), b + h / 2 * k1b, v + h / 2 * k1v)
+        k3b, k3v = rhs(a0 + span * (tau + h / 2), b + h / 2 * k2b, v + h / 2 * k2v)
+        k4b, k4v = rhs(a0 + span * (tau + h), b + h * k3b, v + h * k3v)
+        b = b + h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+        v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+    check(np.full_like(b, a_ref), b)
+    return b - ref, v

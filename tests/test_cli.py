@@ -434,3 +434,57 @@ def test_check_keeps_the_cli_contract_on_generated_tensors(tensor):
     assert "Traceback" not in err
     if code == 2:
         assert _NAMES_KEY_OR_STAGE.match(err), err
+
+
+def test_overflow_while_tracing_characteristics_exits_two_naming_the_stage(
+        tmp_path, capsys, recwarn):
+    # the slope stays moderate but its y-derivative is near 1e200, so the
+    # sensitivity overflows in the Runge-Kutta update of the traced map
+    tensor = dict(BASE["tensor"], a1112="0.3 + 1e-3*sin(1e200*y)")
+    path = write_scenario(tmp_path, tasks=["characteristics", "riemann"], grid={"n": 9})
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), tensor=tensor)))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [characteristics] overflow encountered") and "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not list(tmp_path.glob("*.report.json"))
+
+
+# -- the CLI contract for run on traced characteristic maps ------------------
+
+_TRACED_PARTS = [
+    "0.3 + 0.2*x", "0.2*y - 0.25", "0.3 + 0.1*sin(4*y)", "0.25*exp(x*y)",
+    "sqrt(-1 - x)", "log(x - 1)", "1/(x - x)", "sqrt((x - 0.11)^2 - 0.0004)",
+    "exp(1000*x)", "1e300*x*y", "1e-3*sin(1e200*y)", "0.3*10^(300*y)",
+]
+_NAMES_RUN_KEY_OR_STAGE = re.compile(
+    r"error: (\[(characteristics|riemann)\] |tensor\.a(1112|1222): )"
+)
+
+
+@st.composite
+def _traced_tensor(draw):
+    """The Lame tensor with a1112 or a1222 (or both) made variable."""
+    part = st.sampled_from(_TRACED_PARTS)
+    tensor = dict(BASE["tensor"])
+    for key in draw(st.sets(st.sampled_from(["a1112", "a1222"]), min_size=1)):
+        tensor[key] = draw(st.one_of(
+            part, st.tuples(part, part).map(lambda t: f"{t[0]} + {t[1]}")))
+    return tensor
+
+
+@given(_traced_tensor())
+@settings(max_examples=25, deadline=None)
+def test_run_keeps_the_cli_contract_on_traced_maps(tensor):
+    doc = dict(BASE, tensor=tensor, grid={"n": 9}, tasks=["characteristics", "riemann"])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "case.json"
+        path.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--scenario", str(path), "--out", tmp])
+    err = err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert _NAMES_RUN_KEY_OR_STAGE.match(err), err

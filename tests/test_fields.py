@@ -11,6 +11,7 @@ from ucp2d.fields import (
     Bin,
     EvalDomainError,
     FieldError,
+    FieldGroup,
     ParseError,
     ScalarField,
     differentiate,
@@ -255,12 +256,43 @@ def test_compiled_evaluation_matches_tree_walk(text, x, y):
         _same_outcome(g, xs, ys)
 
 
+@given(_oracle_expr(), _oracle_expr(), _points)
+@settings(max_examples=200, deadline=None)
+def test_field_group_matches_evaluating_each_field_in_turn(text, other, y):
+    f, g = parse(text), parse(other)
+    # shared subtrees across the group; the later fields may fail where
+    # the earlier ones do not, and the other way round
+    fields = [f, differentiate(f, "y"), f * g, g / f]
+    xs = np.array([0.37, 0.0, -0.0, 1.0])
+    ys = np.array([y, -1.25, y, 0.5])
+
+    def outcome(values):
+        try:
+            got = values()
+        except EvalDomainError as err:
+            return "error", str(err)
+        return [np.broadcast_to(v, xs.shape).tobytes() for v in got]
+
+    assert outcome(lambda: FieldGroup(*fields)(xs, ys)) == outcome(
+        lambda: [evaluate(h, xs, ys) for h in fields])
+
+
+def test_field_group_checks_each_field_before_running_the_next():
+    # evaluated one after the other, the overflow of the first field is
+    # reported before the second reaches its log of a negative argument
+    group = FieldGroup(parse("exp(1000*x)"), parse("log(x - 5) + exp(1000*x)"))
+    with pytest.raises(EvalDomainError, match=r"^non-finite value in 'exp\(1000\*x\)'$"):
+        group(np.array([1.0, 0.0]), np.zeros(2))
+    first, second = FieldGroup(parse("x*x"), parse("log(6 - x) + x*x"))(np.array([1.0]), 0.0)
+    assert first.tolist() == [1.0] and second.tolist() == [math.log(5.0) + 1.0]
+
+
 def test_compiled_program_shares_subtrees_and_keeps_signed_zeros():
     f = parse("sin(x + 1) * sin(x + 1) + sin(x + 1)")
-    _, steps, _ = f._program()
+    _, (steps,), _ = f._program()
     assert len(steps) == 4  # x + 1, sin, *, +
     g = parse("(-0) * x + 0 * x")
-    slots, steps, root = g._program()
+    slots, (steps,), (root,) = g._program()
     assert len(steps) == 3 and sum(v == 0.0 for v in slots[2:]) == 2
     # each product is released by the sum, its last reader
     assert steps[-1][3] == root and sorted(steps[-1][4]) == [steps[0][3], steps[1][3]]

@@ -4,6 +4,7 @@ from scipy.special import j0
 
 from helpers import hyperbolic_bessel_series, hyperbolic_bessel_series_d
 from ucp2d import pipeline as pl
+from ucp2d import riemann as rm
 from ucp2d.characteristics import TransformedSystem
 from ucp2d.cli import load_scenario, scenario_dir
 from ucp2d.reduction import reduce_system
@@ -84,6 +85,23 @@ def test_grid_convergence_is_second_order():
         errs.append(np.max(np.abs(tab.values - ref)))
     assert errs[0] / errs[1] >= 3.5
     assert errs[1] / errs[2] >= 3.5
+
+
+def test_cumulative_trapezoid_matches_scipy_bit_for_bit():
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(3)
+    s_nodes, _ = rm._axis_nodes(0.25, 33, 0.013)  # augmented: not uniform
+    t_nodes, _ = rm._axis_nodes(0.25, 33, -0.2071)
+    assert len(s_nodes) == len(t_nodes) == 34
+    y = rng.standard_normal((len(s_nodes), len(t_nodes)))
+    for axis, nodes in ((0, s_nodes), (1, t_nodes)):
+        steps = np.diff(nodes).reshape((-1, 1) if axis == 0 else (1, -1))
+        got = rm._cumulative_trapezoid(y, steps, axis)
+        want = cumulative_trapezoid(y, nodes, axis=axis, initial=0.0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    got = rm._cumulative_trapezoid(y[:, 5], np.diff(s_nodes), 0)
+    assert got.tobytes() == cumulative_trapezoid(y[:, 5], s_nodes, initial=0.0).tobytes()
 
 
 def test_picard_contraction_is_geometric():
