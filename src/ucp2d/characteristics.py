@@ -187,25 +187,19 @@ def _linear_map(case, x0, y0, roots):
 
 
 class _CurveTracer:
-    """Batched trace of characteristic curves to the reference line, for
-    one or more families at once.
+    """Batched trace of characteristic curves to the reference line.
 
-    For the generic case the level curves of a coordinate satisfy
+    For the generic case the level curves of the coordinate satisfy
     ``dy/dx = -m(x, y)``; the coordinate value is the ``y``-intercept on
     ``x = x0`` (minus ``y0``).  The sensitivity to the starting point is
     integrated alongside through the variational equation, which also
     yields the spatial gradient because ``dx s = m(x*, y*) dy s``.
     ``mirrored=True`` swaps the roles of ``x`` and ``y``.
-
-    Curves of every family start from the same points, so they share
-    each value of the independent variable and one RK4 loop advances
-    them all; each family gets ``m`` and its derivative from one
-    compiled program.
     """
 
-    def __init__(self, slopes, x0, y0, bounds, mirrored=False):
-        var = "x" if mirrored else "y"
-        self.families = [FieldGroup(m, m.diff(var)) for m in slopes]
+    def __init__(self, m_field, x0, y0, bounds, mirrored=False):
+        # m and its derivative from one compiled program
+        self.slope = FieldGroup(m_field, m_field.diff("x" if mirrored else "y"))
         self.x0, self.y0 = x0, y0
         self.bounds = bounds  # padded containment box as ((lo_x, hi_x), (lo_y, hi_y))
         self.mirrored = mirrored
@@ -215,23 +209,14 @@ class _CurveTracer:
         if np.any(b < lo_b) or np.any(b > hi_b) or np.any(a < lo_a - 1e-12) or np.any(a > hi_a + 1e-12):
             raise MapError("characteristic curve escapes the working region")
 
-    def intercepts_and_sensitivities(self, x, y):
-        """Intercept value and its derivative along the secondary axis,
-        as a ``(value, dvalue/d b0)`` pair per family.
+    def intercept_and_sensitivity(self, x, y):
+        """Intercept value and its derivative along the secondary axis.
 
-        ``b0`` is y in the generic case and x in the mirrored one.  The
-        derivative along the primary axis follows from the slope ratio at
-        the starting point, so it is not integrated here.  A failure is
-        reported as tracing the families one after the other reports it.
+        Returns ``(value, dvalue/d b0)`` where ``b0`` is y in the generic
+        case and x in the mirrored one.  The derivative along the primary
+        axis follows from the slope ratio at the starting point, so it is
+        not integrated here.
         """
-        try:
-            return self._trace(self.families, x, y)
-        except (ValueError, ArithmeticError):
-            for family in self.families:
-                self._trace([family], x, y)
-            raise
-
-    def _trace(self, families, x, y):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         x, y = (a.ravel() for a in np.broadcast_arrays(x, y))
@@ -241,35 +226,27 @@ class _CurveTracer:
             a0, b0, a_ref, ref = x.astype(float), y.astype(float), self.x0, self.y0
         span = a_ref - a0
         # rescaled independent variable tau in [0, 1]: db/dtau = span * f
-        bs = [b0.copy() for _ in families]
-        vs = [np.ones_like(b0) for _ in families]  # sensitivities d b(tau) / d b0
+        b = b0.copy()
+        v = np.ones_like(b)  # sensitivity d b(tau) / d b0
 
-        def rhs(family, a_val, b_val, v_val):
+        def rhs(a_val, b_val, v_val):
             # independent variable first; mirrored tracing integrates x over y
-            m, dm = family(b_val, a_val) if self.mirrored else family(a_val, b_val)
+            m, dm = self.slope(b_val, a_val) if self.mirrored else self.slope(a_val, b_val)
             f, df = -m, -dm
             return span * f, span * df * v_val
 
         h = 1.0 / _RK4_STEPS
         for k in range(_RK4_STEPS):
             tau = k * h
-            a_start = a0 + span * tau
-            a_mid = a0 + span * (tau + h / 2)
-            a_end = a0 + span * (tau + h)
-            for n, family in enumerate(families):
-                b, v = bs[n], vs[n]
-                self._check(a_start, b)
-                k1b, k1v = rhs(family, a_start, b, v)
-                k2b, k2v = rhs(family, a_mid, b + h / 2 * k1b, v + h / 2 * k1v)
-                k3b, k3v = rhs(family, a_mid, b + h / 2 * k2b, v + h / 2 * k2v)
-                k4b, k4v = rhs(family, a_end, b + h * k3b, v + h * k3v)
-                bs[n] = b + h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
-                vs[n] = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        out = []
-        for b, v in zip(bs, vs):
-            self._check(np.full_like(b, a_ref), b)
-            out.append((b - ref, v))
-        return out
+            self._check(a0 + span * tau, b)
+            k1b, k1v = rhs(a0 + span * tau, b, v)
+            k2b, k2v = rhs(a0 + span * (tau + h / 2), b + h / 2 * k1b, v + h / 2 * k1v)
+            k3b, k3v = rhs(a0 + span * (tau + h / 2), b + h / 2 * k2b, v + h / 2 * k2v)
+            k4b, k4v = rhs(a0 + span * (tau + h), b + h * k3b, v + h * k3v)
+            b = b + h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
+            v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        self._check(np.full_like(b, a_ref), b)
+        return b - ref, v
 
 
 def _slope_fields(sys, case):
@@ -291,8 +268,8 @@ def _traced_map(case, sys, x0, y0, region):
     bounds_xy = ((rx0 - pad_x, rx1 + pad_x), (ry0 - pad_y, ry1 + pad_y))
     bounds = (bounds_xy[1], bounds_xy[0]) if mirrored else bounds_xy
 
-    # one tracer for both families: s from m_minus, t from m_plus
-    tracer = _CurveTracer((m_minus, m_plus), x0, y0, bounds, mirrored=mirrored)
+    tracer_s = _CurveTracer(m_minus, x0, y0, bounds, mirrored=mirrored)
+    tracer_t = _CurveTracer(m_plus, x0, y0, bounds, mirrored=mirrored)
 
     def _shape_back(arr, x, y):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
@@ -301,7 +278,8 @@ def _traced_map(case, sys, x0, y0, region):
         return float(np.asarray(arr).ravel()[0])
 
     def forward(x, y):
-        (s, _), (t, _) = tracer.intercepts_and_sensitivities(x, y)
+        s, _ = tracer_s.intercept_and_sensitivity(x, y)
+        t, _ = tracer_t.intercept_and_sensitivity(x, y)
         return _shape_back(s, x, y), _shape_back(t, x, y)
 
     def partials(s_sec, t_sec, x, y):
@@ -318,7 +296,8 @@ def _traced_map(case, sys, x0, y0, region):
         return sx, tx, sy, ty
 
     def jacobian(x, y):
-        (_, s_sec), (_, t_sec) = tracer.intercepts_and_sensitivities(x, y)
+        _, s_sec = tracer_s.intercept_and_sensitivity(x, y)
+        _, t_sec = tracer_t.intercept_and_sensitivity(x, y)
         return tuple(_shape_back(a, x, y) for a in partials(s_sec, t_sec, x, y))
 
     fd = 1e-5 * max(region.halfwidths)
@@ -357,7 +336,8 @@ def _traced_map(case, sys, x0, y0, region):
         x = x0 + (ty0 * sf - sy0 * tf) / det0
         y = y0 + (-tx0 * sf + sx0 * tf) / det0
         for _ in range(_NEWTON_STEPS):
-            (s_cur, s_sec), (t_cur, t_sec) = tracer.intercepts_and_sensitivities(x, y)
+            s_cur, s_sec = tracer_s.intercept_and_sensitivity(x, y)
+            t_cur, t_sec = tracer_t.intercept_and_sensitivity(x, y)
             sx, tx, sy, ty = partials(s_sec, t_sec, x, y)
             rs = sf - s_cur
             rt_ = tf - t_cur

@@ -38,7 +38,6 @@ __all__ = [
     "ParseError",
     "EvalDomainError",
     "ScalarField",
-    "FieldGroup",
     "parse",
     "evaluate",
     "differentiate",
@@ -498,6 +497,14 @@ def parse(text):
     return ScalarField(_Parser(text).parse(), source=text)
 
 
+def _finite(value, field):
+    """``value``, or :class:`EvalDomainError` naming ``field`` when any
+    entry of it is NaN or infinite."""
+    if not np.isfinite(value).all():
+        raise EvalDomainError(f"non-finite value in {field.source!r}")
+    return value
+
+
 def evaluate(field, x, y):
     """Evaluate ``field`` at ``(x, y)``; scalars in, float out.
 
@@ -507,9 +514,7 @@ def evaluate(field, x, y):
     scalar = np.isscalar(x) and np.isscalar(y)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         out, = _run(field._program(), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    out = np.asarray(out, dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise EvalDomainError(f"non-finite value in {field.source!r}")
+    out = _finite(np.asarray(out, dtype=float), field)
     if scalar:
         return float(out)
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
@@ -538,9 +543,7 @@ class FieldGroup:
         values = []
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for field, value in zip(self.fields, _run(self._program, x, y)):
-                if not np.isfinite(value).all():
-                    raise EvalDomainError(f"non-finite value in {field.source!r}")
-                values.append(value)
+                values.append(_finite(value, field))
         return values
 
 

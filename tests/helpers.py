@@ -106,8 +106,8 @@ def trace_family(m_field, x0, y0, bounds, mirrored, x, y):
     """Intercept and sensitivity ``(value, dvalue/d b0)`` of one family of
     characteristic curves, with ``m`` and its derivative evaluated through
     ``ucp2d.fields.evaluate`` at every RK4 stage: the reference for the
-    tracer of ``ucp2d.characteristics``, which advances both families in
-    one loop.  ``bounds`` is the padded box ``((lo_a, hi_a), (lo_b,
+    tracer of ``ucp2d.characteristics``, which runs both from one compiled
+    program.  ``bounds`` is the padded box ``((lo_a, hi_a), (lo_b,
     hi_b))`` in tracing order (independent variable first)."""
     dm_field = m_field.diff("x" if mirrored else "y")
 

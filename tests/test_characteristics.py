@@ -214,13 +214,13 @@ def test_traced_inverse_raises_when_newton_does_not_converge(monkeypatch):
 
 def _count_traces(monkeypatch):
     calls = []
-    trace = ch._CurveTracer.intercepts_and_sensitivities
+    trace = ch._CurveTracer.intercept_and_sensitivity
 
     def counted(self, x, y):
         calls.append(self)
         return trace(self, x, y)
 
-    monkeypatch.setattr(ch._CurveTracer, "intercepts_and_sensitivities", counted)
+    monkeypatch.setattr(ch._CurveTracer, "intercept_and_sensitivity", counted)
     return calls
 
 
@@ -242,9 +242,9 @@ def test_traced_inverse_traces_each_curve_once_per_newton_step(monkeypatch):
     calls = _count_traces(monkeypatch)
     got = cmap.inverse(s, t)
     assert steps > 1
-    assert len(calls) == 1 + steps  # the base point, then both families per step
+    assert len(calls) == 2 + 2 * steps  # the base point, then both families per step
     again = cmap.inverse(s, t)
-    assert len(calls) == 1 + 2 * steps  # the base point is traced once per map
+    assert len(calls) == 2 + 4 * steps  # the base point is traced once per map
     assert all(np.array_equal(a, b) for a, b in zip(got, expected))
     assert all(np.array_equal(a, b) for a, b in zip(again, expected))
 
@@ -254,10 +254,10 @@ def test_second_derivatives_trace_the_four_stencils_together(monkeypatch):
     calls = _count_traces(monkeypatch)
     x, y = np.array([0.05, -0.1, 0.0]), np.array([[0.02], [-0.07]])
     batched = cmap.second_derivatives(x, y)
-    assert len(calls) == 1
+    assert len(calls) == 2  # one trace of each family
     assert all(np.shape(d) == (2, 3) for d in batched)
     point = cmap.second_derivatives(0.05, 0.02)
-    assert len(calls) == 2
+    assert len(calls) == 4
     assert all(isinstance(d, float) for d in point)
     # the stencils of one point give the same bits whatever else is traced
     assert [d[0, 0] for d in batched] == list(point)
@@ -289,11 +289,11 @@ def test_transformed_coefficients_differentiate_the_map_once_per_grid(monkeypatc
 
 def test_transform_system_reuses_the_probe_pullback(monkeypatch):
     # the probe grid is pulled back once, by _choose_epsilon; the normal
-    # form check there needs the Jacobian only, one trace of both families
+    # form check there needs the Jacobian only, one trace of each family
     sys = reduce_system(manufactured_variable_tensor())
     cmap = build_map(sys, REGION, 0.0, 0.0)
     callers = Counter()
-    trace = ch._CurveTracer.intercepts_and_sensitivities
+    trace = ch._CurveTracer.intercept_and_sensitivity
 
     def counted(self, x, y):
         names = [f.name for f in traceback.extract_stack()]
@@ -301,10 +301,10 @@ def test_transform_system_reuses_the_probe_pullback(monkeypatch):
                      if n in ("_choose_epsilon", "transform_system"))] += 1
         return trace(self, x, y)
 
-    monkeypatch.setattr(ch._CurveTracer, "intercepts_and_sensitivities", counted)
+    monkeypatch.setattr(ch._CurveTracer, "intercept_and_sensitivity", counted)
     transform_system(sys, cmap, REGION)
-    assert callers["transform_system"] == 1
-    assert callers["_choose_epsilon"] > 1
+    assert callers["transform_system"] == 2
+    assert callers["_choose_epsilon"] > 2
 
 
 MIRRORED_TENSOR = {
@@ -318,47 +318,41 @@ MIRRORED_TENSOR = {
 TRACE_BOUNDS = ((-0.6, 0.6), (-0.6, 0.6))
 
 
-def _oracle_traces(slopes, mirrored, x, y):
-    return [trace_family(m, 0.01, -0.02, TRACE_BOUNDS, mirrored, x, y) for m in slopes]
-
-
 @pytest.mark.parametrize("coeffs, case", [
     (manufactured_variable_tensor(), CASE_A1112),
     (ElasticityCoefficients.from_components(MIRRORED_TENSOR), CASE_A1222),
 ])
-def test_traced_families_match_the_per_family_oracle_bit_for_bit(coeffs, case):
+def test_tracer_matches_the_evaluate_oracle_bit_for_bit(coeffs, case):
     sys = reduce_system(coeffs)
-    slopes = ch._slope_fields(sys, case)
     mirrored = case == CASE_A1222
-    tracer = ch._CurveTracer(slopes, 0.01, -0.02, TRACE_BOUNDS, mirrored=mirrored)
     rng = np.random.default_rng(5)
     points = [(0.07, -0.08), (np.float64(-0.1), 0.0),
               (rng.uniform(-0.1, 0.1, 7), rng.uniform(-0.1, 0.1, (3, 1)))]
-    for x, y in points:
-        got = tracer.intercepts_and_sensitivities(x, y)
-        want = _oracle_traces(slopes, mirrored, x, y)
-        assert len(got) == 2
-        for (value, sens), (value_o, sens_o) in zip(got, want):
+    for m in ch._slope_fields(sys, case):
+        tracer = ch._CurveTracer(m, 0.01, -0.02, TRACE_BOUNDS, mirrored=mirrored)
+        for x, y in points:
+            value, sens = tracer.intercept_and_sensitivity(x, y)
+            value_o, sens_o = trace_family(m, 0.01, -0.02, TRACE_BOUNDS, mirrored, x, y)
             assert value.tobytes() == value_o.tobytes()
             assert sens.tobytes() == sens_o.tobytes()
 
 
-def test_traced_families_report_the_error_of_the_first_family_to_fail():
-    # each slope is 0 until its exponential overflows mid-trace and
-    # 0 * inf turns it non-finite; with (late, early) the second family
-    # fails first in the shared loop, the first one alone only later
-    # (overflow below x = 0.05 and x = 0.15, traced from x = 0.25 and 0.3 to 0.01)
-    late, early = parse("0*exp(8000*(0.14 - x))"), parse("0*exp(8000*(0.24 - x))")
-    ones = parse("1 + 0.1*y")
-    x, y = np.array([0.25, 0.3]), np.array([0.0, 0.1])
-    for slopes in [(late, early), (early, late), (ones, early), (early, ones)]:
-        with pytest.raises(EvalDomainError) as want:
-            _oracle_traces(slopes, False, x, y)
-        tracer = ch._CurveTracer(slopes, 0.01, -0.02, TRACE_BOUNDS)
-        with pytest.raises(EvalDomainError) as got:
-            tracer.intercepts_and_sensitivities(x, y)
-        assert str(got.value) == str(want.value)
-        assert str(got.value).startswith("non-finite value in '0*exp(8000*")
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_slope_turning_non_finite_mid_trace_raises_the_oracle_error(mirrored):
+    # the slope is 0 until its exponential overflows mid-trace (below 0.06
+    # on curves traced from 0.3 and 0.25 to 0.01) and 0 * inf turns it
+    # non-finite
+    m = parse("0*exp(8000*(0.14 - x))" if not mirrored else "0*exp(8000*(0.14 - y))")
+    x, y = np.array([0.3, 0.25]), np.array([0.1, 0.0])
+    if mirrored:
+        x, y = y, x
+    with pytest.raises(EvalDomainError) as want:
+        trace_family(m, 0.01, 0.01, TRACE_BOUNDS, mirrored, x, y)
+    tracer = ch._CurveTracer(m, 0.01, 0.01, TRACE_BOUNDS, mirrored=mirrored)
+    with pytest.raises(EvalDomainError) as got:
+        tracer.intercept_and_sensitivity(x, y)
+    assert str(got.value) == str(want.value)
+    assert str(got.value).startswith("non-finite value in '0*exp(8000*")
 
 
 def test_mirrored_traced_map_equals_axis_swapped_generic_map():
