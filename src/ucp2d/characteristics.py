@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ucp2d.fields import Call, FieldGroup, ScalarField
+from ucp2d.reduction import discriminant
 
 __all__ = [
     "MapError",
@@ -74,9 +75,20 @@ def _sqrt_field(f):
     return ScalarField(Call("sqrt", f.ast))
 
 
-def _second_order_values(op, x, y):
-    c20, c11, c02, c10, c01, c00 = op.coefficients()
-    return c20(x, y), c11(x, y), c02(x, y), c10(x, y), c01(x, y), c00(x, y)
+def _case(h20, h11, h02):
+    """The case of the map from the hyperbolic principal coefficients at
+    one point or on a grid: the identity when ``h20`` and ``h02`` are
+    negligible everywhere, else the parametrisation whose leading
+    coefficient is bounded away from zero."""
+    h20, h02 = np.abs(h20), np.abs(h02)
+    tol = _ZERO_TOL * max(np.max(h20), np.max(np.abs(h11)), np.max(h02))
+    if np.max(h20) <= tol and np.max(h02) <= tol:
+        return CASE_IDENTITY
+    if np.min(h20) > tol:
+        return CASE_A1112
+    if np.min(h02) > tol:
+        return CASE_A1222
+    raise MapError("neither leading coefficient is bounded away from zero on the region")
 
 
 def characteristic_slopes(sys, x, y):
@@ -86,19 +98,14 @@ def characteristic_slopes(sys, x, y):
     case, the pair ``(m-, m+)`` of ``dx s/dy s`` values in the generic
     case, and the pair of ``dy s/dx s`` values in the mirrored case.
     """
-    h20 = sys.hyper.c20(x, y)
-    h11 = sys.hyper.c11(x, y)
-    h02 = sys.hyper.c02(x, y)
-    delta = h11 * h11 - 4.0 * h20 * h02
+    h20, h11, h02 = sys.hyper.principal_values(x, y)
+    delta = discriminant(h20, h11, h02)
     if delta <= 0.0:
         raise MapError(f"hyperbolicity fails at ({x}, {y}): Delta = {delta}")
-    scale = max(abs(h20), abs(h11), abs(h02))
-    rt = np.sqrt(delta)
-    if abs(h20) > _ZERO_TOL * scale:
-        return CASE_A1112, (-(h11 - rt) / (2 * h20), -(h11 + rt) / (2 * h20))
-    if abs(h02) > _ZERO_TOL * scale:
-        return CASE_A1222, (-(h11 - rt) / (2 * h02), -(h11 + rt) / (2 * h02))
-    return CASE_IDENTITY, None
+    case = _case(h20, h11, h02)
+    if case == CASE_IDENTITY:
+        return case, None
+    return case, tuple(m(x, y) for m in _slope_fields(sys, case))
 
 
 @dataclass(frozen=True)
@@ -251,9 +258,8 @@ class _CurveTracer:
 
 def _slope_fields(sys, case):
     """The slope ratios ``(m-, m+)`` of the s and t families as fields."""
-    h20, h11, h02 = sys.hyper.c20, sys.hyper.c11, sys.hyper.c02
-    delta = h11 * h11 - 4.0 * h20 * h02
-    rt = _sqrt_field(delta)
+    h20, h11, h02 = sys.hyper.coefficients()[:3]
+    rt = _sqrt_field(discriminant(h20, h11, h02))
     lead = h20 if case == CASE_A1112 else h02
     return (0.0 - (h11 - rt)) / (2.0 * lead), (0.0 - (h11 + rt)) / (2.0 * lead)
 
@@ -386,32 +392,17 @@ def build_map(sys, region, x0, y0):
         raise MapError("base point must lie inside the region")
     xs, ys = region.grid(_N_SAMPLE)
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    h20 = np.broadcast_to(sys.hyper.c20(xg, yg), xg.shape)
-    h11 = np.broadcast_to(sys.hyper.c11(xg, yg), xg.shape)
-    h02 = np.broadcast_to(sys.hyper.c02(xg, yg), xg.shape)
-    delta = h11 * h11 - 4 * h20 * h02
+    h20, h11, h02 = sys.hyper.principal_values(xg, yg)
+    delta = discriminant(h20, h11, h02)
     if delta.min() <= 0:
         raise MapError(f"hyperbolicity fails on the region: min Delta = {delta.min()}")
-    scale = max(np.abs(h20).max(), np.abs(h11).max(), np.abs(h02).max())
-    if np.abs(h20).max() <= _ZERO_TOL * scale and np.abs(h02).max() <= _ZERO_TOL * scale:
-        case = CASE_IDENTITY
-    elif np.abs(h20).min() > _ZERO_TOL * scale:
-        case = CASE_A1112
-    elif np.abs(h02).min() > _ZERO_TOL * scale:
-        case = CASE_A1222
-    else:
-        raise MapError(
-            "neither leading coefficient is bounded away from zero on the region"
-        )
-
+    case = _case(h20, h11, h02)
     if case == CASE_IDENTITY:
         # h20 = h02 = 0: the coordinate lines are the characteristics,
         # so the identity map is exact even for variable coefficients
         return _linear_map(case, x0, y0, None)
-    spread = max(
-        np.ptp(h20), np.ptp(h11), np.ptp(h02)
-    )
-    if spread <= 1e-13 * max(scale, 1.0):
+    h = np.array([h20, h11, h02])
+    if np.ptp(h, axis=(1, 2)).max() <= 1e-13 * max(np.abs(h).max(), 1.0):
         case_pt, roots = characteristic_slopes(sys, x0, y0)
         return _linear_map(case_pt, x0, y0, roots)
     return _traced_map(case, sys, x0, y0, region)
@@ -471,10 +462,7 @@ def _choose_epsilon(sys, cmap, region):
     by a power of two is exact, so that grid has the same bits as one
     built by ``np.linspace(-epsilon, epsilon, _N_SAMPLE)``.
     """
-    delta0 = float(
-        sys.hyper.c11(cmap.x0, cmap.y0) ** 2
-        - 4 * sys.hyper.c20(cmap.x0, cmap.y0) * sys.hyper.c02(cmap.x0, cmap.y0)
-    )
+    delta0 = float(discriminant(*sys.hyper.principal_values(cmap.x0, cmap.y0)))
     u = np.linspace(-1.0, 1.0, _N_SAMPLE)
     su, tu = np.meshgrid(u, u, indexing="ij")
     for eps in _EPS_CANDIDATES:
@@ -484,11 +472,7 @@ def _choose_epsilon(sys, cmap, region):
             continue
         if not region.contains(x, y):
             continue
-        h20 = sys.hyper.c20(x, y)
-        h11 = sys.hyper.c11(x, y)
-        h02 = sys.hyper.c02(x, y)
-        delta = h11 * h11 - 4 * h20 * h02
-        if np.min(delta) >= 0.5 * delta0:
+        if np.min(discriminant(*sys.hyper.principal_values(x, y))) >= 0.5 * delta0:
             return eps, x, y
     raise MapError("no admissible square neighbourhood found")
 
@@ -504,7 +488,7 @@ def transform_system(sys, cmap, region):
     epsilon, xp, yp = _choose_epsilon(sys, cmap, region)
 
     # validate the normal form on the probe grid of the square
-    h20, h11, h02, _, _, _ = _second_order_values(sys.hyper, xp, yp)
+    h20, h11, h02, _, _, _ = sys.hyper.values(xp, yp)
     jac = cmap.jacobian(xp, yp)
     qs, half_mixed, qt = _principal(h20, h11, h02, jac)
     scale = np.abs(2 * half_mixed)
@@ -515,7 +499,7 @@ def transform_system(sys, cmap, region):
             "pure second-derivative residue survives the change of variables"
         )
 
-    a11p, a12p, a22p = _principal(*_second_order_values(sys.ell, xp, yp)[:3], jac)
+    a11p, a12p, a22p = _principal(*sys.ell.values(xp, yp)[:3], jac)
     if np.any(a12p**2 - a11p * a22p >= 0):
         raise TransformError("ellipticity lost under the change of variables")
     if np.min(np.abs(a11p)) == 0 or np.min(np.abs(a22p)) == 0:
@@ -533,11 +517,11 @@ def transform_system(sys, cmap, region):
         if got is not None:
             return got
         x, y = cmap.inverse(s, t)
-        h20, h11, h02, h10, h01, h00 = _second_order_values(sys.hyper, x, y)
+        h20, h11, h02, h10, h01, h00 = sys.hyper.values(x, y)
         jac = cmap.jacobian(x, y)
         sx, tx, sy, ty = jac
         sxx, sxy, syy, txx, txy, tyy = cmap.second_derivatives(x, y)
-        e20, e11, e02, e10, e01, e00 = _second_order_values(sys.ell, x, y)
+        e20, e11, e02, e10, e01, e00 = sys.ell.values(x, y)
         mixed = 2 * _principal(h20, h11, h02, jac)[1]
         a11, a12, a22 = _principal(e20, e11, e02, jac)
         got = {
@@ -552,8 +536,6 @@ def transform_system(sys, cmap, region):
             "c2": e00 + 0.0 * np.asarray(sx),
             "det_jacobian": sx * ty - tx * sy,
         }
-        if len(memo) > 64:
-            memo.clear()
         memo[key] = got
         return got
 
@@ -628,8 +610,8 @@ def transfer_point_data(sys, cmap, data):
     if missing:
         raise ValueError(f"point data missing entries: {', '.join(missing)}")
     x0, y0 = cmap.x0, cmap.y0
-    h20, h11, h02, h10, h01, h00 = _second_order_values(sys.hyper, x0, y0)
-    e20, e11, e02, e10, e01, e00 = _second_order_values(sys.ell, x0, y0)
+    h20, h11, h02, h10, h01, h00 = sys.hyper.values(x0, y0)
+    e20, e11, e02, e10, e01, e00 = sys.ell.values(x0, y0)
     u, ux, uy = data["u"], data["ux"], data["uy"]
     uxx, uyy = data["uxx"], data["uyy"]
 

@@ -25,11 +25,10 @@ import numpy as np
 
 from ucp2d import __version__
 from ucp2d import pipeline as pl
-from ucp2d import riemann as rm
 from ucp2d import tensors
 from ucp2d.fields import FieldError
 from ucp2d.geometry import Rect
-from ucp2d.reduction import reduce_system
+from ucp2d.reduction import discriminant, reduce_system
 
 SCHEMA_VERSION = 1
 _TOP_KEYS = {
@@ -91,6 +90,8 @@ def load_scenario(path):
     grid = raw["grid"]
     if set(grid) != {"n"} or pl.json_type_error("grid.n", grid["n"], int):
         raise ScenarioFileError(f"grid: expected {{'n': <int>}}, got {grid!r}")
+    if grid["n"] < 2:
+        raise ScenarioFileError(f"grid.n: expected at least 2, got {grid['n']}")
     tol = _load_tolerances(raw.get("tolerances", {}))
     tasks = raw["tasks"]
     if not (isinstance(tasks, list) and all(isinstance(t, str) for t in tasks)):
@@ -226,7 +227,8 @@ def _cmd_check(scenario, args):
         report["random_sweep"] = _random_sweep(scenario, args.seed)
     key, ucp = "reduced_data_degenerate", {}
     if scenario.point_data is not None:
-        _, ucp = pl.point_data_mode(scenario, reduce_system(scenario.coefficients))
+        with pl.stage("ucp"):
+            _, ucp = pl.point_data_mode(scenario, reduce_system(scenario.coefficients))
         report[key] = ucp[key]
     if key in scenario.expect:
         failures += pl.check_expectations({key: scenario.expect[key]}, {"ucp": ucp})
@@ -241,9 +243,12 @@ def _field_on_grid(scenario, name):
     xs, ys = scenario.omega.grid(scenario.n)
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
     coeffs = scenario.coefficients
-    f = tensors.delta_field(coeffs) if name == "delta" else getattr(coeffs, name)
+    if name == "delta":
+        f = discriminant(*reduce_system(coeffs).hyper.coefficients()[:3])
+    else:
+        f = getattr(coeffs, name)
     try:
-        return xs, ys, np.broadcast_to(f(xg, yg), xg.shape)
+        return xs, ys, f(xg, yg)
     except FieldError as err:
         raise FieldError(f"{name}: {err}") from err
 
@@ -262,7 +267,8 @@ def _cmd_nullspace(scenario, args):
 
 def _cmd_riemann(scenario, args):
     _, tsys = pl.characteristics(scenario, reduce_system(scenario.coefficients))
-    tab = pl.riemann_provider(scenario, tsys).table((0.0, 0.0))
+    with pl.stage("riemann"):
+        tab = pl.riemann_provider(scenario, tsys).table((0.0, 0.0))
     report = {
         "scenario": scenario.name,
         "epsilon": tsys.epsilon,
@@ -329,7 +335,7 @@ def main(argv=None):
         scenario = load_scenario(args.scenario)
         report, failures = _COMMANDS[args.command](scenario, args)
         path = _write_report(report, args.out, scenario.name)
-    except (pl.StageError, rm.SolveError, ValueError) as err:  # includes ScenarioFileError
+    except (pl.StageError, ValueError) as err:  # includes ScenarioFileError
         print(f"error: {err}", file=sys.stderr)
         return 2
     status = "ok" if not failures else "expectation mismatch"

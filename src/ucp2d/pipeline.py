@@ -26,9 +26,8 @@ from scipy.sparse.linalg import svds
 from ucp2d import characteristics as ch
 from ucp2d import riemann as rm
 from ucp2d import tensors
-from ucp2d.fields import FieldError
 from ucp2d.geometry import Rect
-from ucp2d.reduction import reduce_system, second_order_matrix, second_order_rank
+from ucp2d.reduction import discriminant, reduce_system, second_order_rank
 
 __all__ = [
     "Tolerances",
@@ -183,7 +182,7 @@ def _assemble_operator(sys, region, n):
         ):
             if coeff.is_zero():
                 continue
-            vals = np.broadcast_to(coeff(xg, yg), xg.shape).ravel()
+            vals = coeff(xg, yg).ravel()
             term = sp.diags(vals) @ ops[key]
             total = term if total is None else total + term
         if total is None:
@@ -444,13 +443,9 @@ def complete_second_derivatives(sys, x0, y0, data, given_second, rank_threshold=
     """
     if given_second not in ("uxx", "uyy"):
         raise ValueError("given_second must be 'uxx' or 'uyy'")
-    h = second_order_matrix(sys, x0, y0)  # rows: hyper, ell; cols xx, xy, yy
-    lower = np.array(
-        [
-            [sys.hyper.c10(x0, y0), sys.hyper.c01(x0, y0), sys.hyper.c00(x0, y0)],
-            [sys.ell.c10(x0, y0), sys.ell.c01(x0, y0), sys.ell.c00(x0, y0)],
-        ]
-    )
+    # rows: hyper, ell; columns xx, xy, yy, then x, y, u
+    values = np.array([sys.hyper.values(x0, y0), sys.ell.values(x0, y0)])
+    h, lower = values[:, :3], values[:, 3:]
     known_col = 0 if given_second == "uxx" else 2
     unknown_key = "uyy" if given_second == "uxx" else "uxx"
     unknown_col = 2 - known_col
@@ -558,19 +553,21 @@ def check_expectations(expect, report):
 @contextmanager
 def stage(name):
     """Run stage ``name`` with floating-point overflow and invalid
-    operations raised; re-raise those and field, map and transform
-    errors as errors of the stage."""
+    operations raised; re-raise those, value errors (field, map and
+    transform errors among them) and Riemann solve errors as errors of
+    the stage."""
     try:
         with np.errstate(over="raise", invalid="raise"):
             yield
-    except (FloatingPointError, FieldError, ch.MapError, ch.TransformError) as err:
+    except (FloatingPointError, ValueError, rm.SolveError) as err:
         raise StageError(name, str(err)) from err
 
 
-def _delta_range(scenario):
-    """Least and greatest Delta on the audit grid of omega."""
+def _delta_range(scenario, sys):
+    """Least and greatest Delta of the pair's hyperbolic member on the
+    audit grid of omega."""
     xg, yg = np.meshgrid(*scenario.omega.grid(scenario.tolerances.conditions_n), indexing="ij")
-    delta = np.broadcast_to(tensors.delta_field(scenario.coefficients)(xg, yg), xg.shape)
+    delta = discriminant(*sys.hyper.coefficients()[:3])(xg, yg)
     return float(delta.min()), float(delta.max())
 
 
@@ -578,7 +575,7 @@ def characteristics(scenario, sys):
     """Characteristic map of the pair at the base point and the pair in its
     coordinates.  Needs Delta > 0 on the audit grid of omega."""
     with stage("characteristics"):
-        delta_min = _delta_range(scenario)[0]
+        delta_min = _delta_range(scenario, sys)[0]
         if delta_min <= 0.0:
             raise StageError(
                 "characteristics",
@@ -624,22 +621,17 @@ def run(scenario):
 
     if "conditions" in tasks:
         with stage("conditions"):
-            report["conditions"] = _conditions_report(scenario)
+            report["conditions"] = _conditions_report(scenario, sys)
 
     if "reduce" in tasks:
         with stage("reduce"):
             xg, yg = np.meshgrid(*scenario.omega.grid(tol.conditions_n), indexing="ij")
-            e20, e11, e02 = (f(xg, yg) for f in sys.ell.coefficients()[:3])
-            edisc = np.broadcast_to(
-                e11 * e11 - 4.0 * np.asarray(e20) * np.asarray(e02), xg.shape
-            )
+            edisc = discriminant(*sys.ell.principal_values(xg, yg))
             report["reduce"] = {
                 "rank_at_point": second_order_rank(sys, x0, y0, tol.rank_threshold),
                 "elliptic_discriminant_max": float(edisc.max()),
-                "hyper_second_order": [
-                    float(f(x0, y0)) for f in sys.hyper.coefficients()[:3]
-                ],
-                "ell_second_order": [float(f(x0, y0)) for f in sys.ell.coefficients()[:3]],
+                "hyper_second_order": [float(v) for v in sys.hyper.principal_values(x0, y0)],
+                "ell_second_order": [float(v) for v in sys.ell.principal_values(x0, y0)],
             }
 
     if any(t in tasks for t in ("characteristics", "riemann", "ucp")):
@@ -685,7 +677,7 @@ def run(scenario):
     return report, failures
 
 
-def _conditions_report(scenario):
+def _conditions_report(scenario, sys):
     x0, y0 = scenario.point
     n = scenario.tolerances.conditions_n
     try:
@@ -699,7 +691,7 @@ def _conditions_report(scenario):
         }
     except ValueError as err:
         pencil_report = {"error": str(err)}
-    delta_min, delta_max = _delta_range(scenario)
+    delta_min, delta_max = _delta_range(scenario, sys)
     return {
         "ellipticity_margin": float(
             tensors.ellipticity_margin(scenario.coefficients, scenario.omega, n)

@@ -20,9 +20,26 @@ import numpy as np
 
 from ucp2d.fields import ScalarField
 
-__all__ = ["SecondOrderOperator", "U2System", "reduce_system", "second_order_rank", "residual"]
+__all__ = [
+    "SecondOrderOperator",
+    "U2System",
+    "discriminant",
+    "reduce_system",
+    "second_order_rank",
+    "residual",
+]
 
 _COLS = {"xx": 0, "xy": 1, "yy": 2}
+
+
+def discriminant(c20, c11, c02):
+    """``c11^2 - 4 c20 c02`` of the principal part ``c20 dxx + c11 dxy +
+    c02 dyy``: positive where it is hyperbolic, negative where elliptic.
+
+    Takes numbers, arrays or :class:`ScalarField` s alike; for fields the
+    result is a field.
+    """
+    return c11 * c11 - 4.0 * c20 * c02
 
 
 @dataclass(frozen=True)
@@ -38,6 +55,15 @@ class SecondOrderOperator:
 
     def coefficients(self):
         return (self.c20, self.c11, self.c02, self.c10, self.c01, self.c00)
+
+    def values(self, x, y):
+        """All six coefficients at ``(x, y)``, in the order of ``coefficients``."""
+        return tuple(f(x, y) for f in self.coefficients())
+
+    def principal_values(self, x, y):
+        """``c20``, ``c11`` and ``c02`` at ``(x, y)``; the lower-order
+        fields are not evaluated."""
+        return self.c20(x, y), self.c11(x, y), self.c02(x, y)
 
     def apply(self, u):
         """Apply to a field symbolically; exact, no differencing."""
@@ -86,12 +112,7 @@ def second_order_matrix(sys, x, y, drop=None):
     ``drop`` removes the named column ("xx", "xy" or "yy"), which models
     imposing that second derivative as known point data.
     """
-    m = np.array(
-        [
-            [sys.hyper.c20(x, y), sys.hyper.c11(x, y), sys.hyper.c02(x, y)],
-            [sys.ell.c20(x, y), sys.ell.c11(x, y), sys.ell.c02(x, y)],
-        ]
-    )
+    m = np.array([sys.hyper.principal_values(x, y), sys.ell.principal_values(x, y)])
     if drop is None:
         return m
     if drop not in _COLS:

@@ -290,22 +290,20 @@ def _fd2(f, x, d, lo, hi):
     return (f(x + d) - 2 * f(x) + f(x - d)) / d**2
 
 
-def kernel_PQ(tsys, provider, axis, nodes, fd_step=None):
+def kernel_PQ(tsys, provider, axis, nodes):
     """Damping coefficients P(s,0) (axis 's') or Q(0,t) (axis 't').
 
     ``P = A11 (ds + 2 dxi) R(s,0,xi,t)|xi=s + 2 A12 dt R(s,0,s,t)
     + B21 R(s,0,s,t)`` evaluated at t = 0; Q is the mirrored expression
     on the other axis.  Evaluation-point derivatives are differenced on
     the stored grid; parameter derivatives re-solve at perturbed
-    parameter points (memoised by the provider).
+    parameter points at most two grid steps away (memoised by the
+    provider).
     """
     if axis not in ("s", "t"):
         raise ValueError("axis must be 's' or 't'")
     eps = tsys.epsilon
     h = provider.grid_step
-    d = 2 * h if fd_step is None else float(fd_step)
-    if d < h - 1e-14:
-        raise ValueError("parameter differencing step must not undercut the grid step")
     if axis == "s":
         lead, damp, pair = tsys.a11, tsys.b21, lambda a, b: (a, b)
     else:
@@ -321,7 +319,8 @@ def kernel_PQ(tsys, provider, axis, nodes, fd_step=None):
         d_eval = _fd1(lambda z: tab.value(*pair(z, 0.0)), v, h, -eps, eps)
         d_cross = _fd1(lambda z: tab.value(*pair(v, z)), 0.0, h, -eps, eps)
         d_param = _fd1(
-            lambda z: provider.table(pair(z, 0.0)).value(*here), v, min(d, max(eps - abs(v), h)), -eps, eps
+            lambda z: provider.table(pair(z, 0.0)).value(*here),
+            v, min(2 * h, max(eps - abs(v), h)), -eps, eps,
         )
         out[k] = a_lead * (d_eval + 2 * d_param) + 2 * a12 * d_cross + b_damp * r_here
     return out

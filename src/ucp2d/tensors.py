@@ -9,8 +9,6 @@ given coefficient set:
   over unit direction pairs;
 * strong convexity     -- positivity of ``sum a_ijkl e_ij e_kl`` over
   symmetric matrices, via the 3x3 Voigt matrix;
-* the hyperbolicity discriminant
-  ``Delta = (a1212 + a1122)^2 - 4 a1112 a1222``;
 * eigenpairs of the quadratic matrix pencil
   ``L11 th^2 + L12 th + L22`` together with the nonsingularity measure
   ``|det(z, conj z)|`` per root.
@@ -24,6 +22,7 @@ import numpy as np
 
 from ucp2d.fields import ScalarField, parse
 from ucp2d.geometry import Rect
+from ucp2d.reduction import discriminant, reduce_system
 
 __all__ = [
     "ElasticityCoefficients",
@@ -31,8 +30,6 @@ __all__ = [
     "lambda_matrices",
     "ellipticity_margin",
     "convexity_margin",
-    "hyperbolicity_delta",
-    "delta_field",
     "pencil_eigenpairs",
     "random_elliptic_tensor",
 ]
@@ -226,10 +223,7 @@ def _grid_values(coeffs, region, n):
     if n < 2:
         raise ValueError("need n >= 2")
     xg, yg = np.meshgrid(*region.grid(n), indexing="ij")
-    return {
-        name: np.broadcast_to(getattr(coeffs, name)(xg, yg), xg.shape).ravel()
-        for name in A_NAMES
-    }
+    return {name: getattr(coeffs, name)(xg, yg).ravel() for name in A_NAMES}
 
 
 def _least_eigenvalue(a, theta):
@@ -288,18 +282,6 @@ def convexity_margin(coeffs, region, n):
         ]
     )
     return float(np.linalg.eigvalsh(np.moveaxis(voigt, -1, 0))[:, 0].min())
-
-
-def hyperbolicity_delta(coeffs, x, y):
-    """``Delta = (a1212 + a1122)^2 - 4 a1112 a1222`` at a point."""
-    s = coeffs.a1212(x, y) + coeffs.a1122(x, y)
-    return s * s - 4.0 * coeffs.a1112(x, y) * coeffs.a1222(x, y)
-
-
-def delta_field(coeffs):
-    """The discriminant as a symbolic field (for exact differentiation)."""
-    s = coeffs.a1212 + coeffs.a1122
-    return s * s - 4.0 * coeffs.a1112 * coeffs.a1222
 
 
 def _pencil_matrix(l11, l12, l22, theta):
@@ -401,7 +383,8 @@ def random_elliptic_tensor(rng, require_delta_positive=True):
         coeffs = ElasticityCoefficients.from_components(comp)
         if ellipticity_margin(coeffs, probe, 2) <= 0.01 * mu:
             continue
-        if require_delta_positive and hyperbolicity_delta(coeffs, 0.0, 0.0) <= 0.01:
+        hyper = reduce_system(coeffs).hyper
+        if require_delta_positive and discriminant(*hyper.principal_values(0.0, 0.0)) <= 0.01:
             continue
         return coeffs
     raise RuntimeError("failed to sample a strongly elliptic tensor")

@@ -23,7 +23,7 @@ from ucp2d.characteristics import (
 )
 from ucp2d.fields import parse
 from ucp2d.geometry import Rect
-from ucp2d.reduction import reduce_system, residual
+from ucp2d.reduction import discriminant, reduce_system, residual
 from ucp2d.riemann import (
     CauchyTraces,
     RiemannProvider,
@@ -34,11 +34,15 @@ from ucp2d.riemann import (
 from ucp2d.tensors import (
     ElasticityCoefficients,
     ellipticity_margin,
-    hyperbolicity_delta,
     random_elliptic_tensor,
 )
 
 OMEGA = Rect.square(0.0, 0.0, 0.3)
+
+
+def hyperbolicity_delta(coeffs, x, y):
+    """Delta of the reduced pair's hyperbolic member at a point."""
+    return discriminant(*reduce_system(coeffs).hyper.principal_values(x, y))
 
 
 def _verdict(name, failures):

@@ -18,6 +18,7 @@ from ucp2d.characteristics import (
     transfer_point_data,
     transform_system,
 )
+from ucp2d.cli import load_scenario, scenario_dir
 from ucp2d.fields import EvalDomainError, parse
 from ucp2d.geometry import Rect
 from ucp2d.reduction import reduce_system
@@ -305,6 +306,35 @@ def test_transform_system_reuses_the_probe_pullback(monkeypatch):
     transform_system(sys, cmap, REGION)
     assert callers["transform_system"] == 2
     assert callers["_choose_epsilon"] > 2
+
+
+def test_transformed_coefficients_keep_every_queried_grid():
+    # a grid queried again after 70 other points is not pulled back again
+    sc = load_scenario(scenario_dir() / "lame_lower_order.json")
+    sys = reduce_system(sc.coefficients)
+    cmap = build_map(sys, sc.omega, *sc.point)
+    calls = []
+
+    def counted(s, t, inverse=cmap.inverse):
+        calls.append((s, t))
+        return inverse(s, t)
+
+    tsys = transform_system(sys, dataclasses.replace(cmap, inverse=counted), sc.omega)
+    u = np.linspace(-tsys.epsilon, tsys.epsilon, 5)
+    sg, tg = np.meshgrid(u, u, indexing="ij")
+    tsys.a11(sg, tg)
+    for s in np.linspace(-tsys.epsilon, tsys.epsilon, 70):
+        tsys.b21(s, 0.0)
+    calls.clear()
+    tsys.c2(sg, tg)
+    assert calls == []
+
+
+@pytest.mark.parametrize("h", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0, 2.0),
+                               (1e-14, 1.0, 2.0), (3.0, 2.0, 1e-15), (0.0, -1.0, 1e-30)])
+def test_case_rule_agrees_on_a_point_and_a_constant_grid(h):
+    grid = [np.full((3, 3), v) for v in h]
+    assert ch._case(*h) == ch._case(*grid)
 
 
 MIRRORED_TENSOR = {

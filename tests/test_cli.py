@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ucp2d.cli import ScenarioFileError, _write_report, load_scenario, main, scenario_dir
-from ucp2d.pipeline import StageError
+from ucp2d.pipeline import StageError, expectations_for
 from ucp2d.tensors import random_elliptic_tensor
 
 BASE = {
@@ -269,6 +269,7 @@ def test_seed_changes_sweep_but_not_verdict(tmp_path):
     ("name", "sub/dir", "name"),
     ("lower_order", {"b121": "1 +* x"}, "lower_order.b121"),
     ("tensor", dict(BASE["tensor"], a1212=float("inf")), "tensor.a1212"),
+    ("grid", {"n": 1}, "grid"),
 ])
 def test_malformed_scenario_exits_two_naming_key(tmp_path, capsys, key, value, named):
     doc = json.loads((scenario_dir() / "lame_constant.json").read_text())
@@ -314,6 +315,36 @@ def golden_copy(tmp_path, stem, **overrides):
     path = tmp_path / f"{stem}.json"
     path.write_text(json.dumps(doc))
     return path
+
+
+@pytest.mark.parametrize("command, overrides, stage", [
+    ("run", {"grid": {"n": 9}, "tasks": ["nullspace"]}, "nullspace"),
+    ("run", {"grid": {"n": 3}}, "riemann"),
+    ("riemann", {"grid": {"n": 3}}, "riemann"),
+    ("run", {"tolerances": {"picard_tol": -1}}, "riemann"),
+    ("riemann", {"tolerances": {"picard_tol": 1e-300}}, "riemann"),
+    ("run", {"tolerances": {"conditions_n": 1}}, "conditions"),
+    # the base point x = 0 is outside the domain of log(x)
+    ("check", {"lower_order": {"b121": "log(x)"}, "point_data": [0.0, 0.0, 0.0, 0.0],
+               "point_data_second": "uxx"}, "ucp"),
+])
+def test_stage_error_names_the_stage(tmp_path, capsys, command, overrides, stage):
+    path = golden_copy(tmp_path, "lame_lower_order", **overrides)
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith(f"error: [{stage}]")
+
+
+def test_reduce_evaluates_only_the_principal_coefficients(tmp_path):
+    # log(x) fails on the left half of omega, but b121 is a lower-order
+    # coefficient, which neither the conditions nor the reduce stage reads
+    expect = json.loads((scenario_dir() / "lame_constant.json").read_text())["expect"]
+    tasks = ["conditions", "reduce"]
+    path = golden_copy(tmp_path, "lame_constant", lower_order={"b121": "log(x)"},
+                       tasks=tasks, expect=expectations_for(expect, tasks))
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "lame_constant.report.json").read_text())
+    assert report["reduce"]["rank_at_point"] == 2
 
 
 def test_check_tests_reduced_data_degenerate_for_every_point_data(tmp_path, capsys):

@@ -300,8 +300,6 @@ def test_kernel_step_validation():
     tsys = plain_system()
     prov = RiemannProvider(tsys, 65)
     with pytest.raises(ValueError):
-        kernel_PQ(tsys, prov, "s", [0.0], fd_step=prov.grid_step / 10)
-    with pytest.raises(ValueError):
         kernel_PQ(tsys, prov, "x", [0.0])
 
 

@@ -8,18 +8,22 @@ from ucp2d import fields
 from ucp2d.cli import load_scenario, scenario_dir
 from ucp2d.fields import ScalarField
 from ucp2d.geometry import Rect
+from ucp2d.reduction import discriminant, reduce_system
 from ucp2d.tensors import (
     ElasticityCoefficients,
     convexity_margin,
-    delta_field,
     ellipticity_margin,
-    hyperbolicity_delta,
     lambda_matrices,
     pencil_eigenpairs,
     random_elliptic_tensor,
 )
 
 UNIT = Rect.square(0.0, 0.0, 0.5)
+
+
+def hyperbolicity_delta(coeffs, x, y):
+    """Delta of the reduced pair's hyperbolic member at a point."""
+    return discriminant(*reduce_system(coeffs).hyper.principal_values(x, y))
 
 
 def constant_tensor(**kw):
@@ -287,11 +291,14 @@ def test_delta_field_matches_pointwise():
             "a1212": "2 + y^2", "a1222": "x/2", "a2222": "3",
         }
     )
-    f = delta_field(t)
+    f = discriminant(*reduce_system(t).hyper.coefficients()[:3])
     rng = np.random.default_rng(6)
     for _ in range(20):
         x, y = rng.uniform(-1, 1, 2)
-        assert f(x, y) == pytest.approx(hyperbolicity_delta(t, x, y), rel=1e-14)
+        s = t.a1212(x, y) + t.a1122(x, y)
+        want = s * s - 4.0 * t.a1112(x, y) * t.a1222(x, y)
+        assert f(x, y) == pytest.approx(want, rel=1e-14)
+        assert hyperbolicity_delta(t, x, y) == pytest.approx(want, rel=1e-14)
 
 
 # -- quadratic pencil ---------------------------------------------------
