@@ -242,27 +242,27 @@ def _pow(base, expo):
     base = np.asarray(base, dtype=float)
     expo = np.asarray(expo, dtype=float)
     frac = expo != np.floor(expo)
-    if np.any((base < 0.0) & frac):
+    if ((base < 0.0) & frac).any():
         raise EvalDomainError("negative base raised to a non-integer power")
-    if np.any((base == 0.0) & (expo < 0.0)):
+    if ((base == 0.0) & (expo < 0.0)).any():
         raise EvalDomainError("zero raised to a negative power")
     return np.power(base, expo)
 
 
 def _div(a, b):
-    if np.any(np.asarray(b) == 0.0):
+    if (np.asarray(b) == 0.0).any():
         raise EvalDomainError("division by zero")
     return a / b
 
 
 def _log(a):
-    if np.any(np.asarray(a) <= 0.0):
+    if (np.asarray(a) <= 0.0).any():
         raise EvalDomainError("log of a non-positive argument")
     return np.log(a)
 
 
 def _sqrt(a):
-    if np.any(np.asarray(a) < 0.0):
+    if (np.asarray(a) < 0.0).any():
         raise EvalDomainError("sqrt of a negative argument")
     return np.sqrt(a)
 

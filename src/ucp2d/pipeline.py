@@ -754,6 +754,28 @@ def point_data_mode(scenario, sys):
     return data, dict(entries, reduced_data_degenerate=False, a1222_at_point=a1222)
 
 
+def _kernel_table(tsys, provider, axis, nodes, step):
+    """Kernel rows of the trace equation on ``axis``: ``L R(sig, 0; .)`` at
+    ``(s, 0)`` (axis 's') or ``L R(0, sig; .)`` at ``(0, s)`` (axis 't'),
+    from one ``apply_L`` pass over the axis.  Row ``s`` holds only the
+    segment of ``sig`` between 0 and ``s`` that ``volterra_ivp``'s march
+    reads; the rest is NaN."""
+    zero = np.zeros_like(nodes)
+    at = (nodes, zero) if axis == "s" else (zero, nodes)
+    i0 = int(np.argmin(np.abs(nodes)))
+    segments = [np.arange(min(i, i0), max(i, i0) + 1) for i in range(len(nodes))]
+
+    def rows(xi, eta):
+        out = np.full((len(nodes), len(nodes)), np.nan)
+        for i, seg in enumerate(segments):
+            sig = nodes[seg]
+            point = (sig, 0.0) if axis == "s" else (0.0, sig)
+            out[i, seg] = provider.value(*point, xi[i], eta[i])
+        return out
+
+    return rm.apply_L(tsys, rows, at, step)
+
+
 def _run_ucp_stage(scenario, sys, cmap, tsys, provider):
     data, result = point_data_mode(scenario, sys)
     if data is None:
@@ -776,32 +798,32 @@ def _run_ucp_stage(scenario, sys, cmap, tsys, provider):
     eps = tsys.epsilon
     n_axis = provider.n
     nodes = np.linspace(-eps, eps, n_axis)
-    h = provider.grid_step
-    p_vals = rm.kernel_PQ(tsys, provider, "s", nodes)
-    q_vals = rm.kernel_PQ(tsys, provider, "t", nodes)
+    zero = np.zeros_like(nodes)
+    step = 2 * provider.grid_step  # apply_L's stencil step
+    # The chain reads each table between its parameter and the origin, and
+    # apply_L's one-sided second difference reaches two steps beyond that.
+    windows = rm.RiemannProvider(tsys, n_axis, provider.tol, reach=2 * step)
+    p_vals = rm.kernel_PQ(tsys, windows, "s", nodes)
+    q_vals = rm.kernel_PQ(tsys, windows, "t", nodes)
+    k_phi = _kernel_table(tsys, windows, "s", nodes, step)
+    k_psi = _kernel_table(tsys, windows, "t", nodes, step)
 
-    def kernel_phi(s, sig):
-        return rm.apply_L(
-            tsys, lambda xi, eta: provider.value(sig, 0.0, xi, eta), (s, 0.0), 2 * h
-        )
-
-    def kernel_psi(t, tau):
-        return rm.apply_L(
-            tsys, lambda xi, eta: provider.value(0.0, tau, xi, eta), (0.0, t), 2 * h
-        )
+    def by_node(values):
+        """The entry or row of ``values`` at a node of ``nodes``."""
+        return lambda s, *_: values[np.searchsorted(nodes, s)]
 
     _, phi = rm.volterra_ivp(
-        leading=lambda s: float(tsys.a11(s, 0.0)),
-        damping=lambda s: float(np.interp(s, nodes, p_vals)),
-        kernel=kernel_phi,
+        leading=by_node(tsys.a11(nodes, zero)),
+        damping=by_node(p_vals),
+        kernel=by_node(k_phi),
         forcing=lambda s: 0.0,
         interval=(-eps, eps),
         n=n_axis,
     )
     _, psi = rm.volterra_ivp(
-        leading=lambda t: float(tsys.a22(0.0, t)),
-        damping=lambda t: float(np.interp(t, nodes, q_vals)),
-        kernel=kernel_psi,
+        leading=by_node(tsys.a22(zero, nodes)),
+        damping=by_node(q_vals),
+        kernel=by_node(k_psi),
         forcing=lambda t: 0.0,
         interval=(-eps, eps),
         n=n_axis,
@@ -813,6 +835,6 @@ def _run_ucp_stage(scenario, sys, cmap, tsys, provider):
     probe = np.linspace(-eps, eps, 9)
     targets = [(s, t) for s in probe for t in probe]
 
-    vals = rm.represent_solution(tsys, provider, wdata.w, traces, targets)
+    vals = rm.represent_solution(tsys, windows, wdata.w, traces, targets)
     result["w_sup"] = float(np.max(np.abs(vals)))
     return result

@@ -48,13 +48,26 @@ _PICARD_MAX_ITER = 200  # Picard steps before a table is declared divergent
 _LEAD_FLOOR = 1e-12  # least admissible |A(s)| in volterra_ivp
 
 
-def _axis_nodes(eps, n, extra):
-    """Uniform nodes on [-eps, eps] augmented with one extra abscissa."""
-    nodes = np.linspace(-eps, eps, n)
-    if np.min(np.abs(nodes - extra)) > 1e-12 * max(eps, 1.0):
-        nodes = np.sort(np.append(nodes, extra))
-    idx = int(np.argmin(np.abs(nodes - extra)))
-    return nodes, idx
+def _window(eps, n, centre, reach):
+    """Nodes of one axis of a table's window: the ``n`` uniform nodes on
+    [-eps, eps] from ``reach`` below min(0, centre) to ``reach`` above
+    max(0, centre), augmented with ``centre`` when it is off that grid.
+    Returns the nodes, the index of ``centre`` among them, and the slice
+    of the uniform grid they are (None once augmented)."""
+    uniform = np.linspace(-eps, eps, n)
+    pad = 1e-12 * max(eps, 1.0)
+    lo, hi = min(0.0, centre) - reach - pad, max(0.0, centre) + reach + pad
+    cut = slice(int(np.searchsorted(uniform, lo)), int(np.searchsorted(uniform, hi, "right")))
+    nodes = uniform[cut]
+    if np.min(np.abs(nodes - centre)) > pad:
+        nodes, cut = np.sort(np.append(nodes, centre)), None
+    return nodes, int(np.argmin(np.abs(nodes - centre))), cut
+
+
+def _coefficient_grid(tsys, s_nodes, t_nodes):
+    """B12, B11 and C1 on the node grid ``s_nodes x t_nodes``."""
+    sg, tg = np.meshgrid(s_nodes, t_nodes, indexing="ij")
+    return tuple(np.broadcast_to(c(sg, tg), sg.shape) for c in (tsys.b12, tsys.b11, tsys.c1))
 
 
 @dataclass(frozen=True)
@@ -69,27 +82,34 @@ class RiemannTable:
     residual: float
 
     def value(self, s, t):
-        """Bilinear interpolation; exact on grid nodes."""
+        """Bilinear interpolation; exact on grid nodes.  A point outside
+        the table's nodes by more than 1e-12 raises ValueError."""
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
         scalar = s.ndim == 0 and t.ndim == 0
-        s, t = np.atleast_1d(s), np.atleast_1d(t)
-        s, t = np.broadcast_arrays(s, t)
-        i = np.clip(np.searchsorted(self.s_nodes, s) - 1, 0, len(self.s_nodes) - 2)
-        j = np.clip(np.searchsorted(self.t_nodes, t) - 1, 0, len(self.t_nodes) - 2)
+        s, t = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
+        outside = (
+            (s < self.s_nodes[0] - 1e-12) | (s > self.s_nodes[-1] + 1e-12)
+            | (t < self.t_nodes[0] - 1e-12) | (t > self.t_nodes[-1] + 1e-12)
+        )
+        if outside.any():
+            k = np.flatnonzero(outside)[0]
+            raise ValueError(
+                f"point ({s.flat[k]}, {t.flat[k]}) lies outside the Riemann table "
+                f"of parameter {self.parameter}"
+            )
+        # cell of each point among the strictly increasing nodes
+        i = np.searchsorted(self.s_nodes[1:-1], s)
+        j = np.searchsorted(self.t_nodes[1:-1], t)
         s0, s1 = self.s_nodes[i], self.s_nodes[i + 1]
         t0, t1 = self.t_nodes[j], self.t_nodes[j + 1]
-        ws = np.where(s1 > s0, (s - s0) / np.where(s1 > s0, s1 - s0, 1.0), 0.0)
-        wt = np.where(t1 > t0, (t - t0) / np.where(t1 > t0, t1 - t0, 1.0), 0.0)
-        v00 = self.values[i, j]
-        v10 = self.values[i + 1, j]
-        v01 = self.values[i, j + 1]
-        v11 = self.values[i + 1, j + 1]
+        ws = (s - s0) / (s1 - s0)
+        wt = (t - t0) / (t1 - t0)
         out = (
-            v00 * (1 - ws) * (1 - wt)
-            + v10 * ws * (1 - wt)
-            + v01 * (1 - ws) * wt
-            + v11 * ws * wt
+            self.values[i, j] * (1 - ws) * (1 - wt)
+            + self.values[i + 1, j] * ws * (1 - wt)
+            + self.values[i, j + 1] * (1 - ws) * wt
+            + self.values[i + 1, j + 1] * ws * wt
         )
         return float(out[0]) if scalar else out
 
@@ -120,12 +140,20 @@ def _cumulative_trapezoid(y, steps, axis):
     return out
 
 
-def solve_riemann(tsys, parameter, n, tol=1e-10):
-    """Fixed point of the Riemann integral equation on the square.
+def solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf, grid=None):
+    """Fixed point of the Riemann integral equation on the table's window.
 
-    ``n`` uniform nodes per axis (augmented with the parameter
-    abscissae when they fall off the uniform grid); iteration stops when
-    successive iterates differ by at most ``tol`` in sup norm.
+    The window is the rectangle of the ``n`` uniform nodes per axis that
+    the origin and the parameter span, widened by the distance ``reach``
+    on every side and clipped to the square (the whole square by
+    default); a parameter abscissa off the uniform grid is added as a
+    node.  R at a point depends only on the rectangle between the point
+    and the parameter, so on its window a table agrees with the whole
+    square's up to rounding and the stopping tolerance.
+    ``grid`` holds B12, B11 and C1 on the uniform ``n x n`` grid; a window
+    of uniform nodes is sliced from it, any other window is evaluated on
+    its own.  Iteration stops when successive iterates differ by at most
+    ``tol`` in sup norm.
     """
     if n < 9:
         raise ValueError("need at least 9 nodes per axis")
@@ -135,12 +163,12 @@ def solve_riemann(tsys, parameter, n, tol=1e-10):
     eps = tsys.epsilon
     if abs(xi) > eps + 1e-12 or abs(eta) > eps + 1e-12:
         raise ValueError("parameter point outside the working square")
-    s_nodes, i_xi = _axis_nodes(eps, n, xi)
-    t_nodes, j_eta = _axis_nodes(eps, n, eta)
-    sg, tg = np.meshgrid(s_nodes, t_nodes, indexing="ij")
-    b12 = np.broadcast_to(tsys.b12(sg, tg), sg.shape)
-    b11 = np.broadcast_to(tsys.b11(sg, tg), sg.shape)
-    c1 = np.broadcast_to(tsys.c1(sg, tg), sg.shape)
+    s_nodes, i_xi, s_cut = _window(eps, n, xi, reach)
+    t_nodes, j_eta, t_cut = _window(eps, n, eta, reach)
+    if grid is not None and s_cut is not None and t_cut is not None:
+        b12, b11, c1 = (g[s_cut, t_cut] for g in grid)
+    else:
+        b12, b11, c1 = _coefficient_grid(tsys, s_nodes, t_nodes)
     ds, dt = np.diff(s_nodes)[:, None], np.diff(t_nodes)[None, :]
 
     def picard(r):
@@ -154,7 +182,7 @@ def solve_riemann(tsys, parameter, n, tol=1e-10):
         int_st = dd - dd[i_xi, :][None, :]
         return 1.0 + int_s + int_t - int_st
 
-    r = np.ones_like(sg)
+    r = np.ones(b12.shape)
     diff = np.inf
     for it in range(1, _PICARD_MAX_ITER + 1):
         r_new = picard(r)
@@ -178,19 +206,30 @@ def solve_riemann(tsys, parameter, n, tol=1e-10):
 
 
 class RiemannProvider:
-    """Memoised Riemann tables keyed by parameter point."""
+    """Memoised Riemann tables keyed by parameter point.
 
-    def __init__(self, tsys, n, tol=1e-10):
+    Each table is solved on its window of ``reach`` (see
+    :func:`solve_riemann`; the whole square by default), with B12, B11
+    and C1 evaluated once on the uniform ``n x n`` grid: on a traced map
+    every evaluation at new points is a pullback.
+    """
+
+    def __init__(self, tsys, n, tol=1e-10, reach=np.inf):
         self.tsys = tsys
         self.n = n
         self.tol = tol
+        self.reach = reach
         self._cache = {}
+        self._grid = None
 
     def table(self, parameter):
         key = (round(float(parameter[0]), 14), round(float(parameter[1]), 14))
         tab = self._cache.get(key)
         if tab is None:
-            tab = solve_riemann(self.tsys, key, self.n, self.tol)
+            if self._grid is None:
+                nodes = np.linspace(-self.tsys.epsilon, self.tsys.epsilon, self.n)
+                self._grid = _coefficient_grid(self.tsys, nodes, nodes)
+            tab = solve_riemann(self.tsys, key, self.n, self.tol, self.reach, self._grid)
             self._cache[key] = tab
         return tab
 
@@ -272,22 +311,27 @@ def represent_solution(tsys, provider, w00, traces, targets):
     return out
 
 
-def _fd1(f, x, d, lo, hi):
-    """Second-order first derivative with one-sided fallback at bounds."""
-    if x - d < lo:
-        return (-3 * f(x) + 4 * f(x + d) - f(x + 2 * d)) / (2 * d)
-    if x + d > hi:
-        return (3 * f(x) - 4 * f(x - d) + f(x - 2 * d)) / (2 * d)
-    return (f(x + d) - f(x - d)) / (2 * d)
+# First-derivative weights, times 2 d, on the points x + (shift + m) d for
+# m = -1, 0, 1; rows are shift -1 (backward), 0 (central), 1 (forward).
+_D1 = np.array([[1.0, -4.0, 3.0], [-1.0, 0.0, 1.0], [-3.0, 4.0, -1.0]])
 
 
-def _fd2(f, x, d, lo, hi):
-    """Second derivative; shifts to a one-sided stencil at the bounds."""
-    if x - d < lo:
-        return (f(x) - 2 * f(x + d) + f(x + 2 * d)) / d**2
-    if x + d > hi:
-        return (f(x) - 2 * f(x - d) + f(x - 2 * d)) / d**2
-    return (f(x + d) - 2 * f(x) + f(x - d)) / d**2
+def _stencils(x, d, lo, hi):
+    """Three-point stencils of step ``d`` at each ``x``: central, shifted
+    one-sided where a central one would leave [lo, hi].
+
+    Returns the points ``x + (shift + m) d`` for m = -1, 0, 1, and on
+    them the weights of the value at ``x``, of the second-order first
+    derivative and of the second derivative, each of shape
+    ``(3,) + x.shape``.
+    """
+    x, d = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(d, dtype=float))
+    shift = np.where(x - d < lo, 1, np.where(x + d > hi, -1, 0))
+    column = (3,) + (1,) * x.ndim
+    offsets = shift + np.arange(-1, 2).reshape(column)
+    d1 = np.moveaxis(_D1[shift + 1], -1, 0) / (2 * d)
+    d2 = np.array([1.0, -2.0, 1.0]).reshape(column) / d**2
+    return x + offsets * d, (offsets == 0).astype(float), d1, np.broadcast_to(d2, d1.shape)
 
 
 def kernel_PQ(tsys, provider, axis, nodes):
@@ -298,7 +342,7 @@ def kernel_PQ(tsys, provider, axis, nodes):
     on the other axis.  Evaluation-point derivatives are differenced on
     the stored grid; parameter derivatives re-solve at perturbed
     parameter points at most two grid steps away (memoised by the
-    provider).
+    provider).  The coefficients are evaluated once on the node array.
     """
     if axis not in ("s", "t"):
         raise ValueError("axis must be 's' or 't'")
@@ -308,52 +352,58 @@ def kernel_PQ(tsys, provider, axis, nodes):
         lead, damp, pair = tsys.a11, tsys.b21, lambda a, b: (a, b)
     else:
         lead, damp, pair = tsys.a22, tsys.b22, lambda a, b: (b, a)
-    out = np.empty(len(nodes))
-    for k, v in enumerate(np.asarray(nodes, dtype=float)):
-        here = pair(v, 0.0)
-        tab = provider.table(here)
-        a_lead = float(lead(*here))
-        a12 = float(tsys.a12(*here))
-        b_damp = float(damp(*here))
-        r_here = tab.value(*here)  # equals 1 by construction
-        d_eval = _fd1(lambda z: tab.value(*pair(z, 0.0)), v, h, -eps, eps)
-        d_cross = _fd1(lambda z: tab.value(*pair(v, z)), 0.0, h, -eps, eps)
-        d_param = _fd1(
-            lambda z: provider.table(pair(z, 0.0)).value(*here),
-            v, min(2 * h, max(eps - abs(v), h)), -eps, eps,
-        )
-        out[k] = a_lead * (d_eval + 2 * d_param) + 2 * a12 * d_cross + b_damp * r_here
-    return out
+    v = np.asarray(nodes, dtype=float)
+    here = pair(v, np.zeros_like(v))
+    a_lead, a12, b_damp = (np.asarray(c(*here), dtype=float) for c in (lead, tsys.a12, damp))
+    along, _, d_along, _ = _stencils(v, h, -eps, eps)
+    across, _, d_across, _ = _stencils(np.zeros_like(v), h, -eps, eps)
+    step = np.minimum(2 * h, np.maximum(eps - np.abs(v), h))
+    params, _, d_params, _ = _stencils(v, step, -eps, eps)
+    # R(., .; here) along and across the axis, and R(here; .) along it
+    r_here, r_along, r_across, r_params = (np.empty_like(a) for a in (v, along, along, along))
+    for k, vk in enumerate(v):
+        tab = provider.table(pair(vk, 0.0))
+        r_here[k] = tab.value(*pair(vk, 0.0))  # equals 1 by construction
+        r_along[:, k] = tab.value(*pair(along[:, k], 0.0))
+        r_across[:, k] = tab.value(*pair(vk, across[:, k]))
+        r_params[:, k] = [provider.table(pair(z, 0.0)).value(*pair(vk, 0.0)) for z in params[:, k]]
+    d_eval = np.sum(d_along * r_along, axis=0)
+    d_cross = np.sum(d_across * r_across, axis=0)
+    d_param = np.sum(d_params * r_params, axis=0)
+    return a_lead * (d_eval + 2 * d_param) + 2 * a12 * d_cross + b_damp * r_here
 
 
 def apply_L(tsys, f, at, step):
     """Apply the elliptic operator in the parameter variables.
 
     ``f`` is a callable of the parameter pair; ``at = (xi0, eta0)`` is
-    where the derivatives are taken.  Near the edges of the square the
-    stencils shift one-sided rather than leaving it.  ``f`` may return R
-    on a row of evaluation points: the stencils are linear, so each entry
-    is what a scalar call gives.
+    where the derivatives are taken, a point or arrays of points.  Near
+    the edges of the square the stencils shift one-sided rather than
+    leaving it.  The operator is one weighted sum of ``f`` on the nine
+    points of the stencils in both directions, and the coefficients are
+    evaluated once, on ``at``.  ``f`` takes arrays of the shape of
+    ``at`` and returns values whose leading axes have that shape; it may
+    return R on a row of evaluation points after them: the stencils are
+    linear, so each entry is what a scalar call gives.
     """
     lo, hi = -tsys.epsilon, tsys.epsilon
     xi0, eta0 = at
-    a11 = float(tsys.a11(xi0, eta0))
-    a12 = float(tsys.a12(xi0, eta0))
-    a22 = float(tsys.a22(xi0, eta0))
-    b21 = float(tsys.b21(xi0, eta0))
-    b22 = float(tsys.b22(xi0, eta0))
-    c2 = float(tsys.c2(xi0, eta0))
-
-    fxx = _fd2(lambda z: f(z, eta0), xi0, step, lo, hi)
-    fyy = _fd2(lambda z: f(xi0, z), eta0, step, lo, hi)
-    fx = _fd1(lambda z: f(z, eta0), xi0, step, lo, hi)
-    fy = _fd1(lambda z: f(xi0, z), eta0, step, lo, hi)
-    fxy = _fd1(
-        lambda z: _fd1(lambda zz: f(zz, z), xi0, step, lo, hi), eta0, step, lo, hi
+    a11, a12, a22, b21, b22, c2 = (
+        np.asarray(c(xi0, eta0), dtype=float)
+        for c in (tsys.a11, tsys.a12, tsys.a22, tsys.b21, tsys.b22, tsys.c2)
     )
-    return (
-        a11 * fxx + 2 * a12 * fxy + a22 * fyy + b21 * fx + b22 * fy + c2 * f(xi0, eta0)
-    )
+    xs, ex, d1x, d2x = _stencils(xi0, step, lo, hi)
+    ys, ey, d1y, d2y = _stencils(eta0, step, lo, hi)
+    out = 0.0
+    for m in range(3):
+        for k in range(3):
+            w = (
+                a11 * d2x[m] * ey[k] + 2 * a12 * d1x[m] * d1y[k] + a22 * ex[m] * d2y[k]
+                + b21 * d1x[m] * ey[k] + b22 * ex[m] * d1y[k] + c2 * ex[m] * ey[k]
+            )
+            vals = np.asarray(f(xs[m], ys[k]), dtype=float)
+            out = out + w.reshape(w.shape + (1,) * (vals.ndim - w.ndim)) * vals
+    return out
 
 
 def volterra_ivp(leading, damping, kernel, forcing, interval, n):

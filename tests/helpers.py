@@ -148,3 +148,103 @@ def trace_family(m_field, x0, y0, bounds, mirrored, x, y):
         v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
     check(np.full_like(b, a_ref), b)
     return b - ref, v
+
+
+# -- the scalar kernel path: one table read and one coefficient lookup at a time
+
+
+def _fd1(f, x, d, lo, hi):
+    """Second-order first derivative with one-sided fallback at bounds."""
+    if x - d < lo:
+        return (-3 * f(x) + 4 * f(x + d) - f(x + 2 * d)) / (2 * d)
+    if x + d > hi:
+        return (3 * f(x) - 4 * f(x - d) + f(x - 2 * d)) / (2 * d)
+    return (f(x + d) - f(x - d)) / (2 * d)
+
+
+def _fd2(f, x, d, lo, hi):
+    """Second derivative; shifts to a one-sided stencil at the bounds."""
+    if x - d < lo:
+        return (f(x) - 2 * f(x + d) + f(x + 2 * d)) / d**2
+    if x + d > hi:
+        return (f(x) - 2 * f(x - d) + f(x - 2 * d)) / d**2
+    return (f(x + d) - 2 * f(x) + f(x - d)) / d**2
+
+
+def scalar_kernel_PQ(tsys, provider, axis, nodes):
+    """P(s, 0) or Q(0, t) node by node, with point coefficients and
+    nested scalar difference quotients: the reference for
+    ``ucp2d.riemann.kernel_PQ``."""
+    eps = tsys.epsilon
+    h = provider.grid_step
+    if axis == "s":
+        lead, damp, pair = tsys.a11, tsys.b21, lambda a, b: (a, b)
+    else:
+        lead, damp, pair = tsys.a22, tsys.b22, lambda a, b: (b, a)
+    out = np.empty(len(nodes))
+    for k, v in enumerate(np.asarray(nodes, dtype=float)):
+        here = pair(v, 0.0)
+        tab = provider.table(here)
+        d_eval = _fd1(lambda z: tab.value(*pair(z, 0.0)), v, h, -eps, eps)
+        d_cross = _fd1(lambda z: tab.value(*pair(v, z)), 0.0, h, -eps, eps)
+        d_param = _fd1(
+            lambda z: provider.table(pair(z, 0.0)).value(*here),
+            v, min(2 * h, max(eps - abs(v), h)), -eps, eps,
+        )
+        out[k] = (float(lead(*here)) * (d_eval + 2 * d_param)
+                  + 2 * float(tsys.a12(*here)) * d_cross
+                  + float(damp(*here)) * tab.value(*here))
+    return out
+
+
+def scalar_apply_L(tsys, f, at, step):
+    """The parameter-space elliptic operator at one point, from nested
+    scalar difference quotients: the reference for
+    ``ucp2d.riemann.apply_L``."""
+    lo, hi = -tsys.epsilon, tsys.epsilon
+    xi0, eta0 = at
+    fxx = _fd2(lambda z: f(z, eta0), xi0, step, lo, hi)
+    fyy = _fd2(lambda z: f(xi0, z), eta0, step, lo, hi)
+    fx = _fd1(lambda z: f(z, eta0), xi0, step, lo, hi)
+    fy = _fd1(lambda z: f(xi0, z), eta0, step, lo, hi)
+    fxy = _fd1(lambda z: _fd1(lambda zz: f(zz, z), xi0, step, lo, hi), eta0, step, lo, hi)
+    return (
+        float(tsys.a11(xi0, eta0)) * fxx + 2 * float(tsys.a12(xi0, eta0)) * fxy
+        + float(tsys.a22(xi0, eta0)) * fyy + float(tsys.b21(xi0, eta0)) * fx
+        + float(tsys.b22(xi0, eta0)) * fy + float(tsys.c2(xi0, eta0)) * f(xi0, eta0)
+    )
+
+
+def scalar_kernel_table(tsys, provider, axis, nodes, step):
+    """Kernel rows of the trace equation on ``axis`` over all of
+    ``nodes``, one scalar ``apply_L`` call per row on tables of the whole
+    square: the reference for the ucp stage's kernel tables."""
+    rows = []
+    for s in nodes:
+        if axis == "s":
+            rows.append(scalar_apply_L(
+                tsys, lambda xi, eta: provider.value(nodes, 0.0, xi, eta), (s, 0.0), step))
+        else:
+            rows.append(scalar_apply_L(
+                tsys, lambda xi, eta: provider.value(0.0, nodes, xi, eta), (0.0, s), step))
+    return np.array(rows)
+
+
+def bilinear(table, s, t):
+    """Bilinear interpolation in a Riemann table, clamped to its end cells
+    and extrapolated linearly beyond them: the reference for
+    ``RiemannTable.value`` inside the table."""
+    s, t = np.broadcast_arrays(np.atleast_1d(np.asarray(s, dtype=float)),
+                               np.atleast_1d(np.asarray(t, dtype=float)))
+    i = np.clip(np.searchsorted(table.s_nodes, s) - 1, 0, len(table.s_nodes) - 2)
+    j = np.clip(np.searchsorted(table.t_nodes, t) - 1, 0, len(table.t_nodes) - 2)
+    s0, s1 = table.s_nodes[i], table.s_nodes[i + 1]
+    t0, t1 = table.t_nodes[j], table.t_nodes[j + 1]
+    ws = np.where(s1 > s0, (s - s0) / np.where(s1 > s0, s1 - s0, 1.0), 0.0)
+    wt = np.where(t1 > t0, (t - t0) / np.where(t1 > t0, t1 - t0, 1.0), 0.0)
+    return (
+        table.values[i, j] * (1 - ws) * (1 - wt)
+        + table.values[i + 1, j] * ws * (1 - wt)
+        + table.values[i, j + 1] * (1 - ws) * wt
+        + table.values[i + 1, j + 1] * ws * wt
+    )

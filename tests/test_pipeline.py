@@ -1,10 +1,15 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from ucp2d import characteristics as ch
 from ucp2d import pipeline as pl
+from ucp2d import riemann as rm
+from ucp2d.characteristics import TransformedSystem
+from ucp2d.cli import load_scenario, scenario_dir
 from ucp2d.fields import parse
 from ucp2d.geometry import Rect
 from ucp2d.pipeline import (
@@ -506,3 +511,53 @@ def test_scenario_validation():
             omega=OMEGA,
             tasks=("nope",),
         )
+
+
+# -- the ucp stage's vanishing chain ----------------------------------------
+
+
+def test_kernel_rows_hold_only_the_segment_the_march_reads():
+    tsys = TransformedSystem.from_constants(
+        b11=lambda s, t: 0.3 + 0.2 * s * t, b12=-0.2, c1=lambda s, t: 0.5 + 0.3 * s,
+        a12=0.2, a22=2.0, b21=0.4, b22=-0.3, c2=0.6,
+    )
+    n = 33
+    prov = rm.RiemannProvider(tsys, n, reach=4 * 2 * tsys.epsilon / (n - 1))
+    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
+    for axis in ("s", "t"):
+        k = pl._kernel_table(tsys, prov, axis, nodes, 2 * prov.grid_step)
+        i0 = n // 2
+        for i in range(n):
+            read = np.zeros(n, dtype=bool)
+            read[min(i, i0):max(i, i0) + 1] = True
+            assert np.all(np.isfinite(k[i, read])) and np.all(np.isnan(k[i, ~read]))
+        filled = np.where(np.isnan(k), 1e300, k)
+        traces = []
+        for table in (k, filled):
+            _, u = rm.volterra_ivp(
+                leading=lambda s: 1.0 + 0.1 * s, damping=lambda s: 0.3,
+                kernel=lambda s, sig, table=table: table[np.searchsorted(nodes, s)],
+                forcing=np.cos, interval=(-tsys.epsilon, tsys.epsilon), n=n,
+            )
+            traces.append(u)
+        assert np.all(np.isfinite(traces[0])) and np.max(np.abs(traces[0])) > 0.1
+        assert traces[0].tobytes() == traces[1].tobytes()
+
+
+def test_ucp_stage_evaluates_the_coefficients_once_per_axis():
+    # one pullback for the grid the windows are sliced from, one per axis
+    sc = load_scenario(scenario_dir() / "lame_lower_order.json")
+    sys = reduce_system(sc.coefficients)
+    cmap = ch.build_map(sys, sc.omega, *sc.point)
+    calls = []
+
+    def counted(s, t, inverse=cmap.inverse):
+        calls.append(np.shape(s))
+        return inverse(s, t)
+
+    tsys = ch.transform_system(sys, dataclasses.replace(cmap, inverse=counted), sc.omega)
+    calls.clear()
+    with pl.stage("ucp"):
+        result = pl._run_ucp_stage(sc, sys, cmap, tsys, pl.riemann_provider(sc, tsys))
+    assert result["w_sup"] == 0.0
+    assert sorted(calls) == [(65,), (65,), (65, 65)]

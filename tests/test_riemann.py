@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 from scipy.special import j0
 
-from helpers import hyperbolic_bessel_series, hyperbolic_bessel_series_d
+from helpers import (
+    bilinear,
+    hyperbolic_bessel_series,
+    hyperbolic_bessel_series_d,
+    scalar_apply_L,
+    scalar_kernel_PQ,
+    scalar_kernel_table,
+)
 from ucp2d import pipeline as pl
 from ucp2d import riemann as rm
 from ucp2d.characteristics import TransformedSystem
@@ -91,8 +98,8 @@ def test_cumulative_trapezoid_matches_scipy_bit_for_bit():
     from scipy.integrate import cumulative_trapezoid
 
     rng = np.random.default_rng(3)
-    s_nodes, _ = rm._axis_nodes(0.25, 33, 0.013)  # augmented: not uniform
-    t_nodes, _ = rm._axis_nodes(0.25, 33, -0.2071)
+    s_nodes = rm._window(0.25, 33, 0.013, np.inf)[0]  # augmented: not uniform
+    t_nodes = rm._window(0.25, 33, -0.2071, np.inf)[0]
     assert len(s_nodes) == len(t_nodes) == 34
     y = rng.standard_normal((len(s_nodes), len(t_nodes)))
     for axis, nodes in ((0, s_nodes), (1, t_nodes)):
@@ -172,6 +179,58 @@ def test_lower_order_golden_table_matches_bessel_oracle():
     ref = np.exp(b12 * sg + b11 * tg) * hyperbolic_bessel_series((c1 - b11 * b12) * sg * tg)
     assert np.max(np.abs(ref - 1.0)) > 0.1
     assert np.max(np.abs(tab.values - ref)) <= 1e-6
+
+
+# -- windows: each table solved only where the chain reads it -----------------
+
+
+def variable_system():
+    """Variable B, C and elliptic coefficients, so that R is not 1."""
+    return plain_system(
+        b11=lambda s, t: 0.3 + 0.2 * s * t, b12=lambda s, t: -0.2 + 0.1 * np.sin(t),
+        c1=lambda s, t: 0.5 + 0.3 * s, a11=lambda s, t: 1.0 + 0.1 * s, a12=0.2,
+        a22=lambda s, t: 2.0 + 0.1 * t, b21=0.4, b22=-0.3,
+        c2=lambda s, t: 0.6 + 0.0 * s,
+    )
+
+
+@pytest.mark.parametrize("parameter", [(0.0, 0.0), (0.25, -0.125), (-0.5, 0.5),
+                                       (0.1, 0.0), (0.37, -0.11)])
+def test_windowed_table_equals_the_whole_square_on_its_window(parameter):
+    # on-grid and augmented parameters, one at a corner of the square
+    tsys = variable_system()
+    reach = 4 * 2 * tsys.epsilon / 64
+    win = RiemannProvider(tsys, 65, reach=reach).table(parameter)
+    full = solve_riemann(tsys, parameter, 65)
+    assert win.values.size < full.values.size
+    lo = [min(0.0, p) - reach - 1e-12 for p in parameter]
+    hi = [max(0.0, p) + reach + 1e-12 for p in parameter]
+    for nodes, a, b in ((win.s_nodes, lo[0], hi[0]), (win.t_nodes, lo[1], hi[1])):
+        assert set(nodes) <= set(full.s_nodes) | set(full.t_nodes)
+        assert nodes[0] >= max(a, -tsys.epsilon) and nodes[-1] <= min(b, tsys.epsilon)
+    sg, tg = np.meshgrid(win.s_nodes, win.t_nodes, indexing="ij")
+    assert np.max(np.abs(win.values - full.value(sg, tg))) <= 10 * 1e-10
+
+
+def test_value_outside_a_window_raises_and_reads_inside_keep_their_bits():
+    tsys = variable_system()
+    tab = RiemannProvider(tsys, 65, reach=4 / 64).table((0.1, 0.0))
+    eps = tsys.epsilon
+    message = r"point \(-0.5, 0.2\) lies outside the Riemann table of parameter \(0.1, 0.0\)"
+    with pytest.raises(ValueError, match=message):
+        tab.value(-eps, 0.2)
+    with pytest.raises(pl.StageError, match=r"^\[ucp\] " + message):
+        with pl.stage("ucp"):
+            tab.value(np.array([0.0, -eps]), np.array([0.0, 0.2]))
+    with pytest.raises(ValueError):
+        tab.value(tab.s_nodes[-1] + 1e-9, 0.0)
+    rng = np.random.default_rng(4)
+    s = np.concatenate([tab.s_nodes, rng.uniform(tab.s_nodes[0], tab.s_nodes[-1], 50),
+                        [tab.s_nodes[0] - 1e-13, tab.s_nodes[-1] + 1e-13]])
+    t = np.concatenate([np.zeros(len(tab.s_nodes)),
+                        rng.uniform(tab.t_nodes[0], tab.t_nodes[-1], 52)])
+    assert tab.value(s, t).tobytes() == bilinear(tab, s, t).tobytes()
+    assert tab.value(0.1, 0.0) == 1.0
 
 
 # -- representation formula ------------------------------------------------
@@ -303,6 +362,45 @@ def test_kernel_step_validation():
         kernel_PQ(tsys, prov, "x", [0.0])
 
 
+def oracle_cases():
+    sc = load_scenario(scenario_dir() / "lame_lower_order.json")
+    _, tsys = pl.characteristics(sc, reduce_system(sc.coefficients))
+    yield pytest.param(tsys, pl.riemann_provider(sc, tsys).n, id="lame_lower_order")
+    yield pytest.param(variable_system(), 33, id="plain_variable")
+
+
+@pytest.mark.parametrize("tsys, n", oracle_cases())
+def test_kernels_on_windows_match_the_scalar_oracle(tsys, n):
+    # P, Q and both kernel tables of the ucp stage against the node-by-node
+    # path on tables of the whole square
+    full = RiemannProvider(tsys, n)
+    h = full.grid_step
+    windows = RiemannProvider(tsys, n, reach=4 * h)
+    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
+    assert np.max(np.abs(windows.table((0.0, 0.0)).values - 1.0)) > 1e-3
+    for axis in ("s", "t"):
+        p = kernel_PQ(tsys, windows, axis, nodes)
+        assert np.max(np.abs(p - scalar_kernel_PQ(tsys, full, axis, nodes))) <= 1e-8
+        k = pl._kernel_table(tsys, windows, axis, nodes, 2 * h)
+        ref = scalar_kernel_table(tsys, full, axis, nodes, 2 * h)
+        read = ~np.isnan(k)
+        assert np.max(np.abs(ref)) > 0.1
+        assert np.max(np.abs(k[read] - ref[read])) <= 1e-8
+    assert sum(t.values.size for t in windows._cache.values()) < 0.25 * sum(
+        t.values.size for t in full._cache.values())
+
+
+def test_kernel_PQ_off_the_grid_on_windows_matches_the_whole_square():
+    # nodes off the uniform grid: every table has its own augmented window
+    tsys = variable_system()
+    full = RiemannProvider(tsys, 65)
+    windows = RiemannProvider(tsys, 65, reach=4 * full.grid_step)
+    nodes = np.linspace(-0.5, 0.5, 11)
+    for axis in ("s", "t"):
+        p = kernel_PQ(tsys, windows, axis, nodes)
+        assert np.max(np.abs(p - kernel_PQ(tsys, full, axis, nodes))) <= 1e-8
+
+
 # -- parameter-space elliptic operator --------------------------------------
 
 
@@ -369,6 +467,26 @@ def test_apply_L_on_a_row_matches_entrywise_calls():
         ]
         assert row.shape == nodes.shape
         np.testing.assert_allclose(row, entries, rtol=1e-14, atol=0.0)
+
+
+def test_apply_L_on_an_axis_matches_the_scalar_oracle():
+    # one call at all the nodes of an axis, rows of evaluation points after them
+    tsys = variable_system()
+    prov = RiemannProvider(tsys, 33)
+    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, prov.n)
+    step = 2 * prov.grid_step
+    zero = np.zeros_like(nodes)
+
+    def rows(xi, eta):
+        return np.array([prov.value(nodes, 0.0, x, e) for x, e in zip(xi, eta)])
+
+    got = apply_L(tsys, rows, (nodes, zero), step)
+    ref = np.array([
+        scalar_apply_L(tsys, lambda xi, eta: prov.value(nodes, 0.0, xi, eta), (s, 0.0), step)
+        for s in nodes
+    ])
+    assert got.shape == (prov.n, prov.n)
+    np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-10)
 
 
 # -- Volterra integro-differential IVP --------------------------------------
