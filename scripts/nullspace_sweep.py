@@ -6,12 +6,20 @@ Absolute values in the ladder separate three regimes: rounding-level
 exact solutions, h^4-truncation images of smooth solutions under the
 fourth-order stencils, and h-independent structural defects of
 nearly-admissible discrete modes.
+
+Each grid is solved in a fresh process, one at a time, which prints the
+solve's wall time, the part of it spent in the banded QR factor, and the
+process's peak resident memory (interpreter and imports included).
 """
 
 import argparse
+import resource
+import time
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 
 from ucp2d import cli
-from ucp2d.pipeline import null_space_dimension
+from ucp2d import pipeline as pl
 from ucp2d.reduction import reduce_system
 
 FAMILY_SCENARIOS = (
@@ -23,6 +31,27 @@ FAMILY_SCENARIOS = (
 )
 
 
+def _solve(stem, n, threshold):
+    """The null-space result of ``stem`` on an ``n x n`` grid, its wall
+    time, its factor time and the process's peak RSS in MB."""
+    sc = cli.load_scenario(cli.scenario_dir() / f"{stem}.json")
+    factor, factor_s = pl._banded_r, []
+
+    def timed_factor(a):
+        start = time.perf_counter()
+        try:
+            return factor(a)
+        finally:
+            factor_s.append(time.perf_counter() - start)
+
+    pl._banded_r = timed_factor  # this process solves one grid and exits
+    start = time.perf_counter()
+    res = pl.null_space_dimension(reduce_system(sc.coefficients), sc.omega, n, threshold)
+    wall = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    return res, wall, sum(factor_s), peak_mb
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, nargs="+", default=[65],
@@ -31,11 +60,13 @@ def main():
                     help="override the per-scenario detection threshold")
     ap.add_argument("--scenarios", nargs="+", default=list(FAMILY_SCENARIOS))
     args = ap.parse_args()
+    spawn = get_context("spawn")
     for stem in args.scenarios:
         sc = cli.load_scenario(cli.scenario_dir() / f"{stem}.json")
         thr = args.threshold or sc.tolerances.nullspace_threshold
         for n in args.n:
-            res = null_space_dimension(reduce_system(sc.coefficients), sc.omega, n, thr)
+            with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+                res, wall, factor_s, peak_mb = pool.submit(_solve, stem, n, thr).result()
             flag = " (ambiguous)" if res.ambiguous else ""
             print(f"{stem}: n={n} threshold={thr:g}")
             print(f"  dimension={res.dimension} gap={res.gap:.3g}{flag} "
@@ -44,6 +75,7 @@ def main():
             absolute = " ".join(f"{v * res.sigma_max:.2e}" for v in res.smallest[:8])
             print(f"  smallest relative sigmas: {relative}")
             print(f"  smallest absolute sigmas: {absolute}")
+            print(f"  wall {wall:.2f} s (factor {factor_s:.2f} s), peak RSS {peak_mb:.0f} MB")
 
 
 if __name__ == "__main__":

@@ -15,12 +15,12 @@ from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from math import factorial
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.linalg.lapack import dtbtrs
+from scipy.linalg.lapack import dtbtrs, dtpqrt
 from scipy.sparse.linalg import svds
 
 from ucp2d import characteristics as ch
@@ -105,10 +105,14 @@ class Scenario:
 # -- finite-difference discretisation of the pair -------------------------
 
 
+@cache
 def _fd_weights(offsets, deriv):
     """Exact weights ``w`` with ``sum_k w_k p(o_k) = p^(deriv)(0)`` for every
     polynomial ``p`` of degree below ``len(offsets)`` (Lagrange basis
-    derivatives in rational arithmetic, rounded once at the end)."""
+    derivatives in rational arithmetic, rounded once at the end).
+
+    ``offsets`` is a tuple, the cache key; the weights come back as a tuple.
+    """
     offsets = [Fraction(o) for o in offsets]
     weights = []
     for k, ok in enumerate(offsets):
@@ -117,7 +121,7 @@ def _fd_weights(offsets, deriv):
             if j != k:
                 poly = [(s - oj * c) / (ok - oj) for s, c in zip([0] + poly, poly + [0])]
         weights.append(float(poly[deriv] * factorial(deriv)))
-    return weights
+    return tuple(weights)
 
 
 def _fd_matrix(n, h, deriv):
@@ -126,13 +130,14 @@ def _fd_matrix(n, h, deriv):
     Five-point central rows inside; the two rows nearest each end use
     one-sided stencils of ``deriv + 4`` nodes, also fourth order.
     """
-    mat = sp.diags(_fd_weights(range(-2, 3), deriv), range(-2, 3), shape=(n, n)).toarray()
+    central = tuple(range(-2, 3))
+    mat = sp.diags(_fd_weights(central, deriv), central, shape=(n, n)).toarray()
     width = deriv + 4
     for i in (0, 1):
         mat[i] = 0.0
-        mat[i, :width] = _fd_weights(range(-i, width - i), deriv)
+        mat[i, :width] = _fd_weights(tuple(range(-i, width - i)), deriv)
         mat[-1 - i] = 0.0
-        mat[-1 - i, -width:] = _fd_weights(range(i + 1 - width, i + 1), deriv)
+        mat[-1 - i, -width:] = _fd_weights(tuple(range(i + 1 - width, i + 1)), deriv)
     return sp.csr_matrix(mat / h**deriv)
 
 
@@ -197,6 +202,12 @@ def _assemble_operator(sys, region, n):
 _RITZ_GUARD = 8
 # Smallest singular values a NullSpaceResult keeps (more when the dimension needs them).
 _K_REPORT = 12
+# Column block of the compact WY reflectors in each ``dtpqrt`` call: 16 to 32
+# time alike at n = 65 and 129; one block of the whole window took forty
+# times as long at n = 65.
+_TPQRT_BLOCK = 32
+# Inverse iteration steps before an unconverged block is an error.
+_INVERSE_ITERATION_CAP = 100
 
 
 @dataclass(frozen=True)
@@ -233,31 +244,33 @@ def _banded_r(a_sparse):
 
     With rows sorted by leading column, row ``i`` of R is a combination of
     rows leading at or before column ``i``, so R has the rows' bandwidth
-    ``w`` (Golub & Van Loan, *Matrix Computations*, 5.7).  Householder QR
-    then slides along the diagonal in panels of ``w`` columns: each dense
-    block holds the rows left over from the previous panel plus the rows
-    leading inside the panel, over the ``2 w`` columns they can reach.
-    Its first ``w`` rows of R are final; the rest carry over.
+    ``w`` (Golub & Van Loan, *Matrix Computations*, 5.7).  The rows of R
+    not yet final live in a ``(w + p) x (w + p)`` upper-triangular window
+    that slides down the diagonal ``p = max(w // 4, 1)`` columns at a time.
+    Each step appends the rows leading inside the next ``p`` columns with
+    one triangular-pentagonal QR (``dtpqrt``, which leaves the window's
+    zero triangle alone), emits the window's first ``p`` rows as final
+    rows of R and shifts the window by ``p``.
     """
     a, lead, w = _band_sorted(a_sparse)
-    ncol, panel = a.shape[1], max(w, 1)
-    ab = np.zeros((w + 1, ncol))
-    carry = np.zeros((0, 0))
-    for c0 in range(0, ncol, panel):
-        width, c_end = min(panel, ncol - c0), min(c0 + panel + w, ncol)
-        r0, r1 = np.searchsorted(lead, [c0, c0 + width])
-        block = np.zeros((len(carry) + r1 - r0, c_end - c0))
-        block[: len(carry), : carry.shape[1]] = carry
-        block[len(carry):] = a[r0:r1, c0:c_end].toarray()
-        r = sla.qr(block, mode="r", overwrite_a=True, check_finite=False)[0]
-        r = r[: min(r.shape)]
-        # row k of the panel, offset d from the diagonal, inside the block
-        k, d = np.nonzero(
-            np.arange(min(width, len(r)))[:, None] + np.arange(w + 1) < r.shape[1]
-        )
-        ab[w - d, c0 + k + d] = r[k, k + d]
-        carry = r[width:, width:]
-    return ab
+    ncol, p = a.shape[1], max(w // 4, 1)
+    size, padded = w + p, -(-ncol // p) * p
+    # zero columns past the last keep every window inside the matrix;
+    # they leave R's first ncol columns as they are
+    a.resize((a.shape[0], padded + w))
+    window = np.zeros((size, size), order="F")
+    ab = np.zeros((w + 1, padded + w), order="F")
+    k, d = np.arange(p)[:, None], np.arange(w + 1)
+    for c0 in range(0, padded, p):
+        r0, r1 = np.searchsorted(lead, [c0, c0 + p])
+        rows = a[r0:r1, c0:c0 + size].toarray(order="F")
+        window, *_ = dtpqrt(0, min(_TPQRT_BLOCK, size), window, rows,
+                            overwrite_a=True, overwrite_b=True)
+        ab[w - d, c0 + k + d] = window[k, k + d]
+        window[:w, :w] = window[p:, p:]
+        window[w:] = 0.0
+        window[:, w:] = 0.0
+    return ab[:, :ncol]
 
 
 def _smallest_right_vectors(a_sparse, r_band, k, sigma_max):
@@ -270,30 +283,36 @@ def _smallest_right_vectors(a_sparse, r_band, k, sigma_max):
     orthonormalising after every solve, and finishes with a Rayleigh-Ritz
     SVD of ``A V``.  It stops once the first ``k - 8`` Ritz values repeat
     to 1e-13 relative, or to 1e-15 of ``sigma_max`` for rounding-level
-    values.
+    values, and raises ``ValueError`` if that takes more than
+    ``_INVERSE_ITERATION_CAP`` steps.
     """
     w = r_band.shape[0] - 1
     diag = r_band[w]
     floor = max(np.abs(diag).max(), 1.0) * 1e-150
-    r_safe = r_band.copy()
+    # Fortran order, as dtbtrs takes it: no copy of the band on each solve
+    r_safe = np.array(r_band, order="F")
     r_safe[w] = np.where(np.abs(diag) < floor, floor, diag)
     rng = np.random.default_rng(0)
     v, _ = np.linalg.qr(rng.standard_normal((r_band.shape[1], k)))
     watched = slice(0, max(k - _RITZ_GUARD, 1))
-    previous = None
-    for _ in range(100):
+    previous, change = None, np.inf
+    for _ in range(_INVERSE_ITERATION_CAP):
         for trans in ("T", "N"):
             v, _ = dtbtrs(r_safe, v, trans=trans)
             v, _ = np.linalg.qr(v)
         _, ritz, zt = np.linalg.svd(a_sparse @ v, full_matrices=False)
         ritz = ritz[::-1]
-        if previous is not None and np.all(
-            np.abs(ritz - previous)[watched]
-            <= np.maximum(1e-13 * ritz, 1e-15 * sigma_max)[watched]
-        ):
-            break
+        if previous is not None:
+            # 1e-2 sigma_max is where 1e-13 * ritz meets 1e-15 * sigma_max
+            scale = np.maximum(ritz, 1e-2 * sigma_max)[watched]
+            change = float((np.abs(ritz - previous)[watched] / scale).max())
+            if change <= 1e-13:
+                return ritz, v @ zt.T[:, ::-1]
         previous = ritz
-    return ritz, v @ zt.T[:, ::-1]
+    raise ValueError(
+        f"inverse iteration did not converge in {_INVERSE_ITERATION_CAP} steps "
+        f"(last relative change of the Ritz values {change:.3g}, tolerance 1e-13)"
+    )
 
 
 def null_space_dimension(sys, region, n, threshold=1e-6):

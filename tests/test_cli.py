@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ucp2d import pipeline as pl
 from ucp2d.cli import ScenarioFileError, _write_report, load_scenario, main, scenario_dir
 from ucp2d.pipeline import StageError, expectations_for
 from ucp2d.tensors import random_elliptic_tensor
@@ -333,6 +334,16 @@ def test_stage_error_names_the_stage(tmp_path, capsys, command, overrides, stage
     assert main([command, "--scenario", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith(f"error: [{stage}]")
+
+
+def test_unconverged_inverse_iteration_exits_two_naming_the_stage(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(pl, "_INVERSE_ITERATION_CAP", 1)
+    path = golden_copy(tmp_path, "lame_constant", grid={"n": 17})
+    assert main(["nullspace", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: [nullspace] inverse iteration did not converge in 1 steps")
+    assert not (tmp_path / "lame_constant.report.json").exists()
 
 
 def test_reduce_evaluates_only_the_principal_coefficients(tmp_path):

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from ucp2d import characteristics as ch
@@ -121,12 +122,63 @@ def test_nullspace_solver_matches_dense_oracle(n, case):
     assert np.all(np.abs(res.smallest - ladder)[big] <= 1e-8 * ladder[big] + 1e-17)
 
 
+def _with_gap():
+    # bandwidth 8 over 60 columns: two random rows lead at every column
+    # outside 20..29, none inside
+    rng = np.random.default_rng(3)
+    lead = np.repeat([c for c in range(60) if not 20 <= c < 30], 2)
+    dense = np.zeros((len(lead), 60))
+    for row, c in zip(dense, lead):
+        end = min(c + 9, 60)
+        row[c:end] = rng.uniform(0.5, 1.5, end - c)
+    return sp.csr_matrix(dense)
+
+
+def _stacked_d2(n=17):
+    d2 = _d2_matrix(n, 0.6 / (n - 1))
+    return sp.vstack([sp.kron(sp.identity(n), d2), sp.kron(sp.identity(n), d2 * 0.5)])
+
+
+@pytest.mark.parametrize("shape", ["ragged", "gap", "thin", "d2"])
+def test_banded_r_matches_the_dense_oracle_on_edge_shapes(shape):
+    if shape == "ragged":
+        a_sp = pl._assemble_operator(reduce_system(iso_with(1.0, 1.0)), OMEGA, 17)[0]
+    elif shape == "thin":
+        # bandwidth 2, below 4: w // 4 is 0 and the panel is one column
+        a_sp = sp.kron(sp.identity(17), sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(17, 17)))
+    else:
+        a_sp = _with_gap() if shape == "gap" else _stacked_d2()
+    band = pl._banded_r(a_sp)
+    w = band.shape[0] - 1
+    p = max(w // 4, 1)  # the factor's panel
+    if shape == "ragged":
+        assert a_sp.shape[1] % p != 0
+    elif shape == "gap":
+        _, lead, _ = pl._band_sorted(a_sp)
+        panels = np.arange(0, a_sp.shape[1], p)
+        assert np.any(np.searchsorted(lead, panels) == np.searchsorted(lead, panels + p))
+    else:
+        assert p == 1 and (w < 4) == (shape == "thin")
+    a = a_sp.toarray()
+    ata = a.T @ a
+    r = _dense_upper(band)
+    assert np.abs(r.T @ r - ata).max() <= 1e-13 * np.abs(ata).max()
+
+
+def test_inverse_iteration_reads_c_and_f_ordered_bands_alike():
+    a_sp = pl._assemble_operator(reduce_system(iso_with(1.0, 1.0)), OMEGA, 17)[0]
+    band = pl._banded_r(a_sp)
+    sigma_max = np.linalg.norm(a_sp.toarray(), 2)
+    c_ritz, c_vecs = pl._smallest_right_vectors(a_sp, np.ascontiguousarray(band), 12, sigma_max)
+    f_ritz, f_vecs = pl._smallest_right_vectors(a_sp, np.asfortranarray(band), 12, sigma_max)
+    assert np.array_equal(c_ritz, f_ritz) and np.array_equal(c_vecs, f_vecs)
+
+
 def test_nullspace_block_grows_past_first_block(monkeypatch):
     # every grid line in y carries the null space {1, y} of the second
     # derivative, so the dimension is 2n = 34, past the first block of 20
     n = 17
-    d2 = _d2_matrix(n, 0.6 / (n - 1))
-    op = sp.vstack([sp.kron(sp.identity(n), d2), sp.kron(sp.identity(n), d2 * 0.5)])
+    op = _stacked_d2(n)
     monkeypatch.setattr(pl, "_assemble_operator", lambda sys, region, n: (
         op.tocsr(), region.grid(n)))
     res = null_space_dimension(reduce_system(iso_with(1.0, 1.0)), OMEGA, n, 1e-8)
@@ -145,15 +197,16 @@ def test_nullspace_solver_stays_sparse(monkeypatch):
     n = 25
     seen = []
 
-    def recording(fn):
-        def call(x, *args, **kwargs):
-            seen.append(np.shape(x))
-            return fn(x, *args, **kwargs)
+    def recording(fn, dense):
+        def call(*args, **kwargs):
+            seen.append(np.shape(args[dense]))
+            return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(pl.sla, "qr", recording(pl.sla.qr))
-    monkeypatch.setattr(pl.np.linalg, "svd", recording(np.linalg.svd))
-    monkeypatch.setattr(pl.sla, "svdvals", None)
+    monkeypatch.setattr(pl, "dtpqrt", recording(pl.dtpqrt, 2))
+    monkeypatch.setattr(pl.np.linalg, "svd", recording(np.linalg.svd, 0))
+    monkeypatch.setattr(scipy.linalg, "qr", None)
+    monkeypatch.setattr(scipy.linalg, "svdvals", None)
     res = null_space_dimension(reduce_system(iso_with(1.0, 1.0)), OMEGA, n)
     assert res.dimension == 4
     assert seen and max(shape[1] for shape in seen) < n * n // 2
