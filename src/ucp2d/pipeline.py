@@ -284,21 +284,19 @@ def _smallest_right_vectors(a_sparse, r_band, k, sigma_max):
     SVD of ``A V``.  It stops once the first ``k - 8`` Ritz values repeat
     to 1e-13 relative, or to 1e-15 of ``sigma_max`` for rounding-level
     values, and raises ``ValueError`` if that takes more than
-    ``_INVERSE_ITERATION_CAP`` steps.
+    ``_INVERSE_ITERATION_CAP`` steps.  The band's diagonal is floored in
+    place, so an exact zero pivot leaves the solves finite.
     """
-    w = r_band.shape[0] - 1
-    diag = r_band[w]
+    diag = r_band[-1]
     floor = max(np.abs(diag).max(), 1.0) * 1e-150
-    # Fortran order, as dtbtrs takes it: no copy of the band on each solve
-    r_safe = np.array(r_band, order="F")
-    r_safe[w] = np.where(np.abs(diag) < floor, floor, diag)
+    diag[np.abs(diag) < floor] = floor
     rng = np.random.default_rng(0)
     v, _ = np.linalg.qr(rng.standard_normal((r_band.shape[1], k)))
     watched = slice(0, max(k - _RITZ_GUARD, 1))
     previous, change = None, np.inf
     for _ in range(_INVERSE_ITERATION_CAP):
         for trans in ("T", "N"):
-            v, _ = dtbtrs(r_safe, v, trans=trans)
+            v, _ = dtbtrs(r_band, v, trans=trans)
             v, _ = np.linalg.qr(v)
         _, ritz, zt = np.linalg.svd(a_sparse @ v, full_matrices=False)
         ritz = ritz[::-1]
@@ -604,11 +602,13 @@ def characteristics(scenario, sys):
         return cmap, ch.transform_system(sys, cmap, scenario.omega)
 
 
-def riemann_provider(scenario, tsys):
+def riemann_provider(scenario, tsys, reach_steps=np.inf):
     """Riemann tables of the transformed pair on an odd number of nodes per
-    axis, so that 0 is a node."""
+    axis, so that 0 is a node, each solved on its window of ``reach_steps``
+    grid steps (the whole square by default)."""
     n_axis = scenario.n if scenario.n % 2 == 1 else scenario.n + 1
-    return rm.RiemannProvider(tsys, n_axis, scenario.tolerances.picard_tol)
+    reach = reach_steps * 2 * tsys.epsilon / (n_axis - 1)
+    return rm.RiemannProvider(tsys, n_axis, scenario.tolerances.picard_tol, reach)
 
 
 def run(scenario):
@@ -660,12 +660,9 @@ def run(scenario):
         with stage("characteristics"):
             report["characteristics"] = _characteristics_report(cmap, tsys)
 
-    if "riemann" in tasks or "ucp" in tasks:
-        provider = riemann_provider(scenario, tsys)
-
     if "riemann" in tasks:
         with stage("riemann"):
-            tab = provider.table((0.0, 0.0))
+            tab = riemann_provider(scenario, tsys).table((0.0, 0.0))
             report["riemann"] = {
                 "nodes_per_axis": int(len(tab.s_nodes)),
                 "iterations": tab.iterations,
@@ -675,7 +672,7 @@ def run(scenario):
 
     if "ucp" in tasks:
         with stage("ucp"):
-            report["ucp"] = _run_ucp_stage(scenario, sys, cmap, tsys, provider)
+            report["ucp"] = _run_ucp_stage(scenario, sys, cmap, tsys)
 
     if "nullspace" in tasks:
         with stage("nullspace"):
@@ -725,27 +722,23 @@ def _conditions_report(scenario, sys):
 
 
 def _characteristics_report(cmap, tsys):
-    u = np.linspace(-tsys.epsilon, tsys.epsilon, 7)
-    sgr, tgr = np.meshgrid(u, u, indexing="ij")
-    a11g = np.asarray(tsys.a11(sgr.ravel(), tgr.ravel()))
-    a12g = np.asarray(tsys.a12(sgr.ravel(), tgr.ravel()))
-    a22g = np.asarray(tsys.a22(sgr.ravel(), tgr.ravel()))
-    # from the pullback that gave the coefficients: the map is not traced again
-    detj = np.asarray(tsys.det_jacobian(sgr.ravel(), tgr.ravel()))
+    u = np.linspace(-tsys.epsilon, tsys.epsilon, 7)  # u[3] is exactly 0.0
+    sg, tg = (g.ravel() for g in np.meshgrid(u, u, indexing="ij"))
+    # one pullback of the 7 x 7 grid gives every coefficient; entry 24 is the origin
+    grid = {
+        k: np.broadcast_to(getattr(tsys, k.lower())(sg, tg), sg.shape)
+        for k in ("B11", "B12", "C1", "A11", "A12", "A22", "det_jacobian")
+    }
+    detj = np.abs(grid.pop("det_jacobian"))
     return {
         "case": cmap.case,
         "linear": cmap.linear,
         "epsilon": tsys.epsilon,
-        "det_jacobian_range": [float(np.min(np.abs(detj))), float(np.max(np.abs(detj)))],
-        "elliptic_discriminant_max": float(np.max(a12g**2 - a11g * a22g)),
-        "normal_form_coefficients_at_origin": {
-            "B11": float(tsys.b11(0.0, 0.0)),
-            "B12": float(tsys.b12(0.0, 0.0)),
-            "C1": float(tsys.c1(0.0, 0.0)),
-            "A11": float(tsys.a11(0.0, 0.0)),
-            "A12": float(tsys.a12(0.0, 0.0)),
-            "A22": float(tsys.a22(0.0, 0.0)),
-        },
+        "det_jacobian_range": [float(np.min(detj)), float(np.max(detj))],
+        "elliptic_discriminant_max": float(
+            np.max(grid["A12"] ** 2 - grid["A11"] * grid["A22"])
+        ),
+        "normal_form_coefficients_at_origin": {k: float(v[24]) for k, v in grid.items()},
     }
 
 
@@ -795,7 +788,7 @@ def _kernel_table(tsys, provider, axis, nodes, step):
     return rm.apply_L(tsys, rows, at, step)
 
 
-def _run_ucp_stage(scenario, sys, cmap, tsys, provider):
+def _run_ucp_stage(scenario, sys, cmap, tsys):
     data, result = point_data_mode(scenario, sys)
     if data is None:
         return result
@@ -814,14 +807,13 @@ def _run_ucp_stage(scenario, sys, cmap, tsys, provider):
         )
         return result
 
-    eps = tsys.epsilon
-    n_axis = provider.n
+    # The chain reads each table between its parameter and the origin, and
+    # apply_L's one-sided second difference reaches 4 grid steps beyond that.
+    windows = riemann_provider(scenario, tsys, reach_steps=4)
+    eps, n_axis = tsys.epsilon, windows.n
     nodes = np.linspace(-eps, eps, n_axis)
     zero = np.zeros_like(nodes)
-    step = 2 * provider.grid_step  # apply_L's stencil step
-    # The chain reads each table between its parameter and the origin, and
-    # apply_L's one-sided second difference reaches two steps beyond that.
-    windows = rm.RiemannProvider(tsys, n_axis, provider.tol, reach=2 * step)
+    step = 2 * windows.grid_step  # apply_L's stencil step
     p_vals = rm.kernel_PQ(tsys, windows, "s", nodes)
     q_vals = rm.kernel_PQ(tsys, windows, "t", nodes)
     k_phi = _kernel_table(tsys, windows, "s", nodes, step)

@@ -359,18 +359,18 @@ def kernel_PQ(tsys, provider, axis, nodes):
     across, _, d_across, _ = _stencils(np.zeros_like(v), h, -eps, eps)
     step = np.minimum(2 * h, np.maximum(eps - np.abs(v), h))
     params, _, d_params, _ = _stencils(v, step, -eps, eps)
-    # R(., .; here) along and across the axis, and R(here; .) along it
-    r_here, r_along, r_across, r_params = (np.empty_like(a) for a in (v, along, along, along))
+    # R(., .; here) along and across the axis, and R(here; .) along it;
+    # R(here; here) is exactly 1, since every integral of solve_riemann is empty there
+    r_along, r_across, r_params = (np.empty_like(along) for _ in range(3))
     for k, vk in enumerate(v):
         tab = provider.table(pair(vk, 0.0))
-        r_here[k] = tab.value(*pair(vk, 0.0))  # equals 1 by construction
         r_along[:, k] = tab.value(*pair(along[:, k], 0.0))
         r_across[:, k] = tab.value(*pair(vk, across[:, k]))
         r_params[:, k] = [provider.table(pair(z, 0.0)).value(*pair(vk, 0.0)) for z in params[:, k]]
     d_eval = np.sum(d_along * r_along, axis=0)
     d_cross = np.sum(d_across * r_across, axis=0)
     d_param = np.sum(d_params * r_params, axis=0)
-    return a_lead * (d_eval + 2 * d_param) + 2 * a12 * d_cross + b_damp * r_here
+    return a_lead * (d_eval + 2 * d_param) + 2 * a12 * d_cross + b_damp
 
 
 def apply_L(tsys, f, at, step):

@@ -106,6 +106,12 @@ def test_slopes_require_hyperbolicity():
 # -- map construction ----------------------------------------------------
 
 
+def test_report_grid_centre_is_exactly_the_origin_for_every_epsilon():
+    # pipeline._characteristics_report reads the origin's coefficients there
+    for eps in ch._EPS_CANDIDATES:
+        assert np.linspace(-eps, eps, 7)[3] == 0.0
+
+
 def test_identity_map_shifted_to_base_point():
     sys = reduce_system(ElasticityCoefficients.isotropic(1.0, 1.0))
     cmap = build_map(sys, Rect.square(0.1, -0.2, 0.3), 0.1, -0.2)

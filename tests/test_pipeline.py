@@ -174,6 +174,29 @@ def test_inverse_iteration_reads_c_and_f_ordered_bands_alike():
     assert np.array_equal(c_ritz, f_ritz) and np.array_equal(c_vecs, f_vecs)
 
 
+def test_inverse_iteration_solves_on_the_band_it_was_given(monkeypatch):
+    a_sp = pl._assemble_operator(reduce_system(iso_with(1.0, 1.0)), OMEGA, 17)[0]
+    # no equation reads unknown 40, so R has an exact zero pivot there
+    keep = np.ones(a_sp.shape[1])
+    keep[40] = 0.0
+    a_sp = a_sp @ sp.diags(keep)
+    band = pl._banded_r(a_sp)
+    assert band[-1, 40] == 0.0
+    sigma_max = np.linalg.norm(a_sp.toarray(), 2)
+    solved_on, dtbtrs = [], pl.dtbtrs
+
+    def recorded(ab, b, **kw):
+        solved_on.append(np.shares_memory(ab, band))
+        return dtbtrs(ab, b, **kw)
+
+    monkeypatch.setattr(pl, "dtbtrs", recorded)
+    ritz, vecs = pl._smallest_right_vectors(a_sp, band, 12, sigma_max)
+    assert solved_on and all(solved_on)
+    assert np.all(np.isfinite(ritz)) and np.all(np.isfinite(vecs))
+    assert 0.0 < band[-1, 40] <= 1e-140  # floored in place
+    assert ritz[0] <= 1e-15 * sigma_max and abs(abs(vecs[40, 0]) - 1.0) <= 1e-12
+
+
 def test_nullspace_block_grows_past_first_block(monkeypatch):
     # every grid line in y carries the null space {1, y} of the second
     # derivative, so the dimension is 2n = 34, past the first block of 20
@@ -597,6 +620,26 @@ def test_kernel_rows_hold_only_the_segment_the_march_reads():
         assert traces[0].tobytes() == traces[1].tobytes()
 
 
+def test_characteristics_report_pulls_back_its_grid_once():
+    # the origin is the grid's centre, so its coefficients come from the same pullback
+    sc = load_scenario(scenario_dir() / "lame_lower_order.json")
+    sys = reduce_system(sc.coefficients)
+    cmap = ch.build_map(sys, sc.omega, *sc.point)
+    calls = []
+
+    def counted(s, t, inverse=cmap.inverse):
+        calls.append(np.shape(s))
+        return inverse(s, t)
+
+    tsys = ch.transform_system(sys, dataclasses.replace(cmap, inverse=counted), sc.omega)
+    calls.clear()
+    report = pl._characteristics_report(cmap, tsys)
+    assert calls == [(49,)]
+    at_origin = report["normal_form_coefficients_at_origin"]
+    for key, value in at_origin.items():
+        assert value == float(getattr(tsys, key.lower())(0.0, 0.0))
+
+
 def test_ucp_stage_evaluates_the_coefficients_once_per_axis():
     # one pullback for the grid the windows are sliced from, one per axis
     sc = load_scenario(scenario_dir() / "lame_lower_order.json")
@@ -611,6 +654,6 @@ def test_ucp_stage_evaluates_the_coefficients_once_per_axis():
     tsys = ch.transform_system(sys, dataclasses.replace(cmap, inverse=counted), sc.omega)
     calls.clear()
     with pl.stage("ucp"):
-        result = pl._run_ucp_stage(sc, sys, cmap, tsys, pl.riemann_provider(sc, tsys))
+        result = pl._run_ucp_stage(sc, sys, cmap, tsys)
     assert result["w_sup"] == 0.0
     assert sorted(calls) == [(65,), (65,), (65, 65)]
