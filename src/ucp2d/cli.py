@@ -151,13 +151,17 @@ def _reals(key, value, sizes):
 
 
 def _load_tolerances(raw):
-    """Tolerance overrides: numbers, and an integer for ``conditions_n``."""
+    """Tolerance overrides: positive numbers, and an integer for ``conditions_n``."""
     defaults = pl.Tolerances()
     for f in fields(pl.Tolerances):
-        kind = type(getattr(defaults, f.name))
-        message = f.name in raw and pl.json_type_error(f"tolerances.{f.name}", raw[f.name], kind)
+        if f.name not in raw:
+            continue
+        key, value, kind = f"tolerances.{f.name}", raw[f.name], type(getattr(defaults, f.name))
+        message = pl.json_type_error(key, value, kind)
         if message:
             raise ScenarioFileError(message)
+        if kind is float and value <= 0:
+            raise ScenarioFileError(f"{key}: expected a positive number, got {value!r}")
     try:
         return defaults.updated(raw)
     except ValueError as err:
@@ -267,15 +271,11 @@ def _cmd_nullspace(scenario, args):
 
 def _cmd_riemann(scenario, args):
     _, tsys = pl.characteristics(scenario, reduce_system(scenario.coefficients))
-    with pl.stage("riemann"):
-        tab = pl.riemann_provider(scenario, tsys).table((0.0, 0.0))
+    tab, section = pl.riemann_section(scenario, tsys)
     report = {
         "scenario": scenario.name,
         "epsilon": tsys.epsilon,
-        "nodes_per_axis": int(len(tab.s_nodes)),
-        "iterations": tab.iterations,
-        "residual": tab.residual,
-        "value_at_parameter": tab.value(0.0, 0.0),
+        **section,
         "value_range": [float(tab.values.min()), float(tab.values.max())],
     }
     failures = pl.check_expectations(

@@ -10,6 +10,7 @@ pair by singular-value analysis of its finite-difference discretisation.
 
 from __future__ import annotations
 
+import math
 import operator
 from collections import namedtuple
 from contextlib import contextmanager
@@ -49,6 +50,7 @@ __all__ = [
     "json_type_error",
     "characteristics",
     "riemann_provider",
+    "riemann_section",
 ]
 
 TASKS = ("conditions", "reduce", "characteristics", "riemann", "ucp", "nullspace")
@@ -485,18 +487,29 @@ def complete_second_derivatives(sys, x0, y0, data, given_second, rank_threshold=
 
 # -- scenario execution ----------------------------------------------------
 
-_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a number"}
+_JSON_TYPES = {bool: "a boolean", int: "an integer", float: "a finite number"}
 _RULES = {"==": operator.eq, ">=": operator.ge, "<=": operator.le}
+
+
+def _finite(value):
+    """Whether the JSON number ``value`` is a finite double: NaN and
+    Infinity parse as floats, and an integer past the float range is none."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def json_type_error(key, value, kind):
     """The message naming ``key`` when the parsed JSON ``value`` is not of
     ``kind`` (bool, int or float), else None.  Booleans are not numbers;
-    integers are also floats."""
+    integers are also floats; a float must be finite."""
     if isinstance(value, bool) or kind is bool:
         ok = isinstance(value, bool) and kind is bool
+    elif kind is int:
+        ok = isinstance(value, int)
     else:
-        ok = isinstance(value, int if kind is int else (int, float))
+        ok = isinstance(value, (int, float)) and _finite(value)
     return None if ok else f"{key}: expected {_JSON_TYPES[kind]}, got {value!r}"
 
 
@@ -611,6 +624,19 @@ def riemann_provider(scenario, tsys, reach_steps=np.inf):
     return rm.RiemannProvider(tsys, n_axis, scenario.tolerances.picard_tol, reach)
 
 
+def riemann_section(scenario, tsys):
+    """The whole-square Riemann table of parameter (0, 0) and the entries of
+    the ``riemann`` report section read from it."""
+    with stage("riemann"):
+        tab = riemann_provider(scenario, tsys).table((0.0, 0.0))
+        return tab, {
+            "nodes_per_axis": int(len(tab.s_nodes)),
+            "iterations": tab.iterations,
+            "residual": tab.residual,
+            "value_at_parameter": tab.value(0.0, 0.0),
+        }
+
+
 def run(scenario):
     """Execute the scenario's tasks in dependency order.
 
@@ -661,14 +687,7 @@ def run(scenario):
             report["characteristics"] = _characteristics_report(cmap, tsys)
 
     if "riemann" in tasks:
-        with stage("riemann"):
-            tab = riemann_provider(scenario, tsys).table((0.0, 0.0))
-            report["riemann"] = {
-                "nodes_per_axis": int(len(tab.s_nodes)),
-                "iterations": tab.iterations,
-                "residual": tab.residual,
-                "value_at_parameter": tab.value(0.0, 0.0),
-            }
+        report["riemann"] = riemann_section(scenario, tsys)[1]
 
     if "ucp" in tasks:
         with stage("ucp"):

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -115,6 +116,36 @@ def test_non_numeric_tolerance_rejected_naming_key(tmp_path, capsys, key, value)
     path = write_scenario(tmp_path, tolerances={key: value})
     assert main(["nullspace", "--scenario", str(path), "--out", str(tmp_path)]) == 2
     assert f"tolerances.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["rank_threshold", "picard_tol", "ivp_tol", "nullspace_threshold"])
+@pytest.mark.parametrize("value", [0, 0.0, -1e-6])
+def test_non_positive_tolerance_rejected_naming_key(tmp_path, capsys, key, value):
+    path = write_scenario(tmp_path, tolerances={key: value})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing divides by the tolerance
+        assert main(["nullspace", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: tolerances.{key}: expected a positive number")
+
+
+@pytest.mark.parametrize("key, overrides", [
+    ("point", {"point": [float("nan"), 0.0]}),
+    ("point", {"point": [10**400, 0.0]}),  # an integer past the float range
+    ("omega.center", {"omega": {"center": [0.0, float("-inf")], "halfwidths": [0.3, 0.3]}}),
+    ("omega.halfwidths", {"omega": {"center": [0.0, 0.0], "halfwidths": [float("inf"), 0.3]}}),
+    ("point_data", {"point_data": [float("nan"), 0.0, 0.0, 0.0, 0.0]}),
+    ("tolerances.picard_tol", {"tolerances": {"picard_tol": float("nan")}}),
+    ("expect.w_sup_max", {"expect": {"w_sup_max": float("nan")}}),
+], ids=["point-nan", "point-huge", "center-ninf", "halfwidths-inf", "point_data-nan",
+        "picard_tol-nan", "expect-nan"])
+def test_non_finite_number_rejected_naming_key(tmp_path, capsys, key, overrides):
+    # json reads NaN, Infinity and -Infinity as floats
+    path = write_scenario(tmp_path, tasks=["conditions", "ucp"], **overrides)
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: expected ") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.report.json"))
 
 
 def test_integer_tolerance_accepted(tmp_path):
@@ -322,7 +353,7 @@ def golden_copy(tmp_path, stem, **overrides):
     ("run", {"grid": {"n": 9}, "tasks": ["nullspace"]}, "nullspace"),
     ("run", {"grid": {"n": 3}}, "riemann"),
     ("riemann", {"grid": {"n": 3}}, "riemann"),
-    ("run", {"tolerances": {"picard_tol": -1}}, "riemann"),
+    ("run", {"tolerances": {"picard_tol": 1e-300}}, "riemann"),
     ("riemann", {"tolerances": {"picard_tol": 1e-300}}, "riemann"),
     ("run", {"tolerances": {"conditions_n": 1}}, "conditions"),
     # the base point x = 0 is outside the domain of log(x)
