@@ -648,6 +648,10 @@ def run(scenario):
         validate_expect(scenario.expect)
     except ValueError as err:
         raise StageError("expect", str(err)) from err
+    for key in scenario.expect:
+        task = EXPECTATIONS[key].task
+        if task not in scenario.tasks:
+            raise StageError("expect", f"expect.{key}: reads the {task} task, which is not run")
     tol = scenario.tolerances
     tasks = scenario.tasks
     x0, y0 = scenario.point
@@ -833,8 +837,8 @@ def _run_ucp_stage(scenario, sys, cmap, tsys):
     nodes = np.linspace(-eps, eps, n_axis)
     zero = np.zeros_like(nodes)
     step = 2 * windows.grid_step  # apply_L's stencil step
-    p_vals = rm.kernel_PQ(tsys, windows, "s", nodes)
-    q_vals = rm.kernel_PQ(tsys, windows, "t", nodes)
+    p_vals = rm.kernel_PQ(tsys, "s", nodes)
+    q_vals = rm.kernel_PQ(tsys, "t", nodes)
     k_phi = _kernel_table(tsys, windows, "s", nodes, step)
     k_psi = _kernel_table(tsys, windows, "t", nodes, step)
 

@@ -250,7 +250,6 @@ class CauchyTraces:
     nodes: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-    provenance: str
 
     @classmethod
     def from_w(cls, tsys, w, ws, wt, n):
@@ -263,15 +262,14 @@ class CauchyTraces:
         psi = np.asarray(wt(zero, nodes)) + np.asarray(tsys.b11(zero, nodes)) * np.asarray(
             w(zero, nodes)
         )
-        return cls(nodes=nodes, phi=phi, psi=psi, provenance="from-w-traces")
+        return cls(nodes=nodes, phi=phi, psi=psi)
 
     @classmethod
-    def from_arrays(cls, nodes, phi, psi, provenance="from-volterra-solve"):
+    def from_arrays(cls, nodes, phi, psi):
         return cls(
             nodes=np.asarray(nodes, dtype=float),
             phi=np.asarray(phi, dtype=float),
             psi=np.asarray(psi, dtype=float),
-            provenance=provenance,
         )
 
     def phi_at(self, s):
@@ -334,43 +332,30 @@ def _stencils(x, d, lo, hi):
     return x + offsets * d, (offsets == 0).astype(float), d1, np.broadcast_to(d2, d1.shape)
 
 
-def kernel_PQ(tsys, provider, axis, nodes):
+def kernel_PQ(tsys, axis, nodes):
     """Damping coefficients P(s,0) (axis 's') or Q(0,t) (axis 't').
 
     ``P = A11 (ds + 2 dxi) R(s,0,xi,t)|xi=s + 2 A12 dt R(s,0,s,t)
     + B21 R(s,0,s,t)`` evaluated at t = 0; Q is the mirrored expression
-    on the other axis.  Evaluation-point derivatives are differenced on
-    the stored grid; parameter derivatives re-solve at perturbed
-    parameter points at most two grid steps away (memoised by the
-    provider).  The coefficients are evaluated once on the node array.
+    on the other axis.  R is 1 at its parameter and obeys ``ds R = B12 R``
+    on t = eta and ``dt R = B11 R`` on s = xi, so there ``ds R = B12``,
+    ``dt R = B11`` and ``dxi R = -B12``.  Hence, exactly,
+    ``P = -A11 B12 + 2 A12 B11 + B21`` and
+    ``Q = -A22 B11 + 2 A12 B12 + B22``, with no Riemann table.  The
+    coefficients are evaluated once on the node array.
     """
     if axis not in ("s", "t"):
         raise ValueError("axis must be 's' or 't'")
-    eps = tsys.epsilon
-    h = provider.grid_step
-    if axis == "s":
-        lead, damp, pair = tsys.a11, tsys.b21, lambda a, b: (a, b)
-    else:
-        lead, damp, pair = tsys.a22, tsys.b22, lambda a, b: (b, a)
     v = np.asarray(nodes, dtype=float)
-    here = pair(v, np.zeros_like(v))
-    a_lead, a12, b_damp = (np.asarray(c(*here), dtype=float) for c in (lead, tsys.a12, damp))
-    along, _, d_along, _ = _stencils(v, h, -eps, eps)
-    across, _, d_across, _ = _stencils(np.zeros_like(v), h, -eps, eps)
-    step = np.minimum(2 * h, np.maximum(eps - np.abs(v), h))
-    params, _, d_params, _ = _stencils(v, step, -eps, eps)
-    # R(., .; here) along and across the axis, and R(here; .) along it;
-    # R(here; here) is exactly 1, since every integral of solve_riemann is empty there
-    r_along, r_across, r_params = (np.empty_like(along) for _ in range(3))
-    for k, vk in enumerate(v):
-        tab = provider.table(pair(vk, 0.0))
-        r_along[:, k] = tab.value(*pair(along[:, k], 0.0))
-        r_across[:, k] = tab.value(*pair(vk, across[:, k]))
-        r_params[:, k] = [provider.table(pair(z, 0.0)).value(*pair(vk, 0.0)) for z in params[:, k]]
-    d_eval = np.sum(d_along * r_along, axis=0)
-    d_cross = np.sum(d_across * r_across, axis=0)
-    d_param = np.sum(d_params * r_params, axis=0)
-    return a_lead * (d_eval + 2 * d_param) + 2 * a12 * d_cross + b_damp
+    zero = np.zeros_like(v)
+    if axis == "s":
+        here, lead, along, across, damp = (v, zero), tsys.a11, tsys.b12, tsys.b11, tsys.b21
+    else:
+        here, lead, along, across, damp = (zero, v), tsys.a22, tsys.b11, tsys.b12, tsys.b22
+    a_lead, a12, b_along, b_across, b_damp = (
+        np.asarray(c(*here), dtype=float) for c in (lead, tsys.a12, along, across, damp)
+    )
+    return -a_lead * b_along + 2 * a12 * b_across + b_damp
 
 
 def apply_L(tsys, f, at, step):

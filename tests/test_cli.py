@@ -202,6 +202,20 @@ def test_expectation_mismatch_exits_one(tmp_path, capsys):
     assert "expectation mismatch" in out
 
 
+@pytest.mark.parametrize("tasks, key, value, task", [
+    (["reduce"], "ellipticity_positive", False, "conditions"),
+    (["conditions"], "nullspace_dim", 4, "nullspace"),
+])
+def test_run_rejects_an_expect_key_whose_task_is_not_run(tmp_path, capsys, tasks, key,
+                                                         value, task):
+    path = golden_copy(tmp_path, "lame_constant", tasks=tasks, expect={key: value})
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: [expect] expect.{key}: reads the {task} task")
+    assert not (tmp_path / "lame_constant.report.json").exists()
+
+
 def test_check_flags_reduced_data_degeneracy(tmp_path):
     path = write_scenario(
         tmp_path,
@@ -350,7 +364,7 @@ def golden_copy(tmp_path, stem, **overrides):
 
 
 @pytest.mark.parametrize("command, overrides, stage", [
-    ("run", {"grid": {"n": 9}, "tasks": ["nullspace"]}, "nullspace"),
+    ("run", {"grid": {"n": 9}, "tasks": ["nullspace"], "expect": {}}, "nullspace"),
     ("run", {"grid": {"n": 3}}, "riemann"),
     ("riemann", {"grid": {"n": 3}}, "riemann"),
     ("run", {"tolerances": {"picard_tol": 1e-300}}, "riemann"),
@@ -413,7 +427,8 @@ def test_grid_field_error_names_the_field(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("error: a1212: log")
     # no task evaluates a field, so the discriminant grid is the first to fail
-    path = golden_copy(tmp_path, "lame_constant", tensor=dict(tensor, a1212="log(x)"), tasks=[])
+    path = golden_copy(tmp_path, "lame_constant", tensor=dict(tensor, a1212="log(x)"), tasks=[],
+                       expect={})
     args = ["run", "--scenario", str(path), "--out", str(tmp_path), "--format", "csv"]
     assert main(args) == 2
     err = capsys.readouterr().err

@@ -48,8 +48,8 @@ def test_zero_coefficients_give_unit_kernel_in_one_iteration():
 
 def test_kernel_is_one_at_its_parameter_point():
     # every integral is empty at the parameter, on the whole square and on
-    # windows, on grid nodes and on an added off-grid node alike, so
-    # kernel_PQ never reads R there
+    # windows, on grid nodes and on an added off-grid node alike: the
+    # closed form of kernel_PQ starts from this value
     tsys = plain_system(b11=0.3, b12=-0.2, c1=1.0)
     for reach in (np.inf, 4 / 64):
         for param in [(0.0, 0.0), (0.125, -0.25), (0.2, -0.1), (0.37, 0.11)]:
@@ -332,38 +332,64 @@ def test_superposed_shifted_kernels_reconstruct_with_active_trace():
 
 def test_kernel_P_zero_for_trivial_system():
     tsys = plain_system(a11=1.0, a12=0.5, a22=2.0)
-    prov = RiemannProvider(tsys, 65)
     nodes = np.linspace(-0.5, 0.5, 11)
-    p = kernel_PQ(tsys, prov, "s", nodes)
+    p = kernel_PQ(tsys, "s", nodes)
     assert np.max(np.abs(p)) <= 1e-12
 
 
 def test_kernel_P_reduces_to_b21_when_kernel_is_unit():
     tsys = plain_system(b21=1.0, b22=-2.0)
-    prov = RiemannProvider(tsys, 65)
     nodes = np.linspace(-0.5, 0.5, 11)
-    p = kernel_PQ(tsys, prov, "s", nodes)
+    p = kernel_PQ(tsys, "s", nodes)
     assert np.allclose(p, 1.0, atol=1e-12)
-    q = kernel_PQ(tsys, prov, "t", nodes)
+    q = kernel_PQ(tsys, "t", nodes)
     assert np.allclose(q, -2.0, atol=1e-12)
 
 
 def test_kernel_P_constant_c1_against_series():
     # analytic value of P(s, 0) for the pure-C1 system with A11 = 1:
     # (ds + 2 dxi) R (s,0,xi,t)|xi=s picks up -c (0 - t) F'(0); at t = 0
-    # every term vanishes, so P(s, 0) = 0
+    # every term vanishes, and B11 = B12 = B21 = 0, so P(s, 0) = 0 exactly
     tsys = plain_system(c1=1.0, a11=1.0, a12=0.7)
-    prov = RiemannProvider(tsys, 129, tol=1e-12)
     nodes = np.linspace(-0.45, 0.45, 9)
-    p = kernel_PQ(tsys, prov, "s", nodes)
-    assert np.max(np.abs(p)) <= 1e-4
+    p = kernel_PQ(tsys, "s", nodes)
+    assert np.all(p == 0.0)
+
+
+def test_kernel_PQ_is_exact_for_constant_coefficients():
+    # R = exp(b12 (s - xi) + b11 (t - eta)) F((s - xi)(t - eta)) with
+    # F(0) = 1, so its first derivatives at the parameter are those of
+    # the exponential, whatever c1 is
+    c = dict(b11=0.3, b12=-0.7, c1=1.1, a11=1.3, a12=0.4, a22=2.1, b21=0.9, b22=-0.6, c2=0.5)
+    tsys = plain_system(**c)
+    nodes = np.linspace(-0.5, 0.5, 11)
+    p_ref = -c["a11"] * c["b12"] + 2 * c["a12"] * c["b11"] + c["b21"]
+    q_ref = -c["a22"] * c["b11"] + 2 * c["a12"] * c["b12"] + c["b22"]
+    assert np.max(np.abs(kernel_PQ(tsys, "s", nodes) - p_ref)) <= 1e-15
+    assert np.max(np.abs(kernel_PQ(tsys, "t", nodes) - q_ref)) <= 1e-15
 
 
 def test_kernel_step_validation():
     tsys = plain_system()
-    prov = RiemannProvider(tsys, 65)
     with pytest.raises(ValueError):
-        kernel_PQ(tsys, prov, "x", [0.0])
+        kernel_PQ(tsys, "x", [0.0])
+
+
+@pytest.mark.parametrize("axis", ["s", "t"])
+def test_kernel_PQ_closed_form_against_table_differences(axis):
+    # second-order difference quotients of whole-square tables converge to
+    # the closed form at rate h^2
+    tsys = variable_system()
+    errors = []
+    for n in (17, 33, 65):
+        full = RiemannProvider(tsys, n)
+        nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
+        ref = scalar_kernel_PQ(tsys, full, axis, nodes)
+        err = np.max(np.abs(kernel_PQ(tsys, axis, nodes) - ref))
+        assert err <= 0.1 * full.grid_step**2
+        errors.append(err)
+    assert errors[0] / errors[1] >= 3.5
+    assert errors[1] / errors[2] >= 3.5
 
 
 def oracle_cases():
@@ -375,16 +401,14 @@ def oracle_cases():
 
 @pytest.mark.parametrize("tsys, n", oracle_cases())
 def test_kernels_on_windows_match_the_scalar_oracle(tsys, n):
-    # P, Q and both kernel tables of the ucp stage against the node-by-node
-    # path on tables of the whole square
+    # both kernel tables of the ucp stage against the node-by-node path on
+    # tables of the whole square
     full = RiemannProvider(tsys, n)
     h = full.grid_step
     windows = RiemannProvider(tsys, n, reach=4 * h)
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
     assert np.max(np.abs(windows.table((0.0, 0.0)).values - 1.0)) > 1e-3
     for axis in ("s", "t"):
-        p = kernel_PQ(tsys, windows, axis, nodes)
-        assert np.max(np.abs(p - scalar_kernel_PQ(tsys, full, axis, nodes))) <= 1e-8
         k = pl._kernel_table(tsys, windows, axis, nodes, 2 * h)
         ref = scalar_kernel_table(tsys, full, axis, nodes, 2 * h)
         read = ~np.isnan(k)
@@ -392,17 +416,6 @@ def test_kernels_on_windows_match_the_scalar_oracle(tsys, n):
         assert np.max(np.abs(k[read] - ref[read])) <= 1e-8
     assert sum(t.values.size for t in windows._cache.values()) < 0.25 * sum(
         t.values.size for t in full._cache.values())
-
-
-def test_kernel_PQ_off_the_grid_on_windows_matches_the_whole_square():
-    # nodes off the uniform grid: every table has its own augmented window
-    tsys = variable_system()
-    full = RiemannProvider(tsys, 65)
-    windows = RiemannProvider(tsys, 65, reach=4 * full.grid_step)
-    nodes = np.linspace(-0.5, 0.5, 11)
-    for axis in ("s", "t"):
-        p = kernel_PQ(tsys, windows, axis, nodes)
-        assert np.max(np.abs(p - kernel_PQ(tsys, full, axis, nodes))) <= 1e-8
 
 
 # -- parameter-space elliptic operator --------------------------------------
