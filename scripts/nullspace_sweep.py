@@ -8,11 +8,17 @@ fourth-order stencils, and h-independent structural defects of
 nearly-admissible discrete modes.
 
 Each grid is solved in a fresh process, one at a time, which prints the
-solve's wall time, the part of it spent in the banded QR factor, and the
-process's peak resident memory (interpreter and imports included).
+solve's wall time, the part of it spent in the banded QR factor, the
+process's peak resident memory (interpreter and imports included) and
+the BLAS thread count it ran with (``OPENBLAS_NUM_THREADS``).  ucp2d
+runs BLAS on one thread unless that variable or ``OMP_NUM_THREADS`` is
+set; one thread is faster up to n = 129 on a 2-core machine, but
+``OPENBLAS_NUM_THREADS=2`` recovers the two-thread time at n = 257
+(``lame_constant`` 47-50 s on one thread against 45-46 s on two).
 """
 
 import argparse
+import os
 import resource
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +39,8 @@ FAMILY_SCENARIOS = (
 
 def _solve(stem, n, threshold):
     """The null-space result of ``stem`` on an ``n x n`` grid, its wall
-    time, its factor time and the process's peak RSS in MB."""
+    time, its factor time, the process's peak RSS in MB and its BLAS
+    thread setting."""
     sc = cli.load_scenario(cli.scenario_dir() / f"{stem}.json")
     factor, factor_s = pl._banded_r, []
 
@@ -49,7 +56,7 @@ def _solve(stem, n, threshold):
     res = pl.null_space_dimension(reduce_system(sc.coefficients), sc.omega, n, threshold)
     wall = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return res, wall, sum(factor_s), peak_mb
+    return res, wall, sum(factor_s), peak_mb, os.environ.get("OPENBLAS_NUM_THREADS")
 
 
 def main():
@@ -66,7 +73,7 @@ def main():
         thr = args.threshold or sc.tolerances.nullspace_threshold
         for n in args.n:
             with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
-                res, wall, factor_s, peak_mb = pool.submit(_solve, stem, n, thr).result()
+                res, wall, factor_s, peak_mb, threads = pool.submit(_solve, stem, n, thr).result()
             flag = " (ambiguous)" if res.ambiguous else ""
             print(f"{stem}: n={n} threshold={thr:g}")
             print(f"  dimension={res.dimension} gap={res.gap:.3g}{flag} "
@@ -75,7 +82,8 @@ def main():
             absolute = " ".join(f"{v * res.sigma_max:.2e}" for v in res.smallest[:8])
             print(f"  smallest relative sigmas: {relative}")
             print(f"  smallest absolute sigmas: {absolute}")
-            print(f"  wall {wall:.2f} s (factor {factor_s:.2f} s), peak RSS {peak_mb:.0f} MB")
+            print(f"  wall {wall:.2f} s (factor {factor_s:.2f} s), peak RSS {peak_mb:.0f} MB, "
+                  f"OPENBLAS_NUM_THREADS={threads}")
 
 
 if __name__ == "__main__":

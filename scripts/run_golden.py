@@ -8,25 +8,18 @@ writes its report (and CSV) under ``OUT/C/``, next to
 ``<golden>.stdout`` (with ``OUT`` written as ``<out>``),
 ``<golden>.stderr`` and ``<golden>.exit``.  Two checkouts compare
 byte for byte by running this script with each one's ``src`` on
-``PYTHONPATH`` and ``diff -r`` on the two output directories.  BLAS runs
-on one thread unless ``OMP_NUM_THREADS`` or ``OPENBLAS_NUM_THREADS`` is
-set: the rounding-level singular values change with the thread count.
+``PYTHONPATH`` and ``diff -r`` on the two output directories.
 """
 
 import argparse
 import io
 import json
-import os
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-# before numpy loads BLAS, which reads these once
-os.environ.setdefault("OMP_NUM_THREADS", "1")
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-from ucp2d import cli  # noqa: E402
+from ucp2d import cli
 
 
 def _invoke(out, command, golden, *extra):

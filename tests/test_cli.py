@@ -1,7 +1,10 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -576,3 +579,36 @@ def test_run_keeps_the_cli_contract_on_traced_maps(tensor):
     assert "Traceback" not in err
     if code == 2:
         assert _NAMES_RUN_KEY_OR_STAGE.match(err), err
+
+
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")
+
+
+def _run_python(args, **blas_env):
+    """Run ``python args`` on this checkout's ``src`` with both BLAS thread
+    variables removed from the environment, then set from ``blas_env``."""
+    env = {k: v for k, v in os.environ.items() if k not in _BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    env.update(blas_env)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, check=True)
+
+
+@pytest.mark.parametrize("blas_env, expected", [
+    ({}, ["1", "1"]),
+    ({"OPENBLAS_NUM_THREADS": "2"}, ["1", "2"]),
+], ids=["unset", "caller-set"])
+def test_import_sets_one_blas_thread_unless_the_caller_chose(blas_env, expected):
+    code = "import os, ucp2d; print(*(os.environ[k] for k in %r))" % (_BLAS_THREAD_VARS,)
+    assert _run_python(["-c", code], **blas_env).stdout.split() == expected
+
+
+def test_nullspace_report_is_the_same_with_blas_variables_unset_or_one(tmp_path):
+    golden = str(scenario_dir() / "lame_constant.json")
+    reports = []
+    for name, blas_env in (("unset", {}), ("one", dict.fromkeys(_BLAS_THREAD_VARS, "1"))):
+        out = tmp_path / name
+        _run_python(["-m", "ucp2d", "nullspace", "--scenario", golden, "--out", str(out)],
+                    **blas_env)
+        reports.append((out / "lame_constant.report.json").read_bytes())
+    assert reports[0] == reports[1]
