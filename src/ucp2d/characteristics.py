@@ -25,6 +25,16 @@ leading coefficient ``h20`` vanishes identically but ``h02`` does not,
 the mirrored parametrisation in ``dy s / dx s`` is used with intercepts
 on the horizontal reference line.  When both vanish, the map is the
 identity shifted to ``(x0, y0)``.
+
+Traced maps.  When the principal part varies, each coordinate of a point
+is found by tracing its characteristic to the reference line with RK4.
+The first variational equation, integrated alongside, gives the
+derivative along the reference line's direction, and the slope ratio the
+other one.  For second derivatives the trace also integrates the second
+variation.  So one trace per family gives the whole jet, the Jacobian
+and the second derivatives.  The inverse is a Newton iteration that
+starts from the base point's jet; that jet is traced once per map and
+also serves the origin's coefficients and the transfer of point data.
 """
 
 from __future__ import annotations
@@ -113,8 +123,10 @@ class CharacteristicMap:
     """Invertible change of variables to characteristic coordinates.
 
     All evaluators accept scalars or arrays.  ``jacobian`` returns the
-    tuple ``(sx, tx, sy, ty)`` of first partials and
-    ``second_derivatives`` the tuple ``(sxx, sxy, syy, txx, txy, tyy)``.
+    tuple ``(sx, tx, sy, ty)`` of first partials, ``second_derivatives``
+    the tuple ``(sxx, sxy, syy, txx, txy, tyy)``, and ``jet`` both
+    tuples from one evaluation.  ``base_jet()`` is the jet at
+    ``(x0, y0)``, computed once per map.
     """
 
     case: str
@@ -123,6 +135,8 @@ class CharacteristicMap:
     forward: object
     jacobian: object
     second_derivatives: object
+    jet: object
+    base_jet: object
     inverse: object
     linear: bool
 
@@ -181,6 +195,9 @@ def _linear_map(case, x0, y0, roots):
             return float(x), float(y)
         return x, y
 
+    def jet(x, y):
+        return jacobian(x, y), second_derivatives(x, y)
+
     return CharacteristicMap(
         case=case,
         x0=x0,
@@ -188,6 +205,8 @@ def _linear_map(case, x0, y0, roots):
         forward=forward,
         jacobian=jacobian,
         second_derivatives=second_derivatives,
+        jet=jet,
+        base_jet=functools.cache(lambda: jet(x0, y0)),
         inverse=inverse,
         linear=True,
     )
@@ -198,15 +217,21 @@ class _CurveTracer:
 
     For the generic case the level curves of the coordinate satisfy
     ``dy/dx = -m(x, y)``; the coordinate value is the ``y``-intercept on
-    ``x = x0`` (minus ``y0``).  The sensitivity to the starting point is
-    integrated alongside through the variational equation, which also
-    yields the spatial gradient because ``dx s = m(x*, y*) dy s``.
+    ``x = x0`` (minus ``y0``).  The sensitivity ``v`` to the starting
+    point is integrated alongside through the variational equation, and
+    on request the second variation ``w`` through its own (Hairer,
+    Norsett & Wanner, Solving ODEs I, sec. I.14); the spatial
+    derivatives follow because ``dx s = m(x*, y*) dy s``.
     ``mirrored=True`` swaps the roles of ``x`` and ``y``.
     """
 
     def __init__(self, m_field, x0, y0, bounds, mirrored=False):
-        # m and its derivative from one compiled program
-        self.slope = FieldGroup(m_field, m_field.diff("x" if mirrored else "y"))
+        # m and its derivatives along the secondary axis from one compiled
+        # program per order: the first variation reads m and dm, the
+        # second also d2m, which costs about as much again to evaluate
+        dm = m_field.diff("x" if mirrored else "y")
+        self.first = FieldGroup(m_field, dm)
+        self.second = FieldGroup(m_field, dm, dm.diff("x" if mirrored else "y"))
         self.x0, self.y0 = x0, y0
         self.bounds = bounds  # padded containment box as ((lo_x, hi_x), (lo_y, hi_y))
         self.mirrored = mirrored
@@ -224,6 +249,13 @@ class _CurveTracer:
         axis follows from the slope ratio at the starting point, so it is
         not integrated here.
         """
+        return self._trace(x, y, self.first)
+
+    def intercept_and_variations(self, x, y):
+        """``(value, dvalue/d b0, d2value/d b0^2)`` from one trace."""
+        return self._trace(x, y, self.second)
+
+    def _trace(self, x, y, slope):
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         x, y = (a.ravel() for a in np.broadcast_arrays(x, y))
@@ -232,28 +264,40 @@ class _CurveTracer:
         else:
             a0, b0, a_ref, ref = x.astype(float), y.astype(float), self.x0, self.y0
         span = a_ref - a0
-        # rescaled independent variable tau in [0, 1]: db/dtau = span * f
-        b = b0.copy()
-        v = np.ones_like(b)  # sensitivity d b(tau) / d b0
+        # rescaled independent variable tau in [0, 1]: db/dtau = span * f;
+        # state b, v = d b(tau) / d b0 and, for the second order, w = d v / d b0
+        state = [b0.copy(), np.ones_like(b0)]
+        if len(slope.fields) == 3:
+            state.append(np.zeros_like(b0))
+        if not np.any(span):
+            # curves of zero length (the base point): every step would add
+            # span * (...) = 0, so the start is the end, with no field read
+            return (state[0] - ref, *state[1:])
 
-        def rhs(a_val, b_val, v_val):
+        def rhs(a_val, state):
             # independent variable first; mirrored tracing integrates x over y
-            m, dm = self.slope(b_val, a_val) if self.mirrored else self.slope(a_val, b_val)
-            f, df = -m, -dm
-            return span * f, span * df * v_val
+            b_val, v_val = state[0], state[1]
+            derivs = slope(b_val, a_val) if self.mirrored else slope(a_val, b_val)
+            f, df = -derivs[0], -derivs[1]
+            out = [span * f, span * df * v_val]
+            if len(state) == 3:
+                # dw/dtau = span (f_bb v^2 + f_b w)
+                ddf = -derivs[2]
+                out.append(span * (ddf * v_val * v_val + df * state[2]))
+            return out
 
         h = 1.0 / _RK4_STEPS
         for k in range(_RK4_STEPS):
             tau = k * h
-            self._check(a0 + span * tau, b)
-            k1b, k1v = rhs(a0 + span * tau, b, v)
-            k2b, k2v = rhs(a0 + span * (tau + h / 2), b + h / 2 * k1b, v + h / 2 * k1v)
-            k3b, k3v = rhs(a0 + span * (tau + h / 2), b + h / 2 * k2b, v + h / 2 * k2v)
-            k4b, k4v = rhs(a0 + span * (tau + h), b + h * k3b, v + h * k3v)
-            b = b + h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
-            v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
-        self._check(np.full_like(b, a_ref), b)
-        return b - ref, v
+            self._check(a0 + span * tau, state[0])
+            k1 = rhs(a0 + span * tau, state)
+            k2 = rhs(a0 + span * (tau + h / 2), [u + h / 2 * d for u, d in zip(state, k1)])
+            k3 = rhs(a0 + span * (tau + h / 2), [u + h / 2 * d for u, d in zip(state, k2)])
+            k4 = rhs(a0 + span * (tau + h), [u + h * d for u, d in zip(state, k3)])
+            state = [u + h / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
+                     for u, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)]
+        self._check(np.full_like(state[0], a_ref), state[0])
+        return (state[0] - ref, *state[1:])
 
 
 def _slope_fields(sys, case):
@@ -267,6 +311,12 @@ def _slope_fields(sys, case):
 def _traced_map(case, sys, x0, y0, region):
     m_minus, m_plus = _slope_fields(sys, case)
     mirrored = case == CASE_A1222
+    # a is the primary (independent) axis of the trace, b the secondary one
+    a_var, b_var = ("y", "x") if mirrored else ("x", "y")
+    # the slopes at the starting points, and for the jet their first partials
+    slopes = FieldGroup(m_minus, m_plus)
+    slope_jet = FieldGroup(m_minus, m_plus, m_minus.diff(a_var), m_minus.diff(b_var),
+                           m_plus.diff(a_var), m_plus.diff(b_var))
 
     (rx0, rx1), (ry0, ry1) = region.xlim, region.ylim
     pad_x = region.halfwidths[0]
@@ -288,47 +338,40 @@ def _traced_map(case, sys, x0, y0, region):
         t, _ = tracer_t.intercept_and_sensitivity(x, y)
         return _shape_back(s, x, y), _shape_back(t, x, y)
 
-    def partials(s_sec, t_sec, x, y):
-        mm = np.asarray(m_minus(x, y)).ravel()
-        mp = np.asarray(m_plus(x, y)).ravel()
+    def flat(x, y):
+        return (np.ravel(v) for v in np.broadcast_arrays(np.asarray(x, dtype=float),
+                                                         np.asarray(y, dtype=float)))
+
+    def partials(s_b, t_b, ms, mt):
+        # d/db is the sensitivity factor and d/da follows from the slope
+        # ratio m = da s / db s; b is y in the generic case, x in the mirrored
         if mirrored:
-            # intercepts on y = y0: d/dx is the sensitivity factor and
-            # d/dy follows from the slope ratio dy s / dx s = m
-            sx, sy = s_sec, mm * s_sec
-            tx, ty = t_sec, mp * t_sec
-        else:
-            sy, sx = s_sec, mm * s_sec
-            ty, tx = t_sec, mp * t_sec
-        return sx, tx, sy, ty
+            return s_b, t_b, ms * s_b, mt * t_b
+        return ms * s_b, mt * t_b, s_b, t_b
 
     def jacobian(x, y):
-        _, s_sec = tracer_s.intercept_and_sensitivity(x, y)
-        _, t_sec = tracer_t.intercept_and_sensitivity(x, y)
-        return tuple(_shape_back(a, x, y) for a in partials(s_sec, t_sec, x, y))
+        _, s_b = tracer_s.intercept_and_sensitivity(x, y)
+        _, t_b = tracer_t.intercept_and_sensitivity(x, y)
+        jac = partials(s_b, t_b, *slopes(*flat(x, y)))
+        return tuple(_shape_back(a, x, y) for a in jac)
 
-    fd = 1e-5 * max(region.halfwidths)
+    def jet(x, y):
+        # S_b = v and S_bb = w from one trace per family; along the level
+        # curve S_a = m S_b, so S_ab = m_b v + m w and S_aa = m_a v + m S_ab
+        _, s_b, s_bb = tracer_s.intercept_and_variations(x, y)
+        _, t_b, t_bb = tracer_t.intercept_and_variations(x, y)
+        ms, mt, ms_a, ms_b, mt_a, mt_b = slope_jet(*flat(x, y))
+        s_ab, t_ab = ms_b * s_b + ms * s_bb, mt_b * t_b + mt * t_bb
+        s_aa, t_aa = ms_a * s_b + ms * s_ab, mt_a * t_b + mt * t_ab
+        jac = partials(s_b, t_b, ms, mt)
+        if mirrored:
+            second = (s_bb, s_ab, s_aa, t_bb, t_ab, t_aa)
+        else:
+            second = (s_aa, s_ab, s_bb, t_aa, t_ab, t_bb)
+        return (tuple(_shape_back(a, x, y) for a in jac),
+                tuple(_shape_back(a, x, y) for a in second))
 
-    def second_derivatives(x, y):
-        # first derivatives come from the variational solve; curvature by
-        # central differencing of those (the fields are smooth), all four
-        # stencil points traced together
-        xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        xs = np.concatenate([(xb + fd).ravel(), (xb - fd).ravel(), xb.ravel(), xb.ravel()])
-        ys = np.concatenate([yb.ravel(), yb.ravel(), (yb + fd).ravel(), (yb - fd).ravel()])
-        quarters = [np.split(d, 4) for d in jacobian(xs, ys)]
-        (sx_px, sx_mx, sx_py, sx_my), (tx_px, tx_mx, tx_py, tx_my) = quarters[:2]
-        (sy_px, sy_mx, sy_py, sy_my), (ty_px, ty_mx, ty_py, ty_my) = quarters[2:]
-        sxx = (sx_px - sx_mx) / (2 * fd)
-        txx = (tx_px - tx_mx) / (2 * fd)
-        syy = (sy_py - sy_my) / (2 * fd)
-        tyy = (ty_py - ty_my) / (2 * fd)
-        sxy = 0.5 * ((sx_py - sx_my) / (2 * fd) + (sy_px - sy_mx) / (2 * fd))
-        txy = 0.5 * ((tx_py - tx_my) / (2 * fd) + (ty_px - ty_mx) / (2 * fd))
-        return tuple(_shape_back(a, x, y) for a in (sxx, sxy, syy, txx, txy, tyy))
-
-    @functools.cache
-    def base_jacobian():
-        return jacobian(x0, y0)
+    base_jet = functools.cache(lambda: jet(x0, y0))
 
     def inverse(s, t):
         s_in = np.atleast_1d(np.asarray(s, dtype=float))
@@ -336,7 +379,7 @@ def _traced_map(case, sys, x0, y0, region):
         sb, tb = np.broadcast_arrays(s_in, t_in)
         shape = sb.shape
         sf, tf = sb.ravel(), tb.ravel()
-        sx0, tx0, sy0, ty0 = base_jacobian()  # traced once per map
+        sx0, tx0, sy0, ty0 = base_jet()[0]  # traced once per map
         det0 = sx0 * ty0 - tx0 * sy0
         # start from the linearisation at the base point
         x = x0 + (ty0 * sf - sy0 * tf) / det0
@@ -344,7 +387,7 @@ def _traced_map(case, sys, x0, y0, region):
         for _ in range(_NEWTON_STEPS):
             s_cur, s_sec = tracer_s.intercept_and_sensitivity(x, y)
             t_cur, t_sec = tracer_t.intercept_and_sensitivity(x, y)
-            sx, tx, sy, ty = partials(s_sec, t_sec, x, y)
+            sx, tx, sy, ty = partials(s_sec, t_sec, *slopes(x, y))
             rs = sf - s_cur
             rt_ = tf - t_cur
             det = sx * ty - tx * sy
@@ -372,7 +415,9 @@ def _traced_map(case, sys, x0, y0, region):
         y0=y0,
         forward=forward,
         jacobian=jacobian,
-        second_derivatives=second_derivatives,
+        second_derivatives=lambda x, y: jet(x, y)[1],
+        jet=jet,
+        base_jet=base_jet,
         inverse=inverse,
         linear=False,
     )
@@ -385,8 +430,8 @@ def build_map(sys, region, x0, y0):
     identity case, the relevant leading coefficient bounded away from
     zero there.  Constant-coefficient systems get closed-form linear
     maps; otherwise coordinates are traced along characteristic curves
-    with a fourth-order integrator and Jacobians from the variational
-    equation.
+    with a fourth-order integrator, and the Jacobian and the second
+    derivatives come from the first and second variational equations.
     """
     if not region.contains(x0, y0):
         raise MapError("base point must lie inside the region")
@@ -416,8 +461,10 @@ class TransformedSystem:
     Hyperbolic normal form: ``ds dt w + B11 ds w + B12 dt w + C1 w = 0``.
     Elliptic form: ``A11 ds^2 + 2 A12 ds dt + A22 dt^2 + B21 ds +
     B22 dt + C2``.  All coefficient evaluators are vectorised in (s, t).
-    ``det_jacobian`` is the determinant of the map's Jacobian at the
-    pullback of (s, t); systems built from constants have none.
+    ``probe_det_jacobian`` and ``probe_elliptic_discriminant`` hold det J
+    and ``A12^2 - A11 A22`` on the pullback of the ``_N_SAMPLE x
+    _N_SAMPLE`` probe grid of the square, flattened in ``ij`` order;
+    systems built from constants have none.
     """
 
     b11: object
@@ -430,7 +477,8 @@ class TransformedSystem:
     b22: object
     c2: object
     epsilon: float
-    det_jacobian: object = None
+    probe_det_jacobian: np.ndarray | None = None
+    probe_elliptic_discriminant: np.ndarray | None = None
 
     @classmethod
     def from_constants(cls, b11=0.0, b12=0.0, c1=0.0, a11=1.0, a12=0.0,
@@ -453,6 +501,17 @@ class TransformedSystem:
         )
 
 
+def _reference_segment_fits(cmap, region, eps):
+    """Whether the segment of the reference line where ``s = t`` in
+    ``[-eps, eps]``, ``(x0, y0 +- eps)`` or ``(x0 +- eps, y0)`` on the
+    mirrored case, stays within ``1e-9`` halfwidths of the region.  The
+    square's pullback contains that segment exactly, with no tracing."""
+    ends = np.array([-eps, eps])
+    if cmap.case == CASE_A1222:
+        return region.contains(cmap.x0 + ends, cmap.y0, pad=1e-9 * region.halfwidths[0])
+    return region.contains(cmap.x0, cmap.y0 + ends, pad=1e-9 * region.halfwidths[1])
+
+
 def _choose_epsilon(sys, cmap, region):
     """Largest dyadic epsilon <= 0.5 whose square pulls back into the
     region with the discriminant no worse than half its base value.
@@ -460,12 +519,16 @@ def _choose_epsilon(sys, cmap, region):
     Returns epsilon and the pullback ``(x, y)`` of the ``_N_SAMPLE x
     _N_SAMPLE`` grid of the square, flattened in ``ij`` order.  Scaling
     by a power of two is exact, so that grid has the same bits as one
-    built by ``np.linspace(-epsilon, epsilon, _N_SAMPLE)``.
+    built by ``np.linspace(-epsilon, epsilon, _N_SAMPLE)``.  A traced
+    map skips, untraced, each candidate whose reference segment already
+    leaves the region.
     """
     delta0 = float(discriminant(*sys.hyper.principal_values(cmap.x0, cmap.y0)))
     u = np.linspace(-1.0, 1.0, _N_SAMPLE)
     su, tu = np.meshgrid(u, u, indexing="ij")
     for eps in _EPS_CANDIDATES:
+        if not cmap.linear and not _reference_segment_fits(cmap, region, eps):
+            continue
         try:
             x, y = cmap.inverse(su.ravel() * eps, tu.ravel() * eps)
         except MapError:
@@ -475,6 +538,11 @@ def _choose_epsilon(sys, cmap, region):
         if np.min(discriminant(*sys.hyper.principal_values(x, y))) >= 0.5 * delta0:
             return eps, x, y
     raise MapError("no admissible square neighbourhood found")
+
+
+def _memo_key(s, t):
+    s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
+    return s.shape, t.shape, s.tobytes(), t.tobytes()
 
 
 def transform_system(sys, cmap, region):
@@ -500,31 +568,20 @@ def transform_system(sys, cmap, region):
         )
 
     a11p, a12p, a22p = _principal(*sys.ell.values(xp, yp)[:3], jac)
-    if np.any(a12p**2 - a11p * a22p >= 0):
+    elliptic_discriminant = a12p**2 - a11p * a22p
+    if np.any(elliptic_discriminant >= 0):
         raise TransformError("ellipticity lost under the change of variables")
     if np.min(np.abs(a11p)) == 0 or np.min(np.abs(a22p)) == 0:
         raise TransformError("degenerate principal elliptic coefficient")
 
-    # Solver grids hit these callables once per coefficient with the
-    # same (s, t) arrays; for traced maps the pullback dominates the
-    # cost, so the full coefficient bundle is computed per distinct
-    # grid and memoised.
-    memo = {}
-
-    def bundle(s, t):
-        key = (np.asarray(s, dtype=float).tobytes(), np.asarray(t, dtype=float).tobytes())
-        got = memo.get(key)
-        if got is not None:
-            return got
-        x, y = cmap.inverse(s, t)
+    def coefficients(x, y, jac, second):
         h20, h11, h02, h10, h01, h00 = sys.hyper.values(x, y)
-        jac = cmap.jacobian(x, y)
         sx, tx, sy, ty = jac
-        sxx, sxy, syy, txx, txy, tyy = cmap.second_derivatives(x, y)
+        sxx, sxy, syy, txx, txy, tyy = second
         e20, e11, e02, e10, e01, e00 = sys.ell.values(x, y)
         mixed = 2 * _principal(h20, h11, h02, jac)[1]
         a11, a12, a22 = _principal(e20, e11, e02, jac)
-        got = {
+        return {
             "b11": (h20 * sxx + h11 * sxy + h02 * syy + h10 * sx + h01 * sy) / mixed,
             "b12": (h20 * txx + h11 * txy + h02 * tyy + h10 * tx + h01 * ty) / mixed,
             "c1": h00 / mixed,
@@ -534,9 +591,21 @@ def transform_system(sys, cmap, region):
             "b21": e20 * sxx + e11 * sxy + e02 * syy + e10 * sx + e01 * sy,
             "b22": e20 * txx + e11 * txy + e02 * tyy + e10 * tx + e01 * ty,
             "c2": e00 + 0.0 * np.asarray(sx),
-            "det_jacobian": sx * ty - tx * sy,
         }
-        memo[key] = got
+
+    # Solver grids hit these callables once per coefficient with the
+    # same (s, t) arrays; for traced maps the pullback dominates the
+    # cost, so the full coefficient bundle is computed per distinct
+    # grid (values and shape) and memoised.  The origin pulls back to
+    # the base point exactly, so its entry comes from the base jet.
+    memo = {_memo_key(0.0, 0.0): coefficients(cmap.x0, cmap.y0, *cmap.base_jet())}
+
+    def bundle(s, t):
+        key = _memo_key(s, t)
+        got = memo.get(key)
+        if got is None:
+            x, y = cmap.inverse(s, t)
+            got = memo[key] = coefficients(x, y, *cmap.jet(x, y))
         return got
 
     def coeff(which):
@@ -545,11 +614,14 @@ def transform_system(sys, cmap, region):
 
         return f
 
+    sx, tx, sy, ty = jac
     return TransformedSystem(
         b11=coeff("b11"), b12=coeff("b12"), c1=coeff("c1"),
         a11=coeff("a11"), a12=coeff("a12"), a22=coeff("a22"),
         b21=coeff("b21"), b22=coeff("b22"), c2=coeff("c2"),
-        epsilon=float(epsilon), det_jacobian=coeff("det_jacobian"),
+        epsilon=float(epsilon),
+        probe_det_jacobian=sx * ty - tx * sy,
+        probe_elliptic_discriminant=elliptic_discriminant,
     )
 
 
@@ -626,14 +698,13 @@ def transfer_point_data(sys, cmap, data):
         )
     uxy = -rest / denom
 
-    sx, tx, sy, ty = cmap.jacobian(x0, y0)
+    (sx, tx, sy, ty), (sxx, sxy, syy, txx, txy, tyy) = cmap.base_jet()
     det = sx * ty - tx * sy
     if abs(det) <= _ZERO_TOL:
         raise MapError("Jacobian singular at the base point")
     ws = (ty * ux - sy * uy) / det
     wt = (-tx * ux + sx * uy) / det
 
-    sxx, sxy, syy, txx, txy, tyy = cmap.second_derivatives(x0, y0)
     rhs = np.array(
         [
             uxx - sxx * ws - txx * wt,

@@ -745,23 +745,19 @@ def _conditions_report(scenario, sys):
 
 
 def _characteristics_report(cmap, tsys):
-    u = np.linspace(-tsys.epsilon, tsys.epsilon, 7)  # u[3] is exactly 0.0
-    sg, tg = (g.ravel() for g in np.meshgrid(u, u, indexing="ij"))
-    # one pullback of the 7 x 7 grid gives every coefficient; entry 24 is the origin
-    grid = {
-        k: np.broadcast_to(getattr(tsys, k.lower())(sg, tg), sg.shape)
-        for k in ("B11", "B12", "C1", "A11", "A12", "A22", "det_jacobian")
-    }
-    detj = np.abs(grid.pop("det_jacobian"))
+    # det J and the elliptic discriminant on the probe grid transform_system
+    # pulled back; the origin's coefficients come from the base point's jet
+    detj = np.abs(tsys.probe_det_jacobian)
     return {
         "case": cmap.case,
         "linear": cmap.linear,
         "epsilon": tsys.epsilon,
         "det_jacobian_range": [float(np.min(detj)), float(np.max(detj))],
-        "elliptic_discriminant_max": float(
-            np.max(grid["A12"] ** 2 - grid["A11"] * grid["A22"])
-        ),
-        "normal_form_coefficients_at_origin": {k: float(v[24]) for k, v in grid.items()},
+        "elliptic_discriminant_max": float(np.max(tsys.probe_elliptic_discriminant)),
+        "normal_form_coefficients_at_origin": {
+            k: float(getattr(tsys, k.lower())(0.0, 0.0))
+            for k in ("B11", "B12", "C1", "A11", "A12", "A22")
+        },
     }
 
 

@@ -103,18 +103,20 @@ def walk_evaluate(field, x, y):
 
 
 def trace_family(m_field, x0, y0, bounds, mirrored, x, y):
-    """Intercept and sensitivity ``(value, dvalue/d b0)`` of one family of
-    characteristic curves, with ``m`` and its derivative evaluated through
+    """Intercept, sensitivity and second variation ``(value, dvalue/d b0,
+    d2value/d b0^2)`` of one family of characteristic curves, with ``m``
+    and its first two derivatives along ``b`` evaluated through
     ``ucp2d.fields.evaluate`` at every RK4 stage: the reference for the
-    tracer of ``ucp2d.characteristics``, which runs both from one compiled
+    tracer of ``ucp2d.characteristics``, which runs them from one compiled
     program.  ``bounds`` is the padded box ``((lo_a, hi_a), (lo_b,
     hi_b))`` in tracing order (independent variable first)."""
     dm_field = m_field.diff("x" if mirrored else "y")
+    ddm_field = dm_field.diff("x" if mirrored else "y")
 
     def slope(a, b):
         if mirrored:
-            return -m_field(b, a), -dm_field(b, a)
-        return -m_field(a, b), -dm_field(a, b)
+            return -m_field(b, a), -dm_field(b, a), -ddm_field(b, a)
+        return -m_field(a, b), -dm_field(a, b), -ddm_field(a, b)
 
     def check(a, b):
         (lo_a, hi_a), (lo_b, hi_b) = bounds
@@ -131,23 +133,28 @@ def trace_family(m_field, x0, y0, bounds, mirrored, x, y):
     span = a_ref - a0
     b = b0.copy()
     v = np.ones_like(b)
+    w = np.zeros_like(b)
 
-    def rhs(a_val, b_val, v_val):
-        f, df = slope(a_val, b_val)
-        return span * f, span * df * v_val
+    def rhs(a_val, b_val, v_val, w_val):
+        # dw/dtau = span (f_bb v^2 + f_b w), the second variational equation
+        f, df, ddf = slope(a_val, b_val)
+        return span * f, span * df * v_val, span * (ddf * v_val * v_val + df * w_val)
 
     h = 1.0 / ch._RK4_STEPS
     for k in range(ch._RK4_STEPS):
         tau = k * h
         check(a0 + span * tau, b)
-        k1b, k1v = rhs(a0 + span * tau, b, v)
-        k2b, k2v = rhs(a0 + span * (tau + h / 2), b + h / 2 * k1b, v + h / 2 * k1v)
-        k3b, k3v = rhs(a0 + span * (tau + h / 2), b + h / 2 * k2b, v + h / 2 * k2v)
-        k4b, k4v = rhs(a0 + span * (tau + h), b + h * k3b, v + h * k3v)
+        k1b, k1v, k1w = rhs(a0 + span * tau, b, v, w)
+        k2b, k2v, k2w = rhs(a0 + span * (tau + h / 2), b + h / 2 * k1b, v + h / 2 * k1v,
+                            w + h / 2 * k1w)
+        k3b, k3v, k3w = rhs(a0 + span * (tau + h / 2), b + h / 2 * k2b, v + h / 2 * k2v,
+                            w + h / 2 * k2w)
+        k4b, k4v, k4w = rhs(a0 + span * (tau + h), b + h * k3b, v + h * k3v, w + h * k3w)
         b = b + h / 6 * (k1b + 2 * k2b + 2 * k3b + k4b)
         v = v + h / 6 * (k1v + 2 * k2v + 2 * k3v + k4v)
+        w = w + h / 6 * (k1w + 2 * k2w + 2 * k3w + k4w)
     check(np.full_like(b, a_ref), b)
-    return b - ref, v
+    return b - ref, v, w
 
 
 # -- the scalar kernel path: one table read and one coefficient lookup at a time

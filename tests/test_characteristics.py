@@ -106,12 +106,6 @@ def test_slopes_require_hyperbolicity():
 # -- map construction ----------------------------------------------------
 
 
-def test_report_grid_centre_is_exactly_the_origin_for_every_epsilon():
-    # pipeline._characteristics_report reads the origin's coefficients there
-    for eps in ch._EPS_CANDIDATES:
-        assert np.linspace(-eps, eps, 7)[3] == 0.0
-
-
 def test_identity_map_shifted_to_base_point():
     sys = reduce_system(ElasticityCoefficients.isotropic(1.0, 1.0))
     cmap = build_map(sys, Rect.square(0.1, -0.2, 0.3), 0.1, -0.2)
@@ -191,12 +185,12 @@ def test_traced_map_second_derivatives_closed_form():
     cmap = build_map(sys, REGION, 0.0, 0.0)
     x, y = 0.05, 0.02
     sxx, sxy, syy, txx, txy, tyy = cmap.second_derivatives(x, y)
-    assert sxx == pytest.approx((1 + 0.1 * y) * np.exp(x / 10) / 10, abs=1e-6)
-    assert sxy == pytest.approx(0.1 * np.exp(x / 10), abs=1e-6)
-    assert syy == pytest.approx(0.0, abs=1e-6)
-    assert txx == pytest.approx(-0.3, abs=1e-6)
-    assert txy == pytest.approx(0.0, abs=1e-6)
-    assert tyy == pytest.approx(0.0, abs=1e-6)
+    assert sxx == pytest.approx((1 + 0.1 * y) * np.exp(x / 10) / 10, abs=1e-12)
+    assert sxy == pytest.approx(0.1 * np.exp(x / 10), abs=1e-12)
+    assert syy == pytest.approx(0.0, abs=1e-12)
+    assert txx == pytest.approx(-0.3, abs=1e-12)
+    assert txy == pytest.approx(0.0, abs=1e-12)
+    assert tyy == pytest.approx(0.0, abs=1e-12)
 
 
 def test_traced_map_normalisation_and_inverse():
@@ -220,14 +214,15 @@ def test_traced_inverse_raises_when_newton_does_not_converge(monkeypatch):
 
 
 def _count_traces(monkeypatch):
+    # every trace, of the first variation or of the second
     calls = []
-    trace = ch._CurveTracer.intercept_and_sensitivity
+    trace = ch._CurveTracer._trace
 
-    def counted(self, x, y):
+    def counted(self, x, y, slope):
         calls.append(self)
-        return trace(self, x, y)
+        return trace(self, x, y, slope)
 
-    monkeypatch.setattr(ch._CurveTracer, "intercept_and_sensitivity", counted)
+    monkeypatch.setattr(ch._CurveTracer, "_trace", counted)
     return calls
 
 
@@ -256,24 +251,28 @@ def test_traced_inverse_traces_each_curve_once_per_newton_step(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(again, expected))
 
 
-def test_second_derivatives_trace_the_four_stencils_together(monkeypatch):
+def test_jet_traces_each_family_once(monkeypatch):
     cmap = build_map(reduce_system(manufactured_variable_tensor()), REGION, 0.0, 0.0)
     calls = _count_traces(monkeypatch)
     x, y = np.array([0.05, -0.1, 0.0]), np.array([[0.02], [-0.07]])
-    batched = cmap.second_derivatives(x, y)
+    jac, second = cmap.jet(x, y)
     assert len(calls) == 2  # one trace of each family
-    assert all(np.shape(d) == (2, 3) for d in batched)
-    point = cmap.second_derivatives(0.05, 0.02)
+    assert all(np.shape(d) == (2, 3) for d in jac + second)
+    point_jac, point_second = cmap.jet(0.05, 0.02)
     assert len(calls) == 4
-    assert all(isinstance(d, float) for d in point)
-    # the stencils of one point give the same bits whatever else is traced
-    assert [d[0, 0] for d in batched] == list(point)
+    assert all(isinstance(d, float) for d in point_jac + point_second)
+    # one point gives the same bits whatever else is traced with it
+    assert [d[0, 0] for d in jac + second] == list(point_jac + point_second)
+    # the jet's Jacobian is the first-variation Jacobian, bit for bit
+    assert all(np.array_equal(a, b) for a, b in zip(jac, cmap.jacobian(x, y)))
+    base = cmap.base_jet()
+    assert base == cmap.jet(0.0, 0.0) and cmap.base_jet() is base
 
 
 def test_transformed_coefficients_differentiate_the_map_once_per_grid(monkeypatch):
     sys = reduce_system(manufactured_variable_tensor())
     cmap = build_map(sys, REGION, 0.0, 0.0)
-    counts = {"jacobian": 0, "second_derivatives": 0}
+    counts = {"jacobian": 0, "second_derivatives": 0, "jet": 0}
 
     def counted(name):
         fn = getattr(cmap, name)
@@ -286,12 +285,12 @@ def test_transformed_coefficients_differentiate_the_map_once_per_grid(monkeypatc
 
     cmap = dataclasses.replace(cmap, **{name: counted(name) for name in counts})
     tsys = transform_system(sys, cmap, REGION)
-    counts.update(jacobian=0, second_derivatives=0)
+    counts.update(dict.fromkeys(counts, 0))
     u = np.linspace(-tsys.epsilon, tsys.epsilon, 5)
     sg, tg = np.meshgrid(u, u, indexing="ij")
     for name in ("b11", "b12", "c1", "a11", "a12", "a22", "b21", "b22", "c2"):
         getattr(tsys, name)(sg, tg)
-    assert counts == {"jacobian": 1, "second_derivatives": 1}
+    assert counts == {"jacobian": 0, "second_derivatives": 0, "jet": 1}
 
 
 def test_transform_system_reuses_the_probe_pullback(monkeypatch):
@@ -336,6 +335,64 @@ def test_transformed_coefficients_keep_every_queried_grid():
     assert calls == []
 
 
+def _lame_traced():
+    sc = load_scenario(scenario_dir() / "lame_traced.json")
+    sys = reduce_system(sc.coefficients)
+    return sc, sys, build_map(sys, sc.omega, *sc.point)
+
+
+def test_transformed_coefficients_keep_grids_of_equal_bits_and_other_shapes_apart():
+    sc, sys, cmap = _lame_traced()
+    tsys = transform_system(sys, cmap, sc.omega)
+    u = np.linspace(-tsys.epsilon, tsys.epsilon, 5)
+    sg, tg = np.meshgrid(u, u, indexing="ij")
+    assert tsys.a22(sg, tg).shape == (5, 5)
+    flat = tsys.a22(sg.ravel(), tg.ravel())
+    assert flat.shape == (25,)
+    assert np.array_equal(flat, tsys.a22(sg, tg).ravel())
+    assert isinstance(tsys.b12(0.0, 0.0), float)
+    one = tsys.b12(np.zeros(1), np.zeros(1))
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+
+
+def test_origin_coefficients_are_those_of_the_pulled_back_origin(monkeypatch):
+    # the origin's entry comes from the base jet with no trace, and has the
+    # bits that pulling (0, 0) back and taking the jet there gives
+    calls = _count_traces(monkeypatch)
+    names = ("b11", "b12", "c1", "a11", "a12", "a22", "b21", "b22", "c2")
+    for coeffs in (manufactured_variable_tensor(), EX41B):
+        sys = reduce_system(coeffs)
+        cmap = build_map(sys, REGION, 0.0, 0.0)
+        tsys = transform_system(sys, cmap, REGION)
+        calls.clear()
+        origin = [getattr(tsys, k)(0.0, 0.0) for k in names]
+        assert calls == []
+        pulled = [getattr(tsys, k)(np.zeros(1), np.zeros(1)) for k in names]
+        assert len(calls) == (0 if cmap.linear else 4)  # one Newton step and the jet
+        assert [np.float64(v).tobytes() for v in origin] == [p.tobytes() for p in pulled]
+
+
+def test_choose_epsilon_skips_a_square_whose_reference_segment_leaves_omega(monkeypatch):
+    # on lame_traced (omega of halfwidth 0.3) the 0.5 square's segment x = 0,
+    # |y| <= 0.5 leaves omega, so it is passed over without a trace
+    sc, sys, cmap = _lame_traced()
+    inverses = []
+
+    def counted(s, t, inverse=cmap.inverse):
+        inverses.append(np.shape(s))
+        return inverse(s, t)
+
+    calls = _count_traces(monkeypatch)
+    eps, x, y = ch._choose_epsilon(sys, dataclasses.replace(cmap, inverse=counted), sc.omega)
+    assert eps == 0.25 and inverses == [(81,)]
+    chosen = len(calls)
+    u = np.linspace(-1.0, 1.0, ch._N_SAMPLE)
+    su, tu = np.meshgrid(u, u, indexing="ij")
+    x_ref, y_ref = cmap.inverse(su.ravel() * 0.25, tu.ravel() * 0.25)
+    assert len(calls) == 2 * chosen - 2  # the same Newton solve; the base jet is kept
+    assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
+
+
 @pytest.mark.parametrize("h", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 1.0, 2.0),
                                (1e-14, 1.0, 2.0), (3.0, 2.0, 1e-15), (0.0, -1.0, 1e-30)])
 def test_case_rule_agrees_on_a_point_and_a_constant_grid(h):
@@ -362,15 +419,20 @@ def test_tracer_matches_the_evaluate_oracle_bit_for_bit(coeffs, case):
     sys = reduce_system(coeffs)
     mirrored = case == CASE_A1222
     rng = np.random.default_rng(5)
-    points = [(0.07, -0.08), (np.float64(-0.1), 0.0),
+    # (0.01, 0.05) and (0.05, -0.02) lie on the generic and the mirrored
+    # reference line, where the curve has zero length
+    points = [(0.07, -0.08), (np.float64(-0.1), 0.0), (0.01, 0.05), (0.05, -0.02),
               (rng.uniform(-0.1, 0.1, 7), rng.uniform(-0.1, 0.1, (3, 1)))]
     for m in ch._slope_fields(sys, case):
         tracer = ch._CurveTracer(m, 0.01, -0.02, TRACE_BOUNDS, mirrored=mirrored)
         for x, y in points:
-            value, sens = tracer.intercept_and_sensitivity(x, y)
-            value_o, sens_o = trace_family(m, 0.01, -0.02, TRACE_BOUNDS, mirrored, x, y)
-            assert value.tobytes() == value_o.tobytes()
-            assert sens.tobytes() == sens_o.tobytes()
+            oracle = trace_family(m, 0.01, -0.02, TRACE_BOUNDS, mirrored, x, y)
+            first = tracer.intercept_and_sensitivity(x, y)
+            second = tracer.intercept_and_variations(x, y)
+            assert len(first) == 2 and len(second) == 3
+            for got in (first, second):
+                for a, b in zip(got, oracle):
+                    assert a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
@@ -385,10 +447,11 @@ def test_slope_turning_non_finite_mid_trace_raises_the_oracle_error(mirrored):
     with pytest.raises(EvalDomainError) as want:
         trace_family(m, 0.01, 0.01, TRACE_BOUNDS, mirrored, x, y)
     tracer = ch._CurveTracer(m, 0.01, 0.01, TRACE_BOUNDS, mirrored=mirrored)
-    with pytest.raises(EvalDomainError) as got:
-        tracer.intercept_and_sensitivity(x, y)
-    assert str(got.value) == str(want.value)
-    assert str(got.value).startswith("non-finite value in '0*exp(8000*")
+    for trace in (tracer.intercept_and_sensitivity, tracer.intercept_and_variations):
+        with pytest.raises(EvalDomainError) as got:
+            trace(x, y)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("non-finite value in '0*exp(8000*")
 
 
 def test_mirrored_traced_map_equals_axis_swapped_generic_map():
@@ -423,6 +486,25 @@ def test_mirrored_traced_map_equals_axis_swapped_generic_map():
         s_g, t_g = cmap_g.forward(y, x)
         assert s_m == pytest.approx(s_g, abs=1e-8)
         assert t_m == pytest.approx(t_g, abs=1e-8)
+
+
+def test_mirrored_jet_equals_axis_swapped_generic_jet():
+    # s_m(x, y) = s_g(y, x), so the swap exchanges sx with sy and sxx with syy
+    swapped = dict(MIRRORED_TENSOR, a1112="1 + 0.2*sin(3*y)", a1222="0",
+                   a1122="0.3*x - 0.1*y - 3")
+    cmap_m = build_map(reduce_system(ElasticityCoefficients.from_components(MIRRORED_TENSOR)),
+                       REGION, 0.0, 0.0)
+    cmap_g = build_map(reduce_system(ElasticityCoefficients.from_components(swapped)),
+                       REGION, 0.0, 0.0)
+    assert (cmap_m.case, cmap_g.case) == (CASE_A1222, CASE_A1112)
+    assert not (cmap_m.linear or cmap_g.linear)
+    x, y = np.array([0.05, -0.08, 0.1]), np.array([0.02, 0.07, -0.03])
+    (jac_m, second_m), (jac_g, second_g) = cmap_m.jet(x, y), cmap_g.jet(y, x)
+    for i, j in enumerate([2, 3, 0, 1]):
+        assert np.allclose(jac_m[i], jac_g[j], rtol=0, atol=1e-12)
+    for i, j in enumerate([2, 1, 0, 5, 4, 3]):
+        assert np.allclose(second_m[i], second_g[j], rtol=0, atol=1e-12)
+    assert np.max(np.abs(second_m[3:])) > 0.1  # the t family's curves bend
 
 
 def _rotate_tensor(coeffs, angle):

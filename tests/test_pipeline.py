@@ -621,23 +621,34 @@ def test_kernel_rows_hold_only_the_segment_the_march_reads():
 
 
 def test_characteristics_report_pulls_back_its_grid_once():
-    # the origin is the grid's centre, so its coefficients come from the same pullback
-    sc = load_scenario(scenario_dir() / "lame_lower_order.json")
-    sys = reduce_system(sc.coefficients)
-    cmap = ch.build_map(sys, sc.omega, *sc.point)
-    calls = []
+    # its grid is transform_system's 9 x 9 probe, pulled back once there; the
+    # origin's coefficients come from the base point's jet
+    for name in ("lame_lower_order", "lame_traced"):
+        sc = load_scenario(scenario_dir() / f"{name}.json")
+        sys = reduce_system(sc.coefficients)
+        cmap = ch.build_map(sys, sc.omega, *sc.point)
+        calls = []
 
-    def counted(s, t, inverse=cmap.inverse):
-        calls.append(np.shape(s))
-        return inverse(s, t)
+        def counted(s, t, inverse=cmap.inverse):
+            calls.append(np.shape(s))
+            return inverse(s, t)
 
-    tsys = ch.transform_system(sys, dataclasses.replace(cmap, inverse=counted), sc.omega)
-    calls.clear()
-    report = pl._characteristics_report(cmap, tsys)
-    assert calls == [(49,)]
-    at_origin = report["normal_form_coefficients_at_origin"]
-    for key, value in at_origin.items():
-        assert value == float(getattr(tsys, key.lower())(0.0, 0.0))
+        def jet_counted(x, y, jet=cmap.jet):
+            calls.append(("jet", np.shape(x)))
+            return jet(x, y)
+
+        cmap = dataclasses.replace(cmap, inverse=counted, jet=jet_counted)
+        tsys = ch.transform_system(sys, cmap, sc.omega)
+        assert calls[-1] == (81,)  # the accepted square's probe grid
+        calls.clear()
+        report = pl._characteristics_report(cmap, tsys)
+        assert calls == []
+        at_origin = report["normal_form_coefficients_at_origin"]
+        for key, value in at_origin.items():
+            assert value == float(getattr(tsys, key.lower())(0.0, 0.0))
+        detj = np.abs(tsys.probe_det_jacobian)
+        assert detj.shape == (81,)
+        assert report["det_jacobian_range"] == [float(detj.min()), float(detj.max())]
 
 
 def test_ucp_stage_evaluates_the_coefficients_once_per_axis():
