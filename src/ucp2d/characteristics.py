@@ -228,10 +228,12 @@ class _CurveTracer:
     def __init__(self, m_field, x0, y0, bounds, mirrored=False):
         # m and its derivatives along the secondary axis from one compiled
         # program per order: the first variation reads m and dm, the
-        # second also d2m, which costs about as much again to evaluate
+        # second also d2m.  When m does not depend on that axis, dm and
+        # d2m are the literal 0, so v and w never move and m alone is read
         dm = m_field.diff("x" if mirrored else "y")
         self.first = FieldGroup(m_field, dm)
         self.second = FieldGroup(m_field, dm, dm.diff("x" if mirrored else "y"))
+        self.slope_only = FieldGroup(m_field) if dm.is_zero() else None
         self.x0, self.y0 = x0, y0
         self.bounds = bounds  # padded containment box as ((lo_x, hi_x), (lo_y, hi_y))
         self.mirrored = mirrored
@@ -273,13 +275,19 @@ class _CurveTracer:
             # curves of zero length (the base point): every step would add
             # span * (...) = 0, so the start is the end, with no field read
             return (state[0] - ref, *state[1:])
+        fixed = []
+        if self.slope_only is not None:
+            # dm = d2m = 0: each step adds span * (+-0) to v and w, which
+            # keeps their start bit for bit, so only b is integrated
+            slope, state, fixed = self.slope_only, state[:1], state[1:]
 
         def rhs(a_val, state):
             # independent variable first; mirrored tracing integrates x over y
-            b_val, v_val = state[0], state[1]
-            derivs = slope(b_val, a_val) if self.mirrored else slope(a_val, b_val)
-            f, df = -derivs[0], -derivs[1]
-            out = [span * f, span * df * v_val]
+            derivs = slope(state[0], a_val) if self.mirrored else slope(a_val, state[0])
+            out = [span * -derivs[0]]
+            if len(state) > 1:
+                v_val, df = state[1], -derivs[1]
+                out.append(span * df * v_val)
             if len(state) == 3:
                 # dw/dtau = span (f_bb v^2 + f_b w)
                 ddf = -derivs[2]
@@ -297,7 +305,7 @@ class _CurveTracer:
             state = [u + h / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
                      for u, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)]
         self._check(np.full_like(state[0], a_ref), state[0])
-        return (state[0] - ref, *state[1:])
+        return (state[0] - ref, *state[1:], *fixed)
 
 
 def _slope_fields(sys, case):

@@ -21,7 +21,19 @@ Grammar, tightest binding first::
 
 with parentheses, the identifiers ``x``, ``y``, ``pi``, and the
 one-argument functions ``exp``, ``log``, ``sin``, ``cos``, ``sqrt``.
-Derivative trees are not simplified beyond folding of literal subtrees.
+
+Derivative trees fold literal subtrees and drop structurally zero terms:
+a subtree whose derivative is identically zero by its structure (no
+occurrence of the variable, or only under a literal-0 factor) gets the
+literal ``0``, and the sum, product, quotient, power and chain rules
+leave out every term with a literal-0 factor, so ``d(u*v) = u*dv`` when
+``du`` is 0 and ``du - 0`` is ``du``.  Parsed trees, field arithmetic
+and evaluation are not simplified.  A dropped term evaluates to +-0 or
+fails, so wherever the unsimplified derivative evaluates, the folded one
+gives the same bits, except that a zero result may differ in sign.  The
+folded tree may evaluate where the unsimplified one fails:
+``d/dx (x + sqrt(0*y))`` is 1, where the full product rule divides by
+``sqrt(0)``.
 """
 
 from __future__ import annotations
@@ -351,32 +363,62 @@ def _run(program, x, y):
         yield vals[root]
 
 
+_ZERO = Const(0.0)
+
+
+def _is_zero(node):
+    return isinstance(node, Const) and node.value == 0.0
+
+
+def _sum(op, a, b):
+    """``a + b`` or ``a - b`` of derivative terms, a literal-zero term dropped."""
+    if _is_zero(b):
+        return _ZERO if _is_zero(a) else a
+    if _is_zero(a):
+        return b if op == "+" else _neg(b)
+    return _bin(op, a, b)
+
+
+def _times(a, b):
+    """``a * b`` of derivative factors: literal 0 when either factor is."""
+    return _ZERO if _is_zero(a) or _is_zero(b) else _bin("*", a, b)
+
+
+def _over(a, b):
+    """``a / b`` with a derivative numerator: literal 0 when ``a`` is."""
+    return _ZERO if _is_zero(a) else _bin("/", a, b)
+
+
 def _diff_node(node, var):
-    if isinstance(node, (Const,)):
-        return Const(0.0)
+    # a subtree whose derivative is structurally zero gets the literal 0,
+    # and the rules below drop the terms it would be a factor of
+    if isinstance(node, Const):
+        return _ZERO
     if isinstance(node, Var):
-        return Const(1.0 if node.name == var else 0.0)
+        return Const(1.0) if node.name == var else _ZERO
     if isinstance(node, Neg):
-        return _neg(_diff_node(node.arg, var))
+        return _sum("-", _ZERO, _diff_node(node.arg, var))
     if isinstance(node, Bin):
         u, v = node.lhs, node.rhs
         du, dv = _diff_node(u, var), _diff_node(v, var)
         if node.op in "+-":
-            return _bin(node.op, du, dv)
+            return _sum(node.op, du, dv)
         if node.op == "*":
-            return _bin("+", _bin("*", du, v), _bin("*", u, dv))
+            return _sum("+", _times(du, v), _times(u, dv))
         if node.op == "/":
-            num = _bin("-", _bin("*", du, v), _bin("*", u, dv))
-            return _bin("/", num, _bin("*", v, v))
+            num = _sum("-", _times(du, v), _times(u, dv))
+            return _over(num, _bin("*", v, v))
         # power: literal exponents get the plain power rule (valid for
         # negative bases); general exponents go through exp/log
         if isinstance(v, Const):
             c = v.value
-            return _bin("*", _bin("*", Const(c), _bin("^", u, Const(c - 1.0))), du)
-        term1 = _bin("*", dv, Call("log", u))
-        term2 = _bin("/", _bin("*", v, du), u)
-        return _bin("*", node, _bin("+", term1, term2))
+            return _times(_times(Const(c), _bin("^", u, Const(c - 1.0))), du)
+        term1 = _times(dv, Call("log", u))
+        term2 = _over(_times(v, du), u)
+        return _times(node, _sum("+", term1, term2))
     a, da = node.arg, _diff_node(node.arg, var)
+    if _is_zero(da):
+        return _ZERO
     if node.fn == "exp":
         return _bin("*", node, da)
     if node.fn == "log":
@@ -391,12 +433,12 @@ def _diff_node(node, var):
 def _format(node):
     # parenthesise conservatively; output re-parses to the same tree shape
     if isinstance(node, Const):
-        v = node.value
-        if v == int(v) and abs(v) < 1e16:
-            text = str(int(v))
-        else:
-            text = repr(v)
-        return f"({text})" if v < 0 else text
+        # the magnitude as a Python float (a folded literal may be a numpy
+        # scalar, whose repr does not parse); the sign, -0 included, as a
+        # unary minus
+        v = abs(float(node.value))
+        text = str(int(v)) if v == int(v) and v < 1e16 else repr(v)
+        return f"(-{text})" if math.copysign(1.0, node.value) < 0 else text
     if isinstance(node, Var):
         return node.name
     if isinstance(node, Neg):
@@ -449,7 +491,7 @@ class ScalarField:
 
     def is_zero(self):
         """True when the tree is the literal constant 0 (no analysis)."""
-        return isinstance(self.ast, Const) and self.ast.value == 0.0
+        return _is_zero(self.ast)
 
     def _coerce(self, other):
         if isinstance(other, ScalarField):

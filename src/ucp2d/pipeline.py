@@ -37,10 +37,8 @@ __all__ = [
     "stage",
     "DegenerateDataError",
     "NullSpaceResult",
-    "PointDataFit",
     "run",
     "null_space_dimension",
-    "point_data_solve",
     "complete_second_derivatives",
     "point_data_mode",
     "EXPECTATIONS",
@@ -387,67 +385,6 @@ def projection_defect(result, values):
 
 
 # -- point-data analysis ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PointDataFit:
-    coefficients: np.ndarray
-    rank: int
-    deficient: bool
-    matrix: np.ndarray
-    observed: tuple
-    null_combinations: np.ndarray  # (n_free, n_basis) unresolved directions
-
-
-def _field_derivative(f, key):
-    if key == "u":
-        return f
-    if key == "ux":
-        return f.diff("x")
-    if key == "uy":
-        return f.diff("y")
-    if key == "uxx":
-        return f.diff("x").diff("x")
-    if key == "uxy":
-        return f.diff("x").diff("y")
-    if key == "uyy":
-        return f.diff("y").diff("y")
-    raise ValueError(f"unknown point-data key {key!r}")
-
-
-def point_data_solve(family_basis, data, at, rank_threshold=1e-9):
-    """Fit family coefficients to observed point values, reporting rank.
-
-    ``data`` maps observation keys (among u, ux, uy, uxx, uxy, uyy) to
-    values at the point ``at``.  Full column rank with zero data forces
-    the zero member; rank deficiency means the observations cannot pin
-    the family, and the unresolved directions are returned.
-    """
-    keys = [k for k in ("u", "ux", "uy", "uxx", "uxy", "uyy") if k in data]
-    if set(keys) != set(data):
-        raise ValueError("unknown point-data keys present")
-    x0, y0 = at
-    m = np.array(
-        [[_field_derivative(f, k)(x0, y0) for f in family_basis] for k in keys]
-    )
-    rhs = np.array([float(data[k]) for k in keys])
-    coeffs, *_ = np.linalg.lstsq(m, rhs, rcond=None)
-    sv = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.sum(sv > rank_threshold * sv[0])) if sv[0] > 0 else 0
-    deficient = rank < len(family_basis)
-    if deficient:
-        _, _, vt = np.linalg.svd(m)
-        null = vt[rank:]
-    else:
-        null = np.zeros((0, len(family_basis)))
-    return PointDataFit(
-        coefficients=coeffs,
-        rank=rank,
-        deficient=deficient,
-        matrix=m,
-        observed=tuple(keys),
-        null_combinations=null,
-    )
 
 
 def complete_second_derivatives(sys, x0, y0, data, given_second, rank_threshold=1e-9):

@@ -5,11 +5,12 @@ values through a different route than the code under test.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from ucp2d import characteristics as ch
-from ucp2d.fields import Bin, Const, EvalDomainError, Neg, Var
+from ucp2d.fields import Bin, Call, Const, EvalDomainError, Neg, ScalarField, Var, _bin, _neg
 
 
 def hyperbolic_bessel_series(z, terms=60):
@@ -100,6 +101,51 @@ def walk_evaluate(field, x, y):
         return float(out)
     shape = np.broadcast_shapes(np.shape(x), np.shape(y))
     return np.broadcast_to(out, shape).copy() if out.shape != shape else out
+
+
+def unsimplified_diff_node(node, var):
+    """Derivative tree by the textbook rules with every ``0 * expr`` and
+    ``expr + 0`` term kept: the reference for ``ucp2d.fields``, whose
+    derivative trees drop the terms that are structurally zero."""
+    if isinstance(node, (Const,)):
+        return Const(0.0)
+    if isinstance(node, Var):
+        return Const(1.0 if node.name == var else 0.0)
+    if isinstance(node, Neg):
+        return _neg(unsimplified_diff_node(node.arg, var))
+    if isinstance(node, Bin):
+        u, v = node.lhs, node.rhs
+        du, dv = unsimplified_diff_node(u, var), unsimplified_diff_node(v, var)
+        if node.op in "+-":
+            return _bin(node.op, du, dv)
+        if node.op == "*":
+            return _bin("+", _bin("*", du, v), _bin("*", u, dv))
+        if node.op == "/":
+            num = _bin("-", _bin("*", du, v), _bin("*", u, dv))
+            return _bin("/", num, _bin("*", v, v))
+        # power: literal exponents get the plain power rule (valid for
+        # negative bases); general exponents go through exp/log
+        if isinstance(v, Const):
+            c = v.value
+            return _bin("*", _bin("*", Const(c), _bin("^", u, Const(c - 1.0))), du)
+        term1 = _bin("*", dv, Call("log", u))
+        term2 = _bin("/", _bin("*", v, du), u)
+        return _bin("*", node, _bin("+", term1, term2))
+    a, da = node.arg, unsimplified_diff_node(node.arg, var)
+    if node.fn == "exp":
+        return _bin("*", node, da)
+    if node.fn == "log":
+        return _bin("/", da, a)
+    if node.fn == "sin":
+        return _bin("*", Call("cos", a), da)
+    if node.fn == "cos":
+        return _neg(_bin("*", Call("sin", a), da))
+    return _bin("/", da, _bin("*", Const(2.0), node))
+
+
+def unsimplified_differentiate(field, var):
+    """``ucp2d.fields.differentiate`` with :func:`unsimplified_diff_node`."""
+    return ScalarField(unsimplified_diff_node(field.ast, var))
 
 
 def trace_family(m_field, x0, y0, bounds, mirrored, x, y):
@@ -254,4 +300,68 @@ def bilinear(table, s, t):
         + table.values[i + 1, j] * ws * (1 - wt)
         + table.values[i, j + 1] * (1 - ws) * wt
         + table.values[i + 1, j + 1] * ws * wt
+    )
+
+
+# -- criterion 3's symbolic oracle: point data on a closed-form family
+
+
+@dataclass(frozen=True)
+class PointDataFit:
+    coefficients: np.ndarray
+    rank: int
+    deficient: bool
+    matrix: np.ndarray
+    observed: tuple
+    null_combinations: np.ndarray  # (n_free, n_basis) unresolved directions
+
+
+def _field_derivative(f, key):
+    if key == "u":
+        return f
+    if key == "ux":
+        return f.diff("x")
+    if key == "uy":
+        return f.diff("y")
+    if key == "uxx":
+        return f.diff("x").diff("x")
+    if key == "uxy":
+        return f.diff("x").diff("y")
+    if key == "uyy":
+        return f.diff("y").diff("y")
+    raise ValueError(f"unknown point-data key {key!r}")
+
+
+def point_data_solve(family_basis, data, at, rank_threshold=1e-9):
+    """Fit family coefficients to observed point values, reporting rank.
+
+    ``data`` maps observation keys (among u, ux, uy, uxx, uxy, uyy) to
+    values at the point ``at``.  Full column rank with zero data forces
+    the zero member; rank deficiency means the observations cannot pin
+    the family, and the unresolved directions are returned.
+    """
+    keys = [k for k in ("u", "ux", "uy", "uxx", "uxy", "uyy") if k in data]
+    if set(keys) != set(data):
+        raise ValueError("unknown point-data keys present")
+    x0, y0 = at
+    m = np.array(
+        [[_field_derivative(f, k)(x0, y0) for f in family_basis] for k in keys]
+    )
+    rhs = np.array([float(data[k]) for k in keys])
+    coeffs, *_ = np.linalg.lstsq(m, rhs, rcond=None)
+    sv = np.linalg.svd(m, compute_uv=False)
+    rank = int(np.sum(sv > rank_threshold * sv[0])) if sv[0] > 0 else 0
+    deficient = rank < len(family_basis)
+    if deficient:
+        _, _, vt = np.linalg.svd(m)
+        null = vt[rank:]
+    else:
+        null = np.zeros((0, len(family_basis)))
+    return PointDataFit(
+        coefficients=coeffs,
+        rank=rank,
+        deficient=deficient,
+        matrix=m,
+        observed=tuple(keys),
+        null_combinations=null,
     )

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import hyperbolic_bessel_series
+from helpers import hyperbolic_bessel_series, point_data_solve
 from ucp2d import cli
 from ucp2d import pipeline as pl
 from ucp2d.characteristics import (
@@ -129,7 +129,7 @@ def test_criterion_3_counterexamples_under_reduced_data():
             if max(rh, re) > 1e-12:
                 failures.append(f"{label}: family member {f.source} residual {max(rh, re)}")
         data = {"u": 0.0, "ux": 0.0, "uy": 0.0, second: 0.0}
-        fit = pl.point_data_solve(family, data, at=(0.0, 0.0))
+        fit = point_data_solve(family, data, at=(0.0, 0.0))
         if not fit.deficient:
             failures.append(f"{label}: map unexpectedly full rank")
             continue

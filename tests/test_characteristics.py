@@ -411,6 +411,42 @@ MIRRORED_TENSOR = {
 TRACE_BOUNDS = ((-0.6, 0.6), (-0.6, 0.6))
 
 
+def test_lame_traced_tracers_compile_no_steps_for_slope_derivatives_that_are_zero():
+    # m does not depend on y on lame_traced (h02 = 0 enters only as a
+    # factor 0), so dm/dy and d2m/dy2 are the literal 0 and cost no step
+    sc, sys, cmap = _lame_traced()
+    assert cmap.case == CASE_A1112
+    for m in ch._slope_fields(sys, cmap.case):
+        tracer = ch._CurveTracer(m, *sc.point, TRACE_BOUNDS)
+        first, second = tracer.first._program[1], tracer.second._program[1]
+        k = len(first[0])
+        assert k > 0 and [len(s) for s in first] == [k, 0]
+        assert [len(s) for s in second] == [k, 0, 0]
+        assert tracer.slope_only is not None
+    # a slope that depends on y keeps its derivative programs
+    m = ch._slope_fields(reduce_system(manufactured_variable_tensor()), CASE_A1112)[0]
+    assert ch._CurveTracer(m, 0.0, 0.0, TRACE_BOUNDS).slope_only is None
+
+
+def test_tracer_integrating_b_alone_matches_the_evaluate_oracle_bit_for_bit():
+    # v and w keep their start when dm = d2m = 0, as the oracle's RK4
+    # steps, which add span * (+-0) to them, leave them
+    sc, sys, cmap = _lame_traced()
+    rng = np.random.default_rng(3)
+    points = [(0.04, -0.03), (0.0, 0.02),
+              (rng.uniform(-0.04, 0.04, 7), rng.uniform(-0.05, 0.05, (3, 1)))]
+    for m in ch._slope_fields(sys, cmap.case):
+        tracer = ch._CurveTracer(m, *sc.point, TRACE_BOUNDS)
+        for x, y in points:
+            oracle = trace_family(m, *sc.point, TRACE_BOUNDS, False, x, y)
+            first = tracer.intercept_and_sensitivity(x, y)
+            second = tracer.intercept_and_variations(x, y)
+            assert len(first) == 2 and len(second) == 3
+            for got in (first, second):
+                for a, b in zip(got, oracle):
+                    assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("coeffs, case", [
     (manufactured_variable_tensor(), CASE_A1112),
     (ElasticityCoefficients.from_components(MIRRORED_TENSOR), CASE_A1222),

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import walk_evaluate
+from helpers import unsimplified_differentiate, walk_evaluate
 from ucp2d.fields import (
     FUNCTIONS,
     Bin,
@@ -309,3 +309,72 @@ def test_non_finite_literals_rejected_or_left_unfolded():
     assert isinstance(f.ast, Bin)
     with pytest.raises(EvalDomainError, match="non-finite value"):
         evaluate(f, 0.0, 0.0)
+
+
+# -- derivative trees without structurally zero terms ---------------------
+
+
+@given(_oracle_expr(), _points, _points)
+@settings(max_examples=300, deadline=None)
+def test_folded_derivatives_equal_the_unsimplified_ones_wherever_those_evaluate(text, x, y):
+    # first and second partials in every order; a signed zero may differ
+    # (the dropped term is a +-0), so values compare with ==
+    f = parse(text)
+    pairs = []
+    for var in ("x", "y"):
+        new, ref = differentiate(f, var), unsimplified_differentiate(f, var)
+        pairs.append((new, ref))
+        pairs += [(differentiate(new, v2), unsimplified_differentiate(ref, v2)) for v2 in ("x", "y")]
+    xs = np.array([x, 0.0, -0.0, 0.75])
+    ys = np.array([[y], [-1.25]])
+    for new, ref in pairs:
+        for px, py in ((x, y), (xs, ys)):
+            try:
+                want = evaluate(ref, px, py)
+            except EvalDomainError:
+                continue
+            got = evaluate(new, px, py)
+            assert np.shape(got) == np.shape(want) and np.all(got == want)
+
+
+def test_structurally_zero_derivative_is_the_literal_zero():
+    assert parse("x*sin(x)").diff("y").is_zero()
+    assert parse("-cos(x) + 3*x^2 / exp(x)").diff("y").diff("x").is_zero()
+    # one factor's derivative is 0: d(u v) = u dv, and 0 - dv is -dv
+    assert parse("sin(x) * y").diff("y").source == "(sin(x) * 1)"
+    assert parse("2 - x*x").diff("x").source == "(-((1 * x) + (x * 1)))"
+
+
+def test_folded_derivative_evaluates_where_the_unsimplified_one_divided_by_zero():
+    f = parse("x + sqrt(0*y)")
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        evaluate(unsimplified_differentiate(f, "x"), 0.5, 0.25)
+    assert evaluate(differentiate(f, "x"), 0.5, 0.25) == 1.0
+
+
+def test_negative_zero_literal_keeps_its_sign_in_the_source():
+    f = ScalarField.constant(-0.0) * parse("x")
+    assert f.source == "((-0) * x)"
+    assert math.copysign(1.0, evaluate(parse(f.source), 1.0, 0.0)) == -1.0
+    # a folded literal is a numpy scalar; its text is that of the float
+    g = parse("2^0.5 * x").diff("x")
+    assert g.source == "1.4142135623730951"
+
+
+@given(_oracle_expr(), _points, _points)
+@settings(max_examples=300, deadline=None)
+def test_source_re_parses_to_a_field_with_the_same_bits(text, x, y):
+    f = parse(text)
+    fields = [f, ScalarField.constant(-0.0) * f, -f + 0.0]
+    fields += [differentiate(g, var) for g in fields[:2] for var in ("x", "y")]
+    fields += [differentiate(differentiate(f, "x"), var) for var in ("x", "y")]
+
+    def outcome(g):
+        try:
+            value = np.asarray(evaluate(g, x, y))
+        except EvalDomainError as err:
+            return "error", str(err)
+        return value.dtype, value.tobytes()
+
+    for g in fields:
+        assert outcome(parse(g.source)) == outcome(g)

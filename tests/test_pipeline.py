@@ -6,6 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
+from helpers import point_data_solve
 from ucp2d import characteristics as ch
 from ucp2d import pipeline as pl
 from ucp2d import riemann as rm
@@ -22,7 +23,6 @@ from ucp2d.pipeline import (
     Tolerances,
     complete_second_derivatives,
     null_space_dimension,
-    point_data_solve,
     projection_defect,
     run,
 )
