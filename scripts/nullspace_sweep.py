@@ -12,9 +12,9 @@ solve's wall time, the part of it spent in the banded QR factor, the
 process's peak resident memory (interpreter and imports included) and
 the BLAS thread count it ran with (``OPENBLAS_NUM_THREADS``).  ucp2d
 runs BLAS on one thread unless that variable or ``OMP_NUM_THREADS`` is
-set; one thread is faster up to n = 129 on a 2-core machine, but
-``OPENBLAS_NUM_THREADS=2`` recovers the two-thread time at n = 257
-(``lame_constant`` 47-50 s on one thread against 45-46 s on two).
+set; on a 2-core machine one thread is as fast or faster on every grid
+up to n = 257 (``lame_constant`` 27-29 s on one thread against 28 s on
+two there).
 """
 
 import argparse

@@ -21,7 +21,8 @@ from math import factorial
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dtbtrs, dtpqrt
+from scipy.linalg.blas import dgemm, dtrsm
+from scipy.linalg.lapack import dtpqrt
 from scipy.sparse.linalg import svds
 
 from ucp2d import characteristics as ch
@@ -206,6 +207,13 @@ _K_REPORT = 12
 # time alike at n = 65 and 129; one block of the whole window took forty
 # times as long at n = 65.
 _TPQRT_BLOCK = 32
+# The QR factor's panel, and the height of R's block rows, is
+# p = max(w // _PANEL_DIVISOR, 1) for bandwidth w.  Block rows hold
+# (w + p) / (w + 1) times the entries of R's band: on lame_constant at
+# n = 129 a divisor of 8 took the solve's peak RSS to 194 MB and 12 to
+# 190 MB; 16 ran the factor and the solves about a fifth slower than 8 or
+# 12 at n = 65.
+_PANEL_DIVISOR = 12
 # Inverse iteration steps before an unconverged block is an error.
 _INVERSE_ITERATION_CAP = 100
 
@@ -239,65 +247,109 @@ def _band_sorted(a):
 
 def _banded_r(a_sparse):
     """Upper-triangular factor R of a QR factorisation of the sparse
-    ``a_sparse`` (so ``R^T R = A^T A``), in LAPACK upper-band storage
-    ``ab[w + i - j, j] = R[i, j]``.
+    ``a_sparse`` (so ``R^T R = A^T A``), as block rows.
 
     With rows sorted by leading column, row ``i`` of R is a combination of
     rows leading at or before column ``i``, so R has the rows' bandwidth
     ``w`` (Golub & Van Loan, *Matrix Computations*, 5.7).  The rows of R
     not yet final live in a ``(w + p) x (w + p)`` upper-triangular window
-    that slides down the diagonal ``p = max(w // 4, 1)`` columns at a time.
-    Each step appends the rows leading inside the next ``p`` columns with
-    one triangular-pentagonal QR (``dtpqrt``, which leaves the window's
-    zero triangle alone), emits the window's first ``p`` rows as final
-    rows of R and shifts the window by ``p``.
+    that slides down the diagonal ``p = max(w // _PANEL_DIVISOR, 1)``
+    columns at a time.  Each step appends the rows leading inside the next
+    ``p`` columns, read straight from the sorted CSR arrays (such a row
+    ends before the window does), with one triangular-pentagonal QR
+    (``dtpqrt``, which leaves the window's zero triangle alone), keeps the
+    window's first ``p`` rows as the next block row of R and shifts the
+    window by ``p``.
+
+    Returns ``blocks`` of shape ``(p, w + p, m)``, Fortran-ordered, with
+    ``m = ceil(ncol / p)``: ``blocks[:, :, i]`` holds rows ``i p`` to
+    ``i p + p`` of R in columns ``i p`` to ``i p + w + p``, upper
+    trapezoidal, so its triangle ``blocks[:, :p, i]`` and the rest
+    ``blocks[:, p:, i]`` are Fortran-contiguous views.  Rows past the last
+    column are padding with unit pivots and no other entries.
     """
     a, lead, w = _band_sorted(a_sparse)
-    ncol, p = a.shape[1], max(w // 4, 1)
-    size, padded = w + p, -(-ncol // p) * p
-    # zero columns past the last keep every window inside the matrix;
-    # they leave R's first ncol columns as they are
-    a.resize((a.shape[0], padded + w))
+    ncol, p = a.shape[1], max(w // _PANEL_DIVISOR, 1)
+    size, m = w + p, -(-ncol // p)
     window = np.zeros((size, size), order="F")
-    ab = np.zeros((w + 1, padded + w), order="F")
-    k, d = np.arange(p)[:, None], np.arange(w + 1)
-    for c0 in range(0, padded, p):
+    blocks = np.zeros((p, size, m), order="F")
+    for i, c0 in enumerate(range(0, m * p, p)):
         r0, r1 = np.searchsorted(lead, [c0, c0 + p])
-        rows = a[r0:r1, c0:c0 + size].toarray(order="F")
+        lo, hi = a.indptr[r0], a.indptr[r1]
+        rows = np.zeros((r1 - r0, size), order="F")
+        row_of = np.repeat(np.arange(r1 - r0), np.diff(a.indptr[r0:r1 + 1]))
+        rows[row_of, a.indices[lo:hi] - c0] = a.data[lo:hi]
         window, *_ = dtpqrt(0, min(_TPQRT_BLOCK, size), window, rows,
                             overwrite_a=True, overwrite_b=True)
-        ab[w - d, c0 + k + d] = window[k, k + d]
+        blocks[:, :, i] = window[:p]
         window[:w, :w] = window[p:, p:]
         window[w:] = 0.0
         window[:, w:] = 0.0
-    return ab[:, :ncol]
+    pad = np.arange(ncol - (m - 1) * p, p)
+    blocks[pad, pad, -1] = 1.0
+    return blocks
 
 
-def _smallest_right_vectors(a_sparse, r_band, k, sigma_max):
-    """Block inverse iteration on the banded QR factor.
+def _block_solve(blocks, y, trans):
+    """``x`` with ``R x = y``, or ``R^T x = y`` if ``trans``, for the block
+    rows of ``_banded_r`` and the ``(ncol, k)`` right-hand sides ``y``.
+
+    Works on ``X^T``, whose block columns are Fortran-contiguous, so each
+    block row costs one ``dgemm`` and one ``dtrsm`` in place and hands BLAS
+    views of ``blocks``, never copies.  ``R x = y`` runs backward,
+    ``x_i = T_i^-1 (y_i - B_i x_(i+1..))``; ``R^T x = y`` runs forward,
+    ``x_i = T_i^-T y_i`` followed by ``y_(i+1..) -= B_i^T x_i``.
+    """
+    p, size, m = blocks.shape
+    ncol, k = y.shape
+    xt = np.zeros((k, (m - 1) * p + size), order="F")
+    xt[:, :ncol] = y.T
+    for i in range(m) if trans else range(m - 1, -1, -1):
+        c0 = i * p
+        tri, rest = blocks[:, :p, i], blocks[:, p:, i]
+        head, tail = xt[:, c0:c0 + p], xt[:, c0 + p:c0 + size]
+        if trans:
+            dtrsm(1.0, tri, head, side=1, overwrite_b=1)
+            dgemm(-1.0, head, rest, 1.0, tail, overwrite_c=1)
+        else:
+            dgemm(-1.0, tail, rest, 1.0, head, trans_b=1, overwrite_c=1)
+            dtrsm(1.0, tri, head, side=1, trans_a=1, overwrite_b=1)
+    return xt[:, :ncol].T
+
+
+def _floor_pivots(blocks):
+    """Raise the pivots on the block diagonals of ``blocks`` to at least
+    1e-150 of the largest (or of 1), in place, so an exact zero pivot
+    leaves the solves finite."""
+    on_diagonal = np.arange(blocks.shape[0])
+    diag = blocks[on_diagonal, on_diagonal]
+    floor = max(np.abs(diag).max(), 1.0) * 1e-150
+    blocks[on_diagonal, on_diagonal] = np.where(np.abs(diag) < floor, floor, diag)
+
+
+def _smallest_right_vectors(a_sparse, blocks, k, sigma_max):
+    """Block inverse iteration on the QR factor's block rows.
 
     Returns the ascending Ritz values of ``a_sparse`` on a ``k``-column
     subspace and its orthonormal Ritz vectors (columns), which approximate
     the right-singular vectors of the ``k`` smallest singular values.
-    Each step solves with ``R^T`` and then with ``R`` (``dtbtrs``),
-    orthonormalising after every solve, and finishes with a Rayleigh-Ritz
-    SVD of ``A V``.  It stops once the first ``k - 8`` Ritz values repeat
-    to 1e-13 relative, or to 1e-15 of ``sigma_max`` for rounding-level
-    values, and raises ``ValueError`` if that takes more than
-    ``_INVERSE_ITERATION_CAP`` steps.  The band's diagonal is floored in
-    place, so an exact zero pivot leaves the solves finite.
+    Each step solves with ``R^T`` and then with ``R`` (``_block_solve``,
+    level-3 BLAS one block row at a time), orthonormalising after every
+    solve, and finishes with a Rayleigh-Ritz SVD of ``A V``.  It stops
+    once the first ``k - 8`` Ritz values repeat to 1e-13 relative, or to
+    1e-15 of ``sigma_max`` for rounding-level values, and raises
+    ``ValueError`` if that takes more than ``_INVERSE_ITERATION_CAP``
+    steps.  The pivots of ``blocks`` are floored in place first
+    (``_floor_pivots``).
     """
-    diag = r_band[-1]
-    floor = max(np.abs(diag).max(), 1.0) * 1e-150
-    diag[np.abs(diag) < floor] = floor
+    _floor_pivots(blocks)
     rng = np.random.default_rng(0)
-    v, _ = np.linalg.qr(rng.standard_normal((r_band.shape[1], k)))
+    v, _ = np.linalg.qr(rng.standard_normal((a_sparse.shape[1], k)))
     watched = slice(0, max(k - _RITZ_GUARD, 1))
     previous, change = None, np.inf
     for _ in range(_INVERSE_ITERATION_CAP):
-        for trans in ("T", "N"):
-            v, _ = dtbtrs(r_band, v, trans=trans)
-            v, _ = np.linalg.qr(v)
+        for trans in (True, False):
+            v, _ = np.linalg.qr(_block_solve(blocks, v, trans))
         _, ritz, zt = np.linalg.svd(a_sparse @ v, full_matrices=False)
         ritz = ritz[::-1]
         if previous is not None:
@@ -326,9 +378,10 @@ def null_space_dimension(sys, region, n, threshold=1e-6):
 
     Only the singular values the report reads are computed: ``sigma_max``
     by ARPACK on the sparse operator, and the smallest ``_K_REPORT + 8``
-    by block inverse iteration on a banded QR factor (``_banded_r``).
-    The block doubles while the dimension fills its converged part, so
-    the dimension is never capped.
+    by block inverse iteration on the block rows of a banded QR factor
+    (``_banded_r``, solved with level-3 BLAS by ``_block_solve``).  The
+    block doubles while the dimension fills its converged part, so the
+    dimension is never capped.
     """
     if n < 17:
         raise ValueError("need n >= 17 for a meaningful discretisation")
@@ -339,10 +392,10 @@ def null_space_dimension(sys, region, n, threshold=1e-6):
         raise ValueError("zero operator; null space is everything")
     v0 = np.random.default_rng(0).standard_normal(nn)  # fixed: reports are deterministic
     sigma_max = float(svds(a_sp, k=1, v0=v0, tol=0, return_singular_vectors=False)[0])
-    r_band = _banded_r(a_sp)
+    blocks = _banded_r(a_sp)
     block = k_report + _RITZ_GUARD
     while True:
-        asc, vecs = _smallest_right_vectors(a_sp, r_band, min(block, nn), sigma_max)
+        asc, vecs = _smallest_right_vectors(a_sp, blocks, min(block, nn), sigma_max)
         d = int(np.sum(asc <= threshold * sigma_max))
         if d + _RITZ_GUARD < block or block >= nn:
             break

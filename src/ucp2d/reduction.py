@@ -26,7 +26,6 @@ __all__ = [
     "discriminant",
     "reduce_system",
     "second_order_rank",
-    "residual",
 ]
 
 _COLS = {"xx": 0, "xy": 1, "yy": 2}
@@ -133,16 +132,3 @@ def second_order_rank(sys, x, y, tol=1e-9, drop=None):
     if sv[0] == 0.0:
         return 0
     return int(np.sum(sv > tol * sv[0]))
-
-
-def residual(sys, u2, region, n):
-    """Sup-norms of both operators applied to a candidate solution.
-
-    The application is symbolic; the returned pair is the max of the
-    absolute residuals over an ``n x n`` grid on ``region``.
-    """
-    xs, ys = region.grid(n)
-    xg, yg = np.meshgrid(xs, ys, indexing="ij")
-    r_hyper = sys.hyper.apply(u2)(xg, yg)
-    r_ell = sys.ell.apply(u2)(xg, yg)
-    return float(np.max(np.abs(r_hyper))), float(np.max(np.abs(r_ell)))

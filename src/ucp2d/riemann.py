@@ -252,19 +252,6 @@ class CauchyTraces:
     psi: np.ndarray
 
     @classmethod
-    def from_w(cls, tsys, w, ws, wt, n):
-        """Build traces from callables for w and its first partials."""
-        nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
-        zero = np.zeros_like(nodes)
-        phi = np.asarray(ws(nodes, zero)) + np.asarray(tsys.b12(nodes, zero)) * np.asarray(
-            w(nodes, zero)
-        )
-        psi = np.asarray(wt(zero, nodes)) + np.asarray(tsys.b11(zero, nodes)) * np.asarray(
-            w(zero, nodes)
-        )
-        return cls(nodes=nodes, phi=phi, psi=psi)
-
-    @classmethod
     def from_arrays(cls, nodes, phi, psi):
         return cls(
             nodes=np.asarray(nodes, dtype=float),

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ucp2d.fields import ScalarField, parse
-from ucp2d.geometry import Rect
-from ucp2d.reduction import discriminant, reduce_system
 
 __all__ = [
     "ElasticityCoefficients",
@@ -31,7 +29,6 @@ __all__ = [
     "ellipticity_margin",
     "convexity_margin",
     "pencil_eigenpairs",
-    "random_elliptic_tensor",
 ]
 
 A_NAMES = ("a1111", "a1112", "a1122", "a1212", "a1222", "a2222")
@@ -43,8 +40,6 @@ _ZERO = ScalarField.constant(0.0)
 _ANGLES = 360  # direction angles scanned per audit node, over [0, pi)
 _GOLDEN_STEPS = 60  # golden-section steps around each node's scan minimum
 _NULLITY_TOL = 1e-8  # singular values below this times the scale count as null
-_ANISOTROPY = 0.25  # random tensors perturb each component by up to this times mu
-_MAX_TRIES = 200  # draws before random_elliptic_tensor gives up
 
 
 def _as_field(v):
@@ -148,30 +143,6 @@ class ElasticityCoefficients:
             a1212=mu,
             a1222=_ZERO,
             a2222=2.0 * mu + lam,
-        )
-
-    def with_divergence_form_lower_order(self):
-        """Lower-order terms produced by expanding div(a grad u).
-
-        ``b_ikl = dx a_i1kl + dy a_i2kl``; zeroth-order terms stay zero.
-        Constant-coefficient tensors come back unchanged apart from
-        explicit zero entries.
-        """
-        b = {}
-        for i in (1, 2):
-            for k in (1, 2):
-                for l in (1, 2):
-                    f = self.a(i, 1, k, l).diff("x") + self.a(i, 2, k, l).diff("y")
-                    b[(i, k, l)] = f
-        return ElasticityCoefficients(
-            a1111=self.a1111,
-            a1112=self.a1112,
-            a1122=self.a1122,
-            a1212=self.a1212,
-            a1222=self.a1222,
-            a2222=self.a2222,
-            b=b,
-            c=dict(self.c),
         )
 
 
@@ -358,33 +329,3 @@ def pencil_eigenpairs(coeffs, x, y):
         nullity=nullity,
         residuals=residuals,
     )
-
-
-def random_elliptic_tensor(rng, require_delta_positive=True):
-    """Random constant coefficient set with a certified ellipticity margin.
-
-    Perturbs an isotropic base tensor componentwise and rejects samples
-    whose ellipticity margin or discriminant is not safely positive.
-    """
-    probe = Rect.square(0.0, 0.0, 1e-3)
-    for _ in range(_MAX_TRIES):
-        mu = rng.uniform(0.5, 2.0)
-        lam = rng.uniform(-0.4 * mu, 2.0)
-        base = {
-            "a1111": 2 * mu + lam,
-            "a1112": 0.0,
-            "a1122": lam,
-            "a1212": mu,
-            "a1222": 0.0,
-            "a2222": 2 * mu + lam,
-        }
-        delta = {k: rng.uniform(-_ANISOTROPY, _ANISOTROPY) * mu for k in base}
-        comp = {k: base[k] + delta[k] for k in base}
-        coeffs = ElasticityCoefficients.from_components(comp)
-        if ellipticity_margin(coeffs, probe, 2) <= 0.01 * mu:
-            continue
-        hyper = reduce_system(coeffs).hyper
-        if require_delta_positive and discriminant(*hyper.principal_values(0.0, 0.0)) <= 0.01:
-            continue
-        return coeffs
-    raise RuntimeError("failed to sample a strongly elliptic tensor")

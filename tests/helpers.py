@@ -11,6 +11,13 @@ import numpy as np
 
 from ucp2d import characteristics as ch
 from ucp2d.fields import Bin, Call, Const, EvalDomainError, Neg, ScalarField, Var, _bin, _neg
+from ucp2d.geometry import Rect
+from ucp2d.reduction import discriminant, reduce_system
+from ucp2d.riemann import CauchyTraces
+from ucp2d.tensors import ElasticityCoefficients, ellipticity_margin
+
+_ANISOTROPY = 0.25  # random tensors perturb each component by up to this times mu
+_MAX_TRIES = 200  # draws before random_elliptic_tensor gives up
 
 
 def hyperbolic_bessel_series(z, terms=60):
@@ -365,3 +372,87 @@ def point_data_solve(family_basis, data, at, rank_threshold=1e-9):
         observed=tuple(keys),
         null_combinations=null,
     )
+
+
+# -- test inputs and symbolic checks --------------------------------------
+
+
+def random_elliptic_tensor(rng, require_delta_positive=True):
+    """Random constant coefficient set with a certified ellipticity margin.
+
+    Perturbs an isotropic base tensor componentwise and rejects samples
+    whose ellipticity margin or discriminant is not safely positive.
+    """
+    probe = Rect.square(0.0, 0.0, 1e-3)
+    for _ in range(_MAX_TRIES):
+        mu = rng.uniform(0.5, 2.0)
+        lam = rng.uniform(-0.4 * mu, 2.0)
+        base = {
+            "a1111": 2 * mu + lam,
+            "a1112": 0.0,
+            "a1122": lam,
+            "a1212": mu,
+            "a1222": 0.0,
+            "a2222": 2 * mu + lam,
+        }
+        delta = {k: rng.uniform(-_ANISOTROPY, _ANISOTROPY) * mu for k in base}
+        comp = {k: base[k] + delta[k] for k in base}
+        coeffs = ElasticityCoefficients.from_components(comp)
+        if ellipticity_margin(coeffs, probe, 2) <= 0.01 * mu:
+            continue
+        hyper = reduce_system(coeffs).hyper
+        if require_delta_positive and discriminant(*hyper.principal_values(0.0, 0.0)) <= 0.01:
+            continue
+        return coeffs
+    raise RuntimeError("failed to sample a strongly elliptic tensor")
+
+
+def with_divergence_form_lower_order(coeffs):
+    """Lower-order terms produced by expanding div(a grad u).
+
+    ``b_ikl = dx a_i1kl + dy a_i2kl``; zeroth-order terms stay zero.
+    Constant-coefficient tensors come back unchanged apart from
+    explicit zero entries.
+    """
+    b = {}
+    for i in (1, 2):
+        for k in (1, 2):
+            for l in (1, 2):
+                f = coeffs.a(i, 1, k, l).diff("x") + coeffs.a(i, 2, k, l).diff("y")
+                b[(i, k, l)] = f
+    return ElasticityCoefficients(
+        a1111=coeffs.a1111,
+        a1112=coeffs.a1112,
+        a1122=coeffs.a1122,
+        a1212=coeffs.a1212,
+        a1222=coeffs.a1222,
+        a2222=coeffs.a2222,
+        b=b,
+        c=dict(coeffs.c),
+    )
+
+
+def residual(sys, u2, region, n):
+    """Sup-norms of both operators applied to a candidate solution.
+
+    The application is symbolic; the returned pair is the max of the
+    absolute residuals over an ``n x n`` grid on ``region``.
+    """
+    xs, ys = region.grid(n)
+    xg, yg = np.meshgrid(xs, ys, indexing="ij")
+    r_hyper = sys.hyper.apply(u2)(xg, yg)
+    r_ell = sys.ell.apply(u2)(xg, yg)
+    return float(np.max(np.abs(r_hyper))), float(np.max(np.abs(r_ell)))
+
+
+def cauchy_traces_from_w(tsys, w, ws, wt, n):
+    """Build traces from callables for w and its first partials."""
+    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
+    zero = np.zeros_like(nodes)
+    phi = np.asarray(ws(nodes, zero)) + np.asarray(tsys.b12(nodes, zero)) * np.asarray(
+        w(nodes, zero)
+    )
+    psi = np.asarray(wt(zero, nodes)) + np.asarray(tsys.b11(zero, nodes)) * np.asarray(
+        w(zero, nodes)
+    )
+    return CauchyTraces(nodes=nodes, phi=phi, psi=psi)

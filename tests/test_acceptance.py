@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from helpers import hyperbolic_bessel_series, point_data_solve
+from helpers import hyperbolic_bessel_series, point_data_solve, random_elliptic_tensor, residual
 from ucp2d import cli
 from ucp2d import pipeline as pl
 from ucp2d.characteristics import (
@@ -23,7 +23,7 @@ from ucp2d.characteristics import (
 )
 from ucp2d.fields import parse
 from ucp2d.geometry import Rect
-from ucp2d.reduction import discriminant, reduce_system, residual
+from ucp2d.reduction import discriminant, reduce_system
 from ucp2d.riemann import (
     CauchyTraces,
     RiemannProvider,
@@ -34,7 +34,6 @@ from ucp2d.riemann import (
 from ucp2d.tensors import (
     ElasticityCoefficients,
     ellipticity_margin,
-    random_elliptic_tensor,
 )
 
 OMEGA = Rect.square(0.0, 0.0, 0.3)

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from helpers import trace_family
+from helpers import random_elliptic_tensor, trace_family
 
 from ucp2d import characteristics as ch
 from ucp2d.characteristics import (
@@ -22,7 +22,7 @@ from ucp2d.cli import load_scenario, scenario_dir
 from ucp2d.fields import EvalDomainError, parse
 from ucp2d.geometry import Rect
 from ucp2d.reduction import reduce_system
-from ucp2d.tensors import ElasticityCoefficients, random_elliptic_tensor
+from ucp2d.tensors import ElasticityCoefficients
 
 REGION = Rect.square(0.0, 0.0, 0.3)
 

@@ -14,10 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_elliptic_tensor
 from ucp2d import pipeline as pl
 from ucp2d.cli import ScenarioFileError, _write_report, load_scenario, main, scenario_dir
 from ucp2d.pipeline import StageError, expectations_for
-from ucp2d.tensors import random_elliptic_tensor
 
 BASE = {
     "schema_version": 1,

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from helpers import point_data_solve
+from helpers import point_data_solve, residual
 from ucp2d import characteristics as ch
 from ucp2d import pipeline as pl
 from ucp2d import riemann as rm
@@ -26,7 +26,7 @@ from ucp2d.pipeline import (
     projection_defect,
     run,
 )
-from ucp2d.reduction import SecondOrderOperator, U2System, reduce_system, residual
+from ucp2d.reduction import SecondOrderOperator, U2System, reduce_system
 from ucp2d.tensors import ElasticityCoefficients
 
 OMEGA = Rect.square(0.0, 0.0, 0.3)
@@ -84,12 +84,12 @@ def test_fd_matrices_exact_on_quartics(n):
     assert np.abs(d1 @ f5 - 5 * (xs - 0.1) ** 4).max() > 1e-8
 
 
-def _dense_upper(r_band):
-    w, nn = r_band.shape[0] - 1, r_band.shape[1]
-    r = np.zeros((nn, nn))
-    for d in range(w + 1):
-        r[np.arange(nn - d), np.arange(d, nn)] = r_band[w - d, d:]
-    return r
+def _dense_upper(blocks, ncol):
+    p, size, m = blocks.shape
+    r = np.zeros((m * p, m * p + size - p))
+    for i in range(m):
+        r[i * p:i * p + p, i * p:i * p + size] = blocks[:, :, i]
+    return r[:ncol, :ncol]
 
 
 ORACLE_CASES = [
@@ -107,7 +107,7 @@ def test_nullspace_solver_matches_dense_oracle(n, case):
     a_sp, _ = pl._assemble_operator(sys, OMEGA, n)
     a = a_sp.toarray()
     ata = a.T @ a
-    r = _dense_upper(pl._banded_r(a_sp))
+    r = _dense_upper(pl._banded_r(a_sp), a_sp.shape[1])
     assert np.abs(r.T @ r - ata).max() <= 1e-13 * np.abs(ata).max()
 
     sv = np.linalg.svd(a, compute_uv=False)
@@ -139,18 +139,24 @@ def _stacked_d2(n=17):
     return sp.vstack([sp.kron(sp.identity(n), d2), sp.kron(sp.identity(n), d2 * 0.5)])
 
 
-@pytest.mark.parametrize("shape", ["ragged", "gap", "thin", "d2"])
-def test_banded_r_matches_the_dense_oracle_on_edge_shapes(shape):
+EDGE_SHAPES = ["ragged", "gap", "thin", "d2"]
+
+
+def _edge_shape(shape):
     if shape == "ragged":
-        a_sp = pl._assemble_operator(reduce_system(iso_with(1.0, 1.0)), OMEGA, 17)[0]
-    elif shape == "thin":
+        return pl._assemble_operator(reduce_system(iso_with(1.0, 1.0)), OMEGA, 17)[0]
+    if shape == "thin":
         # bandwidth 2, below 4: w // 4 is 0 and the panel is one column
-        a_sp = sp.kron(sp.identity(17), sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(17, 17)))
-    else:
-        a_sp = _with_gap() if shape == "gap" else _stacked_d2()
-    band = pl._banded_r(a_sp)
-    w = band.shape[0] - 1
-    p = max(w // 4, 1)  # the factor's panel
+        return sp.kron(sp.identity(17), sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(17, 17)))
+    return _with_gap() if shape == "gap" else _stacked_d2()
+
+
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+def test_banded_r_matches_the_dense_oracle_on_edge_shapes(shape):
+    a_sp = _edge_shape(shape)
+    blocks = pl._banded_r(a_sp)
+    p = blocks.shape[0]  # the factor's panel
+    w = blocks.shape[1] - p
     if shape == "ragged":
         assert a_sp.shape[1] % p != 0
     elif shape == "gap":
@@ -161,39 +167,82 @@ def test_banded_r_matches_the_dense_oracle_on_edge_shapes(shape):
         assert p == 1 and (w < 4) == (shape == "thin")
     a = a_sp.toarray()
     ata = a.T @ a
-    r = _dense_upper(band)
+    r = _dense_upper(blocks, a_sp.shape[1])
     assert np.abs(r.T @ r - ata).max() <= 1e-13 * np.abs(ata).max()
+    # rows past the last column are padding: a unit pivot and nothing else
+    ncol, padded = a_sp.shape[1], p * blocks.shape[2]
+    full = _dense_upper(blocks, padded)
+    assert np.array_equal(full[ncol:], np.eye(padded)[ncol:])
+    assert not full[:ncol, ncol:].any()
 
 
-def test_inverse_iteration_reads_c_and_f_ordered_bands_alike():
-    a_sp = pl._assemble_operator(reduce_system(iso_with(1.0, 1.0)), OMEGA, 17)[0]
-    band = pl._banded_r(a_sp)
-    sigma_max = np.linalg.norm(a_sp.toarray(), 2)
-    c_ritz, c_vecs = pl._smallest_right_vectors(a_sp, np.ascontiguousarray(band), 12, sigma_max)
-    f_ritz, f_vecs = pl._smallest_right_vectors(a_sp, np.asfortranarray(band), 12, sigma_max)
-    assert np.array_equal(c_ritz, f_ritz) and np.array_equal(c_vecs, f_vecs)
+@pytest.mark.parametrize("trans", [True, False])
+@pytest.mark.parametrize("shape", EDGE_SHAPES)
+def test_block_solve_matches_the_dense_factor_on_edge_shapes(shape, trans):
+    a_sp = _edge_shape(shape)
+    blocks = pl._banded_r(a_sp)
+    pl._floor_pivots(blocks)  # "gap" leaves columns 28 and 29 empty: zero pivots
+    r = _dense_upper(blocks, a_sp.shape[1])
+    if trans:
+        r = r.T
+    v = np.random.default_rng(5).standard_normal((a_sp.shape[1], 3))
+    x = pl._block_solve(blocks, v, trans)
+    assert x.shape == v.shape and np.all(np.isfinite(x))
+    eps = np.finfo(float).eps
+    assert np.linalg.norm(r @ x - v) <= 1e3 * eps * np.linalg.norm(r, 2) * np.linalg.norm(x)
+    # row by row too, so the floored pivots of "gap", whose x reaches 1e150,
+    # leave the rows they do not touch checked at rounding level
+    assert np.all(np.abs(r @ x - v) <= 1e3 * eps * (np.abs(r) @ np.abs(x)))
 
 
-def test_inverse_iteration_solves_on_the_band_it_was_given(monkeypatch):
+def _recording(calls, fn):
+    def call(*args, **kw):
+        out = fn(*args, **kw)
+        calls.append((fn, args, out))
+        return out
+
+    return call
+
+
+def test_block_solve_hands_blas_views_of_the_factor(monkeypatch):
+    # f2py copies an operand that is not Fortran-contiguous, so the layout
+    # must give every block row to BLAS as views: of the factor, and of the
+    # work array that BLAS overwrites
+    a_sp = _edge_shape("ragged")
+    blocks = pl._banded_r(a_sp)
+    p, size, m = blocks.shape
+    calls, dtrsm = [], pl.dtrsm
+    monkeypatch.setattr(pl, "dtrsm", _recording(calls, dtrsm))
+    monkeypatch.setattr(pl, "dgemm", _recording(calls, pl.dgemm))
+    v = np.random.default_rng(5).standard_normal((a_sp.shape[1], 3))
+    for trans in (True, False):
+        pl._block_solve(blocks, v, trans)
+    assert len(calls) == 4 * m
+    for fn, args, out in calls:
+        # dtrsm(alpha, T, X) overwrites X; dgemm(alpha, X, B, beta, C) overwrites C
+        factor, written = (args[1], args[2]) if fn is dtrsm else (args[2], args[4])
+        assert np.shares_memory(factor, blocks) and factor.flags.f_contiguous
+        assert factor.shape in ((p, p), (p, size - p))
+        assert np.shares_memory(out, written)
+
+
+def test_inverse_iteration_solves_on_the_factor_it_was_given(monkeypatch):
     a_sp = pl._assemble_operator(reduce_system(iso_with(1.0, 1.0)), OMEGA, 17)[0]
     # no equation reads unknown 40, so R has an exact zero pivot there
     keep = np.ones(a_sp.shape[1])
     keep[40] = 0.0
     a_sp = a_sp @ sp.diags(keep)
-    band = pl._banded_r(a_sp)
-    assert band[-1, 40] == 0.0
+    blocks = pl._banded_r(a_sp)
+    p = blocks.shape[0]
+    block, row = divmod(40, p)
+    assert blocks[row, row, block] == 0.0
     sigma_max = np.linalg.norm(a_sp.toarray(), 2)
-    solved_on, dtbtrs = [], pl.dtbtrs
-
-    def recorded(ab, b, **kw):
-        solved_on.append(np.shares_memory(ab, band))
-        return dtbtrs(ab, b, **kw)
-
-    monkeypatch.setattr(pl, "dtbtrs", recorded)
-    ritz, vecs = pl._smallest_right_vectors(a_sp, band, 12, sigma_max)
-    assert solved_on and all(solved_on)
+    calls = []
+    monkeypatch.setattr(pl, "dtrsm", _recording(calls, pl.dtrsm))
+    ritz, vecs = pl._smallest_right_vectors(a_sp, blocks, 12, sigma_max)
+    assert calls and all(np.shares_memory(args[1], blocks) for _, args, _ in calls)
     assert np.all(np.isfinite(ritz)) and np.all(np.isfinite(vecs))
-    assert 0.0 < band[-1, 40] <= 1e-140  # floored in place
+    assert 0.0 < blocks[row, row, block] <= 1e-140  # floored in place
     assert ritz[0] <= 1e-15 * sigma_max and abs(abs(vecs[40, 0]) - 1.0) <= 1e-12
 
 

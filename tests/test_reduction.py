@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import random_elliptic_tensor, residual, with_divergence_form_lower_order
 from ucp2d.fields import parse
 from ucp2d.geometry import Rect
-from ucp2d.reduction import reduce_system, residual, second_order_rank
-from ucp2d.tensors import ElasticityCoefficients, random_elliptic_tensor
+from ucp2d.reduction import reduce_system, second_order_rank
+from ucp2d.tensors import ElasticityCoefficients
 
 REGION = Rect.square(0.0, 0.0, 0.3)
 
@@ -97,7 +98,7 @@ def test_residual_lame_quadratic_family():
 
 def test_residual_exponential_lame_solution():
     # mu = e^x, lam = e^y in divergence form; exp(-x) solves the pair
-    t = ElasticityCoefficients.isotropic("exp(x)", "exp(y)").with_divergence_form_lower_order()
+    t = with_divergence_form_lower_order(ElasticityCoefficients.isotropic("exp(x)", "exp(y)"))
     assert t.b_(2, 2, 1).source is not None
     sys = reduce_system(t)
     rh, re = residual(sys, parse("exp(-x)"), REGION, 21)
@@ -114,7 +115,7 @@ def test_residual_constants_when_no_zeroth_order():
 
 def test_residual_linearity():
     sys = reduce_system(
-        ElasticityCoefficients.isotropic("1 + x^2", "2 + y").with_divergence_form_lower_order()
+        with_divergence_form_lower_order(ElasticityCoefficients.isotropic("1 + x^2", "2 + y"))
     )
     u = parse("sin(x)*y")
     v = parse("exp(y) - x^3")

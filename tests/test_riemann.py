@@ -4,6 +4,7 @@ from scipy.special import j0
 
 from helpers import (
     bilinear,
+    cauchy_traces_from_w,
     hyperbolic_bessel_series,
     hyperbolic_bessel_series_d,
     scalar_apply_L,
@@ -259,7 +260,7 @@ def test_dalembert_reconstruction_from_traces():
     def w(s, t):
         return np.asarray(s) ** 2 + np.sin(np.asarray(t))
 
-    traces = CauchyTraces.from_w(
+    traces = cauchy_traces_from_w(
         tsys,
         w,
         lambda s, t: 2 * np.asarray(s),
@@ -278,7 +279,7 @@ def test_bessel_solution_reconstruction():
     # and w(0,0) = 1, so the formula must reproduce the closed form
     tsys = plain_system(c1=1.0)
     prov = RiemannProvider(tsys, 257, tol=1e-12)
-    traces = CauchyTraces.from_w(
+    traces = cauchy_traces_from_w(
         tsys,
         lambda s, t: hyperbolic_bessel_series(np.asarray(s) * np.asarray(t)),
         lambda s, t: hyperbolic_bessel_series_d(np.asarray(s) * np.asarray(t)) * np.asarray(t),

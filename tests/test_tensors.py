@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from helpers import random_elliptic_tensor
 from ucp2d import fields
 from ucp2d.cli import load_scenario, scenario_dir
 from ucp2d.fields import ScalarField
@@ -15,7 +16,6 @@ from ucp2d.tensors import (
     ellipticity_margin,
     lambda_matrices,
     pencil_eigenpairs,
-    random_elliptic_tensor,
 )
 
 UNIT = Rect.square(0.0, 0.0, 0.5)
