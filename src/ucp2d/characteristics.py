@@ -238,9 +238,15 @@ class _CurveTracer:
         self.bounds = bounds  # padded containment box as ((lo_x, hi_x), (lo_y, hi_y))
         self.mirrored = mirrored
 
-    def _check(self, a, b):
+    def _check(self, b, a=None):
+        """Raise when a curve leaves the box.  ``b`` is checked at every
+        step; ``a`` only at the two ends of the trace, before the first
+        step, since a = a0 + span * tau is affine in tau and the bound has
+        1e-12 of slack for its rounding in between."""
         (lo_a, hi_a), (lo_b, hi_b) = self.bounds
-        if np.any(b < lo_b) or np.any(b > hi_b) or np.any(a < lo_a - 1e-12) or np.any(a > hi_a + 1e-12):
+        if np.any(b < lo_b) or np.any(b > hi_b) or (
+            a is not None and (np.any(a < lo_a - 1e-12) or np.any(a > hi_a + 1e-12))
+        ):
             raise MapError("characteristic curve escapes the working region")
 
     def intercept_and_sensitivity(self, x, y):
@@ -297,14 +303,14 @@ class _CurveTracer:
         h = 1.0 / _RK4_STEPS
         for k in range(_RK4_STEPS):
             tau = k * h
-            self._check(a0 + span * tau, state[0])
+            self._check(state[0], np.append(a0, a_ref) if k == 0 else None)
             k1 = rhs(a0 + span * tau, state)
             k2 = rhs(a0 + span * (tau + h / 2), [u + h / 2 * d for u, d in zip(state, k1)])
             k3 = rhs(a0 + span * (tau + h / 2), [u + h / 2 * d for u, d in zip(state, k2)])
             k4 = rhs(a0 + span * (tau + h), [u + h * d for u, d in zip(state, k3)])
             state = [u + h / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
                      for u, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)]
-        self._check(np.full_like(state[0], a_ref), state[0])
+        self._check(state[0])
         return (state[0] - ref, *state[1:], *fixed)
 
 

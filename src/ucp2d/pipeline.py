@@ -778,20 +778,24 @@ def point_data_mode(scenario, sys):
 def _kernel_table(tsys, provider, axis, nodes, step):
     """Kernel rows of the trace equation on ``axis``: ``L R(sig, 0; .)`` at
     ``(s, 0)`` (axis 's') or ``L R(0, sig; .)`` at ``(0, s)`` (axis 't'),
-    from one ``apply_L`` pass over the axis.  Row ``s`` holds only the
-    segment of ``sig`` between 0 and ``s`` that ``volterra_ivp``'s march
-    reads; the rest is NaN."""
+    from one ``apply_L`` pass over the axis, whose nine stencil parameters
+    per node are solved in one ``provider.tables`` batch.  Row ``s``
+    holds only the segment of ``sig`` between 0 and ``s`` that
+    ``volterra_ivp``'s march reads, read at the table's own nodes on the
+    axis; the rest is NaN."""
     zero = np.zeros_like(nodes)
     at = (nodes, zero) if axis == "s" else (zero, nodes)
     i0 = int(np.argmin(np.abs(nodes)))
     segments = [np.arange(min(i, i0), max(i, i0) + 1) for i in range(len(nodes))]
 
     def rows(xi, eta):
-        out = np.full((len(nodes), len(nodes)), np.nan)
-        for i, seg in enumerate(segments):
-            sig = nodes[seg]
-            point = (sig, 0.0) if axis == "s" else (0.0, sig)
-            out[i, seg] = provider.value(*point, xi[i], eta[i])
+        out = np.full(xi.shape + nodes.shape, np.nan)
+        flat = out.reshape(-1, len(nodes))
+        tables = provider.tables(list(zip(xi.ravel(), eta.ravel())))
+        for k, tab in enumerate(tables):
+            seg = segments[k % len(nodes)]
+            along, vals = tab.axis_slice(axis)
+            flat[k, seg] = vals[np.searchsorted(along, nodes[seg])]
         return out
 
     return rm.apply_L(tsys, rows, at, step)

@@ -15,6 +15,12 @@ Volterra structure makes the iteration contract).  Taking ``(s,t)`` at
 the parameter point makes every integral empty, so ``R = 1`` there by
 construction.
 
+:func:`solve_riemann_tables` is the one Picard loop: it takes many
+parameter points, stacks the tables whose windows have one shape, and
+iterates each stack together, each table until its own step reaches
+the tolerance, so a table's bits do not depend on its batch.
+:func:`solve_riemann` is its one-parameter call.
+
 The solution representation and the two integro-differential initial
 value problems for the Cauchy traces use these tables: solving the
 homogeneous problems is the computational content of forcing the traces
@@ -33,6 +39,7 @@ __all__ = [
     "RiemannProvider",
     "CauchyTraces",
     "solve_riemann",
+    "solve_riemann_tables",
     "represent_solution",
     "kernel_PQ",
     "apply_L",
@@ -153,56 +160,111 @@ def solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf, grid=None):
     ``grid`` holds B12, B11 and C1 on the uniform ``n x n`` grid; a window
     of uniform nodes is sliced from it, any other window is evaluated on
     its own.  Iteration stops when successive iterates differ by at most
-    ``tol`` in sup norm.
+    ``tol`` in sup norm.  This is the one-parameter call of
+    :func:`solve_riemann_tables`.
+    """
+    return solve_riemann_tables(tsys, [parameter], n, tol, reach, grid)[0]
+
+
+def solve_riemann_tables(tsys, parameters, n, tol=1e-10, reach=np.inf, grid=None):
+    """One table per parameter point, in order, each as :func:`solve_riemann`
+    gives it for that point alone.
+
+    Tables whose windows have the same shape are stacked and iterated in
+    one Picard loop.  A table's values freeze at the step where its own
+    sup-norm step reaches ``tol``; it leaves the stack after one more
+    step, whose sup norm is its residual.  A table still above ``tol``
+    after ``_PICARD_MAX_ITER`` steps raises :class:`SolveError` naming
+    its parameter.
     """
     if n < 9:
         raise ValueError("need at least 9 nodes per axis")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    xi, eta = (float(parameter[0]), float(parameter[1]))
     eps = tsys.epsilon
-    if abs(xi) > eps + 1e-12 or abs(eta) > eps + 1e-12:
-        raise ValueError("parameter point outside the working square")
-    s_nodes, i_xi, s_cut = _window(eps, n, xi, reach)
-    t_nodes, j_eta, t_cut = _window(eps, n, eta, reach)
-    if grid is not None and s_cut is not None and t_cut is not None:
-        b12, b11, c1 = (g[s_cut, t_cut] for g in grid)
-    else:
-        b12, b11, c1 = _coefficient_grid(tsys, s_nodes, t_nodes)
-    ds, dt = np.diff(s_nodes)[:, None], np.diff(t_nodes)[None, :]
+    windows = []
+    for parameter in parameters:
+        xi, eta = (float(parameter[0]), float(parameter[1]))
+        if abs(xi) > eps + 1e-12 or abs(eta) > eps + 1e-12:
+            raise ValueError("parameter point outside the working square")
+        windows.append(((xi, eta), _window(eps, n, xi, reach), _window(eps, n, eta, reach)))
+    groups = {}
+    for k, (_, s_win, t_win) in enumerate(windows):
+        groups.setdefault((len(s_win[0]), len(t_win[0])), []).append(k)
+    tables = [None] * len(windows)
+    for members in groups.values():
+        solved = _solve_stack(tsys, [windows[k] for k in members], tol, grid)
+        for k, tab in zip(members, solved):
+            tables[k] = tab
+    return tables
 
-    def picard(r):
-        cs = _cumulative_trapezoid(b12 * r, ds, 0)
-        int_s = cs - cs[i_xi, :][None, :]
-        ct = _cumulative_trapezoid(b11 * r, dt, 1)
-        int_t = ct - ct[:, j_eta][:, None]
-        d = _cumulative_trapezoid(c1 * r, dt, 1)
-        d = d - d[:, j_eta][:, None]
-        dd = _cumulative_trapezoid(d, ds, 0)
-        int_st = dd - dd[i_xi, :][None, :]
-        return 1.0 + int_s + int_t - int_st
 
-    r = np.ones(b12.shape)
-    diff = np.inf
-    for it in range(1, _PICARD_MAX_ITER + 1):
-        r_new = picard(r)
-        diff = float(np.max(np.abs(r_new - r)))
-        r = r_new
-        if diff <= tol:
+def _picard_step(r, b12, b11, c1, ds, dt, i_xi, j_eta):
+    """One Picard step on a stack of iterates, one table per leading index,
+    each integrating from its own parameter node ``(i_xi, j_eta)``."""
+    k = np.arange(len(r))
+    cs = _cumulative_trapezoid(b12 * r, ds, 1)
+    int_s = cs - cs[k, i_xi][:, None, :]
+    ct = _cumulative_trapezoid(b11 * r, dt, 2)
+    int_t = ct - ct[k, :, j_eta][:, :, None]
+    d = _cumulative_trapezoid(c1 * r, dt, 2)
+    d = d - d[k, :, j_eta][:, :, None]
+    dd = _cumulative_trapezoid(d, ds, 1)
+    int_st = dd - dd[k, i_xi][:, None, :]
+    return 1.0 + int_s + int_t - int_st
+
+
+def _solve_stack(tsys, windows, tol, grid):
+    """Tables of windows of one shape, from one Picard loop on their stack."""
+    parameters, s_windows, t_windows = zip(*windows)
+    s_nodes, i_xi, s_cuts = zip(*s_windows)
+    t_nodes, j_eta, t_cuts = zip(*t_windows)
+    coefficients = [
+        [g[s_cut, t_cut] for g in grid]
+        if grid is not None and s_cut is not None and t_cut is not None
+        else _coefficient_grid(tsys, s, t)
+        for s, t, s_cut, t_cut in zip(s_nodes, t_nodes, s_cuts, t_cuts)
+    ]
+    stack = [np.stack(c) for c in zip(*coefficients)] + [
+        np.diff(s_nodes, axis=1)[:, :, None], np.diff(t_nodes, axis=1)[:, None, :],
+        np.array(i_xi), np.array(j_eta),
+    ]
+    count = len(windows)
+    values, iterations, residuals = [None] * count, [0] * count, [0.0] * count
+    live = np.arange(count)  # the window of each stack entry
+    frozen = np.zeros(count, dtype=bool)  # final iterate reached; this step is the residual
+    r = np.ones(stack[0].shape)
+    for it in range(1, _PICARD_MAX_ITER + 2):
+        r_new = _picard_step(r, *stack)
+        step = np.max(np.abs(r_new - r), axis=(1, 2))
+        for e in np.flatnonzero(frozen):
+            values[live[e]], residuals[live[e]] = r[e].copy(), float(step[e])
+        converged = ~frozen & (step <= tol)
+        for e in np.flatnonzero(converged):
+            iterations[live[e]] = it
+        if it == _PICARD_MAX_ITER and not np.all(frozen | converged):
+            e = np.flatnonzero(~(frozen | converged))[0]
+            raise SolveError(
+                f"Picard iteration for the Riemann table of parameter {parameters[live[e]]} "
+                f"did not contract to {tol} within {_PICARD_MAX_ITER} steps "
+                f"(last sup-norm step {step[e]:.3g})"
+            )
+        if frozen.all():
             break
-    else:
-        raise SolveError(
-            f"Picard iteration did not contract to {tol} within {_PICARD_MAX_ITER} steps"
-        )
-    residual = float(np.max(np.abs(picard(r) - r)))
-    return RiemannTable(
-        parameter=(xi, eta),
-        s_nodes=s_nodes,
-        t_nodes=t_nodes,
-        values=r,
-        iterations=it,
-        residual=residual,
-    )
+        r = r_new
+        if frozen.any():
+            keep = ~frozen
+            r, live, converged = r[keep], live[keep], converged[keep]
+            stack = [a[keep] for a in stack]
+        frozen = converged
+    return [
+        RiemannTable(parameter=p, s_nodes=s, t_nodes=t, values=v, iterations=i, residual=res)
+        for p, s, t, v, i, res in zip(parameters, s_nodes, t_nodes, values, iterations, residuals)
+    ]
+
+
+def _key(parameter):
+    return (round(float(parameter[0]), 14), round(float(parameter[1]), 14))
 
 
 class RiemannProvider:
@@ -211,7 +273,10 @@ class RiemannProvider:
     Each table is solved on its window of ``reach`` (see
     :func:`solve_riemann`; the whole square by default), with B12, B11
     and C1 evaluated once on the uniform ``n x n`` grid: on a traced map
-    every evaluation at new points is a pullback.
+    every evaluation at new points is a pullback.  :meth:`table` solves
+    one parameter through :func:`solve_riemann`; :meth:`tables` solves
+    every parameter not yet cached in one :func:`solve_riemann_tables`
+    batch, so tables of one window shape share a Picard loop.
     """
 
     def __init__(self, tsys, n, tol=1e-10, reach=np.inf):
@@ -222,16 +287,30 @@ class RiemannProvider:
         self._cache = {}
         self._grid = None
 
+    def _coefficients(self):
+        if self._grid is None:
+            nodes = np.linspace(-self.tsys.epsilon, self.tsys.epsilon, self.n)
+            self._grid = _coefficient_grid(self.tsys, nodes, nodes)
+        return self._grid
+
     def table(self, parameter):
-        key = (round(float(parameter[0]), 14), round(float(parameter[1]), 14))
+        key = _key(parameter)
         tab = self._cache.get(key)
         if tab is None:
-            if self._grid is None:
-                nodes = np.linspace(-self.tsys.epsilon, self.tsys.epsilon, self.n)
-                self._grid = _coefficient_grid(self.tsys, nodes, nodes)
-            tab = solve_riemann(self.tsys, key, self.n, self.tol, self.reach, self._grid)
+            tab = solve_riemann(self.tsys, key, self.n, self.tol, self.reach, self._coefficients())
             self._cache[key] = tab
         return tab
+
+    def tables(self, parameters):
+        """The tables of ``parameters``, in order."""
+        keys = [_key(p) for p in parameters]
+        missing = [k for k in dict.fromkeys(keys) if k not in self._cache]
+        if missing:
+            solved = solve_riemann_tables(
+                self.tsys, missing, self.n, self.tol, self.reach, self._coefficients()
+            )
+            self._cache.update(zip(missing, solved))
+        return [self._cache[k] for k in keys]
 
     def value(self, s, t, xi, eta):
         """R(s, t, xi, eta) -- evaluation point first, then parameter."""
@@ -280,11 +359,11 @@ def represent_solution(tsys, provider, w00, traces, targets):
 
     ``w(s,t) = w00 R(0,0,s,t) + int_0^s R(sig,0,s,t) phi(sig) dsig
     + int_0^t R(0,tau,s,t) psi(tau) dtau``.  Each target point is the
-    parameter of its own Riemann table.
+    parameter of its own Riemann table; the tables come from one
+    ``provider.tables`` call.
     """
     out = np.empty(len(targets))
-    for k, (s, t) in enumerate(targets):
-        tab = provider.table((s, t))
+    for k, ((s, t), tab) in enumerate(zip(targets, provider.tables(targets))):
         val = w00 * tab.value(0.0, 0.0)
         s_nodes, s_vals = tab.axis_slice("s")
         integrand = s_vals * traces.phi_at(s_nodes)
@@ -353,10 +432,12 @@ def apply_L(tsys, f, at, step):
     the edges of the square the stencils shift one-sided rather than
     leaving it.  The operator is one weighted sum of ``f`` on the nine
     points of the stencils in both directions, and the coefficients are
-    evaluated once, on ``at``.  ``f`` takes arrays of the shape of
-    ``at`` and returns values whose leading axes have that shape; it may
-    return R on a row of evaluation points after them: the stencils are
-    linear, so each entry is what a scalar call gives.
+    evaluated once, on ``at``.  ``f`` is called once, on the nine points
+    stacked: it takes arrays of shape ``(3, 3) + shape(at)``, entry
+    ``[m, k]`` the ``m``-th stencil point in xi and ``k``-th in eta, and
+    returns values whose leading axes have that shape; it may return R
+    on a row of evaluation points after them: the stencils are linear,
+    so each entry is what a scalar call gives.
     """
     lo, hi = -tsys.epsilon, tsys.epsilon
     xi0, eta0 = at
@@ -366,6 +447,7 @@ def apply_L(tsys, f, at, step):
     )
     xs, ex, d1x, d2x = _stencils(xi0, step, lo, hi)
     ys, ey, d1y, d2y = _stencils(eta0, step, lo, hi)
+    vals = np.asarray(f(*np.broadcast_arrays(xs[:, None], ys[None, :])), dtype=float)
     out = 0.0
     for m in range(3):
         for k in range(3):
@@ -373,8 +455,7 @@ def apply_L(tsys, f, at, step):
                 a11 * d2x[m] * ey[k] + 2 * a12 * d1x[m] * d1y[k] + a22 * ex[m] * d2y[k]
                 + b21 * d1x[m] * ey[k] + b22 * ex[m] * d1y[k] + c2 * ex[m] * ey[k]
             )
-            vals = np.asarray(f(xs[m], ys[k]), dtype=float)
-            out = out + w.reshape(w.shape + (1,) * (vals.ndim - w.ndim)) * vals
+            out = out + w.reshape(w.shape + (1,) * (vals.ndim - 2 - w.ndim)) * vals[m, k]
     return out
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ucp2d import characteristics as ch
+from ucp2d import riemann as rm
 from ucp2d.fields import Bin, Call, Const, EvalDomainError, Neg, ScalarField, Var, _bin, _neg
 from ucp2d.geometry import Rect
 from ucp2d.reduction import discriminant, reduce_system
@@ -288,6 +289,104 @@ def scalar_kernel_table(tsys, provider, axis, nodes, step):
             rows.append(scalar_apply_L(
                 tsys, lambda xi, eta: provider.value(0.0, nodes, xi, eta), (0.0, s), step))
     return np.array(rows)
+
+
+# -- the per-table Riemann path: one Picard loop per table, rows read by value
+
+
+def picard_solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf, grid=None):
+    """One table from its own Picard loop, the iterate compared with the
+    previous one after every step: the reference for
+    ``ucp2d.riemann.solve_riemann_tables``, which iterates a stack of
+    tables of one window shape together."""
+    if n < 9:
+        raise ValueError("need at least 9 nodes per axis")
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    xi, eta = (float(parameter[0]), float(parameter[1]))
+    eps = tsys.epsilon
+    if abs(xi) > eps + 1e-12 or abs(eta) > eps + 1e-12:
+        raise ValueError("parameter point outside the working square")
+    s_nodes, i_xi, s_cut = rm._window(eps, n, xi, reach)
+    t_nodes, j_eta, t_cut = rm._window(eps, n, eta, reach)
+    if grid is not None and s_cut is not None and t_cut is not None:
+        b12, b11, c1 = (g[s_cut, t_cut] for g in grid)
+    else:
+        b12, b11, c1 = rm._coefficient_grid(tsys, s_nodes, t_nodes)
+    ds, dt = np.diff(s_nodes)[:, None], np.diff(t_nodes)[None, :]
+
+    def picard(r):
+        cs = rm._cumulative_trapezoid(b12 * r, ds, 0)
+        int_s = cs - cs[i_xi, :][None, :]
+        ct = rm._cumulative_trapezoid(b11 * r, dt, 1)
+        int_t = ct - ct[:, j_eta][:, None]
+        d = rm._cumulative_trapezoid(c1 * r, dt, 1)
+        d = d - d[:, j_eta][:, None]
+        dd = rm._cumulative_trapezoid(d, ds, 0)
+        int_st = dd - dd[i_xi, :][None, :]
+        return 1.0 + int_s + int_t - int_st
+
+    r = np.ones(b12.shape)
+    for it in range(1, rm._PICARD_MAX_ITER + 1):
+        r_new = picard(r)
+        diff = float(np.max(np.abs(r_new - r)))
+        r = r_new
+        if diff <= tol:
+            break
+    else:
+        raise rm.SolveError(
+            f"Picard iteration did not contract to {tol} within {rm._PICARD_MAX_ITER} steps"
+        )
+    residual = float(np.max(np.abs(picard(r) - r)))
+    return rm.RiemannTable(
+        parameter=(xi, eta), s_nodes=s_nodes, t_nodes=t_nodes, values=r,
+        iterations=it, residual=residual,
+    )
+
+
+def nine_call_apply_L(tsys, f, at, step):
+    """``ucp2d.riemann.apply_L`` with ``f`` called once per stencil point
+    pair ``(m, k)`` instead of once on the nine stacked: the reference for
+    its summation order."""
+    lo, hi = -tsys.epsilon, tsys.epsilon
+    xi0, eta0 = at
+    a11, a12, a22, b21, b22, c2 = (
+        np.asarray(c(xi0, eta0), dtype=float)
+        for c in (tsys.a11, tsys.a12, tsys.a22, tsys.b21, tsys.b22, tsys.c2)
+    )
+    xs, ex, d1x, d2x = rm._stencils(xi0, step, lo, hi)
+    ys, ey, d1y, d2y = rm._stencils(eta0, step, lo, hi)
+    out = 0.0
+    for m in range(3):
+        for k in range(3):
+            w = (
+                a11 * d2x[m] * ey[k] + 2 * a12 * d1x[m] * d1y[k] + a22 * ex[m] * d2y[k]
+                + b21 * d1x[m] * ey[k] + b22 * ex[m] * d1y[k] + c2 * ex[m] * ey[k]
+            )
+            vals = np.asarray(f(xs[m], ys[k]), dtype=float)
+            out = out + w.reshape(w.shape + (1,) * (vals.ndim - w.ndim)) * vals
+    return out
+
+
+def value_kernel_table(tsys, provider, axis, nodes, step):
+    """Kernel rows of the trace equation on ``axis``, each row segment read
+    through ``RiemannTable.value`` one table at a time: the reference for
+    ``ucp2d.pipeline._kernel_table``, which batches the tables and reads
+    rows at the tables' nodes."""
+    zero = np.zeros_like(nodes)
+    at = (nodes, zero) if axis == "s" else (zero, nodes)
+    i0 = int(np.argmin(np.abs(nodes)))
+    segments = [np.arange(min(i, i0), max(i, i0) + 1) for i in range(len(nodes))]
+
+    def rows(xi, eta):
+        out = np.full((len(nodes), len(nodes)), np.nan)
+        for i, seg in enumerate(segments):
+            sig = nodes[seg]
+            point = (sig, 0.0) if axis == "s" else (0.0, sig)
+            out[i, seg] = provider.value(*point, xi[i], eta[i])
+        return out
+
+    return nine_call_apply_L(tsys, rows, at, step)
 
 
 def bilinear(table, s, t):

@@ -490,6 +490,31 @@ def test_slope_turning_non_finite_mid_trace_raises_the_oracle_error(mirrored):
         assert str(got.value).startswith("non-finite value in '0*exp(8000*")
 
 
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("start, slope", [
+    ((0.3, 0.1), "20"),  # b leaves the box mid-trace
+    ((0.3, float("nan")), "20"),  # NaN in b passes the bound, as in the oracle
+    ((0.9, 0.1), "0"),  # a starts outside the box
+])
+def test_escaping_curves_raise_the_oracle_error(mirrored, start, slope):
+    # a is checked at the ends of the trace only, b at every step
+    m = parse(slope)
+    x, y = np.array([start[0], 0.02]), np.array([start[1], 0.0])
+    if mirrored:
+        x, y = y, x
+    try:
+        want = trace_family(m, 0.01, 0.01, TRACE_BOUNDS, mirrored, x, y)
+    except MapError as err:
+        want = err
+    tracer = ch._CurveTracer(m, 0.01, 0.01, TRACE_BOUNDS, mirrored=mirrored)
+    for trace in (tracer.intercept_and_sensitivity, tracer.intercept_and_variations):
+        if isinstance(want, MapError):
+            with pytest.raises(MapError, match=str(want)):
+                trace(x, y)
+        else:
+            assert trace(x, y)[0].tobytes() == want[0].tobytes()
+
+
 def test_mirrored_traced_map_equals_axis_swapped_generic_map():
     # relabelling the axes (x <-> y, index 1 <-> 2) turns the mirrored
     # parametrisation into the generic one, so s(x, y) = s_swapped(y, x)

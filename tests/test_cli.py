@@ -384,6 +384,20 @@ def test_stage_error_names_the_stage(tmp_path, capsys, command, overrides, stage
     assert "Traceback" not in err and err.startswith(f"error: [{stage}]")
 
 
+def test_non_contracting_riemann_table_exits_two_naming_the_ucp_stage(tmp_path, capsys):
+    # C1 = 2500 grows R on the corner windows until rounding keeps each
+    # Picard step above picard_tol; no riemann task runs before the ucp one
+    path = golden_copy(tmp_path, "lame_lower_order", tasks=["characteristics", "ucp"],
+                       lower_order={"b121": "0.5", "b122": "0.3", "c12": "5000"}, expect={})
+    assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert re.match(r"error: \[ucp\] Picard iteration for the Riemann table of parameter "
+                    r"\(-?[0-9.]+, -?[0-9.]+\) did not contract to 1e-10 within 200 steps "
+                    r"\(last sup-norm step [0-9.e+-]+\)$", err.strip())
+    assert not (tmp_path / "lame_lower_order.report.json").exists()
+
+
 def test_unconverged_inverse_iteration_exits_two_naming_the_stage(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pl, "_INVERSE_ITERATION_CAP", 1)
     path = golden_copy(tmp_path, "lame_constant", grid={"n": 17})

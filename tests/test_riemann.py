@@ -7,9 +7,12 @@ from helpers import (
     cauchy_traces_from_w,
     hyperbolic_bessel_series,
     hyperbolic_bessel_series_d,
+    nine_call_apply_L,
+    picard_solve_riemann,
     scalar_apply_L,
     scalar_kernel_PQ,
     scalar_kernel_table,
+    value_kernel_table,
 )
 from ucp2d import pipeline as pl
 from ucp2d import riemann as rm
@@ -30,6 +33,14 @@ from ucp2d.riemann import (
 
 def plain_system(**kw):
     return TransformedSystem.from_constants(epsilon=0.5, **kw)
+
+
+def each_point(g):
+    """``g`` of one parameter point, over ``apply_L``'s stacked stencil points."""
+    def f(xi, eta):
+        vals = [g(x, e) for x, e in zip(xi.ravel(), eta.ravel())]
+        return np.reshape(vals, xi.shape + np.shape(vals[0]))
+    return f
 
 
 def test_series_oracle_agrees_with_scipy_bessel():
@@ -238,6 +249,60 @@ def test_value_outside_a_window_raises_and_reads_inside_keep_their_bits():
     assert tab.value(0.1, 0.0) == 1.0
 
 
+# -- batches: tables of one window shape share a Picard loop -----------------
+
+
+def _same_table(a, b):
+    return (
+        a.parameter == b.parameter and a.iterations == b.iterations
+        and a.residual == b.residual
+        and all(x.tobytes() == y.tobytes() for x, y in (
+            (a.s_nodes, b.s_nodes), (a.t_nodes, b.t_nodes), (a.values, b.values)))
+    )
+
+
+def test_tables_equal_the_per_table_picard_loop_bit_for_bit(monkeypatch):
+    # grid-aligned windows of several sizes, pairs of one shape whose
+    # parameters sit at different nodes, an off-grid parameter that adds
+    # a node, a repeated key, and whole-square tables, all in one call
+    tsys = variable_system()
+    n = 33
+    h = 2 * tsys.epsilon / (n - 1)
+    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
+    parameters = [
+        (0.0, 0.0), (nodes[20], 0.0), (nodes[12], 0.0), (nodes[20], nodes[12]),
+        (nodes[12], nodes[20]), (nodes[3], nodes[30]), (0.123, -0.071), (0.0, 0.0),
+        (nodes[0], nodes[32]), (nodes[25], nodes[9]),
+    ]
+    batches = {reach: RiemannProvider(tsys, n, reach=reach).tables(parameters)
+               for reach in (4 * h, np.inf)}
+    monkeypatch.setattr(rm, "solve_riemann", picard_solve_riemann)
+    for reach, batch in batches.items():
+        reference = RiemannProvider(tsys, n, reach=reach)
+        assert batch[0] is batch[7]
+        for parameter, tab in zip(parameters, batch):
+            assert _same_table(tab, reference.table(parameter)), (reach, parameter)
+        shapes = {tab.values.shape for tab in batch}
+        assert len(shapes) >= (5 if reach < np.inf else 2)
+        assert len(shapes) < len(set(tab.parameter for tab in batch))
+    assert (n + 1, n + 1) in {tab.values.shape for tab in batches[np.inf]}
+
+
+def test_one_non_contracting_table_in_a_batch_names_its_parameter():
+    # C1 = 1e3: the corner window grows R past 1e17, whose rounding keeps
+    # each Picard step above 1e-10; the windows near the origin contract
+    tsys = plain_system(c1=1e3)
+    prov = RiemannProvider(tsys, 33, reach=4 / 32)
+    contracting = [(0.0, 0.0), (0.0625, 0.0), (0.0, -0.0625)]
+    assert all(t.iterations < 200 for t in prov.tables(contracting))
+    message = (r"^Picard iteration for the Riemann table of parameter \(0\.5, 0\.5\) did not "
+               r"contract to 1e-10 within 200 steps \(last sup-norm step [0-9.e+]+\)$")
+    with pytest.raises(SolveError, match=message):
+        prov.tables(contracting[:2] + [(0.5, 0.5), (0.0625, 0.0625)])
+    with pytest.raises(SolveError, match=r"parameter \(0\.0, 0\.0\) did not contract"):
+        solve_riemann(tsys, (0.0, 0.0), 33)
+
+
 # -- representation formula ------------------------------------------------
 
 
@@ -426,7 +491,7 @@ def test_apply_L_trivial_cases():
     prov = RiemannProvider(plain_system(), 65)
 
     def unit(xi, eta):
-        return 1.0
+        return np.ones(np.shape(xi))
 
     tsys0 = plain_system(c2=0.0)
     assert apply_L(tsys0, unit, (0.1, 0.1), 0.02) == pytest.approx(0.0, abs=1e-12)
@@ -446,7 +511,7 @@ def test_apply_L_bessel_parameter_derivatives():
     def f(xi, eta):
         return prov.value(sig, 0.0, xi, eta)
 
-    got = apply_L(tsys, f, at, step=2 * prov.grid_step)
+    got = apply_L(tsys, each_point(f), at, step=2 * prov.grid_step)
 
     def ref_f(xi, eta):
         return hyperbolic_bessel_series(c * (sig - xi) * (0.0 - eta))
@@ -478,9 +543,9 @@ def test_apply_L_on_a_row_matches_entrywise_calls():
     # first two and last two rows take the one-sided stencils
     for i in (0, 1, prov.n // 2, prov.n - 2, prov.n - 1):
         at = (nodes[i], 0.0)
-        row = apply_L(tsys, lambda xi, eta: prov.value(nodes, 0.0, xi, eta), at, step)
+        row = apply_L(tsys, each_point(lambda xi, eta: prov.value(nodes, 0.0, xi, eta)), at, step)
         entries = [
-            apply_L(tsys, lambda xi, eta: prov.value(sig, 0.0, xi, eta), at, step)
+            apply_L(tsys, each_point(lambda xi, eta: prov.value(sig, 0.0, xi, eta)), at, step)
             for sig in nodes
         ]
         assert row.shape == nodes.shape
@@ -495,16 +560,31 @@ def test_apply_L_on_an_axis_matches_the_scalar_oracle():
     step = 2 * prov.grid_step
     zero = np.zeros_like(nodes)
 
-    def rows(xi, eta):
-        return np.array([prov.value(nodes, 0.0, x, e) for x, e in zip(xi, eta)])
-
-    got = apply_L(tsys, rows, (nodes, zero), step)
+    got = apply_L(tsys, each_point(lambda x, e: prov.value(nodes, 0.0, x, e)), (nodes, zero), step)
     ref = np.array([
         scalar_apply_L(tsys, lambda xi, eta: prov.value(nodes, 0.0, xi, eta), (s, 0.0), step)
         for s in nodes
     ])
     assert got.shape == (prov.n, prov.n)
     np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-10)
+
+
+def test_apply_L_calls_f_once_and_sums_the_nine_stencil_points_in_order():
+    tsys = variable_system()
+    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, 33)
+    row_nodes = np.linspace(-0.3, 0.4, 7)
+    calls = []
+
+    def f(xi, eta):
+        calls.append(np.shape(xi))
+        return np.sin(3 * xi[..., None] + row_nodes) * np.exp(eta[..., None] * row_nodes)
+
+    for at in ((nodes, np.zeros_like(nodes)), (np.zeros_like(nodes), nodes), (0.1, -0.5)):
+        calls.clear()
+        got = apply_L(tsys, f, at, 2 / 32)
+        assert calls == [(3, 3) + np.shape(at[0])]
+        want = nine_call_apply_L(tsys, f, at, 2 / 32)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 # -- Volterra integro-differential IVP --------------------------------------
@@ -604,3 +684,25 @@ def test_ivp_calls_kernel_once_per_node_on_all_nodes():
     assert [s for s, _ in calls] == list(nodes)
     for _, sig in calls:
         assert np.array_equal(sig, nodes)
+
+
+
+@pytest.mark.parametrize("name", ["lame_lower_order", "lame_traced"])
+def test_kernel_table_equals_the_value_read_rows_bit_for_bit(name, monkeypatch):
+    # the ucp stage's kernel tables and every table behind them, against
+    # per-table Picard loops, nine f calls per apply_L and rows read
+    # through RiemannTable.value
+    sc = load_scenario(scenario_dir() / f"{name}.json")
+    _, tsys = pl.characteristics(sc, reduce_system(sc.coefficients))
+    windows = pl.riemann_provider(sc, tsys, reach_steps=4)
+    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, windows.n)
+    step = 2 * windows.grid_step
+    got = [pl._kernel_table(tsys, windows, axis, nodes, step) for axis in ("s", "t")]
+    monkeypatch.setattr(rm, "solve_riemann", picard_solve_riemann)
+    reference = pl.riemann_provider(sc, tsys, reach_steps=4)
+    want = [value_kernel_table(tsys, reference, axis, nodes, step) for axis in ("s", "t")]
+    for k, ref in zip(got, want):
+        assert np.nanmax(np.abs(ref)) > 0.01
+        assert k.tobytes() == ref.tobytes()
+    assert windows._cache.keys() == reference._cache.keys()
+    assert all(_same_table(windows._cache[key], tab) for key, tab in reference._cache.items())
