@@ -140,14 +140,6 @@ class CharacteristicMap:
     inverse: object
     linear: bool
 
-    def jacobian_matrix(self, x, y):
-        sx, tx, sy, ty = self.jacobian(x, y)
-        return np.array([[sx, tx], [sy, ty]])
-
-    def det_jacobian(self, x, y):
-        sx, tx, sy, ty = self.jacobian(x, y)
-        return sx * ty - tx * sy
-
 
 def _linear_map(case, x0, y0, roots):
     if case == CASE_IDENTITY:

@@ -855,7 +855,7 @@ def _run_ucp_stage(scenario, sys, cmap, tsys):
     result["phi_sup"] = float(np.max(np.abs(phi)))
     result["psi_sup"] = float(np.max(np.abs(psi)))
 
-    traces = rm.CauchyTraces.from_arrays(nodes, phi, psi)
+    traces = rm.CauchyTraces(nodes, phi, psi)
     probe = np.linspace(-eps, eps, 9)
     targets = [(s, t) for s in probe for t in probe]
 

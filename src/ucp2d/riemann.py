@@ -16,10 +16,11 @@ the parameter point makes every integral empty, so ``R = 1`` there by
 construction.
 
 :func:`solve_riemann_tables` is the one Picard loop: it takes many
-parameter points, stacks the tables whose windows have one shape, and
-iterates each stack together, each table until its own step reaches
-the tolerance, so a table's bits do not depend on its batch.
-:func:`solve_riemann` is its one-parameter call.
+parameter points, evaluates the coefficients once on the uniform grid,
+stacks the tables whose windows have one shape, and iterates each stack
+until its last table converges.  Each table keeps its iterate from the
+step where its own step reaches the tolerance, so a table's bits do not
+depend on its batch.  :func:`solve_riemann` is its one-parameter call.
 
 The solution representation and the two integro-differential initial
 value problems for the Cauchy traces use these tables: solving the
@@ -55,14 +56,13 @@ _PICARD_MAX_ITER = 200  # Picard steps before a table is declared divergent
 _LEAD_FLOOR = 1e-12  # least admissible |A(s)| in volterra_ivp
 
 
-def _window(eps, n, centre, reach):
-    """Nodes of one axis of a table's window: the ``n`` uniform nodes on
+def _window(uniform, centre, reach):
+    """Nodes of one axis of a table's window: the ``uniform`` nodes on
     [-eps, eps] from ``reach`` below min(0, centre) to ``reach`` above
     max(0, centre), augmented with ``centre`` when it is off that grid.
     Returns the nodes, the index of ``centre`` among them, and the slice
-    of the uniform grid they are (None once augmented)."""
-    uniform = np.linspace(-eps, eps, n)
-    pad = 1e-12 * max(eps, 1.0)
+    of ``uniform`` they are (None once augmented)."""
+    pad = 1e-12 * max(uniform[-1], 1.0)
     lo, hi = min(0.0, centre) - reach - pad, max(0.0, centre) + reach + pad
     cut = slice(int(np.searchsorted(uniform, lo)), int(np.searchsorted(uniform, hi, "right")))
     nodes = uniform[cut]
@@ -147,7 +147,7 @@ def _cumulative_trapezoid(y, steps, axis):
     return out
 
 
-def solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf, grid=None):
+def solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf):
     """Fixed point of the Riemann integral equation on the table's window.
 
     The window is the rectangle of the ``n`` uniform nodes per axis that
@@ -156,38 +156,42 @@ def solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf, grid=None):
     default); a parameter abscissa off the uniform grid is added as a
     node.  R at a point depends only on the rectangle between the point
     and the parameter, so on its window a table agrees with the whole
-    square's up to rounding and the stopping tolerance.
-    ``grid`` holds B12, B11 and C1 on the uniform ``n x n`` grid; a window
-    of uniform nodes is sliced from it, any other window is evaluated on
-    its own.  Iteration stops when successive iterates differ by at most
-    ``tol`` in sup norm.  This is the one-parameter call of
-    :func:`solve_riemann_tables`.
+    square's up to rounding and the stopping tolerance.  Iteration stops
+    when successive iterates differ by at most ``tol`` in sup norm.  This
+    is the one-parameter call of :func:`solve_riemann_tables`.
     """
-    return solve_riemann_tables(tsys, [parameter], n, tol, reach, grid)[0]
+    return solve_riemann_tables(tsys, [parameter], n, tol, reach)[0]
 
 
-def solve_riemann_tables(tsys, parameters, n, tol=1e-10, reach=np.inf, grid=None):
+def solve_riemann_tables(tsys, parameters, n, tol=1e-10, reach=np.inf):
     """One table per parameter point, in order, each as :func:`solve_riemann`
     gives it for that point alone.
 
+    B12, B11 and C1 are evaluated once on the uniform ``n x n`` grid (on
+    a traced map ``transform_system`` memoises that grid, so only the
+    first call pulls it back); a window of uniform nodes is sliced from
+    that evaluation, a window augmented with an off-grid node is
+    evaluated on its own nodes.
     Tables whose windows have the same shape are stacked and iterated in
-    one Picard loop.  A table's values freeze at the step where its own
-    sup-norm step reaches ``tol``; it leaves the stack after one more
-    step, whose sup norm is its residual.  A table still above ``tol``
-    after ``_PICARD_MAX_ITER`` steps raises :class:`SolveError` naming
-    its parameter.
+    one Picard loop until the last of them converges.  A table's values
+    are its iterate at the step where its own sup-norm step reaches
+    ``tol``, and the next step's sup norm is its residual.  A table still
+    above ``tol`` after ``_PICARD_MAX_ITER`` steps raises
+    :class:`SolveError` naming its parameter.
     """
     if n < 9:
         raise ValueError("need at least 9 nodes per axis")
     if tol <= 0:
         raise ValueError("tol must be positive")
     eps = tsys.epsilon
+    uniform = np.linspace(-eps, eps, n)
+    grid = _coefficient_grid(tsys, uniform, uniform)
     windows = []
     for parameter in parameters:
         xi, eta = (float(parameter[0]), float(parameter[1]))
         if abs(xi) > eps + 1e-12 or abs(eta) > eps + 1e-12:
             raise ValueError("parameter point outside the working square")
-        windows.append(((xi, eta), _window(eps, n, xi, reach), _window(eps, n, eta, reach)))
+        windows.append(((xi, eta), _window(uniform, xi, reach), _window(uniform, eta, reach)))
     groups = {}
     for k, (_, s_win, t_win) in enumerate(windows):
         groups.setdefault((len(s_win[0]), len(t_win[0])), []).append(k)
@@ -215,13 +219,14 @@ def _picard_step(r, b12, b11, c1, ds, dt, i_xi, j_eta):
 
 
 def _solve_stack(tsys, windows, tol, grid):
-    """Tables of windows of one shape, from one Picard loop on their stack."""
+    """Tables of windows of one shape, from one Picard loop on their stack;
+    ``grid`` holds B12, B11 and C1 on the uniform grid."""
     parameters, s_windows, t_windows = zip(*windows)
     s_nodes, i_xi, s_cuts = zip(*s_windows)
     t_nodes, j_eta, t_cuts = zip(*t_windows)
     coefficients = [
         [g[s_cut, t_cut] for g in grid]
-        if grid is not None and s_cut is not None and t_cut is not None
+        if s_cut is not None and t_cut is not None
         else _coefficient_grid(tsys, s, t)
         for s, t, s_cut, t_cut in zip(s_nodes, t_nodes, s_cuts, t_cuts)
     ]
@@ -231,32 +236,25 @@ def _solve_stack(tsys, windows, tol, grid):
     ]
     count = len(windows)
     values, iterations, residuals = [None] * count, [0] * count, [0.0] * count
-    live = np.arange(count)  # the window of each stack entry
-    frozen = np.zeros(count, dtype=bool)  # final iterate reached; this step is the residual
     r = np.ones(stack[0].shape)
     for it in range(1, _PICARD_MAX_ITER + 2):
         r_new = _picard_step(r, *stack)
         step = np.max(np.abs(r_new - r), axis=(1, 2))
-        for e in np.flatnonzero(frozen):
-            values[live[e]], residuals[live[e]] = r[e].copy(), float(step[e])
-        converged = ~frozen & (step <= tol)
-        for e in np.flatnonzero(converged):
-            iterations[live[e]] = it
-        if it == _PICARD_MAX_ITER and not np.all(frozen | converged):
-            e = np.flatnonzero(~(frozen | converged))[0]
+        for e in range(count):
+            if iterations[e] and values[e] is None:  # converged at the previous step
+                values[e], residuals[e] = r[e].copy(), float(step[e])
+            elif not iterations[e] and step[e] <= tol:
+                iterations[e] = it
+        if all(v is not None for v in values):
+            break
+        if it == _PICARD_MAX_ITER and not all(iterations):
+            e = iterations.index(0)
             raise SolveError(
-                f"Picard iteration for the Riemann table of parameter {parameters[live[e]]} "
+                f"Picard iteration for the Riemann table of parameter {parameters[e]} "
                 f"did not contract to {tol} within {_PICARD_MAX_ITER} steps "
                 f"(last sup-norm step {step[e]:.3g})"
             )
-        if frozen.all():
-            break
         r = r_new
-        if frozen.any():
-            keep = ~frozen
-            r, live, converged = r[keep], live[keep], converged[keep]
-            stack = [a[keep] for a in stack]
-        frozen = converged
     return [
         RiemannTable(parameter=p, s_nodes=s, t_nodes=t, values=v, iterations=i, residual=res)
         for p, s, t, v, i, res in zip(parameters, s_nodes, t_nodes, values, iterations, residuals)
@@ -271,12 +269,11 @@ class RiemannProvider:
     """Memoised Riemann tables keyed by parameter point.
 
     Each table is solved on its window of ``reach`` (see
-    :func:`solve_riemann`; the whole square by default), with B12, B11
-    and C1 evaluated once on the uniform ``n x n`` grid: on a traced map
-    every evaluation at new points is a pullback.  :meth:`table` solves
-    one parameter through :func:`solve_riemann`; :meth:`tables` solves
-    every parameter not yet cached in one :func:`solve_riemann_tables`
-    batch, so tables of one window shape share a Picard loop.
+    :func:`solve_riemann`; the whole square by default).  :meth:`table`
+    solves one parameter through :func:`solve_riemann`; :meth:`tables`
+    solves every parameter not yet cached in one
+    :func:`solve_riemann_tables` batch, so tables of one window shape
+    share a Picard loop.  A table has the same bits on either route.
     """
 
     def __init__(self, tsys, n, tol=1e-10, reach=np.inf):
@@ -285,19 +282,12 @@ class RiemannProvider:
         self.tol = tol
         self.reach = reach
         self._cache = {}
-        self._grid = None
-
-    def _coefficients(self):
-        if self._grid is None:
-            nodes = np.linspace(-self.tsys.epsilon, self.tsys.epsilon, self.n)
-            self._grid = _coefficient_grid(self.tsys, nodes, nodes)
-        return self._grid
 
     def table(self, parameter):
         key = _key(parameter)
         tab = self._cache.get(key)
         if tab is None:
-            tab = solve_riemann(self.tsys, key, self.n, self.tol, self.reach, self._coefficients())
+            tab = solve_riemann(self.tsys, key, self.n, self.tol, self.reach)
             self._cache[key] = tab
         return tab
 
@@ -306,9 +296,7 @@ class RiemannProvider:
         keys = [_key(p) for p in parameters]
         missing = [k for k in dict.fromkeys(keys) if k not in self._cache]
         if missing:
-            solved = solve_riemann_tables(
-                self.tsys, missing, self.n, self.tol, self.reach, self._coefficients()
-            )
+            solved = solve_riemann_tables(self.tsys, missing, self.n, self.tol, self.reach)
             self._cache.update(zip(missing, solved))
         return [self._cache[k] for k in keys]
 
@@ -329,14 +317,6 @@ class CauchyTraces:
     nodes: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-
-    @classmethod
-    def from_arrays(cls, nodes, phi, psi):
-        return cls(
-            nodes=np.asarray(nodes, dtype=float),
-            phi=np.asarray(phi, dtype=float),
-            psi=np.asarray(psi, dtype=float),
-        )
 
     def phi_at(self, s):
         return np.interp(s, self.nodes, self.phi)

@@ -294,11 +294,12 @@ def scalar_kernel_table(tsys, provider, axis, nodes, step):
 # -- the per-table Riemann path: one Picard loop per table, rows read by value
 
 
-def picard_solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf, grid=None):
+def picard_solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf):
     """One table from its own Picard loop, the iterate compared with the
     previous one after every step: the reference for
     ``ucp2d.riemann.solve_riemann_tables``, which iterates a stack of
-    tables of one window shape together."""
+    tables of one window shape together.  A window of uniform nodes is
+    sliced from the coefficients on the whole uniform grid, as there."""
     if n < 9:
         raise ValueError("need at least 9 nodes per axis")
     if tol <= 0:
@@ -307,9 +308,11 @@ def picard_solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf, grid=None)
     eps = tsys.epsilon
     if abs(xi) > eps + 1e-12 or abs(eta) > eps + 1e-12:
         raise ValueError("parameter point outside the working square")
-    s_nodes, i_xi, s_cut = rm._window(eps, n, xi, reach)
-    t_nodes, j_eta, t_cut = rm._window(eps, n, eta, reach)
-    if grid is not None and s_cut is not None and t_cut is not None:
+    uniform = np.linspace(-eps, eps, n)
+    s_nodes, i_xi, s_cut = rm._window(uniform, xi, reach)
+    t_nodes, j_eta, t_cut = rm._window(uniform, eta, reach)
+    if s_cut is not None and t_cut is not None:
+        grid = rm._coefficient_grid(tsys, uniform, uniform)
         b12, b11, c1 = (g[s_cut, t_cut] for g in grid)
     else:
         b12, b11, c1 = rm._coefficient_grid(tsys, s_nodes, t_nodes)

@@ -171,7 +171,7 @@ def test_criterion_5_representation_formula():
     n = 257
     prov = RiemannProvider(tsys, n, tol=1e-12)
     nodes = np.linspace(-0.5, 0.5, n)
-    traces = CauchyTraces.from_arrays(nodes, 0 * nodes, 0 * nodes)
+    traces = CauchyTraces(nodes, 0 * nodes, 0 * nodes)
     grid = np.linspace(-0.5, 0.5, 13)
     targets = [(s, t) for s in grid for t in grid]
     vals = represent_solution(tsys, prov, 1.0, traces, targets)

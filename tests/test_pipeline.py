@@ -700,6 +700,28 @@ def test_characteristics_report_pulls_back_its_grid_once():
         assert report["det_jacobian_range"] == [float(detj.min()), float(detj.max())]
 
 
+def test_riemann_and_ucp_stages_pull_the_coefficient_grid_back_once():
+    # every Riemann solve evaluates the coefficients on the whole n x n
+    # grid; transform_system's memo makes all but the first a lookup
+    sc = load_scenario(scenario_dir() / "lame_traced.json")
+    sys = reduce_system(sc.coefficients)
+    cmap = ch.build_map(sys, sc.omega, *sc.point)
+    calls = []
+
+    def counted(s, t, inverse=cmap.inverse):
+        calls.append(np.shape(s))
+        return inverse(s, t)
+
+    tsys = ch.transform_system(sys, dataclasses.replace(cmap, inverse=counted), sc.omega)
+    calls.clear()
+    tab, _ = pl.riemann_section(sc, tsys)
+    with pl.stage("ucp"):
+        result = pl._run_ucp_stage(sc, sys, cmap, tsys)
+    assert result["w_sup"] == 0.0
+    n = len(tab.s_nodes)
+    assert calls.count((n, n)) == 1 and calls[0] == (n, n)
+
+
 def test_ucp_stage_evaluates_the_coefficients_once_per_axis():
     # one pullback for the grid the windows are sliced from, one per axis
     sc = load_scenario(scenario_dir() / "lame_lower_order.json")

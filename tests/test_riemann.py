@@ -114,8 +114,9 @@ def test_cumulative_trapezoid_matches_scipy_bit_for_bit():
     from scipy.integrate import cumulative_trapezoid
 
     rng = np.random.default_rng(3)
-    s_nodes = rm._window(0.25, 33, 0.013, np.inf)[0]  # augmented: not uniform
-    t_nodes = rm._window(0.25, 33, -0.2071, np.inf)[0]
+    uniform = np.linspace(-0.25, 0.25, 33)
+    s_nodes = rm._window(uniform, 0.013, np.inf)[0]  # augmented: not uniform
+    t_nodes = rm._window(uniform, -0.2071, np.inf)[0]
     assert len(s_nodes) == len(t_nodes) == 34
     y = rng.standard_normal((len(s_nodes), len(t_nodes)))
     for axis, nodes in ((0, s_nodes), (1, t_nodes)):
@@ -288,6 +289,27 @@ def test_tables_equal_the_per_table_picard_loop_bit_for_bit(monkeypatch):
     assert (n + 1, n + 1) in {tab.values.shape for tab in batches[np.inf]}
 
 
+@pytest.mark.parametrize("reach", [4 * 2 * 0.5 / 32, np.inf])
+def test_a_table_has_the_same_bits_on_each_route(reach):
+    # solve_riemann alone, the provider's one-table route, and a mixed
+    # batch: grid-aligned, off-grid and corner parameters whose windows
+    # take coefficients sliced from the uniform grid or evaluated on
+    # their own nodes
+    tsys = variable_system()
+    n, tol = 33, 1e-10
+    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
+    parameters = [(nodes[20], nodes[12]), (0.123, -0.071), (nodes[0], nodes[32]),
+                  (0.0, 0.0), (nodes[3], 0.0), (nodes[12], nodes[20]), (0.0, 0.2)]
+    batch = RiemannProvider(tsys, n, tol, reach).tables(parameters)
+    for parameter, tab in zip(parameters, batch):
+        alone = solve_riemann(tsys, parameter, n, tol, reach)
+        one = RiemannProvider(tsys, n, tol, reach).table(parameter)
+        assert _same_table(tab, alone) and _same_table(tab, one), parameter
+        # a table owns its values, so a cached table keeps no Picard stack alive
+        assert all(t.values.flags.owndata for t in (tab, alone, one))
+    assert len({tab.values.shape for tab in batch}) < len(batch)
+
+
 def test_one_non_contracting_table_in_a_batch_names_its_parameter():
     # C1 = 1e3: the corner window grows R past 1e17, whose rounding keeps
     # each Picard step above 1e-10; the windows near the origin contract
@@ -310,7 +332,7 @@ def test_zero_traces_zero_seed_reproduce_zero():
     tsys = plain_system(b11=0.2, b12=0.1, c1=0.5)
     prov = RiemannProvider(tsys, 65)
     nodes = np.linspace(-0.5, 0.5, 65)
-    traces = CauchyTraces.from_arrays(nodes, 0 * nodes, 0 * nodes)
+    traces = CauchyTraces(nodes, 0 * nodes, 0 * nodes)
     targets = [(-0.3, 0.4), (0.2, 0.2), (0.45, -0.45)]
     vals = represent_solution(tsys, prov, 0.0, traces, targets)
     assert np.all(vals == 0.0)
@@ -382,7 +404,7 @@ def test_superposed_shifted_kernels_reconstruct_with_active_trace():
     def sup_error(n):
         prov = RiemannProvider(tsys, n, tol=1e-12)
         nodes = np.linspace(-0.5, 0.5, n)
-        traces = CauchyTraces.from_arrays(nodes, 0 * nodes, psi_exact(nodes))
+        traces = CauchyTraces(nodes, 0 * nodes, psi_exact(nodes))
         vals = represent_solution(tsys, prov, float(w_ref(0.0, 0.0)), traces, targets)
         ref = np.array([w_ref(s, t) for s, t in targets])
         return np.max(np.abs(vals - ref))
