@@ -189,13 +189,12 @@ def _write_grid_csv(path, xs, ys, values):
                 fh.write(f"{x:.17g},{y:.17g},{values[i, j]:.17g}\n")
 
 
-def _random_sweep(scenario, seed):
-    """Seeded spot-check that the certified margins really are lower
-    bounds of the sampled quadratic forms."""
+def _random_sweep(scenario, seed, conditions):
+    """Seeded spot-check that the margins of the ``conditions`` report
+    really are lower bounds of the sampled quadratic forms."""
     rng = np.random.default_rng(seed)
     coeffs = scenario.coefficients
-    ell = tensors.ellipticity_margin(coeffs, scenario.omega, 3)
-    cvx = tensors.convexity_margin(coeffs, scenario.omega, 3)
+    ell, cvx = conditions["ellipticity_margin"], conditions["convexity_margin"]
     # per sample, in this order: x, y, two angles, three strain entries
     draws = np.array([
         (rng.uniform(*scenario.omega.xlim), rng.uniform(*scenario.omega.ylim),
@@ -228,7 +227,7 @@ def _sub_scenario(scenario, tasks):
 def _cmd_check(scenario, args):
     report, failures = pl.run(_sub_scenario(scenario, ("conditions", "reduce")))
     with pl.stage("random_sweep"):
-        report["random_sweep"] = _random_sweep(scenario, args.seed)
+        report["random_sweep"] = _random_sweep(scenario, args.seed, report["conditions"])
     key, ucp = "reduced_data_degenerate", {}
     if scenario.point_data is not None:
         with pl.stage("ucp"):

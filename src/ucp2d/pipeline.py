@@ -2,10 +2,15 @@
 
 A scenario bundles a coefficient set, a base point, a working rectangle
 and tolerances.  Running it audits the tensor hypotheses, reduces to the
-overdetermined pair, builds characteristic coordinates, constructs the
-Riemann machinery, demonstrates the vanishing argument on supplied point
-data, and estimates the dimension of the local solution family of the
-pair by singular-value analysis of its finite-difference discretisation.
+overdetermined pair, builds characteristic coordinates, solves the
+whole-square Riemann table at the origin, demonstrates the vanishing
+argument on supplied point data, and estimates the dimension of the
+local solution family of the pair by singular-value analysis of its
+finite-difference discretisation.
+
+The ucp stage decides what the point data allow (completing four-value
+data through the pair, declining degenerate or nonzero data) and reports
+it; the vanishing chain itself is :func:`ucp2d.riemann.riemann_chain`.
 """
 
 from __future__ import annotations
@@ -142,14 +147,6 @@ def _fd_matrix(n, h, deriv):
     return sp.csr_matrix(mat / h**deriv)
 
 
-def _d1_matrix(n, h):
-    return _fd_matrix(n, h, 1)
-
-
-def _d2_matrix(n, h):
-    return _fd_matrix(n, h, 2)
-
-
 def _assemble_operator(sys, region, n):
     """Stacked FD discretisation of both equations on all grid values.
 
@@ -168,8 +165,8 @@ def _assemble_operator(sys, region, n):
     trapezoid[[0, -1]] = 0.5
     row_weights = sp.diags(np.outer(trapezoid, trapezoid).ravel())
     eye = sp.identity(n, format="csr")
-    dx, dy = _d1_matrix(n, hx), _d1_matrix(n, hy)
-    dxx, dyy = _d2_matrix(n, hx), _d2_matrix(n, hy)
+    dx, dy = _fd_matrix(n, hx, 1), _fd_matrix(n, hy, 1)
+    dxx, dyy = _fd_matrix(n, hx, 2), _fd_matrix(n, hy, 2)
     ops = {
         "xx": sp.kron(dxx, eye, format="csr"),
         "xy": sp.kron(dx, dy, format="csr"),
@@ -605,13 +602,16 @@ def characteristics(scenario, sys):
         return cmap, ch.transform_system(sys, cmap, scenario.omega)
 
 
-def riemann_provider(scenario, tsys, reach_steps=np.inf):
-    """Riemann tables of the transformed pair on an odd number of nodes per
-    axis, so that 0 is a node, each solved on its window of ``reach_steps``
-    grid steps (the whole square by default)."""
-    n_axis = scenario.n if scenario.n % 2 == 1 else scenario.n + 1
-    reach = reach_steps * 2 * tsys.epsilon / (n_axis - 1)
-    return rm.RiemannProvider(tsys, n_axis, scenario.tolerances.picard_tol, reach)
+def _axis_nodes(scenario):
+    """Nodes per axis of the Riemann tables: ``scenario.n`` made odd, so
+    that 0 is a node."""
+    return scenario.n if scenario.n % 2 == 1 else scenario.n + 1
+
+
+def riemann_provider(scenario, tsys):
+    """Riemann tables of the transformed pair on the whole square, with
+    :func:`_axis_nodes` nodes per axis."""
+    return rm.RiemannProvider(tsys, _axis_nodes(scenario), scenario.tolerances.picard_tol)
 
 
 def riemann_section(scenario, tsys):
@@ -775,32 +775,6 @@ def point_data_mode(scenario, sys):
     return data, dict(entries, reduced_data_degenerate=False, a1222_at_point=a1222)
 
 
-def _kernel_table(tsys, provider, axis, nodes, step):
-    """Kernel rows of the trace equation on ``axis``: ``L R(sig, 0; .)`` at
-    ``(s, 0)`` (axis 's') or ``L R(0, sig; .)`` at ``(0, s)`` (axis 't'),
-    from one ``apply_L`` pass over the axis, whose nine stencil parameters
-    per node are solved in one ``provider.tables`` batch.  Row ``s``
-    holds only the segment of ``sig`` between 0 and ``s`` that
-    ``volterra_ivp``'s march reads, read at the table's own nodes on the
-    axis; the rest is NaN."""
-    zero = np.zeros_like(nodes)
-    at = (nodes, zero) if axis == "s" else (zero, nodes)
-    i0 = int(np.argmin(np.abs(nodes)))
-    segments = [np.arange(min(i, i0), max(i, i0) + 1) for i in range(len(nodes))]
-
-    def rows(xi, eta):
-        out = np.full(xi.shape + nodes.shape, np.nan)
-        flat = out.reshape(-1, len(nodes))
-        tables = provider.tables(list(zip(xi.ravel(), eta.ravel())))
-        for k, tab in enumerate(tables):
-            seg = segments[k % len(nodes)]
-            along, vals = tab.axis_slice(axis)
-            flat[k, seg] = vals[np.searchsorted(along, nodes[seg])]
-        return out
-
-    return rm.apply_L(tsys, rows, at, step)
-
-
 def _run_ucp_stage(scenario, sys, cmap, tsys):
     data, result = point_data_mode(scenario, sys)
     if data is None:
@@ -820,45 +794,12 @@ def _run_ucp_stage(scenario, sys, cmap, tsys):
         )
         return result
 
-    # The chain reads each table between its parameter and the origin, and
-    # apply_L's one-sided second difference reaches 4 grid steps beyond that.
-    windows = riemann_provider(scenario, tsys, reach_steps=4)
-    eps, n_axis = tsys.epsilon, windows.n
-    nodes = np.linspace(-eps, eps, n_axis)
-    zero = np.zeros_like(nodes)
-    step = 2 * windows.grid_step  # apply_L's stencil step
-    p_vals = rm.kernel_PQ(tsys, "s", nodes)
-    q_vals = rm.kernel_PQ(tsys, "t", nodes)
-    k_phi = _kernel_table(tsys, windows, "s", nodes, step)
-    k_psi = _kernel_table(tsys, windows, "t", nodes, step)
-
-    def by_node(values):
-        """The entry or row of ``values`` at a node of ``nodes``."""
-        return lambda s, *_: values[np.searchsorted(nodes, s)]
-
-    _, phi = rm.volterra_ivp(
-        leading=by_node(tsys.a11(nodes, zero)),
-        damping=by_node(p_vals),
-        kernel=by_node(k_phi),
-        forcing=lambda s: 0.0,
-        interval=(-eps, eps),
-        n=n_axis,
+    probe = np.linspace(-tsys.epsilon, tsys.epsilon, 9)
+    traces, vals = rm.riemann_chain(
+        tsys, _axis_nodes(scenario), scenario.tolerances.picard_tol, wdata.w,
+        [(s, t) for s in probe for t in probe],
     )
-    _, psi = rm.volterra_ivp(
-        leading=by_node(tsys.a22(zero, nodes)),
-        damping=by_node(q_vals),
-        kernel=by_node(k_psi),
-        forcing=lambda t: 0.0,
-        interval=(-eps, eps),
-        n=n_axis,
-    )
-    result["phi_sup"] = float(np.max(np.abs(phi)))
-    result["psi_sup"] = float(np.max(np.abs(psi)))
-
-    traces = rm.CauchyTraces(nodes, phi, psi)
-    probe = np.linspace(-eps, eps, 9)
-    targets = [(s, t) for s in probe for t in probe]
-
-    vals = rm.represent_solution(tsys, windows, wdata.w, traces, targets)
+    result["phi_sup"] = float(np.max(np.abs(traces.phi)))
+    result["psi_sup"] = float(np.max(np.abs(traces.psi)))
     result["w_sup"] = float(np.max(np.abs(vals)))
     return result

@@ -28,9 +28,6 @@ __all__ = [
     "second_order_rank",
 ]
 
-_COLS = {"xx": 0, "xy": 1, "yy": 2}
-
-
 def discriminant(c20, c11, c02):
     """``c11^2 - 4 c20 c02`` of the principal part ``c20 dxx + c11 dxy +
     c02 dyy``: positive where it is hyperbolic, negative where elliptic.
@@ -105,29 +102,18 @@ def reduce_system(coeffs):
     )
 
 
-def second_order_matrix(sys, x, y, drop=None):
-    """The 2x3 matrix of second-order coefficients at a point.
+def second_order_rank(sys, x, y, tol=1e-9):
+    """Numerical rank of the 2x3 matrix of second-order coefficients at a
+    point.
 
-    ``drop`` removes the named column ("xx", "xy" or "yy"), which models
-    imposing that second derivative as known point data.
-    """
-    m = np.array([sys.hyper.principal_values(x, y), sys.ell.principal_values(x, y)])
-    if drop is None:
-        return m
-    if drop not in _COLS:
-        raise ValueError(f"drop must be one of 'xx', 'xy', 'yy', got {drop!r}")
-    return np.delete(m, _COLS[drop], axis=1)
-
-
-def second_order_rank(sys, x, y, tol=1e-9, drop=None):
-    """Numerical rank of the second-order coefficient matrix at a point.
-
-    Rank below 2 flags the degeneracy that lets nontrivial second
-    derivatives slip through reduced point data.
+    Rank below 2 means the principal parts of the two members are
+    proportional there.  Whether four-value point data pin the remaining
+    second derivatives is the 2x2 rank rule of
+    :func:`ucp2d.pipeline.complete_second_derivatives`.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = second_order_matrix(sys, x, y, drop=drop)
+    m = np.array([sys.hyper.principal_values(x, y), sys.ell.principal_values(x, y)])
     sv = np.linalg.svd(m, compute_uv=False)
     if sv[0] == 0.0:
         return 0

@@ -22,10 +22,12 @@ until its last table converges.  Each table keeps its iterate from the
 step where its own step reaches the tolerance, so a table's bits do not
 depend on its batch.  :func:`solve_riemann` is its one-parameter call.
 
-The solution representation and the two integro-differential initial
-value problems for the Cauchy traces use these tables: solving the
-homogeneous problems is the computational content of forcing the traces
-to vanish.
+:func:`riemann_chain` is the vanishing chain on these tables.  Zero point
+data make the Cauchy traces phi and psi solve two homogeneous Volterra
+equations on the axes, whose kernels are the elliptic operator applied
+to R in its parameter (:func:`apply_L` on the tables); solving them is
+the computational content of forcing the traces to vanish, and the
+representation formula then rebuilds the solution from the traces.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ __all__ = [
     "kernel_PQ",
     "apply_L",
     "volterra_ivp",
+    "riemann_chain",
 ]
 
 
@@ -300,10 +303,6 @@ class RiemannProvider:
             self._cache.update(zip(missing, solved))
         return [self._cache[k] for k in keys]
 
-    def value(self, s, t, xi, eta):
-        """R(s, t, xi, eta) -- evaluation point first, then parameter."""
-        return self.table((xi, eta)).value(s, t)
-
     @property
     def grid_step(self):
         return 2 * self.tsys.epsilon / (self.n - 1)
@@ -317,12 +316,6 @@ class CauchyTraces:
     nodes: np.ndarray
     phi: np.ndarray
     psi: np.ndarray
-
-    def phi_at(self, s):
-        return np.interp(s, self.nodes, self.phi)
-
-    def psi_at(self, t):
-        return np.interp(t, self.nodes, self.psi)
 
 
 def _integral_to(nodes, values, b):
@@ -346,10 +339,10 @@ def represent_solution(tsys, provider, w00, traces, targets):
     for k, ((s, t), tab) in enumerate(zip(targets, provider.tables(targets))):
         val = w00 * tab.value(0.0, 0.0)
         s_nodes, s_vals = tab.axis_slice("s")
-        integrand = s_vals * traces.phi_at(s_nodes)
+        integrand = s_vals * np.interp(s_nodes, traces.nodes, traces.phi)
         val += _integral_to(s_nodes, integrand, s)
         t_nodes, t_vals = tab.axis_slice("t")
-        integrand = t_vals * traces.psi_at(t_nodes)
+        integrand = t_vals * np.interp(t_nodes, traces.nodes, traces.psi)
         val += _integral_to(t_nodes, integrand, t)
         out[k] = val
     return out
@@ -402,6 +395,12 @@ def kernel_PQ(tsys, axis, nodes):
         np.asarray(c(*here), dtype=float) for c in (lead, tsys.a12, along, across, damp)
     )
     return -a_lead * b_along + 2 * a12 * b_across + b_damp
+
+
+# riemann_chain's apply_L stencil step, in grid steps, and its reach: a
+# shifted one-sided stencil ends two stencil steps from its point.
+_CHAIN_STEP = 2
+_CHAIN_REACH = 2 * _CHAIN_STEP
 
 
 def apply_L(tsys, f, at, step):
@@ -491,3 +490,66 @@ def volterra_ivp(leading, damping, kernel, forcing, interval, n):
     march(+1)
     march(-1)
     return nodes, u
+
+
+def _kernel_table(tsys, provider, axis, nodes, step):
+    """Kernel rows of the trace equation on ``axis``: ``L R(sig, 0; .)`` at
+    ``(s, 0)`` (axis 's') or ``L R(0, sig; .)`` at ``(0, s)`` (axis 't'),
+    from one ``apply_L`` pass over the axis, whose nine stencil parameters
+    per node are solved in one ``provider.tables`` batch.  Row ``s``
+    holds only the segment of ``sig`` between 0 and ``s`` that
+    ``volterra_ivp``'s march reads, read at the table's own nodes on the
+    axis; the rest is NaN."""
+    zero = np.zeros_like(nodes)
+    at = (nodes, zero) if axis == "s" else (zero, nodes)
+    i0 = int(np.argmin(np.abs(nodes)))
+    segments = [np.arange(min(i, i0), max(i, i0) + 1) for i in range(len(nodes))]
+
+    def rows(xi, eta):
+        out = np.full(xi.shape + nodes.shape, np.nan)
+        flat = out.reshape(-1, len(nodes))
+        tables = provider.tables(list(zip(xi.ravel(), eta.ravel())))
+        for k, tab in enumerate(tables):
+            seg = segments[k % len(nodes)]
+            along, vals = tab.axis_slice(axis)
+            flat[k, seg] = vals[np.searchsorted(along, nodes[seg])]
+        return out
+
+    return apply_L(tsys, rows, at, step)
+
+
+def riemann_chain(tsys, n, tol, w00, targets):
+    """The vanishing chain on ``n`` (odd) nodes per axis: the Cauchy traces
+    and the values of the representation formula at ``targets``.
+
+    phi solves ``A11(s,0) phi' + P(s) phi + int_0^s K_phi(s,sig)
+    phi(sig) dsig = 0`` from ``phi(0) = 0`` on the s axis, with
+    ``K_phi(s,sig) = L R(sig,0; s,0)`` applied in the parameter; psi
+    solves the mirrored equation on the t axis with A22, Q and
+    ``K_psi``.  The tables come from one provider whose windows reach
+    ``_CHAIN_REACH`` grid steps beyond each table's rectangle, which is
+    all a kernel row reads.  Returns ``(traces, values)``.
+    """
+    eps = tsys.epsilon
+    h = 2 * eps / (n - 1)
+    provider = RiemannProvider(tsys, n, tol, _CHAIN_REACH * h)
+    nodes = np.linspace(-eps, eps, n)
+    zero = np.zeros_like(nodes)
+
+    def by_node(values):
+        """The entry or row of ``values`` at a node of ``nodes``."""
+        return lambda s, *_: values[np.searchsorted(nodes, s)]
+
+    marched = []
+    for axis, lead in (("s", tsys.a11(nodes, zero)), ("t", tsys.a22(zero, nodes))):
+        _, u = volterra_ivp(
+            leading=by_node(lead),
+            damping=by_node(kernel_PQ(tsys, axis, nodes)),
+            kernel=by_node(_kernel_table(tsys, provider, axis, nodes, _CHAIN_STEP * h)),
+            forcing=lambda s: 0.0,
+            interval=(-eps, eps),
+            n=n,
+        )
+        marched.append(u)
+    traces = CauchyTraces(nodes, *marched)
+    return traces, represent_solution(tsys, provider, w00, traces, targets)

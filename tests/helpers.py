@@ -284,10 +284,10 @@ def scalar_kernel_table(tsys, provider, axis, nodes, step):
     for s in nodes:
         if axis == "s":
             rows.append(scalar_apply_L(
-                tsys, lambda xi, eta: provider.value(nodes, 0.0, xi, eta), (s, 0.0), step))
+                tsys, lambda xi, eta: provider.table((xi, eta)).value(nodes, 0.0), (s, 0.0), step))
         else:
             rows.append(scalar_apply_L(
-                tsys, lambda xi, eta: provider.value(0.0, nodes, xi, eta), (0.0, s), step))
+                tsys, lambda xi, eta: provider.table((xi, eta)).value(0.0, nodes), (0.0, s), step))
     return np.array(rows)
 
 
@@ -374,7 +374,7 @@ def nine_call_apply_L(tsys, f, at, step):
 def value_kernel_table(tsys, provider, axis, nodes, step):
     """Kernel rows of the trace equation on ``axis``, each row segment read
     through ``RiemannTable.value`` one table at a time: the reference for
-    ``ucp2d.pipeline._kernel_table``, which batches the tables and reads
+    ``ucp2d.riemann._kernel_table``, which batches the tables and reads
     rows at the tables' nodes."""
     zero = np.zeros_like(nodes)
     at = (nodes, zero) if axis == "s" else (zero, nodes)
@@ -386,7 +386,7 @@ def value_kernel_table(tsys, provider, axis, nodes, step):
         for i, seg in enumerate(segments):
             sig = nodes[seg]
             point = (sig, 0.0) if axis == "s" else (0.0, sig)
-            out[i, seg] = provider.value(*point, xi[i], eta[i])
+            out[i, seg] = provider.table((xi[i], eta[i])).value(*point)
         return out
 
     return nine_call_apply_L(tsys, rows, at, step)

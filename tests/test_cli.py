@@ -626,3 +626,17 @@ def test_nullspace_report_is_the_same_with_blas_variables_unset_or_one(tmp_path)
                     **blas_env)
         reports.append((out / "lame_constant.report.json").read_bytes())
     assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("a1212, lower_bounds", [
+    ("1 - 0.5*exp(-50*(x-0.15)^2)", True),
+    ("1 - 2*exp(-2000*(x-0.0375)^2)", False),
+], ids=["wide_dip", "narrow_dip"])
+def test_random_sweep_tests_the_reported_margins(tmp_path, a1212, lower_bounds):
+    # the wide dip bottoms out on an audit node (x = 0.15), so its
+    # reported margins are lower bounds; the narrow dip bottoms out
+    # between two nodes
+    path = write_scenario(tmp_path, tensor=dict(BASE["tensor"], a1212=a1212))
+    assert main(["check", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "case.report.json").read_text())
+    assert report["random_sweep"]["margins_are_lower_bounds"] is lower_bounds

@@ -16,8 +16,7 @@ from ucp2d.fields import parse
 from ucp2d.geometry import Rect
 from ucp2d.pipeline import (
     DegenerateDataError,
-    _d1_matrix,
-    _d2_matrix,
+    _fd_matrix,
     Scenario,
     StageError,
     Tolerances,
@@ -72,7 +71,7 @@ def test_fd_matrices_exact_on_quartics(n):
     # closures included, must differentiate degree <= 4 exactly
     xs = np.linspace(-0.3, 0.3, n)
     h = xs[1] - xs[0]
-    d1, d2 = _d1_matrix(n, h), _d2_matrix(n, h)
+    d1, d2 = _fd_matrix(n, h, 1), _fd_matrix(n, h, 2)
     for p in range(5):
         f = (xs - 0.1) ** p
         df = p * (xs - 0.1) ** max(p - 1, 0)
@@ -135,7 +134,7 @@ def _with_gap():
 
 
 def _stacked_d2(n=17):
-    d2 = _d2_matrix(n, 0.6 / (n - 1))
+    d2 = _fd_matrix(n, 0.6 / (n - 1), 2)
     return sp.vstack([sp.kron(sp.identity(n), d2), sp.kron(sp.identity(n), d2 * 0.5)])
 
 
@@ -650,7 +649,7 @@ def test_kernel_rows_hold_only_the_segment_the_march_reads():
     prov = rm.RiemannProvider(tsys, n, reach=4 * 2 * tsys.epsilon / (n - 1))
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
     for axis in ("s", "t"):
-        k = pl._kernel_table(tsys, prov, axis, nodes, 2 * prov.grid_step)
+        k = rm._kernel_table(tsys, prov, axis, nodes, 2 * prov.grid_step)
         i0 = n // 2
         for i in range(n):
             read = np.zeros(n, dtype=bool)

@@ -173,8 +173,8 @@ def test_reciprocity_for_selfadjoint_constant_case():
     prov = RiemannProvider(tsys, 257, tol=1e-12)
     for _ in range(20):
         s, t, xi, eta = rng.uniform(-0.22, 0.22, 4)
-        a = prov.value(s, t, xi, eta)
-        b = prov.value(xi, eta, s, t)
+        a = prov.table((xi, eta)).value(s, t)
+        b = prov.table((s, t)).value(xi, eta)
         assert a == pytest.approx(b, abs=1e-6)
 
 
@@ -497,13 +497,42 @@ def test_kernels_on_windows_match_the_scalar_oracle(tsys, n):
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
     assert np.max(np.abs(windows.table((0.0, 0.0)).values - 1.0)) > 1e-3
     for axis in ("s", "t"):
-        k = pl._kernel_table(tsys, windows, axis, nodes, 2 * h)
+        k = rm._kernel_table(tsys, windows, axis, nodes, 2 * h)
         ref = scalar_kernel_table(tsys, full, axis, nodes, 2 * h)
         read = ~np.isnan(k)
         assert np.max(np.abs(ref)) > 0.1
         assert np.max(np.abs(k[read] - ref[read])) <= 1e-8
     assert sum(t.values.size for t in windows._cache.values()) < 0.25 * sum(
         t.values.size for t in full._cache.values())
+
+
+def test_riemann_chain_marches_both_axes_on_the_oracle_kernels(monkeypatch):
+    # what the chain hands volterra_ivp on each axis: A11 or A22 and P or
+    # Q there, and kernel rows that match the scalar oracle on tables of
+    # the whole square wherever the march reads them
+    tsys = variable_system()
+    n = 33
+    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
+    zero = np.zeros_like(nodes)
+    marched = []
+    real = rm.volterra_ivp
+
+    def record(leading, damping, kernel, forcing, interval, n):
+        marched.append([np.array([f(s, nodes) for s in nodes]) for f in (leading, damping, kernel)])
+        return real(leading, damping, kernel, forcing, interval, n)
+
+    monkeypatch.setattr(rm, "volterra_ivp", record)
+    traces, values = rm.riemann_chain(tsys, n, 1e-10, 0.0, [(0.1, -0.2)])
+    assert values.tolist() == [0.0] and not traces.phi.any() and not traces.psi.any()
+    full = RiemannProvider(tsys, n)
+    leads = (tsys.a11(nodes, zero), tsys.a22(zero, nodes))
+    assert len(marched) == 2
+    for (lead, damp, k), axis, want in zip(marched, ("s", "t"), leads):
+        assert lead.tobytes() == want.tobytes()
+        assert damp.tobytes() == kernel_PQ(tsys, axis, nodes).tobytes()
+        ref = scalar_kernel_table(tsys, full, axis, nodes, 2 * full.grid_step)
+        read = ~np.isnan(k)
+        assert np.max(np.abs(k[read] - ref[read])) <= 1e-8
 
 
 # -- parameter-space elliptic operator --------------------------------------
@@ -531,7 +560,7 @@ def test_apply_L_bessel_parameter_derivatives():
     at = (0.3, 0.25)
 
     def f(xi, eta):
-        return prov.value(sig, 0.0, xi, eta)
+        return prov.table((xi, eta)).value(sig, 0.0)
 
     got = apply_L(tsys, each_point(f), at, step=2 * prov.grid_step)
 
@@ -565,9 +594,9 @@ def test_apply_L_on_a_row_matches_entrywise_calls():
     # first two and last two rows take the one-sided stencils
     for i in (0, 1, prov.n // 2, prov.n - 2, prov.n - 1):
         at = (nodes[i], 0.0)
-        row = apply_L(tsys, each_point(lambda xi, eta: prov.value(nodes, 0.0, xi, eta)), at, step)
+        row = apply_L(tsys, each_point(lambda xi, eta: prov.table((xi, eta)).value(nodes, 0.0)), at, step)
         entries = [
-            apply_L(tsys, each_point(lambda xi, eta: prov.value(sig, 0.0, xi, eta)), at, step)
+            apply_L(tsys, each_point(lambda xi, eta: prov.table((xi, eta)).value(sig, 0.0)), at, step)
             for sig in nodes
         ]
         assert row.shape == nodes.shape
@@ -582,9 +611,9 @@ def test_apply_L_on_an_axis_matches_the_scalar_oracle():
     step = 2 * prov.grid_step
     zero = np.zeros_like(nodes)
 
-    got = apply_L(tsys, each_point(lambda x, e: prov.value(nodes, 0.0, x, e)), (nodes, zero), step)
+    got = apply_L(tsys, each_point(lambda x, e: prov.table((x, e)).value(nodes, 0.0)), (nodes, zero), step)
     ref = np.array([
-        scalar_apply_L(tsys, lambda xi, eta: prov.value(nodes, 0.0, xi, eta), (s, 0.0), step)
+        scalar_apply_L(tsys, lambda xi, eta: prov.table((xi, eta)).value(nodes, 0.0), (s, 0.0), step)
         for s in nodes
     ])
     assert got.shape == (prov.n, prov.n)
@@ -716,12 +745,18 @@ def test_kernel_table_equals_the_value_read_rows_bit_for_bit(name, monkeypatch):
     # through RiemannTable.value
     sc = load_scenario(scenario_dir() / f"{name}.json")
     _, tsys = pl.characteristics(sc, reduce_system(sc.coefficients))
-    windows = pl.riemann_provider(sc, tsys, reach_steps=4)
-    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, windows.n)
-    step = 2 * windows.grid_step
-    got = [pl._kernel_table(tsys, windows, axis, nodes, step) for axis in ("s", "t")]
+    n = pl.riemann_provider(sc, tsys).n
+    h = 2 * tsys.epsilon / (n - 1)
+
+    def chain_provider():
+        return RiemannProvider(tsys, n, sc.tolerances.picard_tol, rm._CHAIN_REACH * h)
+
+    windows = chain_provider()
+    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
+    step = rm._CHAIN_STEP * h
+    got = [rm._kernel_table(tsys, windows, axis, nodes, step) for axis in ("s", "t")]
     monkeypatch.setattr(rm, "solve_riemann", picard_solve_riemann)
-    reference = pl.riemann_provider(sc, tsys, reach_steps=4)
+    reference = chain_provider()
     want = [value_kernel_table(tsys, reference, axis, nodes, step) for axis in ("s", "t")]
     for k, ref in zip(got, want):
         assert np.nanmax(np.abs(ref)) > 0.01
