@@ -78,8 +78,8 @@ def main():
             print(f"{stem}: n={n} threshold={thr:g}")
             print(f"  dimension={res.dimension} gap={res.gap:.3g}{flag} "
                   f"sigma_max={res.sigma_max:.4g}")
-            relative = " ".join(f"{v:.2e}" for v in res.smallest[:8])
-            absolute = " ".join(f"{v * res.sigma_max:.2e}" for v in res.smallest[:8])
+            relative = " ".join(f"{v:.2e}" for v in res.smallest[:pl._K_REPORT])
+            absolute = " ".join(f"{v * res.sigma_max:.2e}" for v in res.smallest[:pl._K_REPORT])
             print(f"  smallest relative sigmas: {relative}")
             print(f"  smallest absolute sigmas: {absolute}")
             print(f"  wall {wall:.2f} s (factor {factor_s:.2f} s), peak RSS {peak_mb:.0f} MB, "

@@ -198,8 +198,10 @@ def _assemble_operator(sys, region, n):
 # Ritz values past the ones the report reads: the block's last columns
 # converge slowest, so they are iterated but not read.
 _RITZ_GUARD = 8
-# Smallest singular values a NullSpaceResult keeps (more when the dimension needs them).
-_K_REPORT = 12
+# Smallest singular values the report prints, and the Ritz values the
+# inverse iteration converges (a NullSpaceResult keeps more when the
+# dimension needs them).
+_K_REPORT = 8
 # Column block of the compact WY reflectors in each ``dtpqrt`` call: 16 to 32
 # time alike at n = 65 and 129; one block of the whole window took forty
 # times as long at n = 65.
@@ -248,15 +250,21 @@ def _banded_r(a_sparse):
 
     With rows sorted by leading column, row ``i`` of R is a combination of
     rows leading at or before column ``i``, so R has the rows' bandwidth
-    ``w`` (Golub & Van Loan, *Matrix Computations*, 5.7).  The rows of R
-    not yet final live in a ``(w + p) x (w + p)`` upper-triangular window
-    that slides down the diagonal ``p = max(w // _PANEL_DIVISOR, 1)``
-    columns at a time.  Each step appends the rows leading inside the next
-    ``p`` columns, read straight from the sorted CSR arrays (such a row
-    ends before the window does), with one triangular-pentagonal QR
-    (``dtpqrt``, which leaves the window's zero triangle alone), keeps the
-    window's first ``p`` rows as the next block row of R and shifts the
-    window by ``p``.
+    ``w``, and R's rows reach no further than the rows of A merged into
+    them (Golub & Van Loan, *Matrix Computations*, 5.7).  The rows of R
+    not yet final live in an upper-triangular window that slides down the
+    diagonal ``p = max(w // _PANEL_DIVISOR, 1)`` columns at a time.  Each
+    step appends the rows leading inside the next ``p`` columns, read
+    straight from the sorted CSR arrays, with one triangular-pentagonal QR
+    (``dtpqrt``, which leaves the window's zero triangle alone), and keeps
+    the window's first ``p`` rows as the next block row of R.  The window
+    is ``e x e`` with ``e = min(max(reach - c0, p), w + p)``, where ``c0``
+    is its first column and ``reach`` one past the last column of every
+    row merged so far: on the FD operator only the boundary-closure rows
+    span the full ``w + 1`` columns, so interior steps factor a narrower
+    window (0.63 to 0.66 of the ``(w + p)^2`` work at n = 33 to 129).  The
+    next window is a fresh ``e' x e'`` array holding this one's
+    ``[p:, p:]``.
 
     Returns ``blocks`` of shape ``(p, w + p, m)``, Fortran-ordered, with
     ``m = ceil(ncol / p)``: ``blocks[:, :, i]`` holds rows ``i p`` to
@@ -268,20 +276,24 @@ def _banded_r(a_sparse):
     a, lead, w = _band_sorted(a_sparse)
     ncol, p = a.shape[1], max(w // _PANEL_DIVISOR, 1)
     size, m = w + p, -(-ncol // p)
-    window = np.zeros((size, size), order="F")
+    # one past each row's last column; reach is its maximum over the rows merged
+    last = a.indices[a.indptr[1:] - 1] + 1
+    reach = 0
+    window = np.zeros((0, 0), order="F")
     blocks = np.zeros((p, size, m), order="F")
     for i, c0 in enumerate(range(0, m * p, p)):
         r0, r1 = np.searchsorted(lead, [c0, c0 + p])
+        reach = max(reach, last[r0:r1].max(initial=0))
+        e = min(max(reach - c0, p), size)
+        held, window = window[p:, p:], np.zeros((e, e), order="F")
+        window[:len(held), :len(held)] = held
         lo, hi = a.indptr[r0], a.indptr[r1]
-        rows = np.zeros((r1 - r0, size), order="F")
+        rows = np.zeros((r1 - r0, e), order="F")
         row_of = np.repeat(np.arange(r1 - r0), np.diff(a.indptr[r0:r1 + 1]))
         rows[row_of, a.indices[lo:hi] - c0] = a.data[lo:hi]
-        window, *_ = dtpqrt(0, min(_TPQRT_BLOCK, size), window, rows,
+        window, *_ = dtpqrt(0, min(_TPQRT_BLOCK, e), window, rows,
                             overwrite_a=True, overwrite_b=True)
-        blocks[:, :, i] = window[:p]
-        window[:w, :w] = window[p:, p:]
-        window[w:] = 0.0
-        window[:, w:] = 0.0
+        blocks[:, :e, i] = window[:p]
     pad = np.arange(ncol - (m - 1) * p, p)
     blocks[pad, pad, -1] = 1.0
     return blocks
@@ -332,8 +344,10 @@ def _smallest_right_vectors(a_sparse, blocks, k, sigma_max):
     the right-singular vectors of the ``k`` smallest singular values.
     Each step solves with ``R^T`` and then with ``R`` (``_block_solve``,
     level-3 BLAS one block row at a time), orthonormalising after every
-    solve, and finishes with a Rayleigh-Ritz SVD of ``A V``.  It stops
-    once the first ``k - 8`` Ritz values repeat to 1e-13 relative, or to
+    solve, and finishes with a Rayleigh-Ritz step: the SVD of the ``k x k``
+    triangle of a QR of ``A V``, which has the right singular vectors of
+    ``A V`` and forms no left ones.  It stops once the first
+    ``k - _RITZ_GUARD`` Ritz values repeat to 1e-13 relative, or to
     1e-15 of ``sigma_max`` for rounding-level values, and raises
     ``ValueError`` if that takes more than ``_INVERSE_ITERATION_CAP``
     steps.  The pivots of ``blocks`` are floored in place first
@@ -347,7 +361,7 @@ def _smallest_right_vectors(a_sparse, blocks, k, sigma_max):
     for _ in range(_INVERSE_ITERATION_CAP):
         for trans in (True, False):
             v, _ = np.linalg.qr(_block_solve(blocks, v, trans))
-        _, ritz, zt = np.linalg.svd(a_sparse @ v, full_matrices=False)
+        _, ritz, zt = np.linalg.svd(np.linalg.qr(a_sparse @ v, mode="r"))
         ritz = ritz[::-1]
         if previous is not None:
             # 1e-2 sigma_max is where 1e-13 * ritz meets 1e-15 * sigma_max
@@ -374,9 +388,11 @@ def null_space_dimension(sys, region, n, threshold=1e-6):
     count is zero); ratios under 1e3 mark the dimension as ambiguous.
 
     Only the singular values the report reads are computed: ``sigma_max``
-    by ARPACK on the sparse operator, and the smallest ``_K_REPORT + 8``
-    by block inverse iteration on the block rows of a banded QR factor
+    by ARPACK on the sparse operator, and the smallest ones by block
+    inverse iteration on the block rows of a banded QR factor
     (``_banded_r``, solved with level-3 BLAS by ``_block_solve``).  The
+    block has ``_K_REPORT + _RITZ_GUARD`` (8 + 8) columns, and its first
+    ``_K_REPORT``, the values the report prints, decide convergence.  The
     block doubles while the dimension fills its converged part, so the
     dimension is never capped.
     """
@@ -696,7 +712,7 @@ def run(scenario):
             "ambiguous": ns.ambiguous,
             "threshold": ns.threshold,
             "sigma_max": ns.sigma_max,
-            "smallest_relative_sigmas": [float(v) for v in ns.smallest[:8]],
+            "smallest_relative_sigmas": [float(v) for v in ns.smallest[:_K_REPORT]],
             "basis_residuals": [float(v) for v in ns.basis_residuals],
         }
 

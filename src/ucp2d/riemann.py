@@ -303,10 +303,6 @@ class RiemannProvider:
             self._cache.update(zip(missing, solved))
         return [self._cache[k] for k in keys]
 
-    @property
-    def grid_step(self):
-        return 2 * self.tsys.epsilon / (self.n - 1)
-
 
 @dataclass(frozen=True)
 class CauchyTraces:

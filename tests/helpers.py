@@ -214,6 +214,11 @@ def trace_family(m_field, x0, y0, bounds, mirrored, x, y):
 # -- the scalar kernel path: one table read and one coefficient lookup at a time
 
 
+def grid_step(provider):
+    """Spacing of the ``provider.n`` uniform nodes on [-epsilon, epsilon]."""
+    return 2 * provider.tsys.epsilon / (provider.n - 1)
+
+
 def _fd1(f, x, d, lo, hi):
     """Second-order first derivative with one-sided fallback at bounds."""
     if x - d < lo:
@@ -237,7 +242,7 @@ def scalar_kernel_PQ(tsys, provider, axis, nodes):
     nested scalar difference quotients: the reference for
     ``ucp2d.riemann.kernel_PQ``."""
     eps = tsys.epsilon
-    h = provider.grid_step
+    h = grid_step(provider)
     if axis == "s":
         lead, damp, pair = tsys.a11, tsys.b21, lambda a, b: (a, b)
     else:

@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 
-from helpers import point_data_solve, residual
+from helpers import grid_step, point_data_solve, residual
 from ucp2d import characteristics as ch
 from ucp2d import pipeline as pl
 from ucp2d import riemann as rm
@@ -225,6 +225,35 @@ def test_block_solve_hands_blas_views_of_the_factor(monkeypatch):
         assert np.shares_memory(out, written)
 
 
+def test_banded_r_windows_follow_the_rows_envelope(monkeypatch):
+    # on the n = 17 Lame operator, second-derivative rows on the x-closure
+    # lines span at least the 5n + 1 columns of their six-point stencils,
+    # and the corner rows the whole band; every other row spans at most
+    # 4n + 5.  Panels from 3n on are past every top closure row's reach,
+    # and panels ending by (n - 6) n lie before the bottom ones lead.
+    n = 17
+    a_sp = _edge_shape("ragged")
+    calls = []
+    monkeypatch.setattr(pl, "dtpqrt", _recording(calls, pl.dtpqrt))
+    blocks = pl._banded_r(a_sp)
+    p, size, m = blocks.shape
+    w = size - p
+    assert len(calls) == m
+    for _, args, _ in calls:
+        window, rows = args[2], args[3]
+        assert window.shape[0] == window.shape[1] == rows.shape[1]
+    widths = np.array([args[2].shape[0] for _, args, _ in calls])
+    a = a_sp.tocsr()
+    a.sort_indices()
+    lead, last = a.indices[a.indptr[:-1]], a.indices[a.indptr[1:] - 1]
+    c0 = np.arange(m) * p
+    closure = np.isin(c0 // p, lead[last - lead >= 5 * n] // p)
+    interior = (c0 >= 3 * n) & (c0 + p <= (n - 6) * n)
+    assert closure.sum() >= 6 and interior.sum() >= 12
+    assert widths[interior].max() < 5 * n + 1 <= widths[closure].min()
+    assert w < widths.max() <= size
+
+
 def test_inverse_iteration_solves_on_the_factor_it_was_given(monkeypatch):
     a_sp = pl._assemble_operator(reduce_system(iso_with(1.0, 1.0)), OMEGA, 17)[0]
     # no equation reads unknown 40, so R has an exact zero pivot there
@@ -245,9 +274,32 @@ def test_inverse_iteration_solves_on_the_factor_it_was_given(monkeypatch):
     assert ritz[0] <= 1e-15 * sigma_max and abs(abs(vecs[40, 0]) - 1.0) <= 1e-12
 
 
+def test_inverse_iteration_converges_in_eight_steps(monkeypatch):
+    # two block solves per step; a 20-column block watching 12 Ritz
+    # values took 9 steps here
+    sc = load_scenario(scenario_dir() / "lame_constant.json")
+    calls = []
+    monkeypatch.setattr(pl, "_block_solve", _recording(calls, pl._block_solve))
+    res = null_space_dimension(
+        reduce_system(sc.coefficients), sc.omega, 33, sc.tolerances.nullspace_threshold)
+    assert res.dimension == 4
+    assert len(calls) <= 16
+
+
+def test_report_prints_the_sigmas_the_solver_converges(monkeypatch):
+    sc = load_scenario(scenario_dir() / "example_exp.json")
+    results = []
+    monkeypatch.setattr(pl, "null_space_dimension", _recording(results, null_space_dimension))
+    report, _ = run(dataclasses.replace(sc, tasks=("nullspace",), expect={}))
+    (_, _, res), = results
+    printed = report["nullspace"]["smallest_relative_sigmas"]
+    assert len(printed) == pl._K_REPORT
+    assert printed == [float(v) for v in res.smallest[:pl._K_REPORT]]
+
+
 def test_nullspace_block_grows_past_first_block(monkeypatch):
     # every grid line in y carries the null space {1, y} of the second
-    # derivative, so the dimension is 2n = 34, past the first block of 20
+    # derivative, so the dimension is 2n = 34, past the first block of 16
     n = 17
     op = _stacked_d2(n)
     monkeypatch.setattr(pl, "_assemble_operator", lambda sys, region, n: (
@@ -649,7 +701,7 @@ def test_kernel_rows_hold_only_the_segment_the_march_reads():
     prov = rm.RiemannProvider(tsys, n, reach=4 * 2 * tsys.epsilon / (n - 1))
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
     for axis in ("s", "t"):
-        k = rm._kernel_table(tsys, prov, axis, nodes, 2 * prov.grid_step)
+        k = rm._kernel_table(tsys, prov, axis, nodes, 2 * grid_step(prov))
         i0 = n // 2
         for i in range(n):
             read = np.zeros(n, dtype=bool)

@@ -57,7 +57,7 @@ def test_reduce_wires_lower_order_terms():
     assert coeff_values(sys.ell, 0.0, 0.0)[3:] == [1.0, 1.0, 2.0]
 
 
-def test_rank_full_and_reduced_counterexample_a():
+def test_rank_full_counterexample_a():
     t = ElasticityCoefficients.from_components(
         {
             "a1111": 100.0, "a1112": 0.0, "a1122": 0.0,
@@ -70,7 +70,7 @@ def test_rank_full_and_reduced_counterexample_a():
     assert second_order_rank(sys, 0.0, 0.0, 1e-9) == 2
 
 
-def test_rank_counterexample_b_under_dropped_yy():
+def test_rank_full_counterexample_b():
     t = ElasticityCoefficients.from_components(
         {
             "a1111": 100.0, "a1112": 2.0, "a1122": 4.0,

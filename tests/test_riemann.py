@@ -5,6 +5,7 @@ from scipy.special import j0
 from helpers import (
     bilinear,
     cauchy_traces_from_w,
+    grid_step,
     hyperbolic_bessel_series,
     hyperbolic_bessel_series_d,
     nine_call_apply_L,
@@ -474,7 +475,7 @@ def test_kernel_PQ_closed_form_against_table_differences(axis):
         nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
         ref = scalar_kernel_PQ(tsys, full, axis, nodes)
         err = np.max(np.abs(kernel_PQ(tsys, axis, nodes) - ref))
-        assert err <= 0.1 * full.grid_step**2
+        assert err <= 0.1 * grid_step(full)**2
         errors.append(err)
     assert errors[0] / errors[1] >= 3.5
     assert errors[1] / errors[2] >= 3.5
@@ -492,7 +493,7 @@ def test_kernels_on_windows_match_the_scalar_oracle(tsys, n):
     # both kernel tables of the ucp stage against the node-by-node path on
     # tables of the whole square
     full = RiemannProvider(tsys, n)
-    h = full.grid_step
+    h = grid_step(full)
     windows = RiemannProvider(tsys, n, reach=4 * h)
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
     assert np.max(np.abs(windows.table((0.0, 0.0)).values - 1.0)) > 1e-3
@@ -530,7 +531,7 @@ def test_riemann_chain_marches_both_axes_on_the_oracle_kernels(monkeypatch):
     for (lead, damp, k), axis, want in zip(marched, ("s", "t"), leads):
         assert lead.tobytes() == want.tobytes()
         assert damp.tobytes() == kernel_PQ(tsys, axis, nodes).tobytes()
-        ref = scalar_kernel_table(tsys, full, axis, nodes, 2 * full.grid_step)
+        ref = scalar_kernel_table(tsys, full, axis, nodes, 2 * grid_step(full))
         read = ~np.isnan(k)
         assert np.max(np.abs(k[read] - ref[read])) <= 1e-8
 
@@ -562,7 +563,7 @@ def test_apply_L_bessel_parameter_derivatives():
     def f(xi, eta):
         return prov.table((xi, eta)).value(sig, 0.0)
 
-    got = apply_L(tsys, each_point(f), at, step=2 * prov.grid_step)
+    got = apply_L(tsys, each_point(f), at, step=2 * grid_step(prov))
 
     def ref_f(xi, eta):
         return hyperbolic_bessel_series(c * (sig - xi) * (0.0 - eta))
@@ -590,7 +591,7 @@ def test_apply_L_on_a_row_matches_entrywise_calls():
                         b21=0.4, b22=-0.3, c2=0.6)
     prov = RiemannProvider(tsys, 33)
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, prov.n)
-    step = 2 * prov.grid_step
+    step = 2 * grid_step(prov)
     # first two and last two rows take the one-sided stencils
     for i in (0, 1, prov.n // 2, prov.n - 2, prov.n - 1):
         at = (nodes[i], 0.0)
@@ -608,7 +609,7 @@ def test_apply_L_on_an_axis_matches_the_scalar_oracle():
     tsys = variable_system()
     prov = RiemannProvider(tsys, 33)
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, prov.n)
-    step = 2 * prov.grid_step
+    step = 2 * grid_step(prov)
     zero = np.zeros_like(nodes)
 
     got = apply_L(tsys, each_point(lambda x, e: prov.table((x, e)).value(nodes, 0.0)), (nodes, zero), step)
