@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ucp2d.fields import Call, FieldGroup, ScalarField
+from ucp2d.fields import Call, EvalDomainError, FieldGroup, ScalarField
 from ucp2d.reduction import discriminant
 
 __all__ = [
@@ -215,6 +215,11 @@ class _CurveTracer:
     Norsett & Wanner, Solving ODEs I, sec. I.14); the spatial
     derivatives follow because ``dx s = m(x*, y*) dy s``.
     ``mirrored=True`` swaps the roles of ``x`` and ``y``.
+
+    A slope that does not read b (``slope_only``) makes RK4 Simpson's
+    rule (Hairer, Norsett & Wanner, sec. II.1): ``_trace_slopes`` reads
+    it at ``2 * _RK4_STEPS + 1`` nodes instead of ``4 * _RK4_STEPS``, with
+    the same bits, and can trace several such families in one loop.
     """
 
     def __init__(self, m_field, x0, y0, bounds, mirrored=False):
@@ -255,14 +260,20 @@ class _CurveTracer:
         """``(value, dvalue/d b0, d2value/d b0^2)`` from one trace."""
         return self._trace(x, y, self.second)
 
-    def _trace(self, x, y, slope):
+    def _start(self, x, y):
+        """Flattened starting points as ``(a0, b0)`` in tracing order,
+        with the reference line's ``a`` and ``b`` values."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         y = np.atleast_1d(np.asarray(y, dtype=float))
         x, y = (a.ravel() for a in np.broadcast_arrays(x, y))
         if self.mirrored:
-            a0, b0, a_ref, ref = y.astype(float), x.astype(float), self.y0, self.x0
-        else:
-            a0, b0, a_ref, ref = x.astype(float), y.astype(float), self.x0, self.y0
+            return y.astype(float), x.astype(float), self.y0, self.x0
+        return x.astype(float), y.astype(float), self.x0, self.y0
+
+    def _trace(self, x, y, slope):
+        if self.slope_only is not None:
+            return self._trace_slopes(x, y, self.slope_only, len(slope.fields) - 1)[0]
+        a0, b0, a_ref, ref = self._start(x, y)
         span = a_ref - a0
         # rescaled independent variable tau in [0, 1]: db/dtau = span * f;
         # state b, v = d b(tau) / d b0 and, for the second order, w = d v / d b0
@@ -273,19 +284,12 @@ class _CurveTracer:
             # curves of zero length (the base point): every step would add
             # span * (...) = 0, so the start is the end, with no field read
             return (state[0] - ref, *state[1:])
-        fixed = []
-        if self.slope_only is not None:
-            # dm = d2m = 0: each step adds span * (+-0) to v and w, which
-            # keeps their start bit for bit, so only b is integrated
-            slope, state, fixed = self.slope_only, state[:1], state[1:]
 
         def rhs(a_val, state):
             # independent variable first; mirrored tracing integrates x over y
             derivs = slope(state[0], a_val) if self.mirrored else slope(a_val, state[0])
-            out = [span * -derivs[0]]
-            if len(state) > 1:
-                v_val, df = state[1], -derivs[1]
-                out.append(span * df * v_val)
+            v_val, df = state[1], -derivs[1]
+            out = [span * -derivs[0], span * df * v_val]
             if len(state) == 3:
                 # dw/dtau = span (f_bb v^2 + f_b w)
                 ddf = -derivs[2]
@@ -303,7 +307,41 @@ class _CurveTracer:
             state = [u + h / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
                      for u, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)]
         self._check(state[0])
-        return (state[0] - ref, *state[1:], *fixed)
+        return (state[0] - ref, *state[1:])
+
+    def _trace_slopes(self, x, y, slopes, order):
+        """Trace one family per field of ``slopes`` through the same points
+        in one loop; no field may read b.
+
+        Returns ``(value, v)`` per field, and ``w`` too when ``order`` is 2.
+        With f independent of b, RK4's two midpoint stages are equal and
+        each step's last stage is the next step's first, so ``slopes`` is
+        read at ``2 * _RK4_STEPS + 1`` nodes.  The update keeps its four
+        stage form, so b has the bits of the four-stage loop; v and w keep
+        their start, as its steps, which add span * (+-0), leave them.
+        """
+        a0, b0, a_ref, ref = self._start(x, y)
+        span = a_ref - a0
+        ends = [b0] * len(slopes.fields)
+        if np.any(span):
+            h = 1.0 / _RK4_STEPS
+
+            def rhs(tau):
+                # b0 stands in for b, which no field reads
+                a = a0 + span * tau
+                return [span * -m for m in (slopes(b0, a) if self.mirrored else slopes(a, b0))]
+
+            self._check(b0, np.append(a0, a_ref))
+            k1 = rhs(0.0)
+            for k in range(_RK4_STEPS):
+                tau = k * h
+                k2, k4 = rhs(tau + h / 2), rhs(tau + h)
+                ends = [b + h / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
+                        for b, d1, d2, d3, d4 in zip(ends, k1, k2, k2, k4)]
+                for b in ends:
+                    self._check(b)
+                k1 = k4
+        return [(b - ref, np.ones_like(b0), np.zeros_like(b0))[:order + 1] for b in ends]
 
 
 def _slope_fields(sys, case):
@@ -332,6 +370,21 @@ def _traced_map(case, sys, x0, y0, region):
 
     tracer_s = _CurveTracer(m_minus, x0, y0, bounds, mirrored=mirrored)
     tracer_t = _CurveTracer(m_plus, x0, y0, bounds, mirrored=mirrored)
+    # both families start from the same points with the same span, so when
+    # neither slope reads b one loop traces both and shares their subtrees
+    paired = tracer_s.slope_only is not None and tracer_t.slope_only is not None
+
+    def trace(x, y, order):
+        """``((s, s_b[, s_bb]), (t, t_b[, t_bb]))`` at the points, with the
+        second variations when ``order`` is 2."""
+        if paired:
+            try:
+                return tracer_s._trace_slopes(x, y, slopes, order)
+            except (MapError, EvalDomainError):
+                pass  # traced again one family at a time, which raises s's error first
+        if order == 2:
+            return tracer_s.intercept_and_variations(x, y), tracer_t.intercept_and_variations(x, y)
+        return tracer_s.intercept_and_sensitivity(x, y), tracer_t.intercept_and_sensitivity(x, y)
 
     def _shape_back(arr, x, y):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
@@ -340,8 +393,7 @@ def _traced_map(case, sys, x0, y0, region):
         return float(np.asarray(arr).ravel()[0])
 
     def forward(x, y):
-        s, _ = tracer_s.intercept_and_sensitivity(x, y)
-        t, _ = tracer_t.intercept_and_sensitivity(x, y)
+        (s, _), (t, _) = trace(x, y, 1)
         return _shape_back(s, x, y), _shape_back(t, x, y)
 
     def flat(x, y):
@@ -356,16 +408,14 @@ def _traced_map(case, sys, x0, y0, region):
         return ms * s_b, mt * t_b, s_b, t_b
 
     def jacobian(x, y):
-        _, s_b = tracer_s.intercept_and_sensitivity(x, y)
-        _, t_b = tracer_t.intercept_and_sensitivity(x, y)
+        (_, s_b), (_, t_b) = trace(x, y, 1)
         jac = partials(s_b, t_b, *slopes(*flat(x, y)))
         return tuple(_shape_back(a, x, y) for a in jac)
 
     def jet(x, y):
-        # S_b = v and S_bb = w from one trace per family; along the level
+        # S_b = v and S_bb = w from one trace of each family; along the level
         # curve S_a = m S_b, so S_ab = m_b v + m w and S_aa = m_a v + m S_ab
-        _, s_b, s_bb = tracer_s.intercept_and_variations(x, y)
-        _, t_b, t_bb = tracer_t.intercept_and_variations(x, y)
+        (_, s_b, s_bb), (_, t_b, t_bb) = trace(x, y, 2)
         ms, mt, ms_a, ms_b, mt_a, mt_b = slope_jet(*flat(x, y))
         s_ab, t_ab = ms_b * s_b + ms * s_bb, mt_b * t_b + mt * t_bb
         s_aa, t_aa = ms_a * s_b + ms * s_ab, mt_a * t_b + mt * t_ab
@@ -391,8 +441,7 @@ def _traced_map(case, sys, x0, y0, region):
         x = x0 + (ty0 * sf - sy0 * tf) / det0
         y = y0 + (-tx0 * sf + sx0 * tf) / det0
         for _ in range(_NEWTON_STEPS):
-            s_cur, s_sec = tracer_s.intercept_and_sensitivity(x, y)
-            t_cur, t_sec = tracer_t.intercept_and_sensitivity(x, y)
+            (s_cur, s_sec), (t_cur, t_sec) = trace(x, y, 1)
             sx, tx, sy, ty = partials(s_sec, t_sec, *slopes(x, y))
             rs = sf - s_cur
             rt_ = tf - t_cur

@@ -215,15 +215,23 @@ def test_traced_inverse_raises_when_newton_does_not_converge(monkeypatch):
 
 
 def _count_traces(monkeypatch):
-    # every trace, of the first variation or of the second
+    # every trace, of the first variation or of the second, as the number of
+    # families it follows: 1 for the four-stage loop, 2 for a pair of
+    # slope-only families (a slope-only family alone is counted by its loop)
     calls = []
-    trace = ch._CurveTracer._trace
+    trace, trace_slopes = ch._CurveTracer._trace, ch._CurveTracer._trace_slopes
 
     def counted(self, x, y, slope):
-        calls.append(self)
+        if self.slope_only is None:
+            calls.append(1)
         return trace(self, x, y, slope)
 
+    def counted_slopes(self, x, y, slopes, order):
+        calls.append(len(slopes.fields))
+        return trace_slopes(self, x, y, slopes, order)
+
     monkeypatch.setattr(ch._CurveTracer, "_trace", counted)
+    monkeypatch.setattr(ch._CurveTracer, "_trace_slopes", counted_slopes)
     return calls
 
 
@@ -390,7 +398,8 @@ def test_choose_epsilon_skips_a_square_whose_reference_segment_leaves_omega(monk
     u = np.linspace(-1.0, 1.0, ch._N_SAMPLE)
     su, tu = np.meshgrid(u, u, indexing="ij")
     x_ref, y_ref = cmap.inverse(su.ravel() * 0.25, tu.ravel() * 0.25)
-    assert len(calls) == 2 * chosen - 2  # the same Newton solve; the base jet is kept
+    # the same Newton solve; the base jet, one trace of both families, is kept
+    assert set(calls) == {2} and len(calls) == 2 * chosen - 1
     assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
 
 
@@ -514,6 +523,137 @@ def test_escaping_curves_raise_the_oracle_error(mirrored, start, slope):
                 trace(x, y)
         else:
             assert trace(x, y)[0].tobytes() == want[0].tobytes()
+
+
+# a mirrored tensor whose coefficients depend on y alone, so neither slope
+# reads b = x and both families are traced in one loop
+MIRRORED_SLOPE_ONLY = dict(MIRRORED_TENSOR, a1122="0.3*y - 3", a1222="1 + 0.2*sin(3*y)")
+
+
+class _OracleTracer(ch._CurveTracer):
+    """A tracer whose every trace is ``trace_family``'s, one family at a
+    time: a map built with it has no slope-only loop and no pair trace."""
+
+    def __init__(self, m_field, x0, y0, bounds, mirrored=False):
+        super().__init__(m_field, x0, y0, bounds, mirrored=mirrored)
+        self.m_field, self.slope_only = m_field, None
+
+    def _trace(self, x, y, slope):
+        got = trace_family(self.m_field, self.x0, self.y0, self.bounds, self.mirrored, x, y)
+        return got[:len(slope.fields)]
+
+
+def _same_bits(got, want):
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(_same_bits(g, w) for g, w in zip(got, want))
+    return (type(got) is type(want) and np.shape(got) == np.shape(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@pytest.mark.parametrize("scenario", ["lame_traced", "mirrored"])
+def test_pair_trace_matches_the_evaluate_oracle_bit_for_bit(monkeypatch, scenario):
+    if scenario == "lame_traced":
+        sc, sys, _ = _lame_traced()
+        region, (x0, y0), case = sc.omega, sc.point, CASE_A1112
+    else:
+        sys = reduce_system(ElasticityCoefficients.from_components(MIRRORED_SLOPE_ONLY))
+        region, (x0, y0), case = REGION, (0.01, -0.02), CASE_A1222
+    assert all(ch._CurveTracer(m, x0, y0, TRACE_BOUNDS, mirrored=case == CASE_A1222)
+               .slope_only is not None for m in ch._slope_fields(sys, case))
+    with monkeypatch.context() as m:
+        m.setattr(ch, "_CurveTracer", _OracleTracer)
+        oracle = build_map(sys, region, x0, y0)
+    cmap = build_map(sys, region, x0, y0)
+    assert (cmap.case, oracle.case, cmap.linear) == (case, case, False)
+    rng = np.random.default_rng(7)
+    # the second and third points lie on the reference line, where the
+    # curves have zero length; the last array mixes such points with others
+    on_line = (x0, 0.02) if case == CASE_A1112 else (0.02, y0)
+    line = np.array([x0, 0.05, x0]) if case == CASE_A1112 else np.array([y0, 0.05, y0])
+    points = [(0.04, -0.03), on_line, (x0, y0),
+              (rng.uniform(-0.05, 0.05, 7), rng.uniform(-0.05, 0.05, (3, 1))),
+              (line, np.array([0.03, -0.02, 0.0])) if case == CASE_A1112
+              else (np.array([0.03, -0.02, 0.0]), line)]
+    calls = _count_traces(monkeypatch)
+    for x, y in points:
+        for name in ("forward", "jacobian", "jet"):
+            assert _same_bits(getattr(cmap, name)(x, y), getattr(oracle, name)(x, y)), name
+    for s, t in [(0.03, -0.02), (0.0, 0.0),
+                 (rng.uniform(-0.05, 0.05, 5), rng.uniform(-0.05, 0.05, (2, 1)))]:
+        assert _same_bits(cmap.inverse(s, t), oracle.inverse(s, t))
+    # the map traced both families together every time
+    assert calls and set(calls) == {2}
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_pair_trace_raises_the_error_of_tracing_s_then_t(monkeypatch, mirrored):
+    # t's curve (slope 20) leaves the box at its sixth step, while m- turns
+    # non-finite only below x = 0.06, near the end of the trace: the pair
+    # loop meets t's escape first, tracing s alone meets the non-finite slope
+    m_minus = parse("0*exp(8000*(0.14 - x))" if not mirrored else "0*exp(8000*(0.14 - y))")
+    m_plus = parse("20")
+    x, y = np.array([0.3, 0.25]), np.array([0.1, 0.0])
+    if mirrored:
+        x, y = y, x
+    tracer_s, tracer_t = (ch._CurveTracer(m, 0.01, 0.01, TRACE_BOUNDS, mirrored=mirrored)
+                          for m in (m_minus, m_plus))
+    with pytest.raises(MapError, match="escapes"):
+        tracer_s._trace_slopes(x, y, ch.FieldGroup(m_minus, m_plus), 1)
+    with pytest.raises(EvalDomainError) as want:
+        tracer_s.intercept_and_sensitivity(x, y)
+        tracer_t.intercept_and_sensitivity(x, y)
+    monkeypatch.setattr(ch, "_slope_fields", lambda sys, case: (m_minus, m_plus))
+    cmap = ch._traced_map(CASE_A1222 if mirrored else CASE_A1112, None, 0.01, 0.01, REGION)
+    for evaluate in (cmap.forward, cmap.jacobian, cmap.jet):
+        with pytest.raises(EvalDomainError) as got:
+            evaluate(x, y)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith("non-finite value in '0*exp(8000*")
+
+
+class _CountedGroup:
+    """A ``FieldGroup`` stand-in that counts the calls to it."""
+
+    def __init__(self, group):
+        self.fields, self.group, self.calls = group.fields, group, 0
+
+    def __call__(self, x, y):
+        self.calls += 1
+        return self.group(x, y)
+
+
+@pytest.mark.parametrize("tasks, pairs", [
+    (("conditions", "characteristics", "riemann", "ucp"), 19),
+    (("characteristics", "riemann"), 11),  # the benchmark's traced scenario
+])
+def test_lame_traced_run_traces_both_families_in_one_loop(monkeypatch, tasks, pairs):
+    # each pair trace reads both slopes, from one program, at 2 * _RK4_STEPS
+    # + 1 nodes; the four-stage loop made twice as many traces (38 and 22),
+    # each of 4 * _RK4_STEPS slope reads.  The base jet's curves have zero
+    # length and read nothing.
+    from ucp2d.pipeline import expectations_for, run
+
+    sc = load_scenario(scenario_dir() / "lame_traced.json")
+    sc = dataclasses.replace(sc, tasks=tasks, expect=expectations_for(sc.expect, tasks))
+    traces = []
+    trace = ch._CurveTracer._trace
+    trace_slopes = ch._CurveTracer._trace_slopes
+
+    def single(self, x, y, slope):
+        traces.append("single")
+        return trace(self, x, y, slope)
+
+    def counted(self, x, y, slopes, order):
+        group = _CountedGroup(slopes)
+        try:
+            return trace_slopes(self, x, y, group, order)
+        finally:
+            traces.append((len(slopes.fields), group.calls))
+
+    monkeypatch.setattr(ch._CurveTracer, "_trace", single)
+    monkeypatch.setattr(ch._CurveTracer, "_trace_slopes", counted)
+    assert run(sc)[1] == []
+    assert traces == [(2, 0)] + [(2, 2 * ch._RK4_STEPS + 1)] * (pairs - 1)
 
 
 def test_mirrored_traced_map_equals_axis_swapped_generic_map():
