@@ -35,6 +35,10 @@ variation.  So one trace per family gives the whole jet, the Jacobian
 and the second derivatives.  The inverse is a Newton iteration that
 starts from the base point's jet; that jet is traced once per map and
 also serves the origin's coefficients and the transfer of point data.
+The slopes m- and m+ are built from the same coefficients, so either
+both depend on the traced axis or neither does.  When neither does, one
+loop traces both families: RK4 is then Simpson's rule and the variations
+keep their start.  Otherwise the four-stage loop runs once per family.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ucp2d.fields import Call, EvalDomainError, FieldGroup, ScalarField
+from ucp2d.fields import Call, FieldGroup, ScalarField
 from ucp2d.reduction import discriminant
 
 __all__ = [
@@ -204,144 +208,96 @@ def _linear_map(case, x0, y0, roots):
     )
 
 
-class _CurveTracer:
-    """Batched trace of characteristic curves to the reference line.
+def _check(bounds, b, a=None):
+    """Raise when a curve leaves the padded box ``bounds``, given as
+    ``((lo_a, hi_a), (lo_b, hi_b))`` in tracing order.  ``b`` is checked
+    at every step; ``a`` only at the two ends of the trace, before the
+    first step, since a = a0 + span * tau is affine in tau and the bound
+    has 1e-12 of slack for its rounding in between."""
+    (lo_a, hi_a), (lo_b, hi_b) = bounds
+    if np.any(b < lo_b) or np.any(b > hi_b) or (
+        a is not None and (np.any(a < lo_a - 1e-12) or np.any(a > hi_a + 1e-12))
+    ):
+        raise MapError("characteristic curve escapes the working region")
 
-    For the generic case the level curves of the coordinate satisfy
-    ``dy/dx = -m(x, y)``; the coordinate value is the ``y``-intercept on
-    ``x = x0`` (minus ``y0``).  The sensitivity ``v`` to the starting
-    point is integrated alongside through the variational equation, and
-    on request the second variation ``w`` through its own (Hairer,
-    Norsett & Wanner, Solving ODEs I, sec. I.14); the spatial
-    derivatives follow because ``dx s = m(x*, y*) dy s``.
-    ``mirrored=True`` swaps the roles of ``x`` and ``y``.
 
-    A slope that does not read b (``slope_only``) makes RK4 Simpson's
-    rule (Hairer, Norsett & Wanner, sec. II.1): ``_trace_slopes`` reads
-    it at ``2 * _RK4_STEPS + 1`` nodes instead of ``4 * _RK4_STEPS``, with
-    the same bits, and can trace several such families in one loop.
+def _trace_family(slope, a0, b0, span, bounds, mirrored):
+    """Trace one family of characteristic curves from ``(a0, b0)`` to the
+    reference line ``a = a0 + span`` with four-stage RK4.
+
+    The rescaled independent variable tau runs over [0, 1] with
+    ``db/dtau = -span * m``.  ``slope`` is the group ``(m, dm)`` or
+    ``(m, dm, d2m)``, derivatives along b.  The sensitivity ``v = db/db0``
+    is integrated alongside through the variational equation and, for
+    the second group, the second variation ``w = dv/db0`` through its own
+    (Hairer, Norsett & Wanner, Solving ODEs I, sec. I.14).  Returns the
+    end state ``[b, v]`` or ``[b, v, w]``; the caller checks the start.
     """
+    state = [b0, np.ones_like(b0)]
+    if len(slope.fields) == 3:
+        state.append(np.zeros_like(b0))
 
-    def __init__(self, m_field, x0, y0, bounds, mirrored=False):
-        # m and its derivatives along the secondary axis from one compiled
-        # program per order: the first variation reads m and dm, the
-        # second also d2m.  When m does not depend on that axis, dm and
-        # d2m are the literal 0, so v and w never move and m alone is read
-        dm = m_field.diff("x" if mirrored else "y")
-        self.first = FieldGroup(m_field, dm)
-        self.second = FieldGroup(m_field, dm, dm.diff("x" if mirrored else "y"))
-        self.slope_only = FieldGroup(m_field) if dm.is_zero() else None
-        self.x0, self.y0 = x0, y0
-        self.bounds = bounds  # padded containment box as ((lo_x, hi_x), (lo_y, hi_y))
-        self.mirrored = mirrored
+    def rhs(a_val, state):
+        # independent variable first; mirrored tracing integrates x over y
+        derivs = slope(state[0], a_val) if mirrored else slope(a_val, state[0])
+        v_val, df = state[1], -derivs[1]
+        out = [span * -derivs[0], span * df * v_val]
+        if len(state) == 3:
+            # dw/dtau = span (f_bb v^2 + f_b w)
+            ddf = -derivs[2]
+            out.append(span * (ddf * v_val * v_val + df * state[2]))
+        return out
 
-    def _check(self, b, a=None):
-        """Raise when a curve leaves the box.  ``b`` is checked at every
-        step; ``a`` only at the two ends of the trace, before the first
-        step, since a = a0 + span * tau is affine in tau and the bound has
-        1e-12 of slack for its rounding in between."""
-        (lo_a, hi_a), (lo_b, hi_b) = self.bounds
-        if np.any(b < lo_b) or np.any(b > hi_b) or (
-            a is not None and (np.any(a < lo_a - 1e-12) or np.any(a > hi_a + 1e-12))
-        ):
-            raise MapError("characteristic curve escapes the working region")
+    h = 1.0 / _RK4_STEPS
+    for k in range(_RK4_STEPS):
+        tau = k * h
+        k1 = rhs(a0 + span * tau, state)
+        k2 = rhs(a0 + span * (tau + h / 2), [u + h / 2 * d for u, d in zip(state, k1)])
+        k3 = rhs(a0 + span * (tau + h / 2), [u + h / 2 * d for u, d in zip(state, k2)])
+        k4 = rhs(a0 + span * (tau + h), [u + h * d for u, d in zip(state, k3)])
+        state = [u + h / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
+                 for u, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)]
+        _check(bounds, state[0])
+    return state
 
-    def intercept_and_sensitivity(self, x, y):
-        """Intercept value and its derivative along the secondary axis.
 
-        Returns ``(value, dvalue/d b0)`` where ``b0`` is y in the generic
-        case and x in the mirrored one.  The derivative along the primary
-        axis follows from the slope ratio at the starting point, so it is
-        not integrated here.
-        """
-        return self._trace(x, y, self.first)
+def _trace_slopes(slopes, a0, b0, span, bounds, mirrored):
+    """End ``b`` of one family per field of ``slopes``, all traced as
+    :func:`_trace_family` traces them, through the same points in one
+    loop; no field may read b.
 
-    def intercept_and_variations(self, x, y):
-        """``(value, dvalue/d b0, d2value/d b0^2)`` from one trace."""
-        return self._trace(x, y, self.second)
+    RK4 on a right-hand side that does not read the state is Simpson's
+    rule (Hairer, Norsett & Wanner, sec. II.1): the two midpoint stages
+    are equal and each step's last stage is the next step's first, so
+    ``slopes`` is read at ``2 * _RK4_STEPS + 1`` nodes.  The update keeps
+    its four-stage form, so b has the bits of the four-stage loop, whose
+    steps add span * (+-0) to v and w and so leave them at 1 and 0.
+    """
+    h = 1.0 / _RK4_STEPS
 
-    def _start(self, x, y):
-        """Flattened starting points as ``(a0, b0)`` in tracing order,
-        with the reference line's ``a`` and ``b`` values."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        x, y = (a.ravel() for a in np.broadcast_arrays(x, y))
-        if self.mirrored:
-            return y.astype(float), x.astype(float), self.y0, self.x0
-        return x.astype(float), y.astype(float), self.x0, self.y0
+    def rhs(tau):
+        # b0 stands in for b, which no field reads
+        a = a0 + span * tau
+        return [span * -m for m in (slopes(b0, a) if mirrored else slopes(a, b0))]
 
-    def _trace(self, x, y, slope):
-        if self.slope_only is not None:
-            return self._trace_slopes(x, y, self.slope_only, len(slope.fields) - 1)[0]
-        a0, b0, a_ref, ref = self._start(x, y)
-        span = a_ref - a0
-        # rescaled independent variable tau in [0, 1]: db/dtau = span * f;
-        # state b, v = d b(tau) / d b0 and, for the second order, w = d v / d b0
-        state = [b0.copy(), np.ones_like(b0)]
-        if len(slope.fields) == 3:
-            state.append(np.zeros_like(b0))
-        if not np.any(span):
-            # curves of zero length (the base point): every step would add
-            # span * (...) = 0, so the start is the end, with no field read
-            return (state[0] - ref, *state[1:])
+    ends = [b0] * len(slopes.fields)
+    k1 = rhs(0.0)
+    for k in range(_RK4_STEPS):
+        tau = k * h
+        k2, k4 = rhs(tau + h / 2), rhs(tau + h)
+        ends = [b + h / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
+                for b, d1, d2, d3, d4 in zip(ends, k1, k2, k2, k4)]
+        for b in ends:
+            _check(bounds, b)
+        k1 = k4
+    return ends
 
-        def rhs(a_val, state):
-            # independent variable first; mirrored tracing integrates x over y
-            derivs = slope(state[0], a_val) if self.mirrored else slope(a_val, state[0])
-            v_val, df = state[1], -derivs[1]
-            out = [span * -derivs[0], span * df * v_val]
-            if len(state) == 3:
-                # dw/dtau = span (f_bb v^2 + f_b w)
-                ddf = -derivs[2]
-                out.append(span * (ddf * v_val * v_val + df * state[2]))
-            return out
 
-        h = 1.0 / _RK4_STEPS
-        for k in range(_RK4_STEPS):
-            tau = k * h
-            self._check(state[0], np.append(a0, a_ref) if k == 0 else None)
-            k1 = rhs(a0 + span * tau, state)
-            k2 = rhs(a0 + span * (tau + h / 2), [u + h / 2 * d for u, d in zip(state, k1)])
-            k3 = rhs(a0 + span * (tau + h / 2), [u + h / 2 * d for u, d in zip(state, k2)])
-            k4 = rhs(a0 + span * (tau + h), [u + h * d for u, d in zip(state, k3)])
-            state = [u + h / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
-                     for u, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4)]
-        self._check(state[0])
-        return (state[0] - ref, *state[1:])
-
-    def _trace_slopes(self, x, y, slopes, order):
-        """Trace one family per field of ``slopes`` through the same points
-        in one loop; no field may read b.
-
-        Returns ``(value, v)`` per field, and ``w`` too when ``order`` is 2.
-        With f independent of b, RK4's two midpoint stages are equal and
-        each step's last stage is the next step's first, so ``slopes`` is
-        read at ``2 * _RK4_STEPS + 1`` nodes.  The update keeps its four
-        stage form, so b has the bits of the four-stage loop; v and w keep
-        their start, as its steps, which add span * (+-0), leave them.
-        """
-        a0, b0, a_ref, ref = self._start(x, y)
-        span = a_ref - a0
-        ends = [b0] * len(slopes.fields)
-        if np.any(span):
-            h = 1.0 / _RK4_STEPS
-
-            def rhs(tau):
-                # b0 stands in for b, which no field reads
-                a = a0 + span * tau
-                return [span * -m for m in (slopes(b0, a) if self.mirrored else slopes(a, b0))]
-
-            self._check(b0, np.append(a0, a_ref))
-            k1 = rhs(0.0)
-            for k in range(_RK4_STEPS):
-                tau = k * h
-                k2, k4 = rhs(tau + h / 2), rhs(tau + h)
-                ends = [b + h / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
-                        for b, d1, d2, d3, d4 in zip(ends, k1, k2, k2, k4)]
-                for b in ends:
-                    self._check(b)
-                k1 = k4
-        return [(b - ref, np.ones_like(b0), np.zeros_like(b0))[:order + 1] for b in ends]
+def _variation_groups(m, b_var):
+    """The groups ``(m, dm)`` and ``(m, dm, d2m)`` along ``b_var`` that
+    the first and the second variation of a family read."""
+    dm = m.diff(b_var)
+    return FieldGroup(m, dm), FieldGroup(m, dm, dm.diff(b_var))
 
 
 def _slope_fields(sys, case):
@@ -362,29 +318,41 @@ def _traced_map(case, sys, x0, y0, region):
     slope_jet = FieldGroup(m_minus, m_plus, m_minus.diff(a_var), m_minus.diff(b_var),
                            m_plus.diff(a_var), m_plus.diff(b_var))
 
-    (rx0, rx1), (ry0, ry1) = region.xlim, region.ylim
-    pad_x = region.halfwidths[0]
-    pad_y = region.halfwidths[1]
-    bounds_xy = ((rx0 - pad_x, rx1 + pad_x), (ry0 - pad_y, ry1 + pad_y))
-    bounds = (bounds_xy[1], bounds_xy[0]) if mirrored else bounds_xy
+    # the region padded by its halfwidths, in tracing order
+    (rx0, rx1), (ry0, ry1), (pad_x, pad_y) = region.xlim, region.ylim, region.halfwidths
+    bounds = ((rx0 - pad_x, rx1 + pad_x), (ry0 - pad_y, ry1 + pad_y))
+    if mirrored:
+        bounds = bounds[::-1]
 
-    tracer_s = _CurveTracer(m_minus, x0, y0, bounds, mirrored=mirrored)
-    tracer_t = _CurveTracer(m_plus, x0, y0, bounds, mirrored=mirrored)
-    # both families start from the same points with the same span, so when
-    # neither slope reads b one loop traces both and shares their subtrees
-    paired = tracer_s.slope_only is not None and tracer_t.slope_only is not None
+    def flat(x, y):
+        return (np.ravel(v) for v in np.broadcast_arrays(np.asarray(x, dtype=float),
+                                                         np.asarray(y, dtype=float)))
+
+    variations = [_variation_groups(m, b_var) for m in (m_minus, m_plus)]
+    # m- and m+ are built from the same h11, sqrt(Delta) and leading
+    # coefficient, so either both read b or neither does; then one
+    # Simpson loop traces both families from one program of m- and m+
+    slope_only = all(first.fields[1].is_zero() for first, _ in variations)
+    a_ref, ref = (y0, x0) if mirrored else (x0, y0)
 
     def trace(x, y, order):
         """``((s, s_b[, s_bb]), (t, t_b[, t_bb]))`` at the points, with the
         second variations when ``order`` is 2."""
-        if paired:
-            try:
-                return tracer_s._trace_slopes(x, y, slopes, order)
-            except (MapError, EvalDomainError):
-                pass  # traced again one family at a time, which raises s's error first
-        if order == 2:
-            return tracer_s.intercept_and_variations(x, y), tracer_t.intercept_and_variations(x, y)
-        return tracer_s.intercept_and_sensitivity(x, y), tracer_t.intercept_and_sensitivity(x, y)
+        x, y = flat(x, y)
+        a0, b0 = (y, x) if mirrored else (x, y)
+        span = a_ref - a0
+        if not np.any(span):
+            # curves of zero length (the base point): every step would add
+            # span * (...) = 0, so the start is the end, with no field read
+            ends = [b0, b0]
+        else:
+            _check(bounds, b0, np.append(a0, a_ref))
+            if not slope_only:
+                ends = [_trace_family(groups[order - 1], a0, b0, span, bounds, mirrored)
+                        for groups in variations]
+                return tuple((b - ref, *rest) for b, *rest in ends)
+            ends = _trace_slopes(slopes, a0, b0, span, bounds, mirrored)
+        return tuple((b - ref, np.ones_like(b0), np.zeros_like(b0))[:order + 1] for b in ends)
 
     def _shape_back(arr, x, y):
         shape = np.broadcast_shapes(np.shape(x), np.shape(y))
@@ -395,10 +363,6 @@ def _traced_map(case, sys, x0, y0, region):
     def forward(x, y):
         (s, _), (t, _) = trace(x, y, 1)
         return _shape_back(s, x, y), _shape_back(t, x, y)
-
-    def flat(x, y):
-        return (np.ravel(v) for v in np.broadcast_arrays(np.asarray(x, dtype=float),
-                                                         np.asarray(y, dtype=float)))
 
     def partials(s_b, t_b, ms, mt):
         # d/db is the sensitivity factor and d/da follows from the slope
@@ -430,12 +394,8 @@ def _traced_map(case, sys, x0, y0, region):
     base_jet = functools.cache(lambda: jet(x0, y0))
 
     def inverse(s, t):
-        s_in = np.atleast_1d(np.asarray(s, dtype=float))
-        t_in = np.atleast_1d(np.asarray(t, dtype=float))
-        sb, tb = np.broadcast_arrays(s_in, t_in)
-        shape = sb.shape
-        sf, tf = sb.ravel(), tb.ravel()
-        sx0, tx0, sy0, ty0 = base_jet()[0]  # traced once per map
+        sf, tf = flat(s, t)
+        sx0, tx0, sy0, ty0 = base_jet()[0]  # computed once per map
         det0 = sx0 * ty0 - tx0 * sy0
         # start from the linearisation at the base point
         x = x0 + (ty0 * sf - sy0 * tf) / det0
@@ -460,9 +420,7 @@ def _traced_map(case, sys, x0, y0, region):
                 f"inversion did not converge in {_NEWTON_STEPS} Newton steps "
                 f"(last step {step:.3g})"
             )
-        if np.shape(np.asarray(s)) or np.shape(np.asarray(t)):
-            return x.reshape(shape), y.reshape(shape)
-        return float(x[0]), float(y[0])
+        return _shape_back(x, s, t), _shape_back(y, s, t)
 
     return CharacteristicMap(
         case=case,

@@ -19,7 +19,7 @@ from ucp2d.characteristics import (
     transform_system,
 )
 from ucp2d.cli import load_scenario, scenario_dir
-from ucp2d.fields import EvalDomainError, parse
+from ucp2d.fields import EvalDomainError, FieldGroup, parse
 from ucp2d.geometry import Rect
 from ucp2d.reduction import reduce_system
 from ucp2d.tensors import ElasticityCoefficients
@@ -215,23 +215,23 @@ def test_traced_inverse_raises_when_newton_does_not_converge(monkeypatch):
 
 
 def _count_traces(monkeypatch):
-    # every trace, of the first variation or of the second, as the number of
-    # families it follows: 1 for the four-stage loop, 2 for a pair of
-    # slope-only families (a slope-only family alone is counted by its loop)
+    # every run of a trace loop, of the first variation or of the second, as
+    # the number of families it follows: 1 for the four-stage loop, 2 for the
+    # Simpson loop of a slope-only pair.  Curves of zero length (the base
+    # point's) are not traced, so they run no loop
     calls = []
-    trace, trace_slopes = ch._CurveTracer._trace, ch._CurveTracer._trace_slopes
+    trace_family, trace_slopes = ch._trace_family, ch._trace_slopes
 
-    def counted(self, x, y, slope):
-        if self.slope_only is None:
-            calls.append(1)
-        return trace(self, x, y, slope)
+    def counted(slope, *args):
+        calls.append(1)
+        return trace_family(slope, *args)
 
-    def counted_slopes(self, x, y, slopes, order):
+    def counted_slopes(slopes, *args):
         calls.append(len(slopes.fields))
-        return trace_slopes(self, x, y, slopes, order)
+        return trace_slopes(slopes, *args)
 
-    monkeypatch.setattr(ch._CurveTracer, "_trace", counted)
-    monkeypatch.setattr(ch._CurveTracer, "_trace_slopes", counted_slopes)
+    monkeypatch.setattr(ch, "_trace_family", counted)
+    monkeypatch.setattr(ch, "_trace_slopes", counted_slopes)
     return calls
 
 
@@ -253,9 +253,9 @@ def test_traced_inverse_traces_each_curve_once_per_newton_step(monkeypatch):
     calls = _count_traces(monkeypatch)
     got = cmap.inverse(s, t)
     assert steps > 1
-    assert len(calls) == 2 + 2 * steps  # the base point, then both families per step
+    assert len(calls) == 2 * steps  # both families per step; the base point has zero length
     again = cmap.inverse(s, t)
-    assert len(calls) == 2 + 4 * steps  # the base point is traced once per map
+    assert len(calls) == 4 * steps
     assert all(np.array_equal(a, b) for a, b in zip(got, expected))
     assert all(np.array_equal(a, b) for a, b in zip(again, expected))
 
@@ -308,15 +308,16 @@ def test_transform_system_reuses_the_probe_pullback(monkeypatch):
     sys = reduce_system(manufactured_variable_tensor())
     cmap = build_map(sys, REGION, 0.0, 0.0)
     callers = Counter()
-    trace = ch._CurveTracer.intercept_and_sensitivity
+    trace = ch._trace_family
 
-    def counted(self, x, y):
-        names = [f.name for f in traceback.extract_stack()]
-        callers[next(n for n in reversed(names)
-                     if n in ("_choose_epsilon", "transform_system"))] += 1
-        return trace(self, x, y)
+    def counted(slope, *args):
+        if len(slope.fields) == 2:  # a trace of the first variation
+            names = [f.name for f in traceback.extract_stack()]
+            callers[next(n for n in reversed(names)
+                         if n in ("_choose_epsilon", "transform_system"))] += 1
+        return trace(slope, *args)
 
-    monkeypatch.setattr(ch._CurveTracer, "intercept_and_sensitivity", counted)
+    monkeypatch.setattr(ch, "_trace_family", counted)
     transform_system(sys, cmap, REGION)
     assert callers["transform_system"] == 2
     assert callers["_choose_epsilon"] > 2
@@ -364,20 +365,30 @@ def test_transformed_coefficients_keep_grids_of_equal_bits_and_other_shapes_apar
     assert isinstance(one, np.ndarray) and one.shape == (1,)
 
 
-def test_origin_coefficients_are_those_of_the_pulled_back_origin(monkeypatch):
-    # the origin's entry comes from the base jet with no trace, and has the
-    # bits that pulling (0, 0) back and taking the jet there gives
-    calls = _count_traces(monkeypatch)
+def test_origin_coefficients_are_those_of_the_pulled_back_origin():
+    # the origin's entry comes from the base jet with no pullback, and has
+    # the bits that pulling (0, 0) back and taking the jet there gives
     names = ("b11", "b12", "c1", "a11", "a12", "a22", "b21", "b22", "c2")
+    calls = []
+
+    def counted(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
     for coeffs in (manufactured_variable_tensor(), EX41B):
         sys = reduce_system(coeffs)
         cmap = build_map(sys, REGION, 0.0, 0.0)
+        cmap = dataclasses.replace(cmap, **{k: counted(k, getattr(cmap, k))
+                                            for k in ("inverse", "jet")})
         tsys = transform_system(sys, cmap, REGION)
         calls.clear()
         origin = [getattr(tsys, k)(0.0, 0.0) for k in names]
         assert calls == []
         pulled = [getattr(tsys, k)(np.zeros(1), np.zeros(1)) for k in names]
-        assert len(calls) == (0 if cmap.linear else 4)  # one Newton step and the jet
+        assert calls == ["inverse", "jet"]
         assert [np.float64(v).tobytes() for v in origin] == [p.tobytes() for p in pulled]
 
 
@@ -398,8 +409,8 @@ def test_choose_epsilon_skips_a_square_whose_reference_segment_leaves_omega(monk
     u = np.linspace(-1.0, 1.0, ch._N_SAMPLE)
     su, tu = np.meshgrid(u, u, indexing="ij")
     x_ref, y_ref = cmap.inverse(su.ravel() * 0.25, tu.ravel() * 0.25)
-    # the same Newton solve; the base jet, one trace of both families, is kept
-    assert set(calls) == {2} and len(calls) == 2 * chosen - 1
+    # the same Newton solve, one trace of both families per step
+    assert set(calls) == {2} and len(calls) == 2 * chosen
     assert x.tobytes() == x_ref.tobytes() and y.tobytes() == y_ref.tobytes()
 
 
@@ -421,40 +432,72 @@ MIRRORED_TENSOR = {
 TRACE_BOUNDS = ((-0.6, 0.6), (-0.6, 0.6))
 
 
+def _loop_start(x0, y0, mirrored, x, y):
+    """``(a0, b0, span, ref)`` as a map's trace hands them to either loop:
+    the flattened start in tracing order, the span to the reference line
+    and b's value there, after the start check the trace makes."""
+    x, y = (np.ravel(v) for v in np.broadcast_arrays(np.asarray(x, dtype=float),
+                                                     np.asarray(y, dtype=float)))
+    (a0, b0), (a_ref, ref) = ((y, x), (y0, x0)) if mirrored else ((x, y), (x0, y0))
+    ch._check(TRACE_BOUNDS, b0, np.append(a0, a_ref))
+    return a0, b0, a_ref - a0, ref
+
+
+def _four_stage(slope, x0, y0, mirrored, x, y):
+    """The four-stage loop on the group ``slope``, as ``trace_family``
+    returns it: ``(value, v[, w])``."""
+    a0, b0, span, ref = _loop_start(x0, y0, mirrored, x, y)
+    b, *rest = ch._trace_family(slope, a0, b0, span, TRACE_BOUNDS, mirrored)
+    return (b - ref, *rest)
+
+
+def _simpson(slopes, x0, y0, mirrored, x, y):
+    """The Simpson loop on the group ``slopes``: the value of each family."""
+    a0, b0, span, ref = _loop_start(x0, y0, mirrored, x, y)
+    return [b - ref for b in ch._trace_slopes(slopes, a0, b0, span, TRACE_BOUNDS, mirrored)]
+
+
+def _loops(m, mirrored):
+    """Each loop that traces the family of a slope ``m`` not reading b: the
+    four-stage loop of the first and of the second variation, and Simpson's."""
+    first, second = ch._variation_groups(m, "x" if mirrored else "y")
+    return [(_four_stage, first), (_four_stage, second), (_simpson, FieldGroup(m))]
+
+
 def test_lame_traced_tracers_compile_no_steps_for_slope_derivatives_that_are_zero():
     # m does not depend on y on lame_traced (h02 = 0 enters only as a
     # factor 0), so dm/dy and d2m/dy2 are the literal 0 and cost no step
     sc, sys, cmap = _lame_traced()
     assert cmap.case == CASE_A1112
     for m in ch._slope_fields(sys, cmap.case):
-        tracer = ch._CurveTracer(m, *sc.point, TRACE_BOUNDS)
-        first, second = tracer.first._program[1], tracer.second._program[1]
+        first, second = (group._program[1] for group in ch._variation_groups(m, "y"))
         k = len(first[0])
         assert k > 0 and [len(s) for s in first] == [k, 0]
         assert [len(s) for s in second] == [k, 0, 0]
-        assert tracer.slope_only is not None
     # a slope that depends on y keeps its derivative programs
     m = ch._slope_fields(reduce_system(manufactured_variable_tensor()), CASE_A1112)[0]
-    assert ch._CurveTracer(m, 0.0, 0.0, TRACE_BOUNDS).slope_only is None
+    first, second = (group._program[1] for group in ch._variation_groups(m, "y"))
+    assert all(first) and all(second)
 
 
 def test_tracer_integrating_b_alone_matches_the_evaluate_oracle_bit_for_bit():
-    # v and w keep their start when dm = d2m = 0, as the oracle's RK4
-    # steps, which add span * (+-0) to them, leave them
+    # the Simpson loop on lame_traced's slopes gives the oracle's b, and the
+    # oracle's v and w keep their start, as its RK4 steps, which add
+    # span * (+-0) to them, leave them
     sc, sys, cmap = _lame_traced()
     rng = np.random.default_rng(3)
-    points = [(0.04, -0.03), (0.0, 0.02),
+    # the second batch mixes a curve of zero length with another
+    points = [(0.04, -0.03), (np.array([0.0, 0.04]), np.array([0.02, 0.0])),
               (rng.uniform(-0.04, 0.04, 7), rng.uniform(-0.05, 0.05, (3, 1)))]
-    for m in ch._slope_fields(sys, cmap.case):
-        tracer = ch._CurveTracer(m, *sc.point, TRACE_BOUNDS)
-        for x, y in points:
+    slopes = ch._slope_fields(sys, cmap.case)
+    for x, y in points:
+        got = _simpson(FieldGroup(*slopes), *sc.point, False, x, y)
+        assert len(got) == 2
+        for m, value in zip(slopes, got):
             oracle = trace_family(m, *sc.point, TRACE_BOUNDS, False, x, y)
-            first = tracer.intercept_and_sensitivity(x, y)
-            second = tracer.intercept_and_variations(x, y)
-            assert len(first) == 2 and len(second) == 3
-            for got in (first, second):
-                for a, b in zip(got, oracle):
-                    assert a.tobytes() == b.tobytes()
+            assert value.tobytes() == oracle[0].tobytes()
+            assert oracle[1].tobytes() == np.ones_like(value).tobytes()
+            assert oracle[2].tobytes() == np.zeros_like(value).tobytes()
 
 
 @pytest.mark.parametrize("coeffs, case", [
@@ -465,16 +508,16 @@ def test_tracer_matches_the_evaluate_oracle_bit_for_bit(coeffs, case):
     sys = reduce_system(coeffs)
     mirrored = case == CASE_A1222
     rng = np.random.default_rng(5)
-    # (0.01, 0.05) and (0.05, -0.02) lie on the generic and the mirrored
+    # the third batch holds a point of the generic and one of the mirrored
     # reference line, where the curve has zero length
-    points = [(0.07, -0.08), (np.float64(-0.1), 0.0), (0.01, 0.05), (0.05, -0.02),
+    points = [(0.07, -0.08), (np.float64(-0.1), 0.0),
+              (np.array([0.01, 0.05]), np.array([0.05, -0.02])),
               (rng.uniform(-0.1, 0.1, 7), rng.uniform(-0.1, 0.1, (3, 1)))]
     for m in ch._slope_fields(sys, case):
-        tracer = ch._CurveTracer(m, 0.01, -0.02, TRACE_BOUNDS, mirrored=mirrored)
+        groups = ch._variation_groups(m, "x" if mirrored else "y")
         for x, y in points:
             oracle = trace_family(m, 0.01, -0.02, TRACE_BOUNDS, mirrored, x, y)
-            first = tracer.intercept_and_sensitivity(x, y)
-            second = tracer.intercept_and_variations(x, y)
+            first, second = (_four_stage(g, 0.01, -0.02, mirrored, x, y) for g in groups)
             assert len(first) == 2 and len(second) == 3
             for got in (first, second):
                 for a, b in zip(got, oracle):
@@ -492,10 +535,9 @@ def test_slope_turning_non_finite_mid_trace_raises_the_oracle_error(mirrored):
         x, y = y, x
     with pytest.raises(EvalDomainError) as want:
         trace_family(m, 0.01, 0.01, TRACE_BOUNDS, mirrored, x, y)
-    tracer = ch._CurveTracer(m, 0.01, 0.01, TRACE_BOUNDS, mirrored=mirrored)
-    for trace in (tracer.intercept_and_sensitivity, tracer.intercept_and_variations):
+    for loop, group in _loops(m, mirrored):
         with pytest.raises(EvalDomainError) as got:
-            trace(x, y)
+            loop(group, 0.01, 0.01, mirrored, x, y)
         assert str(got.value) == str(want.value)
         assert str(got.value).startswith("non-finite value in '0*exp(8000*")
 
@@ -516,13 +558,12 @@ def test_escaping_curves_raise_the_oracle_error(mirrored, start, slope):
         want = trace_family(m, 0.01, 0.01, TRACE_BOUNDS, mirrored, x, y)
     except MapError as err:
         want = err
-    tracer = ch._CurveTracer(m, 0.01, 0.01, TRACE_BOUNDS, mirrored=mirrored)
-    for trace in (tracer.intercept_and_sensitivity, tracer.intercept_and_variations):
+    for loop, group in _loops(m, mirrored):
         if isinstance(want, MapError):
             with pytest.raises(MapError, match=str(want)):
-                trace(x, y)
+                loop(group, 0.01, 0.01, mirrored, x, y)
         else:
-            assert trace(x, y)[0].tobytes() == want[0].tobytes()
+            assert loop(group, 0.01, 0.01, mirrored, x, y)[0].tobytes() == want[0].tobytes()
 
 
 # a mirrored tensor whose coefficients depend on y alone, so neither slope
@@ -530,17 +571,35 @@ def test_escaping_curves_raise_the_oracle_error(mirrored, start, slope):
 MIRRORED_SLOPE_ONLY = dict(MIRRORED_TENSOR, a1122="0.3*y - 3", a1222="1 + 0.2*sin(3*y)")
 
 
-class _OracleTracer(ch._CurveTracer):
-    """A tracer whose every trace is ``trace_family``'s, one family at a
-    time: a map built with it has no slope-only loop and no pair trace."""
+def _oracle_map(sys, region, x0, y0):
+    """The map of ``sys`` with every trace ``trace_family``'s, one family
+    at a time: each evaluator runs with both trace loops replaced."""
 
-    def __init__(self, m_field, x0, y0, bounds, mirrored=False):
-        super().__init__(m_field, x0, y0, bounds, mirrored=mirrored)
-        self.m_field, self.slope_only = m_field, None
+    def family(m, a0, b0, bounds, mirrored, order):
+        # trace_family gives b less its value on the reference line; with
+        # that line moved to b = 0 it gives b itself, bit for bit
+        x, y = (b0, a0) if mirrored else (a0, b0)
+        line = (0.0, y0) if mirrored else (x0, 0.0)
+        return list(trace_family(m, *line, bounds, mirrored, x, y)[:order + 1])
 
-    def _trace(self, x, y, slope):
-        got = trace_family(self.m_field, self.x0, self.y0, self.bounds, self.mirrored, x, y)
-        return got[:len(slope.fields)]
+    def trace_one(slope, a0, b0, span, bounds, mirrored):
+        return family(slope.fields[0], a0, b0, bounds, mirrored, len(slope.fields) - 1)
+
+    def trace_each(slopes, a0, b0, span, bounds, mirrored):
+        return [family(m, a0, b0, bounds, mirrored, 0)[0] for m in slopes.fields]
+
+    def traced_by_oracle(evaluate):
+        def call(*args):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(ch, "_trace_family", trace_one)
+                patch.setattr(ch, "_trace_slopes", trace_each)
+                return evaluate(*args)
+
+        return call
+
+    cmap = build_map(sys, region, x0, y0)
+    return dataclasses.replace(cmap, **{name: traced_by_oracle(getattr(cmap, name))
+                                        for name in ("forward", "jacobian", "jet", "inverse")})
 
 
 def _same_bits(got, want):
@@ -550,19 +609,27 @@ def _same_bits(got, want):
             and np.asarray(got).tobytes() == np.asarray(want).tobytes())
 
 
-@pytest.mark.parametrize("scenario", ["lame_traced", "mirrored"])
+@pytest.mark.parametrize("scenario", ["lame_traced", "mirrored", "manufactured",
+                                      "mirrored_tensor"])
 def test_pair_trace_matches_the_evaluate_oracle_bit_for_bit(monkeypatch, scenario):
+    # lame_traced and the mirrored slope-only tensor trace both families in
+    # the Simpson loop; the other two trace each in the four-stage loop
     if scenario == "lame_traced":
         sc, sys, _ = _lame_traced()
         region, (x0, y0), case = sc.omega, sc.point, CASE_A1112
     else:
-        sys = reduce_system(ElasticityCoefficients.from_components(MIRRORED_SLOPE_ONLY))
-        region, (x0, y0), case = REGION, (0.01, -0.02), CASE_A1222
-    assert all(ch._CurveTracer(m, x0, y0, TRACE_BOUNDS, mirrored=case == CASE_A1222)
-               .slope_only is not None for m in ch._slope_fields(sys, case))
-    with monkeypatch.context() as m:
-        m.setattr(ch, "_CurveTracer", _OracleTracer)
-        oracle = build_map(sys, region, x0, y0)
+        coeffs, case = {
+            "mirrored": (ElasticityCoefficients.from_components(MIRRORED_SLOPE_ONLY), CASE_A1222),
+            "manufactured": (manufactured_variable_tensor(), CASE_A1112),
+            "mirrored_tensor": (ElasticityCoefficients.from_components(MIRRORED_TENSOR),
+                                CASE_A1222),
+        }[scenario]
+        sys, region, (x0, y0) = reduce_system(coeffs), REGION, (0.01, -0.02)
+    slope_only = scenario in ("lame_traced", "mirrored")
+    mirrored = case == CASE_A1222
+    slopes = ch._slope_fields(sys, case)
+    assert all(m.diff("x" if mirrored else "y").is_zero() == slope_only for m in slopes)
+    oracle = _oracle_map(sys, region, x0, y0)
     cmap = build_map(sys, region, x0, y0)
     assert (cmap.case, oracle.case, cmap.linear) == (case, case, False)
     rng = np.random.default_rng(7)
@@ -578,37 +645,80 @@ def test_pair_trace_matches_the_evaluate_oracle_bit_for_bit(monkeypatch, scenari
     for x, y in points:
         for name in ("forward", "jacobian", "jet"):
             assert _same_bits(getattr(cmap, name)(x, y), getattr(oracle, name)(x, y)), name
+        # curves of zero length run no loop of either map: the shortcut too
+        # has the oracle's bits
+        for value, m in zip(cmap.forward(x, y), slopes):
+            want = trace_family(m, x0, y0, TRACE_BOUNDS, mirrored, x, y)[0]
+            assert np.ravel(value).tobytes() == want.tobytes()
     for s, t in [(0.03, -0.02), (0.0, 0.0),
                  (rng.uniform(-0.05, 0.05, 5), rng.uniform(-0.05, 0.05, (2, 1)))]:
         assert _same_bits(cmap.inverse(s, t), oracle.inverse(s, t))
-    # the map traced both families together every time
-    assert calls and set(calls) == {2}
+    # the map traced both families together every time, or each alone
+    assert calls and set(calls) == ({2} if slope_only else {1})
+
+
+def _pair_map(monkeypatch, mirrored, m_minus, m_plus, base=(0.01, 0.01)):
+    """A traced map at ``base`` on REGION with the slopes ``m_minus`` and
+    ``m_plus``, whose ``{a}`` stands for the traced map's independent axis."""
+    def field(text):
+        return parse(text.format(a="y" if mirrored else "x"))
+
+    monkeypatch.setattr(ch, "_slope_fields", lambda sys, case: (field(m_minus), field(m_plus)))
+    return ch._traced_map(CASE_A1222 if mirrored else CASE_A1112, None, *base, REGION)
 
 
 @pytest.mark.parametrize("mirrored", [False, True])
-def test_pair_trace_raises_the_error_of_tracing_s_then_t(monkeypatch, mirrored):
-    # t's curve (slope 20) leaves the box at its sixth step, while m- turns
-    # non-finite only below x = 0.06, near the end of the trace: the pair
-    # loop meets t's escape first, tracing s alone meets the non-finite slope
-    m_minus = parse("0*exp(8000*(0.14 - x))" if not mirrored else "0*exp(8000*(0.14 - y))")
-    m_plus = parse("20")
+def test_pair_trace_raises_the_first_error_along_tau(monkeypatch, mirrored):
+    # a slope-only pair raises the first error its one loop meets: at each
+    # node m- is read before m+, and after each step s's escape is checked
+    # before t's.  On curves from x = 0.3 and 0.25 to 0.01, m- turns
+    # non-finite below x = 0.0513, near the end of the trace
+    m_minus = "0*exp(8000*(0.14 - {a}))"
     x, y = np.array([0.3, 0.25]), np.array([0.1, 0.0])
     if mirrored:
         x, y = y, x
-    tracer_s, tracer_t = (ch._CurveTracer(m, 0.01, 0.01, TRACE_BOUNDS, mirrored=mirrored)
-                          for m in (m_minus, m_plus))
-    with pytest.raises(MapError, match="escapes"):
-        tracer_s._trace_slopes(x, y, ch.FieldGroup(m_minus, m_plus), 1)
-    with pytest.raises(EvalDomainError) as want:
-        tracer_s.intercept_and_sensitivity(x, y)
-        tracer_t.intercept_and_sensitivity(x, y)
-    monkeypatch.setattr(ch, "_slope_fields", lambda sys, case: (m_minus, m_plus))
-    cmap = ch._traced_map(CASE_A1222 if mirrored else CASE_A1112, None, 0.01, 0.01, REGION)
+    # t's curve (slope 20) leaves the box at its sixth step, before m- turns
+    # non-finite: the map raises the escape, where tracing s alone would
+    # meet the non-finite slope
+    cmap = _pair_map(monkeypatch, mirrored, m_minus, "20")
     for evaluate in (cmap.forward, cmap.jacobian, cmap.jet):
-        with pytest.raises(EvalDomainError) as got:
+        with pytest.raises(MapError, match="escapes"):
             evaluate(x, y)
-        assert str(got.value) == str(want.value)
-        assert str(got.value).startswith("non-finite value in '0*exp(8000*")
+    # m+ turning non-finite earlier along tau (below x = 0.0611) raises its
+    # error; turning non-finite at the same nodes as m-, m-'s
+    for m_plus, first in [("0*exp(9000*(0.14 - {a}))", "0*exp(9000*"),
+                          ("1 + 0*exp(8000*(0.14 - {a}))", "0*exp(8000*")]:
+        cmap = _pair_map(monkeypatch, mirrored, m_minus, m_plus)
+        for evaluate in (cmap.forward, cmap.jacobian, cmap.jet):
+            with pytest.raises(EvalDomainError) as got:
+                evaluate(x, y)
+            assert str(got.value).startswith(f"non-finite value in '{first}")
+
+
+def test_choose_epsilon_skips_a_square_whose_pair_trace_escapes(monkeypatch):
+    # m- turns non-finite on a band near x = -0.47 only; the 0.25 square's
+    # first Newton step traces from x = -0.5 across it, but m+ is so steep
+    # there that t's curve escapes in the first step.  The pair trace raises
+    # that escape, and _choose_epsilon passes over each square that escapes
+    # until the 1/32 square inverts.  EX41B's constant discriminant passes
+    # the discriminant check on every square
+    cmap = _pair_map(monkeypatch, False, "0*exp(10000000*({a} + 0.48)*(-0.46 - {a}))",
+                     "1 + 1000*{a}^2", base=(0.0, 0.0))
+    outcomes = []
+
+    def recorded(s, t, inverse=cmap.inverse):
+        try:
+            got = inverse(s, t)
+        except MapError as err:
+            outcomes.append(str(err))
+            raise
+        outcomes.append("inverted")
+        return got
+
+    eps, _, _ = ch._choose_epsilon(reduce_system(EX41B),
+                                   dataclasses.replace(cmap, inverse=recorded), REGION)
+    escapes = "characteristic curve escapes the working region"
+    assert eps == 1 / 32 and outcomes == [escapes] * 3 + ["inverted"]
 
 
 class _CountedGroup:
@@ -627,35 +737,33 @@ class _CountedGroup:
     (("characteristics", "riemann"), 11),  # the benchmark's traced scenario
 ])
 def test_lame_traced_run_traces_both_families_in_one_loop(monkeypatch, tasks, pairs):
-    # each pair trace reads both slopes, from one program, at 2 * _RK4_STEPS
-    # + 1 nodes; the four-stage loop made twice as many traces (38 and 22),
-    # each of 4 * _RK4_STEPS slope reads.  The base jet's curves have zero
-    # length and read nothing.
+    # the run makes ``pairs`` traces of both families.  The base jet's
+    # curves have zero length and run no loop; each other trace reads both
+    # slopes, from one program, at 2 * _RK4_STEPS + 1 nodes, where the
+    # four-stage loop made twice as many traces (38 and 22), each of
+    # 4 * _RK4_STEPS slope reads
     from ucp2d.pipeline import expectations_for, run
 
     sc = load_scenario(scenario_dir() / "lame_traced.json")
     sc = dataclasses.replace(sc, tasks=tasks, expect=expectations_for(sc.expect, tasks))
     traces = []
-    trace = ch._CurveTracer._trace
-    trace_slopes = ch._CurveTracer._trace_slopes
+    trace_family, trace_slopes = ch._trace_family, ch._trace_slopes
 
-    def single(self, x, y, slope):
+    def single(slope, *args):
         traces.append("single")
-        return trace(self, x, y, slope)
+        return trace_family(slope, *args)
 
-    def counted(self, x, y, slopes, order):
+    def counted(slopes, *args):
         group = _CountedGroup(slopes)
         try:
-            return trace_slopes(self, x, y, group, order)
+            return trace_slopes(group, *args)
         finally:
             traces.append((len(slopes.fields), group.calls))
 
-    monkeypatch.setattr(ch._CurveTracer, "_trace", single)
-    monkeypatch.setattr(ch._CurveTracer, "_trace_slopes", counted)
+    monkeypatch.setattr(ch, "_trace_family", single)
+    monkeypatch.setattr(ch, "_trace_slopes", counted)
     assert run(sc)[1] == []
-    assert traces == [(2, 0)] + [(2, 2 * ch._RK4_STEPS + 1)] * (pairs - 1)
-
-
+    assert traces == [(2, 2 * ch._RK4_STEPS + 1)] * (pairs - 1)
 def test_mirrored_traced_map_equals_axis_swapped_generic_map():
     # relabelling the axes (x <-> y, index 1 <-> 2) turns the mirrored
     # parametrisation into the generic one, so s(x, y) = s_swapped(y, x)
