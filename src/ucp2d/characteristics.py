@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ucp2d.fields import Call, FieldGroup, ScalarField
+from ucp2d.fields import Call, EvalDomainError, FieldGroup, ScalarField
 from ucp2d.reduction import discriminant
 
 __all__ = [
@@ -56,7 +56,6 @@ __all__ = [
     "TransformError",
     "CharacteristicMap",
     "TransformedSystem",
-    "WPointData",
     "characteristic_slopes",
     "build_map",
     "transform_system",
@@ -534,23 +533,28 @@ def _choose_epsilon(sys, cmap, region):
     by a power of two is exact, so that grid has the same bits as one
     built by ``np.linspace(-epsilon, epsilon, _N_SAMPLE)``.  A traced
     map skips, untraced, each candidate whose reference segment already
-    leaves the region.
+    leaves the region.  A candidate whose inverse fails, by a
+    ``MapError`` or a non-finite field value, is skipped too; when every
+    candidate fails, the ``MapError`` names the last one's error.
     """
     delta0 = float(discriminant(*sys.hyper.principal_values(cmap.x0, cmap.y0)))
     u = np.linspace(-1.0, 1.0, _N_SAMPLE)
     su, tu = np.meshgrid(u, u, indexing="ij")
     for eps in _EPS_CANDIDATES:
+        error = None
         if not cmap.linear and not _reference_segment_fits(cmap, region, eps):
             continue
         try:
             x, y = cmap.inverse(su.ravel() * eps, tu.ravel() * eps)
-        except MapError:
+        except (MapError, EvalDomainError) as err:
+            error = err
             continue
         if not region.contains(x, y):
             continue
         if np.min(discriminant(*sys.hyper.principal_values(x, y))) >= 0.5 * delta0:
             return eps, x, y
-    raise MapError("no admissible square neighbourhood found")
+    raise MapError("no admissible square neighbourhood found"
+                   + (f" (the last square: {error})" if error else ""))
 
 
 def _memo_key(s, t):
@@ -664,70 +668,33 @@ def second_derivative_matrix(sx, tx, sy, ty):
     )
 
 
-@dataclass(frozen=True)
-class WPointData:
-    """Derivatives of w at the origin of characteristic coordinates,
-    together with the mixed x-y derivative deduced from the pair."""
+def transfer_point_data(cmap, jet):
+    """Carry the 2-jet of u at (x0, y0) to the 2-jet of w at (0, 0).
 
-    w: float
-    ws: float
-    wt: float
-    wss: float
-    wst: float
-    wtt: float
-    uxy: float
-
-    def as_array(self):
-        return np.array([self.w, self.ws, self.wt, self.wss, self.wst, self.wtt])
-
-
-def transfer_point_data(sys, cmap, data):
-    """Transfer point data of u at (x0, y0) to data of w at (0, 0).
-
-    ``data`` maps the keys ``u, ux, uy, uxx, uyy`` to values.  The mixed
-    derivative ``uxy`` is deduced from whichever equation of the pair
-    has the larger mixed-derivative coefficient at the point (positivity
-    of the discriminant keeps them from vanishing together).  First
-    derivatives of w invert the Jacobian relation; second derivatives
-    solve the 3x3 system whose determinant is det(J)^3.
+    ``jet`` maps ``u, ux, uy, uxx, uxy, uyy`` to values (see
+    :func:`ucp2d.pipeline.complete_second_derivatives`).  The chain rule
+    alone: first derivatives of w invert the Jacobian relation; second
+    derivatives solve the 3x3 system whose determinant is det(J)^3.
+    Returns a dict with the keys ``w, ws, wt, wss, wst, wtt``.
     """
-    missing = [k for k in ("u", "ux", "uy", "uxx", "uyy") if k not in data]
-    if missing:
-        raise ValueError(f"point data missing entries: {', '.join(missing)}")
-    x0, y0 = cmap.x0, cmap.y0
-    h20, h11, h02, h10, h01, h00 = sys.hyper.values(x0, y0)
-    e20, e11, e02, e10, e01, e00 = sys.ell.values(x0, y0)
-    u, ux, uy = data["u"], data["ux"], data["uy"]
-    uxx, uyy = data["uxx"], data["uyy"]
-
-    scale = max(abs(v) for v in (h20, h11, h02, e20, e11, e02)) or 1.0
-    if abs(h11) >= abs(e11):
-        denom, rest = h11, h20 * uxx + h02 * uyy + h10 * ux + h01 * uy + h00 * u
-    else:
-        denom, rest = e11, e20 * uxx + e02 * uyy + e10 * ux + e01 * uy + e00 * u
-    if abs(denom) <= _ZERO_TOL * scale:
-        raise MapError(
-            "mixed-derivative coefficients of both equations vanish at the point"
-        )
-    uxy = -rest / denom
-
     (sx, tx, sy, ty), (sxx, sxy, syy, txx, txy, tyy) = cmap.base_jet()
     det = sx * ty - tx * sy
     if abs(det) <= _ZERO_TOL:
         raise MapError("Jacobian singular at the base point")
+    ux, uy = jet["ux"], jet["uy"]
     ws = (ty * ux - sy * uy) / det
     wt = (-tx * ux + sx * uy) / det
 
     rhs = np.array(
         [
-            uxx - sxx * ws - txx * wt,
-            uxy - sxy * ws - txy * wt,
-            uyy - syy * ws - tyy * wt,
+            jet["uxx"] - sxx * ws - txx * wt,
+            jet["uxy"] - sxy * ws - txy * wt,
+            jet["uyy"] - syy * ws - tyy * wt,
         ]
     )
     m3 = second_derivative_matrix(sx, tx, sy, ty)
     wss, wst, wtt = np.linalg.solve(m3, rhs)
-    return WPointData(
-        w=float(u), ws=float(ws), wt=float(wt),
-        wss=float(wss), wst=float(wst), wtt=float(wtt), uxy=float(uxy),
-    )
+    return {
+        "w": float(jet["u"]), "ws": float(ws), "wt": float(wt),
+        "wss": float(wss), "wst": float(wst), "wtt": float(wtt),
+    }

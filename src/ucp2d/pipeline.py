@@ -8,9 +8,10 @@ argument on supplied point data, and estimates the dimension of the
 local solution family of the pair by singular-value analysis of its
 finite-difference discretisation.
 
-The ucp stage decides what the point data allow (completing four-value
-data through the pair, declining degenerate or nonzero data) and reports
-it; the vanishing chain itself is :func:`ucp2d.riemann.riemann_chain`.
+The ucp stage decides what the point data allow (completing four or five
+values through the pair to the 2-jet at the point, declining data the
+pair leaves open and nonzero data) and reports it; the vanishing chain
+itself is :func:`ucp2d.riemann.riemann_chain`.
 """
 
 from __future__ import annotations
@@ -453,27 +454,35 @@ def projection_defect(result, values):
 # -- point-data analysis ---------------------------------------------------
 
 
-def complete_second_derivatives(sys, x0, y0, data, given_second, rank_threshold=1e-9):
-    """Recover the unobserved second derivatives from four-value data.
+def complete_second_derivatives(sys, x0, y0, data, rank_threshold=1e-9):
+    """The 2-jet ``u, ux, uy, uxx, uxy, uyy`` that point data give at the point.
 
-    With ``u, ux, uy`` and one of ``uxx/uyy`` given, the two equations
-    of the pair restrict the remaining pair ``(uxy, other)`` at the
-    point.  A nonsingular 2x2 system pins them (this always happens when
-    the mixed-offdiagonal coefficient ``a1222`` vanishes at the point);
-    a rank-deficient one is the counterexample situation and raises
-    :class:`DegenerateDataError`.
+    ``data`` carries ``u, ux, uy`` and one or both of ``uxx, uyy``.  With
+    both, ``uxy`` comes from whichever member of the pair has the larger
+    mixed-derivative coefficient at the point.  With one, the two members
+    restrict ``(uxy, missing)`` to a 2x2 system; a nonsingular one pins
+    them (this always happens when ``a1222`` vanishes at the point).
+    Data the pair leaves open at the point -- both mixed coefficients
+    zero, or a rank-deficient 2x2 system, the counterexample situation --
+    raise :class:`DegenerateDataError`.
     """
-    if given_second not in ("uxx", "uyy"):
-        raise ValueError("given_second must be 'uxx' or 'uyy'")
     # rows: hyper, ell; columns xx, xy, yy, then x, y, u
     values = np.array([sys.hyper.values(x0, y0), sys.ell.values(x0, y0)])
     h, lower = values[:, :3], values[:, 3:]
-    known_col = 0 if given_second == "uxx" else 2
-    unknown_key = "uyy" if given_second == "uxx" else "uxx"
-    unknown_col = 2 - known_col
-    m = h[:, [1, unknown_col]]  # columns: uxy, missing second derivative
+    if "uxx" in data and "uyy" in data:
+        c20, c11, c02, c10, c01, c00 = values[0 if abs(h[0, 1]) >= abs(h[1, 1]) else 1]
+        if abs(c11) <= ch._ZERO_TOL * (np.max(np.abs(h)) or 1.0):
+            raise DegenerateDataError(
+                "mixed-derivative coefficients of both equations vanish at the point"
+            )
+        rest = (c20 * data["uxx"] + c02 * data["uyy"]
+                + c10 * data["ux"] + c01 * data["uy"] + c00 * data["u"])
+        return dict(data, uxy=float(-rest / c11))
+    given, unknown = ("uxx", "uyy") if "uxx" in data else ("uyy", "uxx")
+    known_col = 0 if given == "uxx" else 2
+    m = h[:, [1, 2 - known_col]]  # columns: uxy, missing second derivative
     rhs = -(
-        h[:, known_col] * data[given_second]
+        h[:, known_col] * data[given]
         + lower @ np.array([data["ux"], data["uy"], data["u"]])
     )
     sv = np.linalg.svd(m, compute_uv=False)
@@ -483,9 +492,7 @@ def complete_second_derivatives(sys, x0, y0, data, given_second, rank_threshold=
             "derivatives are not determined at the point"
         )
     uxy, missing = np.linalg.solve(m, rhs)
-    completed = dict(data)
-    completed[unknown_key] = float(missing)
-    return completed, float(uxy)
+    return dict(data, uxy=float(uxy), **{unknown: float(missing)})
 
 
 # -- scenario execution ----------------------------------------------------
@@ -768,41 +775,36 @@ def _characteristics_report(cmap, tsys):
 
 
 def point_data_mode(scenario, sys):
-    """The point data as u, ux, uy, uxx, uyy (four values completed through
-    the pair; None when it degenerates under them) and the ``ucp`` report
-    entries that describe it."""
+    """The 2-jet the point data give (see :func:`complete_second_derivatives`;
+    None when the pair leaves it open) and the ``ucp`` report entries that
+    describe the data."""
     if scenario.point_data is None:
         raise StageError("ucp", "the ucp task needs point_data in the scenario")
-    data = dict(scenario.point_data)
+    data = scenario.point_data
     seconds = [k for k in ("uxx", "uyy") if k in data]
-    if len(seconds) == 2:
-        return data, {"data_mode": "five-value", "reduced_data_degenerate": False}
-    if len(seconds) != 1:
+    if not seconds:
         raise StageError("ucp", "point_data must carry one or both second derivatives")
-    entries = {"data_mode": f"four-value ({seconds[0]} given)"}
+    four = len(seconds) == 1
+    entries = {"data_mode": f"four-value ({seconds[0]} given)" if four else "five-value"}
     x0, y0 = scenario.point
     try:
-        data, _ = complete_second_derivatives(
-            sys, x0, y0, data, seconds[0], scenario.tolerances.rank_threshold
-        )
+        jet = complete_second_derivatives(sys, x0, y0, data, scenario.tolerances.rank_threshold)
     except DegenerateDataError as err:
-        return None, dict(entries, reduced_data_degenerate=True, declined=str(err))
-    a1222 = float(scenario.coefficients.a1222(x0, y0))
-    return data, dict(entries, reduced_data_degenerate=False, a1222_at_point=a1222)
+        return None, dict(entries, reduced_data_degenerate=four, declined=str(err))
+    entries["reduced_data_degenerate"] = False
+    if four:
+        entries["a1222_at_point"] = float(scenario.coefficients.a1222(x0, y0))
+    return jet, entries
 
 
 def _run_ucp_stage(scenario, sys, cmap, tsys):
-    data, result = point_data_mode(scenario, sys)
-    if data is None:
+    jet, result = point_data_mode(scenario, sys)
+    if jet is None:
         return result
 
-    wdata = ch.transfer_point_data(sys, cmap, data)
-    result["transferred"] = {
-        "w": wdata.w, "ws": wdata.ws, "wt": wdata.wt,
-        "wss": wdata.wss, "wst": wdata.wst, "wtt": wdata.wtt,
-        "uxy_deduced": wdata.uxy,
-    }
-    transferred_max = float(np.max(np.abs(wdata.as_array())))
+    wjet = ch.transfer_point_data(cmap, jet)
+    result["transferred"] = dict(wjet, uxy_deduced=jet["uxy"])
+    transferred_max = float(np.max(np.abs(list(wjet.values()))))
     result["transferred_max"] = transferred_max
     if transferred_max > 100 * scenario.tolerances.ivp_tol:
         result["declined"] = (
@@ -812,7 +814,7 @@ def _run_ucp_stage(scenario, sys, cmap, tsys):
 
     probe = np.linspace(-tsys.epsilon, tsys.epsilon, 9)
     traces, vals = rm.riemann_chain(
-        tsys, _axis_nodes(scenario), scenario.tolerances.picard_tol, wdata.w,
+        tsys, _axis_nodes(scenario), scenario.tolerances.picard_tol, wjet["w"],
         [(s, t) for s in probe for t in probe],
     )
     result["phi_sup"] = float(np.max(np.abs(traces.phi)))

@@ -323,7 +323,7 @@ def _integral_to(nodes, values, b):
     return cb - c0
 
 
-def represent_solution(tsys, provider, w00, traces, targets):
+def represent_solution(provider, w00, traces, targets):
     """Evaluate the representation formula at each target point.
 
     ``w(s,t) = w00 R(0,0,s,t) + int_0^s R(sig,0,s,t) phi(sig) dsig
@@ -548,4 +548,4 @@ def riemann_chain(tsys, n, tol, w00, targets):
         )
         marched.append(u)
     traces = CauchyTraces(nodes, *marched)
-    return traces, represent_solution(tsys, provider, w00, traces, targets)
+    return traces, represent_solution(provider, w00, traces, targets)

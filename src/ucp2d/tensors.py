@@ -58,6 +58,13 @@ def _named_field(key, v):
         raise ValueError(f"{key}: {err}") from err
 
 
+def _a_name(i, j, k, l):
+    """The stored component that ``a_ijkl`` equals under the full symmetry
+    ``a_ijkl = a_jikl = a_klij``."""
+    p1, p2 = sorted((tuple(sorted((i, j))), tuple(sorted((k, l)))))
+    return f"a{p1[0]}{p1[1]}{p2[0]}{p2[1]}"
+
+
 @dataclass(frozen=True)
 class ElasticityCoefficients:
     """Six independent stiffness components plus lower-order terms.
@@ -77,11 +84,7 @@ class ElasticityCoefficients:
 
     def a(self, i, j, k, l):
         """Resolve any index quadruple through the full symmetry."""
-        p1 = tuple(sorted((i, j)))
-        p2 = tuple(sorted((k, l)))
-        p1, p2 = sorted((p1, p2))
-        name = f"a{p1[0]}{p1[1]}{p2[0]}{p2[1]}"
-        return getattr(self, name)
+        return getattr(self, _a_name(i, j, k, l))
 
     def b_(self, i, j, k):
         return self.b.get((i, j, k), _ZERO)
@@ -98,12 +101,7 @@ class ElasticityCoefficients:
             for j in (1, 2):
                 for k in (1, 2):
                     for l in (1, 2):
-                        p1 = tuple(sorted((i, j)))
-                        p2 = tuple(sorted((k, l)))
-                        p1, p2 = sorted((p1, p2))
-                        out[i - 1, j - 1, k - 1, l - 1] = vals[
-                            f"a{p1[0]}{p1[1]}{p2[0]}{p2[1]}"
-                        ]
+                        out[i - 1, j - 1, k - 1, l - 1] = vals[_a_name(i, j, k, l)]
         return out
 
     @classmethod

@@ -174,7 +174,7 @@ def test_criterion_5_representation_formula():
     traces = CauchyTraces(nodes, 0 * nodes, 0 * nodes)
     grid = np.linspace(-0.5, 0.5, 13)
     targets = [(s, t) for s in grid for t in grid]
-    vals = represent_solution(tsys, prov, 1.0, traces, targets)
+    vals = represent_solution(prov, 1.0, traces, targets)
     ref = np.array([hyperbolic_bessel_series(s * t) for s, t in targets])
     err = float(np.max(np.abs(vals - ref)))
     if not err <= 1e-4:

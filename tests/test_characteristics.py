@@ -21,6 +21,7 @@ from ucp2d.characteristics import (
 from ucp2d.cli import load_scenario, scenario_dir
 from ucp2d.fields import EvalDomainError, FieldGroup, parse
 from ucp2d.geometry import Rect
+from ucp2d.pipeline import complete_second_derivatives
 from ucp2d.reduction import reduce_system
 from ucp2d.tensors import ElasticityCoefficients
 
@@ -721,6 +722,42 @@ def test_choose_epsilon_skips_a_square_whose_pair_trace_escapes(monkeypatch):
     assert eps == 1 / 32 and outcomes == [escapes] * 3 + ["inverted"]
 
 
+def test_choose_epsilon_skips_a_square_whose_inverse_meets_a_non_finite_slope(monkeypatch):
+    # with m+ = 1 the 0.25 square's first Newton trace reaches the band near
+    # x = -0.47 where m- is non-finite: that square fails with the domain
+    # error, and the 0.125 square inverts
+    cmap = _pair_map(monkeypatch, False, "0*exp(10000000*({a} + 0.48)*(-0.46 - {a}))",
+                     "1", base=(0.0, 0.0))
+    outcomes = []
+
+    def recorded(s, t, inverse=cmap.inverse):
+        try:
+            got = inverse(s, t)
+        except EvalDomainError as err:
+            outcomes.append(str(err))
+            raise
+        outcomes.append("inverted")
+        return got
+
+    eps, _, _ = ch._choose_epsilon(reduce_system(EX41B),
+                                   dataclasses.replace(cmap, inverse=recorded), REGION)
+    assert eps == 0.125 and len(outcomes) == 2 and outcomes[1] == "inverted"
+    assert outcomes[0].startswith("non-finite value in '0*exp(10000000*")
+
+
+def test_choose_epsilon_names_the_last_squares_error_when_every_square_fails():
+    sys = reduce_system(EX41B)
+    cmap = build_map(sys, REGION, 0.0, 0.0)
+
+    def failing(s, t):
+        raise EvalDomainError(f"fails on the square of halfwidth {np.max(s)}")
+
+    with pytest.raises(MapError) as got:
+        ch._choose_epsilon(sys, dataclasses.replace(cmap, inverse=failing), REGION)
+    assert str(got.value) == ("no admissible square neighbourhood found (the last square: "
+                              f"fails on the square of halfwidth {ch._EPS_CANDIDATES[-1]})")
+
+
 class _CountedGroup:
     """A ``FieldGroup`` stand-in that counts the calls to it."""
 
@@ -935,21 +972,23 @@ def test_transfer_zero_data_gives_zero_w_data():
     sys = reduce_system(ElasticityCoefficients.isotropic(1.0, 1.0))
     cmap = build_map(sys, REGION, 0.0, 0.0)
     data = {"u": 0.0, "ux": 0.0, "uy": 0.0, "uxx": 0.0, "uyy": 0.0}
-    w = transfer_point_data(sys, cmap, data)
-    assert np.all(np.abs(w.as_array()) <= 1e-12)
-    assert w.uxy == 0.0
+    jet = complete_second_derivatives(sys, 0.0, 0.0, data)
+    w = transfer_point_data(cmap, jet)
+    assert np.all(np.abs(list(w.values())) <= 1e-12)
+    assert jet["uxy"] == 0.0
 
 
 def test_transfer_identity_map_passthrough():
     sys = reduce_system(ElasticityCoefficients.isotropic(1.0, 1.0))
     cmap = build_map(sys, REGION, 0.0, 0.0)
     data = {"u": 0.4, "ux": -0.3, "uy": 0.2, "uxx": 1.5, "uyy": -2.5}
-    w = transfer_point_data(sys, cmap, data)
-    assert (w.w, w.ws, w.wt) == (0.4, -0.3, 0.2)
-    assert (w.wss, w.wtt) == (1.5, -2.5)
+    jet = complete_second_derivatives(sys, 0.0, 0.0, data)
+    w = transfer_point_data(cmap, jet)
+    assert (w["w"], w["ws"], w["wt"]) == (0.4, -0.3, 0.2)
+    assert (w["wss"], w["wtt"]) == (1.5, -2.5)
     # for the isotropic pair the mixed derivative comes from the
     # hyperbolic equation: (mu+lam) uxy = 0
-    assert w.wst == w.uxy == 0.0
+    assert w["wst"] == jet["uxy"] == 0.0
 
 
 def test_transfer_consistent_solution_counterexample_b():
@@ -964,15 +1003,16 @@ def test_transfer_consistent_solution_counterexample_b():
         "uxx": u.diff("x").diff("x")(x0, y0),
         "uyy": u.diff("y").diff("y")(x0, y0),
     }
-    w = transfer_point_data(sys, cmap, data)
-    assert w.uxy == pytest.approx(1.0, abs=1e-13)  # true mixed derivative
+    jet = complete_second_derivatives(sys, x0, y0, data)
+    w = transfer_point_data(cmap, jet)
+    assert jet["uxy"] == pytest.approx(1.0, abs=1e-13)  # true mixed derivative
     # composing back through the chain rule recovers the u-data
     sx, tx, sy, ty = cmap.jacobian(x0, y0)
-    assert sx * w.ws + tx * w.wt == pytest.approx(data["ux"], abs=1e-12)
-    assert sy * w.ws + ty * w.wt == pytest.approx(data["uy"], abs=1e-12)
+    assert sx * w["ws"] + tx * w["wt"] == pytest.approx(data["ux"], abs=1e-12)
+    assert sy * w["ws"] + ty * w["wt"] == pytest.approx(data["uy"], abs=1e-12)
     m3 = second_derivative_matrix(sx, tx, sy, ty)
-    back = m3 @ np.array([w.wss, w.wst, w.wtt])
-    assert np.allclose(back, [data["uxx"], w.uxy, data["uyy"]], atol=1e-11)
+    back = m3 @ np.array([w["wss"], w["wst"], w["wtt"]])
+    assert np.allclose(back, [data["uxx"], jet["uxy"], data["uyy"]], atol=1e-11)
 
 
 def test_second_derivative_roundtrip_random_maps():

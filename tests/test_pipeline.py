@@ -488,9 +488,9 @@ def test_complete_seconds_lame_either_direction():
     sys = reduce_system(iso_with(1.0, 1.0))
     for given in ("uxx", "uyy"):
         data = {"u": 0.0, "ux": 0.0, "uy": 0.0, given: 0.0}
-        completed, uxy = complete_second_derivatives(sys, 0.0, 0.0, data, given)
-        assert uxy == 0.0
-        assert completed["uxx"] == 0.0 and completed["uyy"] == 0.0
+        jet = complete_second_derivatives(sys, 0.0, 0.0, data)
+        assert jet["uxy"] == 0.0
+        assert jet["uxx"] == 0.0 and jet["uyy"] == 0.0
 
 
 def test_complete_seconds_nonzero_consistent_data():
@@ -503,22 +503,18 @@ def test_complete_seconds_nonzero_consistent_data():
         "uy": u.diff("y")(x0, y0),
         "uxx": 2.0,
     }
-    completed, uxy = complete_second_derivatives(sys, x0, y0, data, "uxx")
-    assert uxy == pytest.approx(0.0, abs=1e-14)
-    assert completed["uyy"] == pytest.approx(-2.0 / 3.0, abs=1e-14)
+    jet = complete_second_derivatives(sys, x0, y0, data)
+    assert jet["uxy"] == pytest.approx(0.0, abs=1e-14)
+    assert jet["uyy"] == pytest.approx(-2.0 / 3.0, abs=1e-14)
 
 
 def test_complete_seconds_degenerate_counterexamples():
     sys_a = reduce_system(counterexample_a())
     with pytest.raises(DegenerateDataError):
-        complete_second_derivatives(
-            sys_a, 0.0, 0.0, {"u": 0, "ux": 0, "uy": 0, "uxx": 0}, "uxx"
-        )
+        complete_second_derivatives(sys_a, 0.0, 0.0, {"u": 0, "ux": 0, "uy": 0, "uxx": 0})
     sys_b = reduce_system(counterexample_b())
     with pytest.raises(DegenerateDataError):
-        complete_second_derivatives(
-            sys_b, 0.0, 0.0, {"u": 0, "ux": 0, "uy": 0, "uyy": 0}, "uyy"
-        )
+        complete_second_derivatives(sys_b, 0.0, 0.0, {"u": 0, "ux": 0, "uy": 0, "uyy": 0})
 
 
 # -- scenario runs -------------------------------------------------------------
@@ -592,6 +588,36 @@ def test_run_counterexample_a_declines_reduced_data():
     assert report["ucp"]["reduced_data_degenerate"]
     assert "declined" in report["ucp"]
     assert "w_sup" not in report["ucp"]
+
+
+def test_four_values_and_the_five_they_complete_transfer_alike():
+    # on lame_traced the pair completes uxx = 6 to uyy = -2 exactly; the
+    # five values then give uxy from one member, the four from the 2x2
+    # system, and the transferred w-jets agree to the bit
+    sc = load_scenario(scenario_dir() / "lame_traced.json")
+    four = {"u": 0.02, "ux": 0.3, "uy": -0.1, "uxx": 6.0}
+    five = dict(four, uyy=-2.0)
+    sys = reduce_system(sc.coefficients)
+    assert complete_second_derivatives(sys, *sc.point, four)["uyy"] == -2.0
+    blocks = []
+    for data in (four, five):
+        sub = dataclasses.replace(sc, tasks=("characteristics", "ucp"), expect={}, point_data=data)
+        report, _ = run(sub)
+        blocks.append({k: v.hex() for k, v in report["ucp"]["transferred"].items()})
+    assert blocks[0] == blocks[1]
+
+
+def test_point_data_mode_declines_five_values_the_pair_leaves_open():
+    # a1122 = -a1212 and a1112 = a1222 = 0: both mixed coefficients vanish
+    # at the point (Delta = 0 there), so five values leave uxy open
+    coeffs = ElasticityCoefficients.from_components(
+        {"a1111": 3.0, "a1112": 0.0, "a1122": -1.0, "a1212": 1.0, "a1222": 0.0, "a2222": 3.0}
+    )
+    jet, entries = pl.point_data_mode(lame_scenario(coefficients=coeffs), reduce_system(coeffs))
+    assert jet is None
+    assert entries["data_mode"] == "five-value"
+    assert entries["reduced_data_degenerate"] is False
+    assert "mixed-derivative coefficients" in entries["declined"]
 
 
 def test_run_rejects_hyperbolicity_violation():

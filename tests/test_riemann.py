@@ -335,7 +335,7 @@ def test_zero_traces_zero_seed_reproduce_zero():
     nodes = np.linspace(-0.5, 0.5, 65)
     traces = CauchyTraces(nodes, 0 * nodes, 0 * nodes)
     targets = [(-0.3, 0.4), (0.2, 0.2), (0.45, -0.45)]
-    vals = represent_solution(tsys, prov, 0.0, traces, targets)
+    vals = represent_solution(prov, 0.0, traces, targets)
     assert np.all(vals == 0.0)
 
 
@@ -357,7 +357,7 @@ def test_dalembert_reconstruction_from_traces():
     )
     rng = np.random.default_rng(1)
     targets = rng.uniform(-0.5, 0.5, size=(20, 2))
-    vals = represent_solution(tsys, prov, float(w(0.0, 0.0)), traces, list(targets))
+    vals = represent_solution(prov, float(w(0.0, 0.0)), traces, list(targets))
     ref = np.array([w(s, t) for s, t in targets])
     assert np.max(np.abs(vals - ref)) <= 5e-5
 
@@ -378,7 +378,7 @@ def test_bessel_solution_reconstruction():
     assert np.max(np.abs(traces.psi)) == 0.0
     grid = np.linspace(-0.5, 0.5, 13)
     targets = [(s, t) for s in grid for t in grid]
-    vals = represent_solution(tsys, prov, 1.0, traces, targets)
+    vals = represent_solution(prov, 1.0, traces, targets)
     ref = np.array([hyperbolic_bessel_series(s * t) for s, t in targets])
     assert np.max(np.abs(vals - ref)) <= 1e-4
 
@@ -406,7 +406,7 @@ def test_superposed_shifted_kernels_reconstruct_with_active_trace():
         prov = RiemannProvider(tsys, n, tol=1e-12)
         nodes = np.linspace(-0.5, 0.5, n)
         traces = CauchyTraces(nodes, 0 * nodes, psi_exact(nodes))
-        vals = represent_solution(tsys, prov, float(w_ref(0.0, 0.0)), traces, targets)
+        vals = represent_solution(prov, float(w_ref(0.0, 0.0)), traces, targets)
         ref = np.array([w_ref(s, t) for s, t in targets])
         return np.max(np.abs(vals - ref))
 
