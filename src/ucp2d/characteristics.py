@@ -26,19 +26,22 @@ the mirrored parametrisation in ``dy s / dx s`` is used with intercepts
 on the horizontal reference line.  When both vanish, the map is the
 identity shifted to ``(x0, y0)``.
 
-Traced maps.  When the principal part varies, each coordinate of a point
-is found by tracing its characteristic to the reference line with RK4.
-The first variational equation, integrated alongside, gives the
-derivative along the reference line's direction, and the slope ratio the
-other one.  For second derivatives the trace also integrates the second
-variation.  So one trace per family gives the whole jet, the Jacobian
-and the second derivatives.  The inverse is a Newton iteration that
-starts from the base point's jet; that jet is traced once per map and
-also serves the origin's coefficients and the transfer of point data.
-The slopes m- and m+ are built from the same coefficients, so either
-both depend on the traced axis or neither does.  When neither does, one
-loop traces both families: RK4 is then Simpson's rule and the variations
-keep their start.  Otherwise the four-stage loop runs once per family.
+Maps.  Each kind of map gives one evaluator of (s, t) and, by order,
+their first and second partials, and one inverse, both on flat arrays;
+:func:`_map` builds every evaluator of a :class:`CharacteristicMap` from
+them under one shape rule.  Constant coefficients give a closed-form
+linear map.  Otherwise each coordinate of a point is found by tracing
+its characteristic to the reference line with RK4.  The first
+variational equation, integrated alongside, gives the derivative along
+the reference line's direction, and the slope ratio the other one; the
+second variation gives the second derivatives in the same trace.  The
+inverse is a Newton iteration from the base point's jet, which is
+computed once per map and also serves the origin's coefficients and the
+transfer of point data.  The slopes m- and m+ are built from the same
+coefficients, so either both depend on the traced axis or neither does.
+When neither does, one loop traces both families: RK4 is then Simpson's
+rule and the variations keep their start.  Otherwise the four-stage loop
+runs once per family.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ __all__ = [
     "TransformError",
     "CharacteristicMap",
     "TransformedSystem",
-    "characteristic_slopes",
     "build_map",
     "transform_system",
     "transfer_point_data",
@@ -84,10 +86,6 @@ class TransformError(ValueError):
     """Coordinate change did not produce the expected normal form."""
 
 
-def _sqrt_field(f):
-    return ScalarField(Call("sqrt", f.ast))
-
-
 def _case(h20, h11, h02):
     """The case of the map from the hyperbolic principal coefficients at
     one point or on a grid: the identity when ``h20`` and ``h02`` are
@@ -104,32 +102,15 @@ def _case(h20, h11, h02):
     raise MapError("neither leading coefficient is bounded away from zero on the region")
 
 
-def characteristic_slopes(sys, x, y):
-    """Classify the point and return the characteristic slope pair.
-
-    Returns ``(case, roots)`` where roots is ``None`` in the identity
-    case, the pair ``(m-, m+)`` of ``dx s/dy s`` values in the generic
-    case, and the pair of ``dy s/dx s`` values in the mirrored case.
-    """
-    h20, h11, h02 = sys.hyper.principal_values(x, y)
-    delta = discriminant(h20, h11, h02)
-    if delta <= 0.0:
-        raise MapError(f"hyperbolicity fails at ({x}, {y}): Delta = {delta}")
-    case = _case(h20, h11, h02)
-    if case == CASE_IDENTITY:
-        return case, None
-    return case, tuple(m(x, y) for m in _slope_fields(sys, case))
-
-
 @dataclass(frozen=True)
 class CharacteristicMap:
     """Invertible change of variables to characteristic coordinates.
 
-    All evaluators accept scalars or arrays.  ``jacobian`` returns the
-    tuple ``(sx, tx, sy, ty)`` of first partials, ``second_derivatives``
-    the tuple ``(sxx, sxy, syy, txx, txy, tyy)``, and ``jet`` both
-    tuples from one evaluation.  ``base_jet()`` is the jet at
-    ``(x0, y0)``, computed once per map.
+    ``jacobian`` returns the tuple ``(sx, tx, sy, ty)`` of first
+    partials, ``second_derivatives`` the tuple ``(sxx, sxy, syy, txx,
+    txy, tyy)``, and ``jet`` both tuples from one evaluation.
+    ``base_jet()`` is the jet at ``(x0, y0)``, computed once per map.
+    Every evaluator takes floats or arrays, under :func:`_shaped`'s rule.
     """
 
     case: str
@@ -144,67 +125,70 @@ class CharacteristicMap:
     linear: bool
 
 
-def _linear_map(case, x0, y0, roots):
-    if case == CASE_IDENTITY:
-        ms = mt = None
-    else:
-        ms, mt = roots
+def _shaped(fn, x, y, *args):
+    """The tuple ``fn(x, y, *args)`` on ``x`` and ``y`` broadcast and
+    flattened to float arrays, each value put back in the broadcast
+    shape, or a float when both arguments are scalars."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y))
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    values = fn(np.ravel(x), np.ravel(y), *args)
+    if shape:
+        return tuple(np.reshape(v, shape) for v in values)
+    return tuple(float(v[0]) for v in values)
 
-    if case == CASE_A1222:
-        # s, t measured as x-intercepts on the line y = y0
-        j = np.array([[1.0, 1.0], [ms, mt]])
-    elif case == CASE_A1112:
-        j = np.array([[ms, mt], [1.0, 1.0]])
-    else:
-        j = np.eye(2)
-    jt_inv = np.linalg.inv(j.T)
 
-    def forward(x, y):
-        scalar = not (np.shape(x) or np.shape(y))
-        dx, dy = np.asarray(x, dtype=float) - x0, np.asarray(y, dtype=float) - y0
-        s = j[0, 0] * dx + j[1, 0] * dy
-        t = j[0, 1] * dx + j[1, 1] * dy
-        if scalar:
-            return float(s), float(t)
-        return s, t
-
-    def jacobian(x, y):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        vals = (j[0, 0], j[0, 1], j[1, 0], j[1, 1])
-        if not shape:
-            return vals
-        return tuple(np.full(shape, v) for v in vals)
-
-    def second_derivatives(x, y):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        if not shape:
-            return (0.0,) * 6
-        return (np.zeros(shape),) * 6
-
-    def inverse(s, t):
-        scalar = not (np.shape(s) or np.shape(t))
-        s, t = np.asarray(s, dtype=float), np.asarray(t, dtype=float)
-        x = x0 + jt_inv[0, 0] * s + jt_inv[0, 1] * t
-        y = y0 + jt_inv[1, 0] * s + jt_inv[1, 1] * t
-        if scalar:
-            return float(x), float(y)
-        return x, y
+def _map(case, x0, y0, evaluate, inverse, linear):
+    """The map of one kind from its primitives on flat float arrays:
+    ``evaluate(x, y, order)`` gives ``(s, t)``, then from order 1 the
+    first partials ``(sx, tx, sy, ty)`` and at order 2 the second
+    ``(sxx, sxy, syy, txx, txy, tyy)``; ``inverse(s, t, base_jet)`` gives
+    ``(x, y)`` and may start from the map's cached base jet."""
 
     def jet(x, y):
-        return jacobian(x, y), second_derivatives(x, y)
+        values = _shaped(evaluate, x, y, 2)
+        return values[2:6], values[6:]
 
+    base_jet = functools.cache(lambda: jet(x0, y0))
     return CharacteristicMap(
         case=case,
         x0=x0,
         y0=y0,
-        forward=forward,
-        jacobian=jacobian,
-        second_derivatives=second_derivatives,
+        forward=lambda x, y: _shaped(evaluate, x, y, 0),
+        jacobian=lambda x, y: _shaped(evaluate, x, y, 1)[2:],
+        second_derivatives=lambda x, y: jet(x, y)[1],
         jet=jet,
-        base_jet=functools.cache(lambda: jet(x0, y0)),
-        inverse=inverse,
-        linear=True,
+        base_jet=base_jet,
+        inverse=lambda s, t: _shaped(inverse, s, t, base_jet),
+        linear=linear,
     )
+
+
+def _linear_map(case, x0, y0, roots):
+    """The closed-form map of the constant slope ratios ``roots``."""
+    if case == CASE_A1222:
+        # s, t measured as x-intercepts on the line y = y0
+        j = np.array([[1.0, 1.0], roots])
+    elif case == CASE_A1112:
+        j = np.array([roots, [1.0, 1.0]])
+    else:
+        j = np.eye(2)
+    jt_inv = np.linalg.inv(j.T)
+    (sx, tx), (sy, ty) = j
+
+    def evaluate(x, y, order):
+        dx, dy = x - x0, y - y0
+        values = (sx * dx + sy * dy, tx * dx + ty * dy)
+        if order:
+            values += tuple(np.full_like(x, v) for v in (sx, tx, sy, ty))
+        if order == 2:
+            values += (np.zeros_like(x),) * 6
+        return values
+
+    def inverse(s, t, _):
+        return (x0 + jt_inv[0, 0] * s + jt_inv[0, 1] * t,
+                y0 + jt_inv[1, 0] * s + jt_inv[1, 1] * t)
+
+    return _map(case, x0, y0, evaluate, inverse, linear=True)
 
 
 def _check(bounds, b, a=None):
@@ -302,7 +286,7 @@ def _variation_groups(m, b_var):
 def _slope_fields(sys, case):
     """The slope ratios ``(m-, m+)`` of the s and t families as fields."""
     h20, h11, h02 = sys.hyper.coefficients()[:3]
-    rt = _sqrt_field(discriminant(h20, h11, h02))
+    rt = ScalarField(Call("sqrt", discriminant(h20, h11, h02).ast))
     lead = h20 if case == CASE_A1112 else h02
     return (0.0 - (h11 - rt)) / (2.0 * lead), (0.0 - (h11 + rt)) / (2.0 * lead)
 
@@ -323,10 +307,6 @@ def _traced_map(case, sys, x0, y0, region):
     if mirrored:
         bounds = bounds[::-1]
 
-    def flat(x, y):
-        return (np.ravel(v) for v in np.broadcast_arrays(np.asarray(x, dtype=float),
-                                                         np.asarray(y, dtype=float)))
-
     variations = [_variation_groups(m, b_var) for m in (m_minus, m_plus)]
     # m- and m+ are built from the same h11, sqrt(Delta) and leading
     # coefficient, so either both read b or neither does; then one
@@ -337,7 +317,6 @@ def _traced_map(case, sys, x0, y0, region):
     def trace(x, y, order):
         """``((s, s_b[, s_bb]), (t, t_b[, t_bb]))`` at the points, with the
         second variations when ``order`` is 2."""
-        x, y = flat(x, y)
         a0, b0 = (y, x) if mirrored else (x, y)
         span = a_ref - a0
         if not np.any(span):
@@ -353,16 +332,6 @@ def _traced_map(case, sys, x0, y0, region):
             ends = _trace_slopes(slopes, a0, b0, span, bounds, mirrored)
         return tuple((b - ref, np.ones_like(b0), np.zeros_like(b0))[:order + 1] for b in ends)
 
-    def _shape_back(arr, x, y):
-        shape = np.broadcast_shapes(np.shape(x), np.shape(y))
-        if shape:
-            return np.reshape(arr, shape)
-        return float(np.asarray(arr).ravel()[0])
-
-    def forward(x, y):
-        (s, _), (t, _) = trace(x, y, 1)
-        return _shape_back(s, x, y), _shape_back(t, x, y)
-
     def partials(s_b, t_b, ms, mt):
         # d/db is the sensitivity factor and d/da follows from the slope
         # ratio m = da s / db s; b is y in the generic case, x in the mirrored
@@ -370,38 +339,30 @@ def _traced_map(case, sys, x0, y0, region):
             return s_b, t_b, ms * s_b, mt * t_b
         return ms * s_b, mt * t_b, s_b, t_b
 
-    def jacobian(x, y):
-        (_, s_b), (_, t_b) = trace(x, y, 1)
-        jac = partials(s_b, t_b, *slopes(*flat(x, y)))
-        return tuple(_shape_back(a, x, y) for a in jac)
-
-    def jet(x, y):
+    def evaluate(x, y, order):
+        (s, s_b, *s_w), (t, t_b, *t_w) = trace(x, y, max(order, 1))
+        if order < 2:
+            return (s, t, *partials(s_b, t_b, *slopes(x, y))) if order else (s, t)
         # S_b = v and S_bb = w from one trace of each family; along the level
         # curve S_a = m S_b, so S_ab = m_b v + m w and S_aa = m_a v + m S_ab
-        (_, s_b, s_bb), (_, t_b, t_bb) = trace(x, y, 2)
-        ms, mt, ms_a, ms_b, mt_a, mt_b = slope_jet(*flat(x, y))
+        (s_bb,), (t_bb,) = s_w, t_w
+        ms, mt, ms_a, ms_b, mt_a, mt_b = slope_jet(x, y)
         s_ab, t_ab = ms_b * s_b + ms * s_bb, mt_b * t_b + mt * t_bb
         s_aa, t_aa = ms_a * s_b + ms * s_ab, mt_a * t_b + mt * t_ab
-        jac = partials(s_b, t_b, ms, mt)
         if mirrored:
             second = (s_bb, s_ab, s_aa, t_bb, t_ab, t_aa)
         else:
             second = (s_aa, s_ab, s_bb, t_aa, t_ab, t_bb)
-        return (tuple(_shape_back(a, x, y) for a in jac),
-                tuple(_shape_back(a, x, y) for a in second))
+        return (s, t, *partials(s_b, t_b, ms, mt), *second)
 
-    base_jet = functools.cache(lambda: jet(x0, y0))
-
-    def inverse(s, t):
-        sf, tf = flat(s, t)
+    def inverse(sf, tf, base_jet):
         sx0, tx0, sy0, ty0 = base_jet()[0]  # computed once per map
         det0 = sx0 * ty0 - tx0 * sy0
         # start from the linearisation at the base point
         x = x0 + (ty0 * sf - sy0 * tf) / det0
         y = y0 + (-tx0 * sf + sx0 * tf) / det0
         for _ in range(_NEWTON_STEPS):
-            (s_cur, s_sec), (t_cur, t_sec) = trace(x, y, 1)
-            sx, tx, sy, ty = partials(s_sec, t_sec, *slopes(x, y))
+            s_cur, t_cur, sx, tx, sy, ty = evaluate(x, y, 1)
             rs = sf - s_cur
             rt_ = tf - t_cur
             det = sx * ty - tx * sy
@@ -419,20 +380,9 @@ def _traced_map(case, sys, x0, y0, region):
                 f"inversion did not converge in {_NEWTON_STEPS} Newton steps "
                 f"(last step {step:.3g})"
             )
-        return _shape_back(x, s, t), _shape_back(y, s, t)
+        return x, y
 
-    return CharacteristicMap(
-        case=case,
-        x0=x0,
-        y0=y0,
-        forward=forward,
-        jacobian=jacobian,
-        second_derivatives=lambda x, y: jet(x, y)[1],
-        jet=jet,
-        base_jet=base_jet,
-        inverse=inverse,
-        linear=False,
-    )
+    return _map(case, x0, y0, evaluate, inverse, linear=False)
 
 
 def build_map(sys, region, x0, y0):
@@ -460,8 +410,7 @@ def build_map(sys, region, x0, y0):
         return _linear_map(case, x0, y0, None)
     h = np.array([h20, h11, h02])
     if np.ptp(h, axis=(1, 2)).max() <= 1e-13 * max(np.abs(h).max(), 1.0):
-        case_pt, roots = characteristic_slopes(sys, x0, y0)
-        return _linear_map(case_pt, x0, y0, roots)
+        return _linear_map(case, x0, y0, [m(x0, y0) for m in _slope_fields(sys, case)])
     return _traced_map(case, sys, x0, y0, region)
 
 

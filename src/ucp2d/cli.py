@@ -71,6 +71,11 @@ def load_scenario(path):
     for key in ("tensor", "lower_order", "omega", "grid", "tolerances"):
         if key in raw and not isinstance(raw[key], dict):
             raise ScenarioFileError(f"{key}: expected an object, got {raw[key]!r}")
+    for key in ("tensor", "lower_order"):
+        for name, value in raw.get(key, {}).items():
+            error = pl.json_type_error(f"{key}.{name}", value, float)
+            if error and not isinstance(value, str):
+                raise ScenarioFileError(error)
     try:
         coeffs = tensors.ElasticityCoefficients.from_components(
             raw["tensor"], raw.get("lower_order")

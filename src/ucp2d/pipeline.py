@@ -54,7 +54,6 @@ __all__ = [
     "expectations_for",
     "json_type_error",
     "characteristics",
-    "riemann_provider",
     "riemann_section",
 ]
 
@@ -631,17 +630,12 @@ def _axis_nodes(scenario):
     return scenario.n if scenario.n % 2 == 1 else scenario.n + 1
 
 
-def riemann_provider(scenario, tsys):
-    """Riemann tables of the transformed pair on the whole square, with
-    :func:`_axis_nodes` nodes per axis."""
-    return rm.RiemannProvider(tsys, _axis_nodes(scenario), scenario.tolerances.picard_tol)
-
-
 def riemann_section(scenario, tsys):
     """The whole-square Riemann table of parameter (0, 0) and the entries of
     the ``riemann`` report section read from it."""
     with stage("riemann"):
-        tab = riemann_provider(scenario, tsys).table((0.0, 0.0))
+        provider = rm.RiemannProvider(tsys, _axis_nodes(scenario), scenario.tolerances.picard_tol)
+        tab = provider.table((0.0, 0.0))
         return tab, {
             "nodes_per_axis": int(len(tab.s_nodes)),
             "iterations": tab.iterations,

@@ -13,7 +13,6 @@ from ucp2d.characteristics import (
     CASE_IDENTITY,
     MapError,
     build_map,
-    characteristic_slopes,
     second_derivative_matrix,
     transfer_point_data,
     transform_system,
@@ -71,16 +70,25 @@ def exact_variable_map(x, y):
 # -- slope classification -----------------------------------------------
 
 
+def _linear_jacobian(sys):
+    """The case and the base-point Jacobian ``(sx, tx, sy, ty)`` of the
+    linear map of the constant ``sys`` on REGION: ``(m-, m+, 1, 1)`` in
+    the generic case, ``(1, 1, r-, r+)`` in the mirrored one."""
+    cmap = build_map(sys, REGION, 0.0, 0.0)
+    assert cmap.linear
+    return cmap.case, cmap.jacobian(0.0, 0.0)
+
+
 def test_slopes_constant_lame_identity_case():
     sys = reduce_system(ElasticityCoefficients.isotropic(1.0, 1.0))
-    case, roots = characteristic_slopes(sys, 0.0, 0.0)
-    assert case == CASE_IDENTITY and roots is None
+    case, jac = _linear_jacobian(sys)
+    assert case == CASE_IDENTITY and jac == (1.0, 0.0, 0.0, 1.0)
 
 
 def test_slopes_counterexample_b():
     sys = reduce_system(EX41B)
-    case, (m_minus, m_plus) = characteristic_slopes(sys, 0.0, 0.0)
-    assert case == CASE_A1112
+    case, (m_minus, m_plus, sy, ty) = _linear_jacobian(sys)
+    assert case == CASE_A1112 and (sy, ty) == (1.0, 1.0)
     rt = np.sqrt(12.0)
     assert m_minus == pytest.approx(-(6 - rt) / 4, abs=1e-14)
     assert m_plus == pytest.approx(-(6 + rt) / 4, abs=1e-14)
@@ -91,8 +99,8 @@ def test_slopes_counterexample_b():
 def test_slopes_mirrored_case():
     sys = reduce_system(tensor(a1212=3.0, a1222=1.0, a2222=1.0))
     # h = (0, 3, 1): the mirrored quadratic r^2 + 3r + 0 has roots 0, -3
-    case, (r_minus, r_plus) = characteristic_slopes(sys, 0.0, 0.0)
-    assert case == CASE_A1222
+    case, (sx, tx, r_minus, r_plus) = _linear_jacobian(sys)
+    assert case == CASE_A1222 and (sx, tx) == (1.0, 1.0)
     rt = 3.0
     assert r_minus == pytest.approx(-(3 - rt) / 2, abs=1e-14)
     assert r_plus == pytest.approx(-(3 + rt) / 2, abs=1e-14)
@@ -101,7 +109,7 @@ def test_slopes_mirrored_case():
 def test_slopes_require_hyperbolicity():
     sys = reduce_system(ElasticityCoefficients.isotropic(1.0, -1.0))
     with pytest.raises(MapError):
-        characteristic_slopes(sys, 0.0, 0.0)
+        build_map(sys, REGION, 0.0, 0.0)
 
 
 # -- map construction ----------------------------------------------------
@@ -350,6 +358,41 @@ def _lame_traced():
     sc = load_scenario(scenario_dir() / "lame_traced.json")
     sys = reduce_system(sc.coefficients)
     return sc, sys, build_map(sys, sc.omega, *sc.point)
+
+
+def _leaves(value):
+    return [leaf for part in value for leaf in (_leaves(part) if isinstance(part, tuple)
+                                                 else [part])]
+
+
+@pytest.mark.parametrize("which", ["ex41b", "mirrored", "lame_traced"])
+def test_every_evaluator_follows_one_shape_rule(which):
+    # floats and 0-d arrays give floats, arrays give their broadcast shape,
+    # and each entry has the bits of a scalar call at its point; inverse's
+    # Newton stop is global over the batch, so its entries agree to 1e-12
+    if which == "lame_traced":
+        cmap = _lame_traced()[2]
+    else:
+        coeffs = EX41B if which == "ex41b" else tensor(a1212=3.0, a1222=1.0, a2222=1.0)
+        cmap = build_map(reduce_system(coeffs), REGION, 0.0, 0.0)
+    assert cmap.linear == (which != "lame_traced")
+    u, v = np.array([0.03, -0.02, 0.01]), np.array([[-0.01], [0.02]])
+    for name in ("forward", "jacobian", "second_derivatives", "jet", "inverse"):
+        evaluate = getattr(cmap, name)
+        for a, b in [(u, u[::-1]), (v, u)]:  # shapes (3,) and (2, 3)
+            got = _leaves(evaluate(a, b))
+            a, b = np.broadcast_arrays(a, b)
+            assert all(np.shape(d) == a.shape for d in got)
+            want = []
+            for p, q in zip(a.ravel(), b.ravel()):
+                want.append(_leaves(evaluate(float(p), float(q))))
+                assert all(type(d) is float for d in want[-1])
+                assert _leaves(evaluate(np.array(p), np.array(q))) == want[-1]
+            got, want = np.array([np.ravel(d) for d in got]), np.array(want).T
+            if name == "inverse":
+                assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+            else:
+                assert got.tobytes() == want.tobytes()
 
 
 def test_transformed_coefficients_keep_grids_of_equal_bits_and_other_shapes_apart():
@@ -879,9 +922,9 @@ def test_rotated_tensor_slopes_satisfy_their_own_quadratic():
     h20 = sys1.hyper.c20(0, 0)
     h11 = sys1.hyper.c11(0, 0)
     h02 = sys1.hyper.c02(0, 0)
-    case, roots = characteristic_slopes(sys1, 0.0, 0.0)
+    case, (m_minus, m_plus, _, _) = _linear_jacobian(sys1)
     assert case == CASE_A1112
-    for m in roots:
+    for m in (m_minus, m_plus):
         assert abs(h20 * m**2 + h11 * m + h02) <= 1e-10
 
 
@@ -1047,4 +1090,4 @@ def test_transfer_rejects_doubly_degenerate_mixed_terms():
     t = tensor(a1112=1.0, a1122=-2.0, a1212=2.0)  # h = (1, 0, 0) -> Delta = 0
     sys = reduce_system(t)
     with pytest.raises(MapError):
-        characteristic_slopes(sys, 0.0, 0.0)
+        build_map(sys, REGION, 0.0, 0.0)

@@ -331,6 +331,19 @@ def test_malformed_scenario_exits_two_naming_key(tmp_path, capsys, key, value, n
     assert named in err
 
 
+@pytest.mark.parametrize("key", ["tensor.a1111", "lower_order.c12"])
+@pytest.mark.parametrize("value", [True, False, 10**400], ids=["true", "false", "huge_int"])
+def test_non_number_coefficient_values_exit_two_naming_key(tmp_path, capsys, key, value):
+    # a JSON boolean is not a number, and an integer past the float range
+    # is no finite one; both are refused at load time
+    section, name = key.split(".")
+    path = write_scenario(tmp_path, **{section: dict(BASE.get(section, {}), **{name: value})})
+    assert main(["check", "--scenario", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert key in err
+
+
 @pytest.mark.parametrize("tasks, stage", [
     (["conditions", "reduce"], "[conditions]"),
     (["nullspace"], "[nullspace]"),

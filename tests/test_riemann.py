@@ -191,7 +191,7 @@ def test_lower_order_golden_table_matches_bessel_oracle():
     # R(s, t, 0, 0) = exp(B12 s + B11 t) F((C1 - B11 B12) s t)
     sc = load_scenario(scenario_dir() / "lame_lower_order.json")
     _, tsys = pl.characteristics(sc, reduce_system(sc.coefficients))
-    tab = pl.riemann_provider(sc, tsys).table((0.0, 0.0))
+    tab = rm.RiemannProvider(tsys, pl._axis_nodes(sc), sc.tolerances.picard_tol).table((0.0, 0.0))
     b11, b12, c1 = 0.25, 0.15, 0.35
     sg, tg = np.meshgrid(tab.s_nodes, tab.t_nodes, indexing="ij")
     ref = np.exp(b12 * sg + b11 * tg) * hyperbolic_bessel_series((c1 - b11 * b12) * sg * tg)
@@ -484,7 +484,7 @@ def test_kernel_PQ_closed_form_against_table_differences(axis):
 def oracle_cases():
     sc = load_scenario(scenario_dir() / "lame_lower_order.json")
     _, tsys = pl.characteristics(sc, reduce_system(sc.coefficients))
-    yield pytest.param(tsys, pl.riemann_provider(sc, tsys).n, id="lame_lower_order")
+    yield pytest.param(tsys, pl._axis_nodes(sc), id="lame_lower_order")
     yield pytest.param(variable_system(), 33, id="plain_variable")
 
 
@@ -746,7 +746,7 @@ def test_kernel_table_equals_the_value_read_rows_bit_for_bit(name, monkeypatch):
     # through RiemannTable.value
     sc = load_scenario(scenario_dir() / f"{name}.json")
     _, tsys = pl.characteristics(sc, reduce_system(sc.coefficients))
-    n = pl.riemann_provider(sc, tsys).n
+    n = pl._axis_nodes(sc)
     h = 2 * tsys.epsilon / (n - 1)
 
     def chain_provider():
