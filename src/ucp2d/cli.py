@@ -53,6 +53,10 @@ def load_scenario(path):
         raw = json.loads(path.read_text())
     except FileNotFoundError:
         raise ScenarioFileError(f"scenario file not found: {path}")
+    except OSError as err:  # a directory, or a file that cannot be read
+        raise ScenarioFileError(f"scenario file cannot be read: {path}: {err.strerror or err}")
+    except UnicodeDecodeError as err:
+        raise ScenarioFileError(f"scenario file is not UTF-8 text: {path}: {err}")
     except json.JSONDecodeError as err:
         raise ScenarioFileError(f"scenario file is not valid JSON: {err}")
     if not isinstance(raw, dict):
@@ -341,6 +345,9 @@ def main(argv=None):
         path = _write_report(report, args.out, scenario.name)
     except (pl.StageError, ValueError) as err:  # includes ScenarioFileError
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except OSError as err:  # writing the report or a CSV; load_scenario raises none
+        print(f"error: --out {args.out}: {err}", file=sys.stderr)
         return 2
     status = "ok" if not failures else "expectation mismatch"
     print(f"{scenario.name}: {status} ({path})")

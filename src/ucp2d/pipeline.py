@@ -12,6 +12,9 @@ The ucp stage decides what the point data allow (completing four or five
 values through the pair to the 2-jet at the point, declining data the
 pair leaves open and nonzero data) and reports it; the vanishing chain
 itself is :func:`ucp2d.riemann.riemann_chain`.
+
+Only the null-space solver uses scipy, and its functions import it where
+they run, so a scenario without the nullspace task never loads scipy.
 """
 
 from __future__ import annotations
@@ -26,10 +29,6 @@ from functools import cache
 from math import factorial
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.blas import dgemm, dtrsm
-from scipy.linalg.lapack import dtpqrt
-from scipy.sparse.linalg import svds
 
 from ucp2d import characteristics as ch
 from ucp2d import riemann as rm
@@ -136,6 +135,8 @@ def _fd_matrix(n, h, deriv):
     Five-point central rows inside; the two rows nearest each end use
     one-sided stencils of ``deriv + 4`` nodes, also fourth order.
     """
+    import scipy.sparse as sp
+
     central = tuple(range(-2, 3))
     mat = sp.diags(_fd_weights(central, deriv), central, shape=(n, n)).toarray()
     width = deriv + 4
@@ -158,6 +159,8 @@ def _assemble_operator(sys, region, n):
     dominate ``sigma_max``.  Positive row weights leave the exact null
     space as it is.
     """
+    import scipy.sparse as sp
+
     xs, ys = region.grid(n)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     xg, yg = np.meshgrid(xs, ys, indexing="ij")
@@ -273,6 +276,8 @@ def _banded_r(a_sparse):
     ``blocks[:, p:, i]`` are Fortran-contiguous views.  Rows past the last
     column are padding with unit pivots and no other entries.
     """
+    from scipy.linalg.lapack import dtpqrt
+
     a, lead, w = _band_sorted(a_sparse)
     ncol, p = a.shape[1], max(w // _PANEL_DIVISOR, 1)
     size, m = w + p, -(-ncol // p)
@@ -309,6 +314,8 @@ def _block_solve(blocks, y, trans):
     ``x_i = T_i^-1 (y_i - B_i x_(i+1..))``; ``R^T x = y`` runs forward,
     ``x_i = T_i^-T y_i`` followed by ``y_(i+1..) -= B_i^T x_i``.
     """
+    from scipy.linalg.blas import dgemm, dtrsm
+
     p, size, m = blocks.shape
     ncol, k = y.shape
     xt = np.zeros((k, (m - 1) * p + size), order="F")
@@ -396,6 +403,8 @@ def null_space_dimension(sys, region, n, threshold=1e-6):
     block doubles while the dimension fills its converged part, so the
     dimension is never capped.
     """
+    from scipy.sparse.linalg import svds
+
     if n < 17:
         raise ValueError("need n >= 17 for a meaningful discretisation")
     a_sp, grid = _assemble_operator(sys, region, n)

@@ -71,6 +71,23 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["scenario-is-a-directory", "scenario-not-utf8", "out-is-a-file"])
+def test_file_system_errors_exit_two_naming_the_path(tmp_path, capsys, case):
+    scenario, out = write_scenario(tmp_path), tmp_path / "out"
+    if case == "scenario-is-a-directory":
+        scenario = out
+        out.mkdir()
+    elif case == "scenario-not-utf8":
+        scenario.write_bytes(b"\xff" + scenario.read_bytes())
+    else:
+        out.write_text("")
+    named = out if case == "out-is-a-file" else scenario
+    code = main(["check", "--scenario", str(scenario), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err and str(named) in err, err
+
+
 def test_unknown_key_rejected(tmp_path, capsys):
     path = write_scenario(tmp_path, bogus_key=1)
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
@@ -630,14 +647,65 @@ def test_import_sets_one_blas_thread_unless_the_caller_chose(blas_env, expected)
     assert _run_python(["-c", code], **blas_env).stdout.split() == expected
 
 
+# Runs ``cli.main(argv)``, or with ``[]`` loads every golden, then prints
+# its exit code, the scipy modules loaded after ``import ucp2d.cli``, the
+# thread variables as the first scipy import saw them (null if none ran),
+# and the scipy modules loaded at the end.
+_SCIPY_PROBE = """
+import json, os, sys
+from ucp2d import cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+
+class FirstScipyImport:
+    env = None
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" and self.env is None:
+            self.env = [os.environ.get(k) for k in %r]
+        return None
+
+after_import, watch = scipy_modules(), FirstScipyImport()
+sys.meta_path.insert(0, watch)
+argv, code = json.loads(sys.argv[1]), 0
+if argv:
+    code = cli.main(argv)
+else:
+    for path in sorted(cli.scenario_dir().glob("*.json")):
+        cli.load_scenario(path)
+print(json.dumps([code, after_import, watch.env, scipy_modules()]))
+""" % (_BLAS_THREAD_VARS,)
+
+
+def _scipy_probe(argv, **blas_env):
+    done = _run_python(["-c", _SCIPY_PROBE, json.dumps(argv)], **blas_env)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("command, golden", [
+    (None, None), ("run", "lame_traced"), ("nullspace", "lame_constant"),
+], ids=["load-goldens", "run", "nullspace"])
+def test_only_the_null_space_loads_scipy(tmp_path, command, golden):
+    # set-up and every stage but the null space run on numpy alone
+    argv = [command, "--scenario", str(scenario_dir() / f"{golden}.json"),
+            "--out", str(tmp_path)] if command else []
+    code, after_import, _, loaded = _scipy_probe(argv)
+    assert code == 0 and after_import == []
+    assert bool(loaded) == (command == "nullspace"), loaded
+
+
 def test_nullspace_report_is_the_same_with_blas_variables_unset_or_one(tmp_path):
+    # scipy loads at the first null-space solve, after importing ucp2d has
+    # set both variables, so its OpenBLAS reads one thread as numpy's does
     golden = str(scenario_dir() / "lame_constant.json")
-    reports = []
-    for name, blas_env in (("unset", {}), ("one", dict.fromkeys(_BLAS_THREAD_VARS, "1"))):
-        out = tmp_path / name
-        _run_python(["-m", "ucp2d", "nullspace", "--scenario", golden, "--out", str(out)],
-                    **blas_env)
-        reports.append((out / "lame_constant.report.json").read_bytes())
+    argv = ["nullspace", "--scenario", golden, "--out"]
+    code, after_import, env_at_scipy_load, _ = _scipy_probe([*argv, str(tmp_path / "unset")])
+    assert code == 0 and after_import == [] and env_at_scipy_load == ["1", "1"]
+    _run_python(["-m", "ucp2d", *argv, str(tmp_path / "one")],
+                **dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    reports = [(tmp_path / name / "lame_constant.report.json").read_bytes()
+               for name in ("unset", "one")]
     assert reports[0] == reports[1]
 
 

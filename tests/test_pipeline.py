@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg import blas, lapack
 
 from helpers import grid_step, point_data_solve, residual
 from ucp2d import characteristics as ch
@@ -210,9 +211,9 @@ def test_block_solve_hands_blas_views_of_the_factor(monkeypatch):
     a_sp = _edge_shape("ragged")
     blocks = pl._banded_r(a_sp)
     p, size, m = blocks.shape
-    calls, dtrsm = [], pl.dtrsm
-    monkeypatch.setattr(pl, "dtrsm", _recording(calls, dtrsm))
-    monkeypatch.setattr(pl, "dgemm", _recording(calls, pl.dgemm))
+    calls, dtrsm = [], blas.dtrsm
+    monkeypatch.setattr(blas, "dtrsm", _recording(calls, dtrsm))
+    monkeypatch.setattr(blas, "dgemm", _recording(calls, blas.dgemm))
     v = np.random.default_rng(5).standard_normal((a_sp.shape[1], 3))
     for trans in (True, False):
         pl._block_solve(blocks, v, trans)
@@ -234,7 +235,7 @@ def test_banded_r_windows_follow_the_rows_envelope(monkeypatch):
     n = 17
     a_sp = _edge_shape("ragged")
     calls = []
-    monkeypatch.setattr(pl, "dtpqrt", _recording(calls, pl.dtpqrt))
+    monkeypatch.setattr(lapack, "dtpqrt", _recording(calls, lapack.dtpqrt))
     blocks = pl._banded_r(a_sp)
     p, size, m = blocks.shape
     w = size - p
@@ -266,7 +267,7 @@ def test_inverse_iteration_solves_on_the_factor_it_was_given(monkeypatch):
     assert blocks[row, row, block] == 0.0
     sigma_max = np.linalg.norm(a_sp.toarray(), 2)
     calls = []
-    monkeypatch.setattr(pl, "dtrsm", _recording(calls, pl.dtrsm))
+    monkeypatch.setattr(blas, "dtrsm", _recording(calls, blas.dtrsm))
     ritz, vecs = pl._smallest_right_vectors(a_sp, blocks, 12, sigma_max)
     assert calls and all(np.shares_memory(args[1], blocks) for _, args, _ in calls)
     assert np.all(np.isfinite(ritz)) and np.all(np.isfinite(vecs))
@@ -326,7 +327,7 @@ def test_nullspace_solver_stays_sparse(monkeypatch):
             return fn(*args, **kwargs)
         return call
 
-    monkeypatch.setattr(pl, "dtpqrt", recording(pl.dtpqrt, 2))
+    monkeypatch.setattr(lapack, "dtpqrt", recording(lapack.dtpqrt, 2))
     monkeypatch.setattr(pl.np.linalg, "svd", recording(np.linalg.svd, 0))
     monkeypatch.setattr(scipy.linalg, "qr", None)
     monkeypatch.setattr(scipy.linalg, "svdvals", None)
