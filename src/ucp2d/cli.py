@@ -58,7 +58,7 @@ def load_scenario(path):
     except UnicodeDecodeError as err:
         raise ScenarioFileError(f"scenario file is not UTF-8 text: {path}: {err}")
     except json.JSONDecodeError as err:
-        raise ScenarioFileError(f"scenario file is not valid JSON: {err}")
+        raise ScenarioFileError(f"scenario file is not valid JSON: {path}: {err}")
     if not isinstance(raw, dict):
         raise ScenarioFileError("scenario file must hold a JSON object")
     unknown = set(raw) - _TOP_KEYS

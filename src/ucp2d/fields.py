@@ -21,6 +21,11 @@ Grammar, tightest binding first::
 
 with parentheses, the identifiers ``x``, ``y``, ``pi``, and the
 one-argument functions ``exp``, ``log``, ``sin``, ``cos``, ``sqrt``.
+An expression may nest at most ``_MAX_DEPTH`` = 100 levels: operators,
+calls and parenthesis groups on any path from its top to a leaf, counted
+as written.  :func:`parse` rejects a deeper one with a
+:class:`ParseError`, so the recursive walks over a tree (parsing,
+differentiation, compilation) stay well inside Python's recursion limit.
 
 Derivative trees fold literal subtrees and drop structurally zero terms:
 a subtree whose derivative is identically zero by its structure (no
@@ -109,124 +114,109 @@ class Call:
 
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*|\.\d+|\d+)(?P<expo>[eE][+-]?\d+)?"
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
     r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"|(?P<op>[-+*/^(),])|(?P<bad>\S))"
 )
+
+_MAX_DEPTH = 100  # levels from the top of a parsed expression to any leaf
+_LEVELS = (("+", "-"), ("*", "/"))  # left-associative binary operators, loosest first
 
 
 def _tokenize(text):
+    """``(kind, text, offset)`` of each token, then of the end of ``text``;
+    an operator's kind is the operator itself."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}", len(text) - len(stripped))
-        if m.group("num") is not None:
-            tokens.append(("num", m.group("num") + (m.group("expo") or ""), m.start("num")))
-        elif m.group("ident") is not None:
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((m[kind] if kind == "op" else kind, m[kind], m.start(kind)))
+    return tokens + [("end", "", len(text))]
 
 
-class _Parser:
-    def __init__(self, text):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
+# One function per binding level.  Each takes the tokens, the index of its
+# first token and its depth (the levels above it), and returns the node, its
+# height (the levels below it, 0 for a leaf) and the index past it.  _unary
+# turns a depth past the bound away before it recurses; a chain's first
+# operand and a power's base sit deeper than the depth they are parsed at,
+# so _chain checks depth + height as well.
 
-    def peek(self):
-        return self.tokens[self.i]
 
-    def next(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+def _too_deep(offset):
+    return ParseError(f"expression nests deeper than {_MAX_DEPTH} levels", offset)
 
-    def expect_op(self, op):
-        kind, val, off = self.peek()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}", off)
-        return self.next()
 
-    def parse(self):
-        node = self.sum_()
-        kind, val, off = self.peek()
-        if kind != "end":
-            raise ParseError(f"unexpected token {val!r}", off)
-        return node
+def _chain(tokens, i, depth, level=0):
+    """The ``_LEVELS[level]`` operators between operands of the next level
+    (unary terms after the last level)."""
+    if level == len(_LEVELS):
+        return _unary(tokens, i, depth)
+    offset = tokens[i][2]
+    node, height, i = _chain(tokens, i, depth, level + 1)
+    while depth + height <= _MAX_DEPTH:
+        op, _, offset = tokens[i]
+        if op not in _LEVELS[level]:
+            return node, height, i
+        rhs, rhs_height, i = _chain(tokens, i + 1, depth + 1, level + 1)
+        node, height = _bin(op, node, rhs), max(height, rhs_height) + 1
+    raise _too_deep(offset)
 
-    def sum_(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                node = _bin(val, node, self.term())
-            else:
-                return node
 
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                node = _bin(val, node, self.unary())
-            else:
-                return node
+def _unary(tokens, i, depth):
+    """A minus before a unary term, or an atom and, after a ``^``, its
+    exponent: a unary term, so that ``^`` is right associative and its
+    exponent may start with a minus."""
+    kind, _, offset = tokens[i]
+    if depth > _MAX_DEPTH:
+        raise _too_deep(offset)
+    if kind == "-":
+        node, height, i = _unary(tokens, i + 1, depth + 1)
+        return _neg(node), height + 1, i
+    node, height, i = _atom(tokens, i, depth)
+    if tokens[i][0] != "^":
+        return node, height, i
+    expo, expo_height, i = _unary(tokens, i + 1, depth + 1)
+    return _bin("^", node, expo), max(height, expo_height) + 1, i
 
-    def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return _neg(self.unary())
-        return self.power()
 
-    def power(self):
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            # right associative; the exponent admits a leading unary minus
-            return _bin("^", base, self.unary())
-        return base
+def _expect(tokens, i, op):
+    """The index past ``tokens[i]``, which must be ``op``."""
+    kind, _, offset = tokens[i]
+    if kind != op:
+        raise ParseError(f"expected {op!r}", offset)
+    return i + 1
 
-    def atom(self):
-        kind, val, off = self.next()
-        if kind == "num":
-            value = float(val)
-            if not math.isfinite(value):
-                raise ParseError(f"number literal {val} is not finite", off)
-            return Const(value)
-        if kind == "ident":
-            if val in VARIABLES:
-                return Var(val)
-            if val == "pi":
-                return Const(np.pi)
-            if val in FUNCTIONS:
-                self.expect_op("(")
-                args = [self.sum_()]
-                while self.peek()[:2] == ("op", ","):
-                    self.next()
-                    args.append(self.sum_())
-                self.expect_op(")")
-                if len(args) != 1:
-                    raise ParseError(f"{val} takes 1 argument, got {len(args)}", off)
-                return Call(val, args[0])
-            raise ParseError(f"unknown identifier {val!r}", off)
-        if kind == "op" and val == "(":
-            node = self.sum_()
-            self.expect_op(")")
-            return node
-        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", off)
+
+def _atom(tokens, i, depth):
+    """A number, ``pi``, a variable, a call or a parenthesised sum."""
+    kind, val, offset = tokens[i]
+    i += 1
+    if kind == "num":
+        value = float(val)
+        if not math.isfinite(value):
+            raise ParseError(f"number literal {val} is not finite", offset)
+        return Const(value), 0, i
+    if kind == "ident":
+        if val in VARIABLES:
+            return Var(val), 0, i
+        if val == "pi":
+            return Const(np.pi), 0, i
+        if val not in FUNCTIONS:
+            raise ParseError(f"unknown identifier {val!r}", offset)
+        arg, height, i = _chain(tokens, _expect(tokens, i, "("), depth + 1)
+        count = 1
+        while tokens[i][0] == ",":
+            _, _, i = _chain(tokens, i + 1, depth + 1)
+            count += 1
+        i = _expect(tokens, i, ")")
+        if count != 1:
+            raise ParseError(f"{val} takes 1 argument, got {count}", offset)
+        return Call(val, arg), height + 1, i
+    if kind == "(":
+        node, height, i = _chain(tokens, i, depth + 1)
+        return node, height + 1, _expect(tokens, i, ")")
+    raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", offset)
 
 
 def _neg(node):
@@ -238,16 +228,15 @@ def _neg(node):
 def _bin(op, lhs, rhs):
     # fold literal subtrees; leave the node intact if folding would raise
     # or give a non-finite value, so that evaluation reports it
-    node = Bin(op, lhs, rhs)
     if isinstance(lhs, Const) and isinstance(rhs, Const):
         try:
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                value, = _run(_compile(node), 0.0, 0.0)
+                value = _BINARY[op](lhs.value, rhs.value)
         except EvalDomainError:
-            return node
+            return Bin(op, lhs, rhs)
         if np.isfinite(value):
             return Const(value)
-    return node
+    return Bin(op, lhs, rhs)
 
 
 def _pow(base, expo):
@@ -530,13 +519,18 @@ def parse(text):
     """Parse expression text into a :class:`ScalarField`.
 
     Raises :class:`ParseError` (with byte offset) on malformed input,
-    unknown identifiers, or wrong function arity.
+    unknown identifiers, wrong function arity, or nesting past the bound.
     """
     if not isinstance(text, str):
         raise ParseError("expression must be a string", 0)
     if not text.strip():
         raise ParseError("empty expression", 0)
-    return ScalarField(_Parser(text).parse(), source=text)
+    tokens = _tokenize(text)
+    node, _, i = _chain(tokens, 0, 0)
+    kind, val, offset = tokens[i]
+    if kind != "end":
+        raise ParseError(f"unexpected token {val!r}", offset)
+    return ScalarField(node, source=text)
 
 
 def _finite(value, field):

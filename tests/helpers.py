@@ -4,6 +4,7 @@ Kept apart from the package on purpose: these recompute reference
 values through a different route than the code under test.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,25 @@ def hyperbolic_bessel_series(z, terms=60):
     return out
 
 
+@functools.cache
+def bessel_representation():
+    """``represent_solution`` of w = F(s t) with F the series above, which
+    solves ds dt w + w = 0 (c1 = 1, epsilon = 0.5) with w(0, 0) = 1 and
+    axis traces that vanish, on n = 257 nodes per axis with Picard
+    tolerance 1e-12, at the 13 x 13 targets of the square; returns those
+    values and the series at the targets.  Computed once, for the two
+    tests that read it."""
+    tsys = ch.TransformedSystem.from_constants(c1=1.0, epsilon=0.5)
+    nodes = np.linspace(-0.5, 0.5, 257)
+    traces = CauchyTraces(nodes, 0 * nodes, 0 * nodes)
+    grid = np.linspace(-0.5, 0.5, 13)
+    targets = [(s, t) for s in grid for t in grid]
+    values = rm.represent_solution(rm.RiemannProvider(tsys, 257, tol=1e-12), 1.0, traces, targets)
+    reference = np.array([hyperbolic_bessel_series(s * t) for s, t in targets])
+    values.flags.writeable = reference.flags.writeable = False  # shared by every caller
+    return values, reference
+
+
 def hyperbolic_bessel_series_d(z, terms=60):
     """Derivative of the series with respect to z."""
     z = np.asarray(z, dtype=float)
@@ -45,6 +65,39 @@ def hyperbolic_bessel_series_d(z, terms=60):
         coeff = (-1.0) ** k / (math.factorial(k) ** 2)
         out += coeff * k * z ** (k - 1)
     return out
+
+
+def laplace_riemann(b11, b12, form, s, t, xi, eta):
+    """R(s, t; xi, eta) of ``ds dt w + B11 ds w + B12 dt w + C1 w = 0`` when
+    a Laplace invariant of the normal form vanishes, for callable B11 and
+    B12 of (s, t).  The adjoint operator then factorises and R is the
+    exponential of two line integrals:
+
+    - ``form == 1``, C1 = dt B12 + B11 B12:
+      R = exp(int_xi^s B12(sig, eta) dsig + int_eta^t B11(s, tau) dtau);
+    - ``form == 2``, C1 = ds B11 + B11 B12:
+      R = exp(int_eta^t B11(xi, tau) dtau + int_xi^s B12(sig, t) dsig).
+
+    The integrals use 8-point Gauss-Legendre quadrature, exact for
+    polynomial coefficients of degree below 16.
+    """
+    s, t = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(t, dtype=float))
+    x, w = np.polynomial.legendre.leggauss(8)
+
+    def integral(f, a, b):
+        # int_a^b f(u) du, the quadrature nodes u on a trailing axis
+        half, mid = (b - a)[..., None] / 2.0, (b + a)[..., None] / 2.0
+        u = half * x + mid
+        return (half * np.broadcast_to(f(u), u.shape)) @ w
+
+    xi, eta = np.full(s.shape, float(xi)), np.full(s.shape, float(eta))
+    if form == 1:
+        along_s = integral(lambda u: b12(u, eta[..., None]), xi, s)
+        along_t = integral(lambda u: b11(s[..., None], u), eta, t)
+    else:
+        along_s = integral(lambda u: b12(u, t[..., None]), xi, s)
+        along_t = integral(lambda u: b11(xi[..., None], u), eta, t)
+    return np.exp(along_s + along_t)
 
 
 def _walk_pow(base, expo):

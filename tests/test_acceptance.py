@@ -12,7 +12,13 @@ import json
 import numpy as np
 import pytest
 
-from helpers import hyperbolic_bessel_series, point_data_solve, random_elliptic_tensor, residual
+from helpers import (
+    bessel_representation,
+    hyperbolic_bessel_series,
+    point_data_solve,
+    random_elliptic_tensor,
+    residual,
+)
 from ucp2d import cli
 from ucp2d import pipeline as pl
 from ucp2d.characteristics import (
@@ -24,13 +30,7 @@ from ucp2d.characteristics import (
 from ucp2d.fields import parse
 from ucp2d.geometry import Rect
 from ucp2d.reduction import discriminant, reduce_system
-from ucp2d.riemann import (
-    CauchyTraces,
-    RiemannProvider,
-    represent_solution,
-    solve_riemann,
-    volterra_ivp,
-)
+from ucp2d.riemann import solve_riemann, volterra_ivp
 from ucp2d.tensors import (
     ElasticityCoefficients,
     ellipticity_margin,
@@ -167,15 +167,8 @@ def test_criterion_4_riemann_solver_bessel():
 
 def test_criterion_5_representation_formula():
     failures = []
-    tsys = TransformedSystem.from_constants(c1=1.0, epsilon=0.5)
-    n = 257
-    prov = RiemannProvider(tsys, n, tol=1e-12)
-    nodes = np.linspace(-0.5, 0.5, n)
-    traces = CauchyTraces(nodes, 0 * nodes, 0 * nodes)
-    grid = np.linspace(-0.5, 0.5, 13)
-    targets = [(s, t) for s in grid for t in grid]
-    vals = represent_solution(prov, 1.0, traces, targets)
-    ref = np.array([hyperbolic_bessel_series(s * t) for s, t in targets])
+    # c1 = 1, epsilon = 0.5, n = 257, zero traces, 13 x 13 targets
+    vals, ref = bessel_representation()
     err = float(np.max(np.abs(vals - ref)))
     if not err <= 1e-4:
         failures.append(f"reconstruction sup error {err:.3g} > 1e-4")

@@ -71,7 +71,8 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["scenario-is-a-directory", "scenario-not-utf8", "out-is-a-file"])
+@pytest.mark.parametrize(
+    "case", ["scenario-is-a-directory", "scenario-not-utf8", "not-json", "out-is-a-file"])
 def test_file_system_errors_exit_two_naming_the_path(tmp_path, capsys, case):
     scenario, out = write_scenario(tmp_path), tmp_path / "out"
     if case == "scenario-is-a-directory":
@@ -79,6 +80,8 @@ def test_file_system_errors_exit_two_naming_the_path(tmp_path, capsys, case):
         out.mkdir()
     elif case == "scenario-not-utf8":
         scenario.write_bytes(b"\xff" + scenario.read_bytes())
+    elif case == "not-json":
+        scenario.write_text('{"schema_version": 1,\n')
     else:
         out.write_text("")
     named = out if case == "out-is-a-file" else scenario
@@ -117,6 +120,23 @@ def test_malformed_expression_rejected(tmp_path, capsys):
     assert main(["run", "--scenario", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "tensor" in err
+
+
+@pytest.mark.parametrize("expr", [
+    "(" * 600 + "x" + ")" * 600,
+    "-" * 2000 + "1",
+    "x" + "^x" * 1500,
+    "+".join(["x"] * 5000),
+], ids=["parentheses", "unary-minuses", "powers", "sum"])
+def test_deep_expressions_exit_two_naming_the_key(tmp_path, capsys, expr):
+    doc = json.loads((scenario_dir() / "lame_constant.json").read_text())
+    doc["tensor"]["a1111"] = expr
+    path = tmp_path / "case.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--scenario", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "tensor.a1111:" in err and "deeper than" in err and "Traceback" not in err, err
 
 
 def test_string_tasks_rejected_naming_tasks(tmp_path, capsys):

@@ -77,6 +77,72 @@ def test_parse_error_offsets():
         parse("")
 
 
+@pytest.mark.parametrize("text, message, offset", [
+    ("x $ y", "unexpected character '$'", 2),
+    ("  x+\t@", "unexpected character '@'", 5),
+    ("x y $", "unexpected character '$'", 4),  # the scan fails before the parse
+    ("(x + y", "expected ')'", 6),
+    ("sin(x", "expected ')'", 5),
+    ("exp x", "expected '('", 4),
+    ("x y", "unexpected token 'y'", 2),
+    ("1.5.5", "unexpected token '.5'", 3),
+    ("exp()", "unexpected token ')'", 4),
+    ("x + zz", "unknown identifier 'zz'", 4),
+    ("exp(x, y)", "exp takes 1 argument, got 2", 0),
+    (" 2*sqrt(x,y,1)", "sqrt takes 1 argument, got 3", 3),
+    ("1e400*x", "number literal 1e400 is not finite", 0),
+    ("x + 2.5E+999", "number literal 2.5E+999 is not finite", 4),
+    ("x +", "unexpected end of input", 3),
+    ("(", "unexpected end of input", 1),
+    ("", "empty expression", 0),
+    (" \t\n", "empty expression", 0),
+    (3, "expression must be a string", 0),
+    (None, "expression must be a string", 0),
+])
+def test_parse_error_messages_and_offsets(text, message, offset):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == f"{message} (at offset {offset})"
+    assert err.value.offset == offset
+
+
+@pytest.mark.parametrize("build, limit, offset", [
+    (lambda k: "(" * k + "x" + ")" * k, 100, 101),
+    (lambda k: "exp(" * k + "x" + ")" * k, 100, 404),
+    (lambda k: "-" * k + "x", 100, 101),
+    (lambda k: "x" + "^x" * k, 100, 202),
+    (lambda k: "+".join(["x"] * (k + 1)), 100, 201),
+    (lambda k: "/".join(["x"] * (k + 1)), 100, 201),
+    # a chain's first operand and a power's base: two levels per group
+    (lambda k: "(" * k + "x" + "+x)" * k, 50, 199),
+    (lambda k: "(" * k + "x" + ")^x" * k, 50, 1),
+], ids=["parentheses", "calls", "minuses", "powers", "sum", "quotient", "first-operands",
+        "power-bases"])
+def test_nesting_past_the_bound_is_a_parse_error(build, limit, offset):
+    assert parse(build(limit)).source == build(limit)
+    with pytest.raises(ParseError) as err:
+        parse(build(limit + 1))
+    assert str(err.value) == f"expression nests deeper than 100 levels (at offset {offset})"
+
+
+_pieces = st.sampled_from([
+    "x", "y", "pi", "exp", "log", "sin", "cos", "sqrt", "zz", "0", "1", "7", ".", "e", "E",
+    "1e400", "+", "-", "*", "/", "^", "(", ")", ",", " ", "\t", "\u00a0", "\u0663",
+    "$", "@", "\u00e9",
+])
+
+
+@given(st.lists(_pieces, max_size=12).map("".join))
+@settings(max_examples=500, deadline=None)
+def test_parse_returns_a_field_or_raises_parse_error(text):
+    try:
+        f = parse(text)
+    except ParseError as err:
+        assert 0 <= err.offset <= len(text)
+        return
+    assert isinstance(f, ScalarField) and f.source == text
+
+
 def test_domain_errors_are_raised_not_nan():
     with pytest.raises(EvalDomainError):
         evaluate(parse("1/x"), 0.0, 1.0)

@@ -3,11 +3,13 @@ import pytest
 from scipy.special import j0
 
 from helpers import (
+    bessel_representation,
     bilinear,
     cauchy_traces_from_w,
     grid_step,
     hyperbolic_bessel_series,
     hyperbolic_bessel_series_d,
+    laplace_riemann,
     nine_call_apply_L,
     picard_solve_riemann,
     scalar_apply_L,
@@ -199,6 +201,62 @@ def test_lower_order_golden_table_matches_bessel_oracle():
     assert np.max(np.abs(tab.values - ref)) <= 1e-6
 
 
+# -- variable coefficients with a vanishing Laplace invariant ----------------
+
+
+def laplace_b11(s, t):
+    return 0.3 + 0.4 * s
+
+
+def laplace_b12(s, t):
+    return 0.5 * t + 0.2 * s
+
+
+def laplace_system(form):
+    """B11 and B12 above, and the C1 that makes a Laplace invariant vanish:
+    dt B12 + B11 B12 (form 1) or ds B11 + B11 B12 (form 2)."""
+    d = 0.5 if form == 1 else 0.4
+    return plain_system(b11=laplace_b11, b12=laplace_b12,
+                        c1=lambda s, t: d + laplace_b11(s, t) * laplace_b12(s, t))
+
+
+def laplace_error(tab, form):
+    sg, tg = np.meshgrid(tab.s_nodes, tab.t_nodes, indexing="ij")
+    ref = laplace_riemann(laplace_b11, laplace_b12, form, sg, tg, *tab.parameter)
+    return float(np.max(np.abs(tab.values - ref))), ref
+
+
+@pytest.mark.parametrize("form, measured", [
+    (1, (5.06e-6, 1.26e-6, 3.17e-7, 7.93e-8)),
+    (2, (7.40e-6, 1.86e-6, 4.65e-7, 1.16e-7)),
+])
+def test_variable_coefficient_tables_converge_to_the_laplace_closed_form(form, measured):
+    # the sup errors measured at n = 33, 65, 129 and 257, each bounded by
+    # twice its value, and falling by about 4 per halving of the step
+    tsys = laplace_system(form)
+    errors = []
+    for n, bound in zip((33, 65, 129, 257), measured):
+        err, ref = laplace_error(solve_riemann(tsys, (-0.1, 0.2), n, tol=1e-12), form)
+        assert np.max(np.abs(ref - 1.0)) > 0.2
+        assert err <= 2 * bound
+        errors.append(err)
+    assert all(a / b >= 3.9 for a, b in zip(errors, errors[1:])), errors
+
+
+@pytest.mark.parametrize("form", [1, 2])
+def test_chain_windows_match_the_laplace_closed_form(form):
+    # the windows of the vanishing chain's reach, one parameter off the
+    # grid and one at a corner, each against the closed form of its own
+    # parameter; the largest error measured is 4.2e-6 = 0.017 h^2
+    tsys, n = laplace_system(form), 65
+    h = 2 * tsys.epsilon / (n - 1)
+    parameters = [(0.0, 0.0), (0.125, -0.25), (-0.1, 0.2), (0.5, -0.5)]
+    tables = rm.solve_riemann_tables(tsys, parameters, n, tol=1e-12, reach=rm._CHAIN_REACH * h)
+    for parameter, tab in zip(parameters, tables):
+        assert tab.parameter == parameter and tab.values.size < n * n
+        assert laplace_error(tab, form)[0] <= 0.035 * h**2, parameter
+
+
 # -- windows: each table solved only where the chain reads it -----------------
 
 
@@ -366,7 +424,6 @@ def test_bessel_solution_reconstruction():
     # w = J0(2 sqrt(st)) solves ds dt w + w = 0; its axis traces vanish
     # and w(0,0) = 1, so the formula must reproduce the closed form
     tsys = plain_system(c1=1.0)
-    prov = RiemannProvider(tsys, 257, tol=1e-12)
     traces = cauchy_traces_from_w(
         tsys,
         lambda s, t: hyperbolic_bessel_series(np.asarray(s) * np.asarray(t)),
@@ -376,10 +433,9 @@ def test_bessel_solution_reconstruction():
     )
     assert np.max(np.abs(traces.phi)) == 0.0
     assert np.max(np.abs(traces.psi)) == 0.0
-    grid = np.linspace(-0.5, 0.5, 13)
-    targets = [(s, t) for s in grid for t in grid]
-    vals = represent_solution(prov, 1.0, traces, targets)
-    ref = np.array([hyperbolic_bessel_series(s * t) for s, t in targets])
+    assert np.array_equal(traces.nodes, np.linspace(-0.5, 0.5, 257))
+    # the representation from these zero traces on the same system and grid
+    vals, ref = bessel_representation()
     assert np.max(np.abs(vals - ref)) <= 1e-4
 
 
