@@ -15,19 +15,24 @@ Volterra structure makes the iteration contract).  Taking ``(s,t)`` at
 the parameter point makes every integral empty, so ``R = 1`` there by
 construction.
 
-:func:`solve_riemann_tables` is the one Picard loop: it takes many
-parameter points, evaluates the coefficients once on the uniform grid,
-stacks the tables whose windows have one shape, and iterates each stack
-until its last table converges.  Each table keeps its iterate from the
-step where its own step reaches the tolerance, so a table's bits do not
-depend on its batch.  :func:`solve_riemann` is its one-parameter call.
+A table is solved on a window: the rectangle between the origin and its
+parameter, widened by a reach along each axis (the whole square by
+default).  :func:`solve_riemann_tables` is the one Picard loop: it takes
+many parameter points, evaluates the coefficients once on the uniform
+grid, pads the windows of one shape class to one shape and stacks them,
+and iterates each stack until its last table converges.  Each table's
+step is taken over its own window, and each table keeps its iterate
+from the step where that step reaches the tolerance, so a table's bits
+do not depend on its batch.  :func:`solve_riemann` is its one-parameter
+call.
 
 :func:`riemann_chain` is the vanishing chain on these tables.  Zero point
 data make the Cauchy traces phi and psi solve two homogeneous Volterra
 equations on the axes, whose kernels are the elliptic operator applied
 to R in its parameter (:func:`apply_L` on the tables); solving them is
 the computational content of forcing the traces to vanish, and the
-representation formula then rebuilds the solution from the traces.
+representation formula then rebuilds the solution from the traces.  Each
+use solves its tables only where it reads them (:func:`_chain_reach`).
 """
 
 from __future__ import annotations
@@ -69,9 +74,29 @@ def _window(uniform, centre, reach):
     lo, hi = min(0.0, centre) - reach - pad, max(0.0, centre) + reach + pad
     cut = slice(int(np.searchsorted(uniform, lo)), int(np.searchsorted(uniform, hi, "right")))
     nodes = uniform[cut]
-    if np.min(np.abs(nodes - centre)) > pad:
+    if not np.any(np.abs(nodes - centre) <= pad):
         nodes, cut = np.sort(np.append(nodes, centre)), None
     return nodes, int(np.argmin(np.abs(nodes - centre))), cut
+
+
+def _windows(uniform, centres, reach):
+    """:func:`_window` of every centre on one axis, in one array pass.
+
+    Returns the first uniform index of each window, its node count, the
+    index of its centre among its nodes, and a dict from the position of
+    each off-grid centre to its augmented nodes (whose windows
+    :func:`_window` builds alone)."""
+    pad = 1e-12 * max(uniform[-1], 1.0)
+    start = np.searchsorted(uniform, np.minimum(0.0, centres) - reach - pad)
+    stop = np.searchsorted(uniform, np.maximum(0.0, centres) + reach + pad, "right")
+    right = np.clip(np.searchsorted(uniform, centres), 1, len(uniform) - 1)
+    near = right - (centres - uniform[right - 1] < uniform[right] - centres)
+    index, augmented = near - start, {}
+    for k in np.flatnonzero(np.abs(uniform[near] - centres) > pad):
+        nodes, index[k], _ = _window(uniform, centres[k], reach)
+        augmented[int(k)] = nodes
+        stop[k] = start[k] + len(nodes)
+    return start, stop - start, index, augmented
 
 
 def _coefficient_grid(tsys, s_nodes, t_nodes):
@@ -92,11 +117,27 @@ class RiemannTable:
     residual: float
 
     def value(self, s, t):
-        """Bilinear interpolation; exact on grid nodes.  A point outside
-        the table's nodes by more than 1e-12 raises ValueError."""
+        """Bilinear interpolation; exact on grid nodes and along an axis of
+        one node.  A point outside the table's nodes by more than 1e-12
+        raises ValueError."""
         s = np.asarray(s, dtype=float)
         t = np.asarray(t, dtype=float)
         scalar = s.ndim == 0 and t.ndim == 0
+        s, t = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
+        self._require_inside(s, t)
+        i, i1, ws = _cell(self.s_nodes, s)
+        j, j1, wt = _cell(self.t_nodes, t)
+        out = (
+            self.values[i, j] * (1 - ws) * (1 - wt)
+            + self.values[i1, j] * ws * (1 - wt)
+            + self.values[i, j1] * (1 - ws) * wt
+            + self.values[i1, j1] * ws * wt
+        )
+        return float(out[0]) if scalar else out
+
+    def _require_inside(self, s, t):
+        """Raise ValueError, naming the point and the parameter, unless every
+        point ``(s, t)`` lies within 1e-12 of the table's nodes."""
         s, t = np.broadcast_arrays(np.atleast_1d(s), np.atleast_1d(t))
         outside = (
             (s < self.s_nodes[0] - 1e-12) | (s > self.s_nodes[-1] + 1e-12)
@@ -108,20 +149,6 @@ class RiemannTable:
                 f"point ({s.flat[k]}, {t.flat[k]}) lies outside the Riemann table "
                 f"of parameter {self.parameter}"
             )
-        # cell of each point among the strictly increasing nodes
-        i = np.searchsorted(self.s_nodes[1:-1], s)
-        j = np.searchsorted(self.t_nodes[1:-1], t)
-        s0, s1 = self.s_nodes[i], self.s_nodes[i + 1]
-        t0, t1 = self.t_nodes[j], self.t_nodes[j + 1]
-        ws = (s - s0) / (s1 - s0)
-        wt = (t - t0) / (t1 - t0)
-        out = (
-            self.values[i, j] * (1 - ws) * (1 - wt)
-            + self.values[i + 1, j] * ws * (1 - wt)
-            + self.values[i, j + 1] * (1 - ws) * wt
-            + self.values[i + 1, j + 1] * ws * wt
-        )
-        return float(out[0]) if scalar else out
 
     def axis_slice(self, axis):
         """Values along t = 0 (axis 's') or s = 0 (axis 't'), with nodes."""
@@ -134,6 +161,17 @@ class RiemannTable:
         if abs(self.s_nodes[i]) > 1e-12:
             raise ValueError("0 is not a grid node; use an odd node count")
         return self.t_nodes, self.values[i, :]
+
+
+def _cell(nodes, x):
+    """The nodes of the cell of each ``x`` among strictly increasing
+    ``nodes``, and its weight on the right one; on an axis of one node both
+    are that node, with weight 0."""
+    if len(nodes) == 1:
+        zero = np.zeros(x.shape, dtype=int)
+        return zero, zero, np.zeros(x.shape)
+    i = np.searchsorted(nodes[1:-1], x)
+    return i, i + 1, (x - nodes[i]) / (nodes[i + 1] - nodes[i])
 
 
 def _cumulative_trapezoid(y, steps, axis):
@@ -154,16 +192,23 @@ def solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf):
     """Fixed point of the Riemann integral equation on the table's window.
 
     The window is the rectangle of the ``n`` uniform nodes per axis that
-    the origin and the parameter span, widened by the distance ``reach``
-    on every side and clipped to the square (the whole square by
-    default); a parameter abscissa off the uniform grid is added as a
-    node.  R at a point depends only on the rectangle between the point
-    and the parameter, so on its window a table agrees with the whole
-    square's up to rounding and the stopping tolerance.  Iteration stops
-    when successive iterates differ by at most ``tol`` in sup norm.  This
-    is the one-parameter call of :func:`solve_riemann_tables`.
+    the origin and the parameter span, widened by ``reach`` on both sides
+    and clipped to the square (the whole square by default); ``reach`` is
+    one distance for both axes or a pair (along s, along t).  A parameter
+    abscissa off the uniform grid is added as a node.  R at a point
+    depends only on the rectangle between the point and the parameter, so
+    on its window a table agrees with the whole square's up to rounding
+    and the stopping tolerance.  Iteration stops when successive iterates
+    differ by at most ``tol`` in sup norm over the window.  This is the
+    one-parameter call of :func:`solve_riemann_tables`.
     """
     return solve_riemann_tables(tsys, [parameter], n, tol, reach)[0]
+
+
+def _stack_class(lengths):
+    """Shape class of windows with these node counts (each at least 1):
+    each count rounded up to a power of 2."""
+    return 2 ** np.ceil(np.log2(lengths))
 
 
 def solve_riemann_tables(tsys, parameters, n, tol=1e-10, reach=np.inf):
@@ -174,33 +219,39 @@ def solve_riemann_tables(tsys, parameters, n, tol=1e-10, reach=np.inf):
     a traced map ``transform_system`` memoises that grid, so only the
     first call pulls it back); a window of uniform nodes is sliced from
     that evaluation, a window augmented with an off-grid node is
-    evaluated on its own nodes.
-    Tables whose windows have the same shape are stacked and iterated in
-    one Picard loop until the last of them converges.  A table's values
-    are its iterate at the step where its own sup-norm step reaches
-    ``tol``, and the next step's sup norm is its residual.  A table still
-    above ``tol`` after ``_PICARD_MAX_ITER`` steps raises
-    :class:`SolveError` naming its parameter.
+    evaluated on its own nodes.  The windows of one shape class
+    (:func:`_stack_class`) are stacked, each padded at its far end with
+    zero coefficients and zero steps to the stack's shape, and iterated
+    in one Picard loop until the last of them converges.  The trapezoid
+    sums run from each window's first node, so the padding never reaches
+    a table's cells, and a table's step is the sup norm over its own
+    window.  A table's values are its iterate at the step where its own
+    step reaches ``tol``, and the next step's sup norm is its residual,
+    so its bits do not depend on its stack.  A table still above ``tol``
+    after ``_PICARD_MAX_ITER`` steps raises :class:`SolveError` naming its
+    parameter.
     """
     if n < 9:
         raise ValueError("need at least 9 nodes per axis")
     if tol <= 0:
         raise ValueError("tol must be positive")
     eps = tsys.epsilon
+    points = np.array([(float(p[0]), float(p[1])) for p in parameters]).reshape(-1, 2)
+    if np.any(np.abs(points) > eps + 1e-12):
+        raise ValueError("parameter point outside the working square")
     uniform = np.linspace(-eps, eps, n)
+    axes = [_windows(uniform, points[:, a], r) for a, r in enumerate(np.broadcast_to(reach, 2))]
+    classes = _stack_class(np.stack([axes[0][1], axes[1][1]], axis=1))
+    _, stack_of = np.unique(classes, axis=0, return_inverse=True)
     grid = _coefficient_grid(tsys, uniform, uniform)
-    windows = []
-    for parameter in parameters:
-        xi, eta = (float(parameter[0]), float(parameter[1]))
-        if abs(xi) > eps + 1e-12 or abs(eta) > eps + 1e-12:
-            raise ValueError("parameter point outside the working square")
-        windows.append(((xi, eta), _window(uniform, xi, reach), _window(uniform, eta, reach)))
-    groups = {}
-    for k, (_, s_win, t_win) in enumerate(windows):
-        groups.setdefault((len(s_win[0]), len(t_win[0])), []).append(k)
-    tables = [None] * len(windows)
-    for members in groups.values():
-        solved = _solve_stack(tsys, [windows[k] for k in members], tol, grid)
+    tables = [None] * len(points)
+    for stack in range(stack_of.max(initial=-1) + 1):
+        members = np.flatnonzero(stack_of.ravel() == stack)
+        solved = _solve_stack(tsys, points[members], [
+            (start[members], count[members], index[members],
+             {m: augmented[k] for m, k in enumerate(members) if k in augmented})
+            for start, count, index, augmented in axes
+        ], uniform, grid, tol)
         for k, tab in zip(members, solved):
             tables[k] = tab
     return tables
@@ -221,46 +272,61 @@ def _picard_step(r, b12, b11, c1, ds, dt, i_xi, j_eta):
     return 1.0 + int_s + int_t - int_st
 
 
-def _solve_stack(tsys, windows, tol, grid):
-    """Tables of windows of one shape, from one Picard loop on their stack;
-    ``grid`` holds B12, B11 and C1 on the uniform grid."""
-    parameters, s_windows, t_windows = zip(*windows)
-    s_nodes, i_xi, s_cuts = zip(*s_windows)
-    t_nodes, j_eta, t_cuts = zip(*t_windows)
-    coefficients = [
-        [g[s_cut, t_cut] for g in grid]
-        if s_cut is not None and t_cut is not None
-        else _coefficient_grid(tsys, s, t)
-        for s, t, s_cut, t_cut in zip(s_nodes, t_nodes, s_cuts, t_cuts)
-    ]
-    stack = [np.stack(c) for c in zip(*coefficients)] + [
-        np.diff(s_nodes, axis=1)[:, :, None], np.diff(t_nodes, axis=1)[:, None, :],
-        np.array(i_xi), np.array(j_eta),
-    ]
-    count = len(windows)
-    values, iterations, residuals = [None] * count, [0] * count, [0.0] * count
-    r = np.ones(stack[0].shape)
+def _solve_stack(tsys, parameters, axes, uniform, grid, tol):
+    """Tables of one stack of windows, from one Picard loop.
+
+    ``axes`` holds, per axis, each window's first uniform index, node
+    count, parameter index and augmented nodes (as :func:`_windows` gives
+    them); ``grid`` holds B12, B11 and C1 on the ``uniform`` grid.  The
+    stack's padding has zero coefficients and zero steps, and the iterate
+    is zeroed there after each step, so its step is 0 and each table's
+    step is its own window's."""
+    (s0, ls, i_xi, s_aug), (t0, lt, j_eta, t_aug) = axes
+    n = len(uniform)
+    in_s = np.arange(ls.max()) < ls[:, None]
+    in_t = np.arange(lt.max()) < lt[:, None]
+    mask = (in_s[:, :, None] & in_t[:, None, :]).astype(float)
+    rows = np.minimum(s0[:, None] + np.arange(in_s.shape[1]), n - 1)
+    cols = np.minimum(t0[:, None] + np.arange(in_t.shape[1]), n - 1)
+    b12, b11, c1 = (g[rows[:, :, None], cols[:, None, :]] * mask for g in grid)
+    du = np.diff(uniform)
+    ds = du[np.minimum(rows[:, :-1], n - 2)] * in_s[:, 1:]
+    dt = du[np.minimum(cols[:, :-1], n - 2)] * in_t[:, 1:]
+    nodes = []
+    for m in range(len(parameters)):
+        s = s_aug.get(m, uniform[s0[m]:s0[m] + ls[m]])
+        t = t_aug.get(m, uniform[t0[m]:t0[m] + lt[m]])
+        nodes.append((s, t))
+        if m in s_aug or m in t_aug:
+            b12[m, :ls[m], :lt[m]], b11[m, :ls[m], :lt[m]], c1[m, :ls[m], :lt[m]] = (
+                _coefficient_grid(tsys, s, t))
+            ds[m, :ls[m] - 1], dt[m, :lt[m] - 1] = np.diff(s), np.diff(t)
+    stack = (b12, b11, c1, ds[:, :, None], dt[:, None, :], i_xi, j_eta)
+    count = len(parameters)
+    converged = np.full(count, -1)  # the step where each table's step reached tol
+    values, residuals = [None] * count, [0.0] * count
+    r = mask
     for it in range(1, _PICARD_MAX_ITER + 2):
         r_new = _picard_step(r, *stack)
+        r_new *= mask
         step = np.max(np.abs(r_new - r), axis=(1, 2))
-        for e in range(count):
-            if iterations[e] and values[e] is None:  # converged at the previous step
-                values[e], residuals[e] = r[e].copy(), float(step[e])
-            elif not iterations[e] and step[e] <= tol:
-                iterations[e] = it
+        for e in np.flatnonzero(converged == it - 1):
+            values[e], residuals[e] = r[e, :ls[e], :lt[e]].copy(), float(step[e])
+        converged[(converged < 0) & (step <= tol)] = it
         if all(v is not None for v in values):
             break
-        if it == _PICARD_MAX_ITER and not all(iterations):
-            e = iterations.index(0)
+        if it == _PICARD_MAX_ITER and np.any(converged < 0):
+            e = int(np.argmax(converged < 0))
             raise SolveError(
-                f"Picard iteration for the Riemann table of parameter {parameters[e]} "
-                f"did not contract to {tol} within {_PICARD_MAX_ITER} steps "
-                f"(last sup-norm step {step[e]:.3g})"
+                f"Picard iteration for the Riemann table of parameter "
+                f"{tuple(map(float, parameters[e]))} did not contract to {tol} within "
+                f"{_PICARD_MAX_ITER} steps (last sup-norm step {step[e]:.3g})"
             )
         r = r_new
     return [
-        RiemannTable(parameter=p, s_nodes=s, t_nodes=t, values=v, iterations=i, residual=res)
-        for p, s, t, v, i, res in zip(parameters, s_nodes, t_nodes, values, iterations, residuals)
+        RiemannTable(parameter=tuple(map(float, p)), s_nodes=s, t_nodes=t, values=v,
+                     iterations=int(i), residual=res)
+        for p, (s, t), v, i, res in zip(parameters, nodes, values, converged, residuals)
     ]
 
 
@@ -271,12 +337,13 @@ def _key(parameter):
 class RiemannProvider:
     """Memoised Riemann tables keyed by parameter point.
 
-    Each table is solved on its window of ``reach`` (see
-    :func:`solve_riemann`; the whole square by default).  :meth:`table`
-    solves one parameter through :func:`solve_riemann`; :meth:`tables`
-    solves every parameter not yet cached in one
-    :func:`solve_riemann_tables` batch, so tables of one window shape
-    share a Picard loop.  A table has the same bits on either route.
+    Each table is solved on its window of ``reach``, one distance or a
+    pair (along s, along t) (see :func:`solve_riemann`; the whole square
+    by default).  :meth:`table` solves one parameter through
+    :func:`solve_riemann`; :meth:`tables` solves every parameter not yet
+    cached in one :func:`solve_riemann_tables` batch, so tables of one
+    shape class share a Picard loop.  A table has the same bits on either
+    route.
     """
 
     def __init__(self, tsys, n, tol=1e-10, reach=np.inf):
@@ -329,15 +396,16 @@ def represent_solution(provider, w00, traces, targets):
     ``w(s,t) = w00 R(0,0,s,t) + int_0^s R(sig,0,s,t) phi(sig) dsig
     + int_0^t R(0,tau,s,t) psi(tau) dtau``.  Each target point is the
     parameter of its own Riemann table; the tables come from one
-    ``provider.tables`` call.
+    ``provider.tables`` call, and each is read on its two axis slices only,
+    R(0, 0) at the node where they cross.
     """
     out = np.empty(len(targets))
     for k, ((s, t), tab) in enumerate(zip(targets, provider.tables(targets))):
-        val = w00 * tab.value(0.0, 0.0)
         s_nodes, s_vals = tab.axis_slice("s")
+        t_nodes, t_vals = tab.axis_slice("t")
+        val = w00 * t_vals[np.argmin(np.abs(t_nodes))]
         integrand = s_vals * np.interp(s_nodes, traces.nodes, traces.phi)
         val += _integral_to(s_nodes, integrand, s)
-        t_nodes, t_vals = tab.axis_slice("t")
         integrand = t_vals * np.interp(t_nodes, traces.nodes, traces.psi)
         val += _integral_to(t_nodes, integrand, t)
         out[k] = val
@@ -397,6 +465,19 @@ def kernel_PQ(tsys, axis, nodes):
 # shifted one-sided stencil ends two stencil steps from its point.
 _CHAIN_STEP = 2
 _CHAIN_REACH = 2 * _CHAIN_STEP
+
+
+def _chain_reach(axis, h):
+    """Reach (along s, along t) of the chain's tables on a grid of step
+    ``h``: of the kernel rows on ``axis`` ('s' or 't'), or of the
+    representation (None).  A kernel row on axis s at node s reads
+    R(sig, 0; xi, eta) for sig between 0 and s, and the stencil puts
+    ``xi`` up to ``_CHAIN_REACH`` steps from s, so those tables reach that
+    far along s and not at all along t (0 and ``eta`` are in every
+    window); axis t is the mirror.  A representation table reads only
+    the rectangle between the origin and its parameter."""
+    reach = _CHAIN_REACH * h
+    return {"s": (reach, 0.0), "t": (0.0, reach), None: (0.0, 0.0)}[axis]
 
 
 def apply_L(tsys, f, at, step):
@@ -495,19 +576,25 @@ def _kernel_table(tsys, provider, axis, nodes, step):
     per node are solved in one ``provider.tables`` batch.  Row ``s``
     holds only the segment of ``sig`` between 0 and ``s`` that
     ``volterra_ivp``'s march reads, read at the table's own nodes on the
-    axis; the rest is NaN."""
+    axis; the rest is NaN.  A shifted stencil puts a parameter two steps
+    of ``step`` from its node, so the provider's windows must reach that
+    far along ``axis`` (:func:`_chain_reach`); a segment outside a table
+    raises ValueError naming the point and the parameter."""
     zero = np.zeros_like(nodes)
     at = (nodes, zero) if axis == "s" else (zero, nodes)
     i0 = int(np.argmin(np.abs(nodes)))
     segments = [np.arange(min(i, i0), max(i, i0) + 1) for i in range(len(nodes))]
+    ends = [(float(nodes[seg[0]]), float(nodes[seg[-1]])) for seg in segments]
 
     def rows(xi, eta):
         out = np.full(xi.shape + nodes.shape, np.nan)
         flat = out.reshape(-1, len(nodes))
         tables = provider.tables(list(zip(xi.ravel(), eta.ravel())))
         for k, tab in enumerate(tables):
-            seg = segments[k % len(nodes)]
+            seg, (lo, hi) = segments[k % len(nodes)], ends[k % len(nodes)]
             along, vals = tab.axis_slice(axis)
+            if lo < along[0] - 1e-12 or hi > along[-1] + 1e-12:
+                tab._require_inside(*(([lo, hi], 0.0) if axis == "s" else (0.0, [lo, hi])))
             flat[k, seg] = vals[np.searchsorted(along, nodes[seg])]
         return out
 
@@ -522,13 +609,14 @@ def riemann_chain(tsys, n, tol, w00, targets):
     phi(sig) dsig = 0`` from ``phi(0) = 0`` on the s axis, with
     ``K_phi(s,sig) = L R(sig,0; s,0)`` applied in the parameter; psi
     solves the mirrored equation on the t axis with A22, Q and
-    ``K_psi``.  The tables come from one provider whose windows reach
-    ``_CHAIN_REACH`` grid steps beyond each table's rectangle, which is
-    all a kernel row reads.  Returns ``(traces, values)``.
+    ``K_psi``.  Each use solves its tables on the windows it reads
+    (:func:`_chain_reach`): a kernel table on axis s reaches
+    ``_CHAIN_REACH`` grid steps beyond its rectangle along s only, one on
+    axis t along t only, and a representation table is its rectangle.
+    Each use's tables are one batch.  Returns ``(traces, values)``.
     """
     eps = tsys.epsilon
     h = 2 * eps / (n - 1)
-    provider = RiemannProvider(tsys, n, tol, _CHAIN_REACH * h)
     nodes = np.linspace(-eps, eps, n)
     zero = np.zeros_like(nodes)
 
@@ -541,11 +629,15 @@ def riemann_chain(tsys, n, tol, w00, targets):
         _, u = volterra_ivp(
             leading=by_node(lead),
             damping=by_node(kernel_PQ(tsys, axis, nodes)),
-            kernel=by_node(_kernel_table(tsys, provider, axis, nodes, _CHAIN_STEP * h)),
+            kernel=by_node(_kernel_table(
+                tsys, RiemannProvider(tsys, n, tol, _chain_reach(axis, h)), axis, nodes,
+                _CHAIN_STEP * h,
+            )),
             forcing=lambda s: 0.0,
             interval=(-eps, eps),
             n=n,
         )
         marched.append(u)
     traces = CauchyTraces(nodes, *marched)
+    provider = RiemannProvider(tsys, n, tol, _chain_reach(None, h))
     return traces, represent_solution(provider, w00, traces, targets)

@@ -355,9 +355,10 @@ def scalar_kernel_table(tsys, provider, axis, nodes, step):
 def picard_solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf):
     """One table from its own Picard loop, the iterate compared with the
     previous one after every step: the reference for
-    ``ucp2d.riemann.solve_riemann_tables``, which iterates a stack of
-    tables of one window shape together.  A window of uniform nodes is
-    sliced from the coefficients on the whole uniform grid, as there."""
+    ``ucp2d.riemann.solve_riemann_tables``, which iterates a padded stack
+    of tables of one shape class together.  ``reach`` is one distance or
+    a pair (along s, along t).  A window of uniform nodes is sliced from
+    the coefficients on the whole uniform grid, as there."""
     if n < 9:
         raise ValueError("need at least 9 nodes per axis")
     if tol <= 0:
@@ -367,8 +368,9 @@ def picard_solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf):
     if abs(xi) > eps + 1e-12 or abs(eta) > eps + 1e-12:
         raise ValueError("parameter point outside the working square")
     uniform = np.linspace(-eps, eps, n)
-    s_nodes, i_xi, s_cut = rm._window(uniform, xi, reach)
-    t_nodes, j_eta, t_cut = rm._window(uniform, eta, reach)
+    s_reach, t_reach = np.broadcast_to(reach, 2)
+    s_nodes, i_xi, s_cut = rm._window(uniform, xi, s_reach)
+    t_nodes, j_eta, t_cut = rm._window(uniform, eta, t_reach)
     if s_cut is not None and t_cut is not None:
         grid = rm._coefficient_grid(tsys, uniform, uniform)
         b12, b11, c1 = (g[s_cut, t_cut] for g in grid)

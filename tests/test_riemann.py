@@ -245,16 +245,18 @@ def test_variable_coefficient_tables_converge_to_the_laplace_closed_form(form, m
 
 @pytest.mark.parametrize("form", [1, 2])
 def test_chain_windows_match_the_laplace_closed_form(form):
-    # the windows of the vanishing chain's reach, one parameter off the
-    # grid and one at a corner, each against the closed form of its own
-    # parameter; the largest error measured is 4.2e-6 = 0.017 h^2
+    # the windows of each of the vanishing chain's uses, one parameter off
+    # the grid and one at a corner, each against the closed form of its
+    # own parameter; the largest error measured is 4.2e-6 = 0.017 h^2
     tsys, n = laplace_system(form), 65
     h = 2 * tsys.epsilon / (n - 1)
     parameters = [(0.0, 0.0), (0.125, -0.25), (-0.1, 0.2), (0.5, -0.5)]
-    tables = rm.solve_riemann_tables(tsys, parameters, n, tol=1e-12, reach=rm._CHAIN_REACH * h)
-    for parameter, tab in zip(parameters, tables):
-        assert tab.parameter == parameter and tab.values.size < n * n
-        assert laplace_error(tab, form)[0] <= 0.035 * h**2, parameter
+    for use in ("s", "t", None):
+        tables = rm.solve_riemann_tables(tsys, parameters, n, tol=1e-12,
+                                         reach=rm._chain_reach(use, h))
+        for parameter, tab in zip(parameters, tables):
+            assert tab.parameter == parameter and tab.values.size < n * n
+            assert laplace_error(tab, form)[0] <= 0.035 * h**2, (use, parameter)
 
 
 # -- windows: each table solved only where the chain reads it -----------------
@@ -309,7 +311,52 @@ def test_value_outside_a_window_raises_and_reads_inside_keep_their_bits():
     assert tab.value(0.1, 0.0) == 1.0
 
 
-# -- batches: tables of one window shape share a Picard loop -----------------
+@pytest.mark.parametrize("parameter, axis", [((0.25, 0.0), "s"), ((0.0, 0.25), "t"),
+                                            ((0.0, 0.0), None)])
+def test_a_table_of_one_node_on_an_axis_reads_exactly_along_it(parameter, axis):
+    # reach 0 leaves one node on the axis across the parameter's segment
+    # (both, at the origin): reads along the other axis are the linear
+    # interpolation of its nodes, and a read beyond the node names the table
+    tsys = plain_system(b12=0.3, b11=-0.2, c1=1.0)
+    tab = solve_riemann(tsys, parameter, 33, reach=0.0)
+    name = r"of parameter \(%r, %r\)$" % parameter
+    if axis is None:
+        assert tab.values.shape == (1, 1) and tab.value(0.0, 0.0) == 1.0
+        for point in ((0.01, 0.0), (0.0, -0.01)):
+            with pytest.raises(ValueError, match=r"lies outside the Riemann table " + name):
+                tab.value(*point)
+        return
+    along, vals = tab.axis_slice(axis)
+    assert tab.values.shape == ((9, 1) if axis == "s" else (1, 9))
+    at = np.concatenate([along, [0.1, 0.2 + 1e-3]])
+    i = np.minimum(np.searchsorted(along, at, "right") - 1, len(along) - 2)
+    w = (at - along[i]) / (along[i + 1] - along[i])
+    want = vals[i] * (1 - w) + vals[i + 1] * w
+    got = tab.value(at, 0.0) if axis == "s" else tab.value(0.0, at)
+    assert got.tobytes() == want.tobytes()
+    assert abs(got[-2] - np.exp(0.3 * (0.1 - 0.25) if axis == "s" else -0.2 * (0.1 - 0.25))) < 1e-3
+    with pytest.raises(ValueError, match=r"point \((0.1, 0.05|0.05, 0.1)\) lies outside .*" + name):
+        tab.value(*((0.1, 0.05) if axis == "s" else (0.05, 0.1)))
+
+
+@pytest.mark.parametrize("steps", [0, 1])
+def test_a_kernel_table_of_too_small_a_reach_names_the_table(steps):
+    # the rows of a stencil parameter shifted 2h from its node reach past
+    # a window of reach 0 or h along the axis
+    sc = load_scenario(scenario_dir() / "lame_lower_order.json")
+    _, tsys = pl.characteristics(sc, reduce_system(sc.coefficients))
+    n = pl._axis_nodes(sc)
+    h = 2 * tsys.epsilon / (n - 1)
+    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
+    for axis, reach in (("s", (steps * h, 0.0)), ("t", (0.0, steps * h))):
+        prov = RiemannProvider(tsys, n, sc.tolerances.picard_tol, reach)
+        message = r"^\[ucp\] point \(.+\) lies outside the Riemann table of parameter \(.+\)$"
+        with pytest.raises(pl.StageError, match=message):
+            with pl.stage("ucp"):
+                rm._kernel_table(tsys, prov, axis, nodes, rm._CHAIN_STEP * h)
+
+
+# -- batches: tables of one shape class share a Picard loop ------------------
 
 
 def _same_table(a, b):
@@ -321,34 +368,72 @@ def _same_table(a, b):
     )
 
 
+def counted_stacks(monkeypatch):
+    """The stacks ``rm._solve_stack`` solves from now on, each as the list
+    of its tables."""
+    stacks, solve_stack = [], rm._solve_stack
+
+    def counted(*args):
+        stacks.append(solve_stack(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(rm, "_solve_stack", counted)
+    return stacks
+
+
+# one reach for both axes, the chain's per-axis reaches, and none at all
+REACHES = [4 * 2 * 0.5 / 32, np.inf, (4 * 2 * 0.5 / 32, 0.0), (0.0, 4 * 2 * 0.5 / 32), 0.0]
+
+
 def test_tables_equal_the_per_table_picard_loop_bit_for_bit(monkeypatch):
     # grid-aligned windows of several sizes, pairs of one shape whose
     # parameters sit at different nodes, an off-grid parameter that adds
-    # a node, a repeated key, and whole-square tables, all in one call
+    # a node, a repeated key, and whole-square tables, all in one call;
+    # each batch pads its windows into fewer Picard loops than it has
+    # window shapes
     tsys = variable_system()
     n = 33
-    h = 2 * tsys.epsilon / (n - 1)
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
     parameters = [
         (0.0, 0.0), (nodes[20], 0.0), (nodes[12], 0.0), (nodes[20], nodes[12]),
         (nodes[12], nodes[20]), (nodes[3], nodes[30]), (0.123, -0.071), (0.0, 0.0),
-        (nodes[0], nodes[32]), (nodes[25], nodes[9]),
+        (nodes[0], nodes[32]), (nodes[25], nodes[9]), (nodes[22], nodes[22]),
+        (nodes[5], nodes[26]),
     ]
-    batches = {reach: RiemannProvider(tsys, n, reach=reach).tables(parameters)
-               for reach in (4 * h, np.inf)}
+    stacks = counted_stacks(monkeypatch)
+    batches = {}
+    for reach in REACHES:
+        del stacks[:]
+        batches[reach] = RiemannProvider(tsys, n, reach=reach).tables(parameters)
+        shapes = {tab.values.shape for tab in batches[reach]}
+        assert len(shapes) >= (2 if reach == np.inf else 5)
+        assert len(stacks) < len(shapes) < len(set(parameters))
     monkeypatch.setattr(rm, "solve_riemann", picard_solve_riemann)
     for reach, batch in batches.items():
         reference = RiemannProvider(tsys, n, reach=reach)
         assert batch[0] is batch[7]
         for parameter, tab in zip(parameters, batch):
             assert _same_table(tab, reference.table(parameter)), (reach, parameter)
-        shapes = {tab.values.shape for tab in batch}
-        assert len(shapes) >= (5 if reach < np.inf else 2)
-        assert len(shapes) < len(set(tab.parameter for tab in batch))
     assert (n + 1, n + 1) in {tab.values.shape for tab in batches[np.inf]}
 
 
-@pytest.mark.parametrize("reach", [4 * 2 * 0.5 / 32, np.inf])
+def test_a_padded_table_keeps_its_iterations_when_its_neighbour_converges_later(monkeypatch):
+    # windows of 5 x 5 and 8 x 8 nodes share a stack; the larger one needs
+    # more Picard steps, and the smaller keeps its own count and residual
+    tsys = variable_system()
+    n = 33
+    nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
+    parameters = [(nodes[20], nodes[20]), (nodes[23], nodes[23])]
+    stacks = counted_stacks(monkeypatch)
+    small, large = rm.solve_riemann_tables(tsys, parameters, n, reach=0.0)
+    assert len(stacks) == 1
+    assert small.values.shape == (5, 5) and large.values.shape == (8, 8)
+    assert small.iterations < large.iterations
+    for parameter, tab in zip(parameters, (small, large)):
+        assert _same_table(tab, picard_solve_riemann(tsys, parameter, n, reach=0.0))
+
+
+@pytest.mark.parametrize("reach", REACHES)
 def test_a_table_has_the_same_bits_on_each_route(reach):
     # solve_riemann alone, the provider's one-table route, and a mixed
     # batch: grid-aligned, off-grid and corner parameters whose windows
@@ -546,20 +631,20 @@ def oracle_cases():
 
 @pytest.mark.parametrize("tsys, n", oracle_cases())
 def test_kernels_on_windows_match_the_scalar_oracle(tsys, n):
-    # both kernel tables of the ucp stage against the node-by-node path on
-    # tables of the whole square
+    # both kernel tables of the ucp stage, each on the chain's windows of
+    # its axis, against the node-by-node path on tables of the whole square
     full = RiemannProvider(tsys, n)
     h = grid_step(full)
-    windows = RiemannProvider(tsys, n, reach=4 * h)
+    windows = {axis: RiemannProvider(tsys, n, reach=rm._chain_reach(axis, h)) for axis in "st"}
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
-    assert np.max(np.abs(windows.table((0.0, 0.0)).values - 1.0)) > 1e-3
+    assert np.max(np.abs(full.table((0.0, 0.0)).values - 1.0)) > 1e-3
     for axis in ("s", "t"):
-        k = rm._kernel_table(tsys, windows, axis, nodes, 2 * h)
+        k = rm._kernel_table(tsys, windows[axis], axis, nodes, 2 * h)
         ref = scalar_kernel_table(tsys, full, axis, nodes, 2 * h)
         read = ~np.isnan(k)
         assert np.max(np.abs(ref)) > 0.1
         assert np.max(np.abs(k[read] - ref[read])) <= 1e-8
-    assert sum(t.values.size for t in windows._cache.values()) < 0.25 * sum(
+    assert sum(t.values.size for w in windows.values() for t in w._cache.values()) < 0.25 * sum(
         t.values.size for t in full._cache.values())
 
 
@@ -805,18 +890,67 @@ def test_kernel_table_equals_the_value_read_rows_bit_for_bit(name, monkeypatch):
     n = pl._axis_nodes(sc)
     h = 2 * tsys.epsilon / (n - 1)
 
-    def chain_provider():
-        return RiemannProvider(tsys, n, sc.tolerances.picard_tol, rm._CHAIN_REACH * h)
+    def chain_provider(axis):
+        return RiemannProvider(tsys, n, sc.tolerances.picard_tol, rm._chain_reach(axis, h))
 
-    windows = chain_provider()
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
     step = rm._CHAIN_STEP * h
-    got = [rm._kernel_table(tsys, windows, axis, nodes, step) for axis in ("s", "t")]
+    windows = {axis: chain_provider(axis) for axis in "st"}
+    got = [rm._kernel_table(tsys, windows[axis], axis, nodes, step) for axis in "st"]
     monkeypatch.setattr(rm, "solve_riemann", picard_solve_riemann)
-    reference = chain_provider()
-    want = [value_kernel_table(tsys, reference, axis, nodes, step) for axis in ("s", "t")]
+    reference = {axis: chain_provider(axis) for axis in "st"}
+    want = [value_kernel_table(tsys, reference[axis], axis, nodes, step) for axis in "st"]
     for k, ref in zip(got, want):
         assert np.nanmax(np.abs(ref)) > 0.01
         assert k.tobytes() == ref.tobytes()
-    assert windows._cache.keys() == reference._cache.keys()
-    assert all(_same_table(windows._cache[key], tab) for key, tab in reference._cache.items())
+    for axis in "st":
+        assert windows[axis]._cache.keys() == reference[axis]._cache.keys()
+        assert all(_same_table(windows[axis]._cache[key], tab)
+                   for key, tab in reference[axis]._cache.items())
+
+
+def test_the_chain_solves_each_table_only_where_it_reads_it(monkeypatch):
+    # the chain's three providers (kernel rows on s, on t, representation):
+    # every node a kernel row or the representation reads is a node of its
+    # table, and their cells sum to under half those of one provider
+    # whose windows reach _CHAIN_REACH steps along both axes
+    sc = load_scenario(scenario_dir() / "lame_lower_order.json")
+    _, tsys = pl.characteristics(sc, reduce_system(sc.coefficients))
+    n, tol, eps = pl._axis_nodes(sc), sc.tolerances.picard_tol, tsys.epsilon
+    h = 2 * eps / (n - 1)
+    made = []
+
+    class Recorded(RiemannProvider):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(rm, "RiemannProvider", Recorded)
+    probe = np.linspace(-eps, eps, 9)
+    targets = [(s, t) for s in probe for t in probe]
+    rm.riemann_chain(tsys, n, tol, 0.0, targets)
+    kernels, representation = {"s": made[0], "t": made[1]}, made[2]
+    assert [p.reach for p in made] == [rm._chain_reach(use, h) for use in ("s", "t", None)]
+
+    def has_nodes(axis_nodes, points):
+        return all(np.min(np.abs(axis_nodes - p)) <= 1e-12 for p in points)
+
+    nodes = np.linspace(-eps, eps, n)
+    i0 = n // 2
+    for axis, provider in kernels.items():
+        for i, s in enumerate(nodes):
+            at = (s, 0.0) if axis == "s" else (0.0, s)
+            xs, ys = rm._stencils(at[0], 2 * h, -eps, eps)[0], rm._stencils(at[1], 2 * h, -eps, eps)[0]
+            for xi in xs:
+                for eta in ys:
+                    tab = provider.table((xi, eta))
+                    along, across = ((tab.s_nodes, tab.t_nodes) if axis == "s"
+                                     else (tab.t_nodes, tab.s_nodes))
+                    assert has_nodes(along, nodes[min(i, i0):max(i, i0) + 1]), (axis, i)
+                    assert has_nodes(across, [0.0]), (axis, i)
+    for (s, t), tab in zip(targets, representation.tables(targets)):
+        assert has_nodes(tab.s_nodes, [0.0, s]) and has_nodes(tab.t_nodes, [0.0, t])
+    cells = sum(t.values.size for p in made for t in p._cache.values())
+    parent_rule = RiemannProvider(tsys, n, tol, rm._CHAIN_REACH * h)
+    keys = {key for p in made for key in p._cache}
+    assert cells < 0.5 * sum(t.values.size for t in parent_rule.tables(sorted(keys)))
