@@ -205,12 +205,6 @@ def solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf):
     return solve_riemann_tables(tsys, [parameter], n, tol, reach)[0]
 
 
-def _stack_class(lengths):
-    """Shape class of windows with these node counts (each at least 1):
-    each count rounded up to a power of 2."""
-    return 2 ** np.ceil(np.log2(lengths))
-
-
 def solve_riemann_tables(tsys, parameters, n, tol=1e-10, reach=np.inf):
     """One table per parameter point, in order, each as :func:`solve_riemann`
     gives it for that point alone.
@@ -219,17 +213,17 @@ def solve_riemann_tables(tsys, parameters, n, tol=1e-10, reach=np.inf):
     a traced map ``transform_system`` memoises that grid, so only the
     first call pulls it back); a window of uniform nodes is sliced from
     that evaluation, a window augmented with an off-grid node is
-    evaluated on its own nodes.  The windows of one shape class
-    (:func:`_stack_class`) are stacked, each padded at its far end with
-    zero coefficients and zero steps to the stack's shape, and iterated
-    in one Picard loop until the last of them converges.  The trapezoid
-    sums run from each window's first node, so the padding never reaches
-    a table's cells, and a table's step is the sup norm over its own
-    window.  A table's values are its iterate at the step where its own
-    step reaches ``tol``, and the next step's sup norm is its residual,
-    so its bits do not depend on its stack.  A table still above ``tol``
-    after ``_PICARD_MAX_ITER`` steps raises :class:`SolveError` naming its
-    parameter.
+    evaluated on its own nodes.  The windows of one shape class (node
+    counts rounded up to powers of 2) are stacked, each padded at its far
+    end with zero coefficients and zero steps to the stack's shape, and
+    iterated in one Picard loop until the last of them converges.  The
+    trapezoid sums run from each window's first node, so the padding
+    never reaches a table's cells, and a table's step is the sup norm
+    over its own window.  A table's values are its iterate at the step
+    where its own step reaches ``tol``, and the next step's sup norm is
+    its residual, so its bits do not depend on its stack.  A table still
+    above ``tol`` after ``_PICARD_MAX_ITER`` steps raises
+    :class:`SolveError` naming its parameter.
     """
     if n < 9:
         raise ValueError("need at least 9 nodes per axis")
@@ -241,7 +235,7 @@ def solve_riemann_tables(tsys, parameters, n, tol=1e-10, reach=np.inf):
         raise ValueError("parameter point outside the working square")
     uniform = np.linspace(-eps, eps, n)
     axes = [_windows(uniform, points[:, a], r) for a, r in enumerate(np.broadcast_to(reach, 2))]
-    classes = _stack_class(np.stack([axes[0][1], axes[1][1]], axis=1))
+    classes = np.ceil(np.log2(np.stack([axes[0][1], axes[1][1]], axis=1)))
     _, stack_of = np.unique(classes, axis=0, return_inverse=True)
     grid = _coefficient_grid(tsys, uniform, uniform)
     tables = [None] * len(points)
