@@ -40,8 +40,10 @@ computed once per map and also serves the origin's coefficients and the
 transfer of point data.  The slopes m- and m+ are built from the same
 coefficients, so either both depend on the traced axis or neither does.
 When neither does, one loop traces both families: RK4 is then Simpson's
-rule and the variations keep their start.  Otherwise the four-stage loop
-runs once per family.
+rule and the variations keep their start, and since the slopes then
+depend on a start only through its coordinate along the traced axis, that
+loop reads them once per distinct start, a block of nodes per program
+run.  Otherwise the four-stage loop runs once per family.
 """
 
 from __future__ import annotations
@@ -74,6 +76,15 @@ _ZERO_TOL = 1e-13  # relative coefficient size (or Jacobian determinant) taken a
 _N_SAMPLE = 9  # nodes per axis of the grids that sample the region and the square
 _NORMAL_FORM_TOL = 1e-8  # admissible ds^2/dt^2 residue relative to the mixed term
 _RK4_STEPS = 64  # Runge-Kutta steps along each traced characteristic
+# Points (nodes x distinct starts) that one slope-program run of a
+# slope-only trace reads at most: its block of RK4 steps is as long as keeps
+# it within this (_trace_slopes).  8,192 points are arrays of 64 kB, under
+# glibc's 128 kB mmap threshold.  On the benchmark's traced scenario (2 to
+# 749 distinct starts per trace) the traces took 22-24 ms per run at 8,192,
+# 30 ms at 16,384 and 33-35 ms at 4,096, against about 95 ms reading every
+# point at every node; fixed blocks of 8 steps (16 x 708 points on its
+# Riemann grid) raised the peak of its anonymous memory by about 0.2 MB.
+_TRACE_BLOCK_POINTS = 8192
 _NEWTON_STEPS = 25  # Newton steps allowed to invert a traced map
 
 
@@ -244,10 +255,24 @@ def _trace_family(slope, a0, b0, span, bounds, mirrored):
     return state
 
 
+def _start_groups(a0):
+    """``(reps, group)``: one point of each distinct bit pattern of ``a0``,
+    and each point's group, an index into ``reps``.  The patterns go
+    through a dict: a numpy sort of them would page in about 0.2 MB of
+    sort code that a traced run does not otherwise touch."""
+    keys = np.ascontiguousarray(a0).view(np.uint64).tolist()
+    last = dict(zip(keys, range(len(keys))))  # each pattern's last point
+    rep = np.fromiter(map(last.__getitem__, keys), np.intp, len(keys))
+    reps = np.flatnonzero(rep == np.arange(len(keys)))
+    group = np.empty(len(keys), np.intp)
+    group[reps] = np.arange(reps.size)
+    return reps, group[rep]
+
+
 def _trace_slopes(slopes, a0, b0, span, bounds, mirrored):
     """End ``b`` of one family per field of ``slopes``, all traced as
     :func:`_trace_family` traces them, through the same points in one
-    loop; no field may read b.
+    loop; no field may depend on b.
 
     RK4 on a right-hand side that does not read the state is Simpson's
     rule (Hairer, Norsett & Wanner, sec. II.1): the two midpoint stages
@@ -255,25 +280,75 @@ def _trace_slopes(slopes, a0, b0, span, bounds, mirrored):
     ``slopes`` is read at ``2 * _RK4_STEPS + 1`` nodes.  The update keeps
     its four-stage form, so b has the bits of the four-stage loop, whose
     steps add span * (+-0) to v and w and so leave them at 1 and 0.
+
+    A curve's nodes depend on its start only through a0, as the span
+    ``a_ref - a0`` does, so points whose a0 has the same bits get the same
+    increment ``h/6 (d1 + 2 d2 + 2 d2 + d4)`` at every step.  The slopes
+    are read once per distinct a0 (once per point when the program reads
+    b, if only under a literal-0 factor): at node 0, then at the nodes of
+    a block of steps per program run, as many steps as keep a run within
+    ``_TRACE_BLOCK_POINTS`` points, each block's increments formed at
+    once.  Each point adds its start's increments to its own b, a step at
+    a time, so every end keeps the bits of the loop that reads every point
+    at every node.  So does the first error along tau: node 0 is read with
+    each value checked; a block with a domain error or a non-finite
+    increment is read again node by node, checked, and only a block that
+    holds neither is stepped from its unchecked values.  At one node m- is
+    read before m+, an escape is checked after each step and comes before
+    an error at a later node, and NaN in b passes the bound.
     """
     h = 1.0 / _RK4_STEPS
+    if slopes.reads("x" if mirrored else "y"):
+        reps = group = np.arange(a0.size)
+    else:
+        reps, group = _start_groups(a0)
+    starts, b_starts, spans = a0[reps], b0[reps], span[reps]
+    lo_b, hi_b = bounds[1]
 
-    def rhs(tau):
-        # b0 stands in for b, which no field reads
-        a = a0 + span * tau
-        return [span * -m for m in (slopes(b0, a) if mirrored else slopes(a, b0))]
+    def rhs(taus, read):
+        # span * -m of each field at the nodes taus (rows) of each start
+        # (columns), by ``read``; the start's b stands in for b
+        a = starts + spans * np.array(taus)[:, None]
+        values = read(b_starts, a) if mirrored else read(a, b_starts)
+        return [np.broadcast_to(spans * -m, a.shape) for m in values]
 
-    ends = [b0] * len(slopes.fields)
-    k1 = rhs(0.0)
-    for k in range(_RK4_STEPS):
-        tau = k * h
-        k2, k4 = rhs(tau + h / 2), rhs(tau + h)
-        ends = [b + h / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
-                for b, d1, d2, d3, d4 in zip(ends, k1, k2, k2, k4)]
-        for b in ends:
-            _check(bounds, b)
-        k1 = k4
-    return ends
+    def simpson(d1, d2, d4):
+        return h / 6 * (d1 + 2 * d2 + 2 * d2 + d4)
+
+    def step(inc):
+        # b plus its start's increment, in place, then _check's test by
+        # reductions that pass NaN over, as _check's comparisons do
+        np.add(b, np.take(inc, group, axis=1), out=b)
+        if np.fmin.reduce(b, axis=None) < lo_b or np.fmax.reduce(b, axis=None) > hi_b:
+            raise MapError("characteristic curve escapes the working region")
+
+    def advance(k1, block):
+        # the steps of block from the node values k1; returns the last node's
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                # rows 2i and 2i + 1 hold the mid and the end node of step i
+                d = rhs([t for k in block for t in (k * h + h / 2, k * h + h)], slopes.unchecked)
+            except EvalDomainError:
+                d = None
+            else:
+                inc = np.stack([simpson(np.vstack([d1, nodes[1:-1:2]]), nodes[::2], nodes[1::2])
+                                for d1, nodes in zip(k1, d)], axis=1)
+        if d is not None and np.isfinite(inc).all():
+            for row in inc:
+                step(row)
+            return [nodes[-1].copy() for nodes in d]
+        for k in block:
+            k2, k4 = ([v[0] for v in rhs([tau], slopes)] for tau in (k * h + h / 2, k * h + h))
+            step(np.stack([simpson(*ds) for ds in zip(k1, k2, k4)]))
+            k1 = k4
+        return k1
+
+    b = np.tile(b0, (len(slopes.fields), 1))
+    k1 = [v[0] for v in rhs([0.0], slopes)]
+    steps = min(_RK4_STEPS, max(1, _TRACE_BLOCK_POINTS // (2 * starts.size)))
+    for lo in range(0, _RK4_STEPS, steps):
+        k1 = advance(k1, range(lo, min(lo + steps, _RK4_STEPS)))
+    return list(b)
 
 
 def _variation_groups(m, b_var):

@@ -16,6 +16,7 @@ grids carry the header ``x,y,value`` with 17 significant digits.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import fields, replace
@@ -337,8 +338,13 @@ def build_parser():
     return parser
 
 
+# the parser of main, built on its first call (about 1 ms) and reused: a
+# batch makes many calls in one process, and parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         scenario = load_scenario(args.scenario)
         report, failures = _COMMANDS[args.command](scenario, args)

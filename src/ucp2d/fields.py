@@ -582,6 +582,23 @@ class FieldGroup:
                 values.append(_finite(value, field))
         return values
 
+    def reads(self, var):
+        """Whether the program reads ``"x"`` or ``"y"``, if only under a
+        literal-0 factor, whose derivative drops it."""
+        slot = VARIABLES.index(var)
+        _, segments, roots = self._program
+        return slot in roots or any(slot in (i, j) for steps in segments for _, i, j, _, _ in steps)
+
+    def unchecked(self, x, y):
+        """The list of field values at ``(x, y)`` that calling the group
+        gives, with no value checked for finiteness: NaN and infinities
+        come back as they are.  The domain checks of the steps (division
+        by zero, log and sqrt of a non-positive or negative argument, a
+        negative base to a non-integer power) still raise, over the whole
+        of ``x`` and ``y`` at once."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return list(_run(self._program, x, y))
+
 
 def differentiate(field, var):
     """Exact symbolic partial derivative with respect to ``"x"`` or ``"y"``."""

@@ -739,6 +739,178 @@ def test_pair_trace_raises_the_first_error_along_tau(monkeypatch, mirrored):
             assert str(got.value).startswith(f"non-finite value in '{first}")
 
 
+def _node_by_node(slopes, a0, b0, span, bounds, mirrored):
+    """The Simpson loop read at every point and every node, checking each
+    node's values and each step's escape in turn: the reference for the
+    error order and the bits of ``characteristics._trace_slopes``."""
+    h = 1.0 / ch._RK4_STEPS
+
+    def rhs(tau):
+        a = a0 + span * tau
+        return [span * -m for m in (slopes(b0, a) if mirrored else slopes(a, b0))]
+
+    ends = [b0] * len(slopes.fields)
+    k1 = rhs(0.0)
+    for k in range(ch._RK4_STEPS):
+        k2, k4 = rhs(k * h + h / 2), rhs(k * h + h)
+        ends = [b + h / 6 * (d1 + 2 * d2 + 2 * d3 + d4)
+                for b, d1, d2, d3, d4 in zip(ends, k1, k2, k2, k4)]
+        for b in ends:
+            ch._check(bounds, b)
+        k1 = k4
+    return ends
+
+
+def _outcome(loop, *args):
+    """The bytes of each end ``loop`` gives, or the type and text of its error."""
+    try:
+        return [np.ravel(b).tobytes() for b in loop(*args)]
+    except (MapError, EvalDomainError) as err:
+        return type(err), str(err)
+
+
+def _pair_loops(mirrored, m_minus, m_plus, x, y):
+    """The outcome of ``_trace_slopes`` and of the node-by-node loop on the
+    ``_pair_map``-style slopes from (x, y) to the base point (0.01, 0.01)."""
+    group = FieldGroup(*(parse(m.format(a="y" if mirrored else "x")) for m in (m_minus, m_plus)))
+    if mirrored:
+        x, y = y, x
+    args = (group, *_loop_start(0.01, 0.01, mirrored, x, y)[:3], TRACE_BOUNDS, mirrored)
+    return _outcome(ch._trace_slopes, *args), _outcome(_node_by_node, *args)
+
+
+# points that share a0 = 0.3: a = 0.3 - 0.29 tau falls along the trace
+EDGE_X, EDGE_Y = np.array([0.3, 0.3]), np.array([0.1, -0.1])
+
+
+@pytest.fixture
+def edge_block(monkeypatch):
+    """Steps per block on EDGE_X's one distinct start, under a budget of
+    as many points per program run as the block's nodes: 8, as on a grid
+    of 512 starts under the default budget."""
+    monkeypatch.setattr(ch, "_TRACE_BLOCK_POINTS", 16)
+    return 8
+
+
+def _non_finite_beyond(a, side=-1):
+    """A slope that is 0 on one side of ``a`` and non-finite, where 0 * exp
+    overflows, on the other: below ``a`` for side -1, above it for side 1."""
+    return f"0*exp({8000 * side}*({{a}} - {a - side * 709.79 / 8000!r}))"
+
+
+def _at(tau):
+    """a at ``tau`` on the curves from a0 = 0.3 to 0.01."""
+    return 0.3 - 0.29 * tau
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("kind", ["non-finite", "division"])
+@pytest.mark.parametrize("escape_step, first", [(0, MapError), (1, EvalDomainError)])
+def test_pair_trace_orders_an_escape_and_a_slope_error_across_a_block_edge(
+        edge_block, mirrored, kind, escape_step, first):
+    # m- fails at the first node of the second block of steps: it turns
+    # non-finite between that node and the first block's last node, or
+    # divides by zero at that node alone.  m+ = c carries b = 0.1 out of the
+    # box at step edge_block - 1 + escape_step: in the first block's last
+    # step the escape comes first; in the second block's first step m-'s
+    # error at its mid node does
+    h, block = 1 / ch._RK4_STEPS, edge_block
+    if kind == "non-finite":
+        m_minus = _non_finite_beyond(_at(block * h + h / 4))
+    else:
+        node = 0.3 + (0.01 - 0.3) * (block * h + h / 2)  # a there, as the loops form it
+        m_minus = f"0/({{a}} - {node!r})"
+    c = 0.5 / (0.29 * h * (block + escape_step - 0.5))
+    got, want = _pair_loops(mirrored, m_minus, repr(c), EDGE_X, EDGE_Y)
+    assert got == want and want[0] is first
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_pair_trace_reads_m_plus_at_a_mid_node_before_m_minus_at_the_end_node(edge_block,
+                                                                              mirrored):
+    # in the middle of the second block, m+ turns non-finite at step k's mid
+    # node and m- at its end node: m+'s error comes first, as node by node
+    h, k = 1 / ch._RK4_STEPS, edge_block + 3
+    m_minus = _non_finite_beyond(_at(k * h + 3 * h / 4))
+    m_plus = "1 + " + _non_finite_beyond(_at(k * h + h / 4))
+    got, want = _pair_loops(mirrored, m_minus, m_plus, EDGE_X, EDGE_Y)
+    assert got == want and want[0] is EvalDomainError
+    assert want[1].startswith("non-finite value in '1 + 0*exp(")
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+@pytest.mark.parametrize("m_minus, m_plus, message", [
+    (_non_finite_beyond(0.299, 1), "1", "non-finite value in '0*exp("),
+    ("1", "2 + " + _non_finite_beyond(0.299, 1), "non-finite value in '2 + 0*exp("),
+    ("1/({a} - 0.3)", "1", "division by zero"),
+])
+def test_pair_trace_raises_a_slope_error_at_node_0(mirrored, m_minus, m_plus, message):
+    # each slope fails at a = 0.3 alone, the start of both curves
+    got, want = _pair_loops(mirrored, m_minus, m_plus, EDGE_X, EDGE_Y)
+    assert got == want and want[0] is EvalDomainError and want[1].startswith(message)
+
+
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_pair_trace_reads_a_slope_that_reads_b_at_every_point(mirrored):
+    # b enters m- under a literal-0 factor only, so m- is slope-only (its
+    # derivative along b is the literal 0), yet log fails at the second
+    # point's b, first or last: the two points share a0 but are read apart
+    group = FieldGroup(parse(f"1 + 0*log({'x' if mirrored else 'y'})"), parse("0.5"))
+    assert group.fields[0].diff("x" if mirrored else "y").is_zero()
+    for b0, fails in [(EDGE_Y, True), (EDGE_Y[::-1], True), (np.abs(EDGE_Y), False)]:
+        x, y = (b0, EDGE_X) if mirrored else (EDGE_X, b0)
+        args = (group, *_loop_start(0.01, 0.01, mirrored, x, y)[:3], TRACE_BOUNDS, mirrored)
+        want = _outcome(_node_by_node, *args)
+        assert _outcome(ch._trace_slopes, *args) == want
+        assert (want[0] is EvalDomainError) == fails
+
+
+@pytest.mark.parametrize("points", [1, 300, 8192, 10**6])
+@pytest.mark.parametrize("mirrored", [False, True])
+def test_pair_trace_with_repeated_starts_matches_the_oracle_bit_for_bit(monkeypatch, points,
+                                                                        mirrored):
+    # points that share a0, in any order and however the steps fall into
+    # blocks, end with the bits of tracing each point alone: a 65 x 65
+    # grid, a batch of interleaved starts, and starts at -0.0 and 0.0 (two
+    # groups), some with b = -0.0, traced to a reference line at a = 0.
+    # Budgets of 1 to 10**6 points per program run make blocks of 1 step to
+    # all 64, and 63 + 1 on the grid's 65 starts
+    monkeypatch.setattr(ch, "_TRACE_BLOCK_POINTS", points)
+    if mirrored:
+        fields = ch._slope_fields(
+            reduce_system(ElasticityCoefficients.from_components(MIRRORED_SLOPE_ONLY)), CASE_A1222)
+    else:
+        fields = ch._slope_fields(_lame_traced()[1], CASE_A1112)
+    u = np.linspace(-0.05, 0.05, 65)
+    batches = [(0.01, np.meshgrid(u, u, indexing="ij")),
+               (0.01, (np.array([0.04, -0.02, 0.04, 0.04, -0.02, 0.01]),
+                       np.array([0.0, 0.01, -0.03, 0.02, -0.0, 0.05]))),
+               (0.0, (np.array([-0.0, 0.0, -0.0, 0.0, 0.03]),
+                      np.array([-0.0, -0.0, 0.02, 0.01, -0.0])))]
+    for base, (a0, b0) in batches:
+        x, y = (b0, a0) if mirrored else (a0, b0)
+        got = _simpson(FieldGroup(*fields), base, base, mirrored, x, y)
+        args = (FieldGroup(*fields), *_loop_start(base, base, mirrored, x, y)[:3], TRACE_BOUNDS,
+                mirrored)
+        ref = _loop_start(base, base, mirrored, x, y)[3]
+        assert [g.tobytes() for g in got] == [np.ravel(b - ref).tobytes()
+                                              for b in _node_by_node(*args)]
+        for m, value in zip(fields, got):
+            oracle = trace_family(m, base, base, TRACE_BOUNDS, mirrored, x, y)[0]
+            assert value.tobytes() == oracle.tobytes()
+
+
+def test_lame_traced_inverse_on_the_riemann_grid_matches_the_oracle_bit_for_bit():
+    # the Newton iterates on the 65 x 65 grid share a0 in 129 to a few
+    # hundred groups per trace
+    sc, sys, cmap = _lame_traced()
+    eps = transform_system(sys, cmap, sc.omega).epsilon
+    u = np.linspace(-eps, eps, 65)
+    s, t = np.meshgrid(u, u, indexing="ij")
+    oracle = _oracle_map(sys, sc.omega, *sc.point)
+    assert _same_bits(cmap.inverse(s, t), oracle.inverse(s, t))
+
+
 def test_choose_epsilon_skips_a_square_whose_pair_trace_escapes(monkeypatch):
     # m- turns non-finite on a band near x = -0.47 only; the 0.25 square's
     # first Newton step traces from x = -0.5 across it, but m+ is so steep
@@ -801,15 +973,21 @@ def test_choose_epsilon_names_the_last_squares_error_when_every_square_fails():
                               f"fails on the square of halfwidth {ch._EPS_CANDIDATES[-1]})")
 
 
-class _CountedGroup:
-    """A ``FieldGroup`` stand-in that counts the calls to it."""
+class _CountedGroup(FieldGroup):
+    """A ``FieldGroup`` that records how many points each of its program
+    runs reads, checked or not."""
 
     def __init__(self, group):
-        self.fields, self.group, self.calls = group.fields, group, 0
+        super().__init__(*group.fields)
+        self.runs = []
 
     def __call__(self, x, y):
-        self.calls += 1
-        return self.group(x, y)
+        self.runs.append(np.broadcast(x, y).size)
+        return super().__call__(x, y)
+
+    def unchecked(self, x, y):
+        self.runs.append(np.broadcast(x, y).size)
+        return super().unchecked(x, y)
 
 
 @pytest.mark.parametrize("tasks, pairs", [
@@ -819,9 +997,11 @@ class _CountedGroup:
 def test_lame_traced_run_traces_both_families_in_one_loop(monkeypatch, tasks, pairs):
     # the run makes ``pairs`` traces of both families.  The base jet's
     # curves have zero length and run no loop; each other trace reads both
-    # slopes, from one program, at 2 * _RK4_STEPS + 1 nodes, where the
-    # four-stage loop made twice as many traces (38 and 22), each of
-    # 4 * _RK4_STEPS slope reads
+    # slopes, from one program, once per distinct start: at node 0, then at
+    # the 2 * block nodes of each block of steps, a block as long as keeps
+    # a run within _TRACE_BLOCK_POINTS points.  Reading every point at every
+    # node took 2 * _RK4_STEPS + 1 runs per trace, and the four-stage loop
+    # twice as many traces (38 and 22) of 4 * _RK4_STEPS slope reads each
     from ucp2d.pipeline import expectations_for, run
 
     sc = load_scenario(scenario_dir() / "lame_traced.json")
@@ -833,17 +1013,31 @@ def test_lame_traced_run_traces_both_families_in_one_loop(monkeypatch, tasks, pa
         traces.append("single")
         return trace_family(slope, *args)
 
-    def counted(slopes, *args):
+    def counted(slopes, a0, *args):
         group = _CountedGroup(slopes)
         try:
-            return trace_slopes(group, *args)
+            return trace_slopes(group, a0, *args)
         finally:
-            traces.append((len(slopes.fields), group.calls))
+            traces.append((len(slopes.fields), np.unique(a0.view(np.uint64)).size, group.runs))
 
     monkeypatch.setattr(ch, "_trace_family", single)
     monkeypatch.setattr(ch, "_trace_slopes", counted)
     assert run(sc)[1] == []
-    assert traces == [(2, 2 * ch._RK4_STEPS + 1)] * (pairs - 1)
+    assert len(traces) == pairs - 1
+    steps, budget = ch._RK4_STEPS, ch._TRACE_BLOCK_POINTS
+    assert budget == 8192
+    for fields, starts, reads in traces:
+        block = min(steps, max(1, budget // (2 * starts)))
+        assert fields == 2 and max(reads) <= budget
+        assert reads == [starts] + [2 * min(block, steps - lo) * starts
+                                    for lo in range(0, steps, block)]
+    # each distinct start read at the 2 * 64 + 1 nodes; the benchmark's
+    # scenario makes 68 runs (2 to 14 per trace) where it made 1,290
+    assert sum(len(reads) for *_, reads in traces) == {19: 92, 11: 68}[pairs]
+    assert sum(starts for _, starts, _ in traces) == {19: 3712, 11: 3192}[pairs]
+    assert all(sum(reads) == starts * (2 * steps + 1) for _, starts, reads in traces)
+
+
 def test_mirrored_traced_map_equals_axis_swapped_generic_map():
     # relabelling the axes (x <-> y, index 1 <-> 2) turns the mirrored
     # parametrisation into the generic one, so s(x, y) = s_swapped(y, x)

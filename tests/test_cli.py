@@ -330,6 +330,28 @@ def test_reports_are_jobs_invariant(tmp_path):
     assert b1 == b8
 
 
+def test_main_builds_its_parser_once_and_reports_alike_on_every_call(tmp_path, capsys):
+    from ucp2d import cli
+
+    cli._parser.cache_clear()
+    path = write_scenario(tmp_path)
+    out1, out2 = tmp_path / "first", tmp_path / "second"
+    assert main(["run", "--scenario", str(path), "--out", str(out1)]) == 0
+    assert main(["run", "--scenario", str(path), "--out", str(out2)]) == 0
+    assert (out1 / "case.report.json").read_bytes() == (out2 / "case.report.json").read_bytes()
+    # a bad argument after those calls still exits 2 with the usage
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--scenario", str(path), "--jobs", "many"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ucp2d run ") and "invalid int value: 'many'" in err
+    with pytest.raises(SystemExit) as exit_:
+        main(["frobnicate"])
+    assert exit_.value.code == 2 and capsys.readouterr().err.startswith("usage: ucp2d ")
+    assert (cli._parser.cache_info().misses, cli._parser.cache_info().hits) == (1, 3)
+
+
 def test_seed_changes_sweep_but_not_verdict(tmp_path):
     path = write_scenario(tmp_path)
     out_a, out_b = tmp_path / "a", tmp_path / "b"

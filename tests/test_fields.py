@@ -353,6 +353,22 @@ def test_field_group_checks_each_field_before_running_the_next():
     assert first.tolist() == [1.0] and second.tolist() == [math.log(5.0) + 1.0]
 
 
+def test_field_group_unchecked_skips_the_finiteness_check_only():
+    group = FieldGroup(parse("exp(1000*x)"), parse("1/x"))
+    big, inv = group.unchecked(np.array([1.0, 2.0]), 0.0)
+    assert np.isinf(big).all() and inv.tolist() == [1.0, 0.5]
+    with pytest.raises(EvalDomainError, match="^division by zero$"):
+        group.unchecked(np.array([1.0, 0.0]), 0.0)
+
+
+def test_field_group_reads_a_variable_even_under_a_literal_zero_factor():
+    for texts, reads in [(["x"], (True, False)), (["y", "2"], (False, True)),
+                         (["x + 0*log(y)"], (True, True)), (["3"], (False, False))]:
+        group = FieldGroup(*map(parse, texts))
+        assert (group.reads("x"), group.reads("y")) == reads
+    assert parse("x + 0*log(y)").diff("y").is_zero()
+
+
 def test_compiled_program_shares_subtrees_and_keeps_signed_zeros():
     f = parse("sin(x + 1) * sin(x + 1) + sin(x + 1)")
     _, (steps,), _ = f._program()
