@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Riemann-table work of one ``ucp2d run`` of a scenario, batch by batch.
 
-For each ``solve_riemann_tables`` call the run makes, one line gives its
+For each batch of tables the run solves (``_solve_windows``, behind
+``solve_riemann_tables`` and the chain's stack arrays), one line gives its
 reach (along s, along t), the tables it solved, its Picard loops (one per
 stack), the stacked Picard steps and the cell-steps (stack cells times
 steps, padding included); a last line gives the totals.  When the
@@ -26,26 +27,24 @@ def _count_run(scenario):
     """Run the scenario with the batched solver and its stacks counted;
     returns one ``[reach, tables, loops, steps, cell-steps]`` per call."""
     calls = []
-    solve_tables, solve_stack = rm.solve_riemann_tables, rm._solve_stack
+    solve_windows, solve_stack = rm._solve_windows, rm._solve_stack
 
-    def counted_tables(tsys, parameters, n, tol=1e-10, reach=np.inf):
+    def counted_windows(tsys, points, n, tol, reach):
         calls.append([tuple(float(r) for r in np.broadcast_to(reach, 2)), 0, 0, 0, 0])
-        return solve_tables(tsys, parameters, n, tol, reach)
+        return solve_windows(tsys, points, n, tol, reach)
 
     def counted_stack(*args):
-        tables = solve_stack(*args)
-        steps = max(t.iterations for t in tables) + 1  # the last table's capture step
-        cells = (len(tables) * max(len(t.s_nodes) for t in tables)
-                 * max(len(t.t_nodes) for t in tables))
-        for k, v in enumerate((len(tables), 1, steps, cells * steps), start=1):
-            calls[-1][k] += v
-        return tables
+        values, iterations, residuals = solve_stack(*args)
+        steps = iterations.max() + 1  # the last table's capture step
+        for k, v in enumerate((len(values), 1, steps, values.size * steps), start=1):
+            calls[-1][k] += int(v)
+        return values, iterations, residuals
 
-    rm.solve_riemann_tables, rm._solve_stack = counted_tables, counted_stack
+    rm._solve_windows, rm._solve_stack = counted_windows, counted_stack
     try:
         pl.run(scenario)
     finally:
-        rm.solve_riemann_tables, rm._solve_stack = solve_tables, solve_stack
+        rm._solve_windows, rm._solve_stack = solve_windows, solve_stack
     return calls
 
 
@@ -56,10 +55,10 @@ def _kernel_row_differences(scenario):
     n, tol = pl._axis_nodes(scenario), scenario.tolerances.picard_tol
     h = 2 * tsys.epsilon / (n - 1)
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
-    square = rm.RiemannProvider(tsys, n, tol)
+    square = rm._Windows(tsys, n, tol)
     out = {}
     for axis in ("s", "t"):
-        chain = rm.RiemannProvider(tsys, n, tol, rm._chain_reach(axis, h))
+        chain = rm._Windows(tsys, n, tol, rm._chain_reach(axis, h))
         rows = rm._kernel_table(tsys, chain, axis, nodes, rm._CHAIN_STEP * h)
         ref = rm._kernel_table(tsys, square, axis, nodes, rm._CHAIN_STEP * h)
         read = ~np.isnan(rows)

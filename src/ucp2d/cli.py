@@ -191,12 +191,15 @@ def _write_report(report, out_dir, name):
 
 
 def _write_grid_csv(path, xs, ys, values):
+    """``x,y,value`` lines of the grid ``xs x ys``, x outer, each number
+    in ``%.17g``: one format call per x, so only one row's text is held."""
     path.parent.mkdir(parents=True, exist_ok=True)
+    line = "%.17g,%.17g,%.17g\n" * len(ys)
+    ys = np.asarray(ys, dtype=float)
     with open(path, "w") as fh:
         fh.write("x,y,value\n")
-        for i, x in enumerate(xs):
-            for j, y in enumerate(ys):
-                fh.write(f"{x:.17g},{y:.17g},{values[i, j]:.17g}\n")
+        for x, row in zip(xs, values):
+            fh.write(line % tuple(np.column_stack((np.full(len(ys), x), ys, row)).ravel().tolist()))
 
 
 def _random_sweep(scenario, seed, conditions):

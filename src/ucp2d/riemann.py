@@ -17,14 +17,15 @@ construction.
 
 A table is solved on a window: the rectangle between the origin and its
 parameter, widened by a reach along each axis (the whole square by
-default).  :func:`solve_riemann_tables` is the one Picard loop: it takes
-many parameter points, evaluates the coefficients once on the uniform
-grid, pads the windows of one shape class to one shape and stacks them,
-and iterates each stack until its last table converges.  Each table's
-step is taken over its own window, and each table keeps its iterate
-from the step where that step reaches the tolerance, so a table's bits
-do not depend on its batch.  :func:`solve_riemann` is its one-parameter
-call.
+default).  One Picard loop serves every route: a batch of parameter
+points has its coefficients evaluated once on the uniform grid, the
+windows of one shape class padded to one shape and stacked, and each
+stack iterated in buffers of its own until its last table converges.
+Each table's step is taken over its own window, and each table keeps
+its iterate from the step where that step reaches the tolerance, so a
+table's bits do not depend on its batch.  :func:`solve_riemann_tables`
+returns a batch as :class:`RiemannTable` objects that own their values;
+:func:`solve_riemann` is its one-parameter call.
 
 :func:`riemann_chain` is the vanishing chain on these tables.  Zero point
 data make the Cauchy traces phi and psi solve two homogeneous Volterra
@@ -32,7 +33,9 @@ equations on the axes, whose kernels are the elliptic operator applied
 to R in its parameter (:func:`apply_L` on the tables); solving them is
 the computational content of forcing the traces to vanish, and the
 representation formula then rebuilds the solution from the traces.  Each
-use solves its tables only where it reads them (:func:`_chain_reach`).
+use solves its tables only where it reads them (:func:`_chain_reach`) and
+reads them in the stack arrays, one gather per stack, with no table
+object.
 """
 
 from __future__ import annotations
@@ -145,22 +148,27 @@ class RiemannTable:
         )
         if outside.any():
             k = np.flatnonzero(outside)[0]
-            raise ValueError(
-                f"point ({s.flat[k]}, {t.flat[k]}) lies outside the Riemann table "
-                f"of parameter {self.parameter}"
-            )
+            raise _outside(s.flat[k], t.flat[k], self.parameter)
 
     def axis_slice(self, axis):
         """Values along t = 0 (axis 's') or s = 0 (axis 't'), with nodes."""
         if axis == "s":
-            j = int(np.argmin(np.abs(self.t_nodes)))
-            if abs(self.t_nodes[j]) > 1e-12:
-                raise ValueError("0 is not a grid node; use an odd node count")
-            return self.s_nodes, self.values[:, j]
-        i = int(np.argmin(np.abs(self.s_nodes)))
-        if abs(self.s_nodes[i]) > 1e-12:
-            raise ValueError("0 is not a grid node; use an odd node count")
-        return self.t_nodes, self.values[i, :]
+            return self.s_nodes, self.values[:, _origin(self.t_nodes)]
+        return self.t_nodes, self.values[_origin(self.s_nodes), :]
+
+
+def _outside(s, t, parameter):
+    """The ValueError of a read at ``(s, t)`` outside the table of ``parameter``."""
+    return ValueError(
+        f"point ({s}, {t}) lies outside the Riemann table of parameter {parameter}")
+
+
+def _origin(nodes):
+    """The index of the node at 0; ValueError if none is."""
+    i0 = int(np.argmin(np.abs(nodes)))
+    if abs(nodes[i0]) > 1e-12:
+        raise ValueError("0 is not a grid node; use an odd node count")
+    return i0
 
 
 def _cell(nodes, x):
@@ -174,17 +182,35 @@ def _cell(nodes, x):
     return i, i + 1, (x - nodes[i]) / (nodes[i + 1] - nodes[i])
 
 
-def _cumulative_trapezoid(y, steps, axis):
+def _cumulative_trapezoid(y, steps, axis, out=None):
     """Trapezoid integrals of ``y`` along ``axis`` from the first node to
     each node, with ``steps = np.diff(nodes)`` shaped to broadcast along
     that axis.  The arithmetic is that of
     ``scipy.integrate.cumulative_trapezoid(y, nodes, axis=axis,
     initial=0.0)``, so the bits are the same, without its per-call
-    dispatch."""
-    lo = (slice(None),) * axis + (slice(None, -1),)
-    hi = (slice(None),) * axis + (slice(1, None),)
-    out = np.zeros_like(y)
-    np.cumsum(steps * (y[hi] + y[lo]) / 2.0, axis=axis, out=out[hi])
+    dispatch.  Given ``out``, not ``y``, it writes the integrals there."""
+    lead = (slice(None),) * axis
+    if out is None:
+        out = np.empty_like(y)
+    out[lead + (0,)] = 0.0
+    if y.shape[axis] > 3:
+        # the cells in one contiguous temporary, where numpy's loops run
+        # faster than on the strided view of ``out``
+        cell = np.add(y[lead + (slice(1, None),)], y[lead + (slice(None, -1),)])
+        np.multiply(steps, cell, out=cell)
+        np.divide(cell, 2.0, out=cell)
+        np.cumsum(cell, axis=axis, out=out[lead + (slice(1, None),)])
+        return out
+    # numpy's loops over the many short lines of an axis of 2 or 3 nodes are
+    # slow: the same arithmetic, and cumsum's order, one plane at a time
+    tail = (slice(None),) * (y.ndim - 1 - axis)  # steps broadcast from the right
+    for k in range(y.shape[axis] - 1):
+        at, to = lead + (slice(k, k + 1),), lead + (slice(k + 1, k + 2),)
+        cell = np.add(y[to], y[at], out=out[to])
+        np.multiply(steps[(Ellipsis, slice(k, k + 1)) + tail], cell, out=cell)
+        np.divide(cell, 2.0, out=cell)
+        if k:
+            np.add(out[at], cell, out=cell)
     return out
 
 
@@ -223,92 +249,173 @@ def solve_riemann_tables(tsys, parameters, n, tol=1e-10, reach=np.inf):
     where its own step reaches ``tol``, and the next step's sup norm is
     its residual, so its bits do not depend on its stack.  A table still
     above ``tol`` after ``_PICARD_MAX_ITER`` steps raises
-    :class:`SolveError` naming its parameter.
+    :class:`SolveError` naming its parameter.  Each table owns a copy of
+    its values.
     """
+    points = np.array([(float(p[0]), float(p[1])) for p in parameters]).reshape(-1, 2)
+    solved = _solve_windows(tsys, points, n, tol, reach)
+    return [solved.table(k) for k in range(len(points))]
+
+
+@dataclass(frozen=True)
+class _Stacks:
+    """The tables of a batch of parameter ``points`` as the arrays of their
+    Picard stacks.
+
+    ``windows`` holds, per axis, each point's window as :func:`_windows`
+    gives it: first uniform index, node count, parameter index and
+    augmented nodes.  Point ``k`` is member ``member[k]`` of stack
+    ``stack[k]``, whose converged iterates ``values[stack[k]]`` are zero in
+    the padding."""
+
+    points: np.ndarray
+    uniform: np.ndarray
+    windows: list
+    stack: np.ndarray
+    member: np.ndarray
+    values: list
+    iterations: np.ndarray
+    residuals: np.ndarray
+
+    def table(self, k):
+        """The :class:`RiemannTable` of point ``k``, owning its values."""
+        s, t = (augmented.get(k, self.uniform[start[k]:start[k] + count[k]])
+                for start, count, _, augmented in self.windows)
+        values = self.values[self.stack[k]][self.member[k], :len(s), :len(t)].copy()
+        return RiemannTable(parameter=tuple(map(float, self.points[k])), s_nodes=s,
+                            t_nodes=t, values=values, iterations=int(self.iterations[k]),
+                            residual=float(self.residuals[k]))
+
+    def groups(self, k):
+        """For each stack holding one of the points ``k``: its values and
+        the positions in ``k`` of its points."""
+        for stack, values in enumerate(self.values):
+            rows = np.flatnonzero(self.stack[k] == stack)
+            if len(rows):
+                yield values, rows
+
+    def position(self, axis, k, j):
+        """The index of uniform node ``j`` among the window nodes on
+        ``axis`` (0 for s, 1 for t) of point ``k``, elementwise, and whether
+        the window has that node.  An augmented window has its parameter's
+        node among them."""
+        start, count, index, augmented = self.windows[axis]
+        p = j - start[k]
+        if augmented:
+            p += np.isin(k, list(augmented)) & (p >= index[k])
+        return p, (p >= 0) & (p < count[k])
+
+    def nodes(self, axis, k, width):
+        """The window nodes on ``axis`` of each point ``k``, one row per
+        point, continued with uniform nodes to ``width``."""
+        start, count, _, augmented = self.windows[axis]
+        last = len(self.uniform) - 1
+        rows = self.uniform[np.minimum(start[k][:, None] + np.arange(width), last)]
+        for r in np.flatnonzero(np.isin(k, list(augmented))):
+            rows[r, :count[k[r]]] = augmented[k[r]]
+        return rows
+
+    def read(self, k, i, j):
+        """The value at window indices ``(i, j)`` of the table of point
+        ``k``, for arrays of one shape: one gather per stack."""
+        out = np.empty(k.shape)
+        for values, rows in self.groups(k):
+            out[rows] = values[self.member[k[rows]], i[rows], j[rows]]
+        return out
+
+
+def _solve_windows(tsys, points, n, tol, reach):
+    """The tables of ``points``, an (m, 2) array, solved as
+    :func:`solve_riemann_tables` describes, as a :class:`_Stacks`."""
     if n < 9:
         raise ValueError("need at least 9 nodes per axis")
     if tol <= 0:
         raise ValueError("tol must be positive")
     eps = tsys.epsilon
-    points = np.array([(float(p[0]), float(p[1])) for p in parameters]).reshape(-1, 2)
     if np.any(np.abs(points) > eps + 1e-12):
         raise ValueError("parameter point outside the working square")
     uniform = np.linspace(-eps, eps, n)
     axes = [_windows(uniform, points[:, a], r) for a, r in enumerate(np.broadcast_to(reach, 2))]
     classes = np.ceil(np.log2(np.stack([axes[0][1], axes[1][1]], axis=1)))
-    _, stack_of = np.unique(classes, axis=0, return_inverse=True)
+    stack_of = np.unique(classes, axis=0, return_inverse=True)[1].ravel()
     grid = _coefficient_grid(tsys, uniform, uniform)
-    tables = [None] * len(points)
+    member = np.zeros(len(points), dtype=int)
+    iterations, residuals, values = np.zeros(len(points), dtype=int), np.zeros(len(points)), []
     for stack in range(stack_of.max(initial=-1) + 1):
-        members = np.flatnonzero(stack_of.ravel() == stack)
-        solved = _solve_stack(tsys, points[members], [
+        members = np.flatnonzero(stack_of == stack)
+        member[members] = np.arange(len(members))
+        final, iterations[members], residuals[members] = _solve_stack(tsys, points[members], [
             (start[members], count[members], index[members],
              {m: augmented[k] for m, k in enumerate(members) if k in augmented})
             for start, count, index, augmented in axes
         ], uniform, grid, tol)
-        for k, tab in zip(members, solved):
-            tables[k] = tab
-    return tables
-
-
-def _picard_step(r, b12, b11, c1, ds, dt, i_xi, j_eta):
-    """One Picard step on a stack of iterates, one table per leading index,
-    each integrating from its own parameter node ``(i_xi, j_eta)``."""
-    k = np.arange(len(r))
-    cs = _cumulative_trapezoid(b12 * r, ds, 1)
-    int_s = cs - cs[k, i_xi][:, None, :]
-    ct = _cumulative_trapezoid(b11 * r, dt, 2)
-    int_t = ct - ct[k, :, j_eta][:, :, None]
-    d = _cumulative_trapezoid(c1 * r, dt, 2)
-    d = d - d[k, :, j_eta][:, :, None]
-    dd = _cumulative_trapezoid(d, ds, 1)
-    int_st = dd - dd[k, i_xi][:, None, :]
-    return 1.0 + int_s + int_t - int_st
+        values.append(final)
+    return _Stacks(points, uniform, axes, stack_of, member, values, iterations, residuals)
 
 
 def _solve_stack(tsys, parameters, axes, uniform, grid, tol):
-    """Tables of one stack of windows, from one Picard loop.
+    """One stack of windows, from one Picard loop: the converged iterates,
+    stack-shaped and zero in the padding, with each table's iterations and
+    residual.
 
     ``axes`` holds, per axis, each window's first uniform index, node
     count, parameter index and augmented nodes (as :func:`_windows` gives
     them); ``grid`` holds B12, B11 and C1 on the ``uniform`` grid.  The
     stack's padding has zero coefficients and zero steps, and the iterate
     is zeroed there after each step, so its step is 0 and each table's
-    step is its own window's."""
+    step is its own window's.  A Picard step writes its products,
+    integrals, iterate and step into buffers allocated once per stack
+    (each trapezoid's cells aside), in the order of the per-table loop,
+    and copies the iterates of the tables whose step reached ``tol`` at
+    the step before into the stack-shaped result."""
     (s0, ls, i_xi, s_aug), (t0, lt, j_eta, t_aug) = axes
     n = len(uniform)
     in_s = np.arange(ls.max()) < ls[:, None]
     in_t = np.arange(lt.max()) < lt[:, None]
-    mask = (in_s[:, :, None] & in_t[:, None, :]).astype(float)
+    mask = in_s[:, :, None] & in_t[:, None, :]
     rows = np.minimum(s0[:, None] + np.arange(in_s.shape[1]), n - 1)
     cols = np.minimum(t0[:, None] + np.arange(in_t.shape[1]), n - 1)
     b12, b11, c1 = (g[rows[:, :, None], cols[:, None, :]] * mask for g in grid)
     du = np.diff(uniform)
     ds = du[np.minimum(rows[:, :-1], n - 2)] * in_s[:, 1:]
     dt = du[np.minimum(cols[:, :-1], n - 2)] * in_t[:, 1:]
-    nodes = []
-    for m in range(len(parameters)):
+    for m in sorted(s_aug.keys() | t_aug.keys()):
         s = s_aug.get(m, uniform[s0[m]:s0[m] + ls[m]])
         t = t_aug.get(m, uniform[t0[m]:t0[m] + lt[m]])
-        nodes.append((s, t))
-        if m in s_aug or m in t_aug:
-            b12[m, :ls[m], :lt[m]], b11[m, :ls[m], :lt[m]], c1[m, :ls[m], :lt[m]] = (
-                _coefficient_grid(tsys, s, t))
-            ds[m, :ls[m] - 1], dt[m, :lt[m] - 1] = np.diff(s), np.diff(t)
-    stack = (b12, b11, c1, ds[:, :, None], dt[:, None, :], i_xi, j_eta)
+        b12[m, :ls[m], :lt[m]], b11[m, :ls[m], :lt[m]], c1[m, :ls[m], :lt[m]] = (
+            _coefficient_grid(tsys, s, t))
+        ds[m, :ls[m] - 1], dt[m, :lt[m] - 1] = np.diff(s), np.diff(t)
+    ds, dt = ds[:, :, None], dt[:, None, :]
     count = len(parameters)
+    k = np.arange(count)
+    r = mask.astype(float)
+    out, prod, final, along_s, along_t = (np.empty_like(r) for _ in range(5))
     converged = np.full(count, -1)  # the step where each table's step reached tol
-    values, residuals = [None] * count, [0.0] * count
-    r = mask
+    captured, residuals = np.zeros(count, dtype=bool), np.zeros(count)
     for it in range(1, _PICARD_MAX_ITER + 2):
-        r_new = _picard_step(r, *stack)
-        r_new *= mask
-        step = np.max(np.abs(r_new - r), axis=(1, 2))
-        for e in np.flatnonzero(converged == it - 1):
-            values[e], residuals[e] = r[e, :ls[e], :lt[e]].copy(), float(step[e])
+        # one step, each table integrating from its own parameter node
+        # (i_xi, j_eta): out = 1 + int_s + int_t - int_st, zeroed in the padding
+        _cumulative_trapezoid(np.multiply(b12, r, out=prod), ds, 1, along_s)
+        along_s -= along_s[k, i_xi][:, None, :]
+        np.add(along_s, 1.0, out=out)
+        _cumulative_trapezoid(np.multiply(b11, r, out=prod), dt, 2, along_t)
+        along_t -= along_t[k, :, j_eta][:, :, None]
+        out += along_t
+        _cumulative_trapezoid(np.multiply(c1, r, out=prod), dt, 2, along_t)
+        along_t -= along_t[k, :, j_eta][:, :, None]
+        _cumulative_trapezoid(along_t, ds, 1, along_s)
+        along_s -= along_s[k, i_xi][:, None, :]
+        out -= along_s
+        out *= mask
+        step = np.abs(np.subtract(out, r, out=prod), out=prod).max(axis=(1, 2))
+        newly = converged == it - 1
+        if newly.any():
+            np.copyto(final, r, where=newly[:, None, None])
+            residuals[newly] = step[newly]
+            captured |= newly
+            if captured.all():
+                break
         converged[(converged < 0) & (step <= tol)] = it
-        if all(v is not None for v in values):
-            break
         if it == _PICARD_MAX_ITER and np.any(converged < 0):
             e = int(np.argmax(converged < 0))
             raise SolveError(
@@ -316,35 +423,70 @@ def _solve_stack(tsys, parameters, axes, uniform, grid, tol):
                 f"{tuple(map(float, parameters[e]))} did not contract to {tol} within "
                 f"{_PICARD_MAX_ITER} steps (last sup-norm step {step[e]:.3g})"
             )
-        r = r_new
-    return [
-        RiemannTable(parameter=tuple(map(float, p)), s_nodes=s, t_nodes=t, values=v,
-                     iterations=int(i), residual=res)
-        for p, (s, t), v, i, res in zip(parameters, nodes, values, converged, residuals)
-    ]
+        r, out = out, r
+    return final, converged, residuals
 
 
 def _key(parameter):
     return (round(float(parameter[0]), 14), round(float(parameter[1]), 14))
 
 
-class RiemannProvider:
-    """Memoised Riemann tables keyed by parameter point.
+def _keys(points):
+    """:func:`_key` of each row of ``points``, in array passes.  The scaled
+    value's ``rint`` is the integer Python's correctly rounded ``round``
+    picks wherever the scaled value lies farther than its spacing from a
+    half-integer, and dividing it back is then the same correctly rounded
+    division; the other entries go through ``round``."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = points * 1e14
+        near = np.rint(scaled)
+        keys = near / 1e14
+        tie = ~(np.abs(np.abs(scaled - near) - 0.5) > np.spacing(np.abs(scaled)))
+    keys[tie] = [round(float(x), 14) for x in points[tie]]
+    return keys
 
-    Each table is solved on its window of ``reach``, one distance or a
-    pair (along s, along t) (see :func:`solve_riemann`; the whole square
-    by default).  :meth:`table` solves one parameter through
-    :func:`solve_riemann`; :meth:`tables` solves every parameter not yet
-    cached in one :func:`solve_riemann_tables` batch, so tables of one
-    shape class share a Picard loop.  A table has the same bits on either
-    route.
-    """
+
+class _Windows:
+    """Where a family of Riemann tables is solved: on ``n`` uniform nodes
+    per axis, to ``tol``, each on its window of ``reach``, one distance or
+    a pair (along s, along t) (see :func:`solve_riemann`; the whole square
+    by default).  :meth:`solve` gives a batch of tables as stack arrays,
+    the form that :func:`_kernel_table` and :func:`represent_solution`
+    read."""
 
     def __init__(self, tsys, n, tol=1e-10, reach=np.inf):
         self.tsys = tsys
         self.n = n
         self.tol = tol
         self.reach = reach
+
+    def solve(self, parameters):
+        """The tables of ``parameters``, one per distinct rounded key
+        (:func:`_key`), each solved at its key: a :class:`_Stacks` of the
+        keys in order of first appearance, and each parameter's key."""
+        keys = _keys(np.reshape(np.asarray(parameters, dtype=float), (-1, 2)))
+        _, first, of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        solved = _solve_windows(self.tsys, keys[first[order]], self.n, self.tol, self.reach)
+        return solved, rank[of.ravel()]
+
+
+class RiemannProvider(_Windows):
+    """Memoised Riemann tables keyed by parameter point.
+
+    Each table is solved on its window of ``reach`` (see :class:`_Windows`).
+    :meth:`table` solves one parameter through :func:`solve_riemann`;
+    :meth:`tables` solves every parameter not yet cached in one
+    :func:`solve_riemann_tables` batch, so tables of one shape class share
+    a Picard loop.  A table has the same bits on either route, and on the
+    stack arrays of :meth:`solve`, which neither reads nor fills the
+    cache.
+    """
+
+    def __init__(self, tsys, n, tol=1e-10, reach=np.inf):
+        super().__init__(tsys, n, tol, reach)
         self._cache = {}
 
     def table(self, parameter):
@@ -375,13 +517,26 @@ class CauchyTraces:
     psi: np.ndarray
 
 
-def _integral_to(nodes, values, b):
-    """Signed trapezoid integral from 0 to b along tabulated values;
-    both 0 and b must lie within the node range."""
-    cum = _cumulative_trapezoid(values, np.diff(nodes), 0)
-    c0 = np.interp(0.0, nodes, cum)
-    cb = np.interp(b, nodes, cum)
-    return cb - c0
+def _interp_rows(x, xp, fp, count):
+    """``np.interp(x[r], xp[r, :count[r]], fp[r, :count[r]])`` for each row
+    ``r`` of ``x``, with its rules: the end value beyond either end node,
+    the node value at a node, else ``slope * (x - xp[j]) + fp[j]`` from the
+    node below, or from the node above where that is NaN."""
+    inside = np.arange(xp.shape[1]) < count[:, None]
+    below = np.sum((xp[:, None, :] <= x[:, :, None]) & inside[:, None, :], axis=2)
+    r, j = np.arange(len(xp))[:, None], np.clip(below - 1, 0, count[:, None] - 1)
+    out = fp[r, j]
+    r, c = np.nonzero((below > 0) & (below < count[:, None]) & (xp[r, j] != x))
+    j, x = j[r, c], x[r, c]
+    with np.errstate(invalid="ignore", over="ignore"):  # np.interp is silent on infinities
+        slope = (fp[r, j + 1] - fp[r, j]) / (xp[r, j + 1] - xp[r, j])
+        val = slope * (x - xp[r, j]) + fp[r, j]
+        nan = np.isnan(val)
+        val[nan] = (slope * (x - xp[r, j + 1]) + fp[r, j + 1])[nan]
+    flat = np.isnan(val) & (fp[r, j] == fp[r, j + 1])
+    val[flat] = fp[r, j][flat]
+    out[r, c] = val
+    return out
 
 
 def represent_solution(provider, w00, traces, targets):
@@ -389,20 +544,34 @@ def represent_solution(provider, w00, traces, targets):
 
     ``w(s,t) = w00 R(0,0,s,t) + int_0^s R(sig,0,s,t) phi(sig) dsig
     + int_0^t R(0,tau,s,t) psi(tau) dtau``.  Each target point is the
-    parameter of its own Riemann table; the tables come from one
-    ``provider.tables`` call, and each is read on its two axis slices only,
-    R(0, 0) at the node where they cross.
+    parameter of its own Riemann table; the tables are solved in one
+    ``provider.solve`` batch (a :class:`_Windows`, which a
+    :class:`RiemannProvider` is, whose cache is not read), and each is
+    read on its two axis slices only, R(0, 0) at the node where they
+    cross.  Each stack of tables is read in array passes: the slices and
+    R(0, 0) in one gather each, the trapezoid sums of the integrands along
+    each window's nodes, padded at the far end, and their values at 0 and
+    at the target, with the arithmetic of ``np.interp`` on each window
+    alone.  The values have the bits of the same formula on each table.
     """
-    out = np.empty(len(targets))
-    for k, ((s, t), tab) in enumerate(zip(targets, provider.tables(targets))):
-        s_nodes, s_vals = tab.axis_slice("s")
-        t_nodes, t_vals = tab.axis_slice("t")
-        val = w00 * t_vals[np.argmin(np.abs(t_nodes))]
-        integrand = s_vals * np.interp(s_nodes, traces.nodes, traces.phi)
-        val += _integral_to(s_nodes, integrand, s)
-        integrand = t_vals * np.interp(t_nodes, traces.nodes, traces.psi)
-        val += _integral_to(t_nodes, integrand, t)
-        out[k] = val
+    solved, key = provider.solve(targets)
+    targets = np.reshape(np.asarray(targets, dtype=float), (-1, 2))
+    i0, out = _origin(solved.uniform), np.empty(len(key))
+    for values, rows in solved.groups(key):
+        k = key[rows]
+        m = solved.member[k]
+        (ps, _), (pt, _) = (solved.position(axis, k, i0) for axis in (0, 1))
+        val = w00 * values[m, ps, pt]
+        m, ps, pt = m[:, None], ps[:, None], pt[:, None]
+        for axis, along, trace in ((0, values[m, np.arange(values.shape[1]), pt], traces.phi),
+                                   (1, values[m, ps, np.arange(values.shape[2])], traces.psi)):
+            nodes, count = solved.nodes(axis, k, along.shape[1]), solved.windows[axis][1][k]
+            cum = _cumulative_trapezoid(along * np.interp(nodes, traces.nodes, trace),
+                                        np.diff(nodes, axis=1), 1)
+            ends = _interp_rows(np.stack([targets[rows, axis], np.zeros(len(k))], axis=1),
+                                nodes, cum, count)
+            val += ends[:, 0] - ends[:, 1]
+        out[rows] = val
     return out
 
 
@@ -536,61 +705,71 @@ def volterra_ivp(leading, damping, kernel, forcing, interval, n):
     k_table = np.array([np.broadcast_to(kernel(s, nodes), (n,)) for s in nodes], dtype=float)
     u = np.zeros(n)
 
-    def march(direction):
-        idx = range(i0, n - 1) if direction > 0 else range(i0, 0, -1)
-        for i in idx:
-            j = i + direction
-            h_s = nodes[j] - nodes[i]
-            known = list(range(i0, i + direction, direction))  # nodes from 0 to s_i
-            span = known + [j]
+    def march(x, u, k, lead, damp, force, start):
+        """March from node ``start`` of these views to their last node."""
+        # trapezoid weights over the nodes from 0 to s_j: ``inner`` holds
+        # those of the nodes before s_j (half the first step at 0, the half
+        # steps on either side after it), and s_j's is its half step
+        half = np.diff(x[start:]) / 2
+        inner = np.concatenate((half[:1], half[1:] + half[:-1]))
+        for i in range(start, n - 1):
+            j = i + 1
+            h_s = x[j] - x[i]
+            known = slice(start, j)  # nodes from 0 to s_i
             # trapezoid over [0, s] with the outer kernel argument fixed
-            sig = nodes[known]
-            int_i = np.trapezoid(k_table[i, known] * u[known], sig) if len(sig) > 1 else 0.0
+            sig = x[known]
+            int_i = np.trapezoid(k[i, known] * u[known], sig) if i > start else 0.0
             du_i = (force[i] - damp[i] * u[i] - int_i) / lead[i]
-            sig_j = nodes[span]
-            w = np.zeros(len(sig_j))  # span holds 0 and s_j, so two nodes at least
-            steps = np.diff(sig_j)
-            w[:-1] += steps / 2
-            w[1:] += steps / 2
-            int_j_known = float(np.dot(w[:-1], k_table[j, known] * u[known]))
-            coupling = w[-1] * k_table[j, j]
+            int_j_known = float(np.dot(inner[:j - start], k[j, known] * u[known]))
+            coupling = half[j - 1 - start] * k[j, j]
             denom = 1.0 + (h_s / 2) * (damp[j] + coupling) / lead[j]
             rhs = u[i] + (h_s / 2) * du_i + (h_s / 2) * (force[j] - int_j_known) / lead[j]
             u[j] = rhs / denom
 
-    march(+1)
-    march(-1)
+    march(nodes, u, k_table, lead, damp, force, i0)
+    # the backward march is the forward one on reversed views
+    march(nodes[::-1], u[::-1], k_table[::-1, ::-1], lead[::-1], damp[::-1], force[::-1],
+          n - 1 - i0)
     return nodes, u
 
 
-def _kernel_table(tsys, provider, axis, nodes, step):
+def _kernel_table(tsys, windows, axis, nodes, step):
     """Kernel rows of the trace equation on ``axis``: ``L R(sig, 0; .)`` at
     ``(s, 0)`` (axis 's') or ``L R(0, sig; .)`` at ``(0, s)`` (axis 't'),
     from one ``apply_L`` pass over the axis, whose nine stencil parameters
-    per node are solved in one ``provider.tables`` batch.  Row ``s``
-    holds only the segment of ``sig`` between 0 and ``s`` that
-    ``volterra_ivp``'s march reads, read at the table's own nodes on the
-    axis; the rest is NaN.  A shifted stencil puts a parameter two steps
-    of ``step`` from its node, so the provider's windows must reach that
-    far along ``axis`` (:func:`_chain_reach`); a segment outside a table
-    raises ValueError naming the point and the parameter."""
+    per node are solved in one ``windows.solve`` batch (a
+    :class:`_Windows` on the ``nodes``, which a :class:`RiemannProvider`
+    is, whose cache is not read).  Row ``s`` holds only the segment of
+    ``sig`` between 0 and ``s`` that ``volterra_ivp``'s march reads, read
+    at the table's own nodes on the axis; the rest is NaN.  The rows of one
+    stack of tables are one gather from its values: on axis s, entry ``j``
+    of a table whose window starts at uniform node ``(s0, t0)`` is its
+    value at ``(j - s0, i0 - t0)``, with ``i0`` the node at 0; axis t is
+    the mirror.  A shifted stencil puts a parameter two steps of ``step``
+    from its node, so the windows must reach that far along ``axis``
+    (:func:`_chain_reach`); a segment beyond a window's own nodes raises
+    ValueError naming the point and the parameter."""
     zero = np.zeros_like(nodes)
     at = (nodes, zero) if axis == "s" else (zero, nodes)
-    i0 = int(np.argmin(np.abs(nodes)))
-    segments = [np.arange(min(i, i0), max(i, i0) + 1) for i in range(len(nodes))]
-    ends = [(float(nodes[seg[0]]), float(nodes[seg[-1]])) for seg in segments]
+    along = "st".index(axis)
 
     def rows(xi, eta):
-        out = np.full(xi.shape + nodes.shape, np.nan)
-        flat = out.reshape(-1, len(nodes))
-        tables = provider.tables(list(zip(xi.ravel(), eta.ravel())))
-        for k, tab in enumerate(tables):
-            seg, (lo, hi) = segments[k % len(nodes)], ends[k % len(nodes)]
-            along, vals = tab.axis_slice(axis)
-            if lo < along[0] - 1e-12 or hi > along[-1] + 1e-12:
-                tab._require_inside(*(([lo, hi], 0.0) if axis == "s" else (0.0, [lo, hi])))
-            flat[k, seg] = vals[np.searchsorted(along, nodes[seg])]
-        return out
+        solved, key = windows.solve(np.stack([xi.ravel(), eta.ravel()], axis=1))
+        i0, column = _origin(solved.uniform), np.arange(len(nodes))
+        node = np.arange(key.size) % len(nodes)  # the node of each stencil parameter
+        lo, hi = np.minimum(node, i0), np.maximum(node, i0)
+        r, j = np.nonzero((column >= lo[:, None]) & (column <= hi[:, None]))  # the entries read
+        k = key[r]
+        p, inside = solved.position(along, k, j)
+        if not inside.all():
+            e = int(np.argmin(inside))
+            end = float(nodes[lo[r[e]] if j[e] == lo[r[e]] else hi[r[e]]])
+            raise _outside(*((end, 0.0) if axis == "s" else (0.0, end)),
+                           tuple(map(float, solved.points[k[e]])))
+        q, _ = solved.position(1 - along, k, i0)
+        out = np.full((key.size, len(nodes)), np.nan)
+        out[r, j] = solved.read(k, *((p, q) if axis == "s" else (q, p)))
+        return out.reshape(xi.shape + nodes.shape)
 
     return apply_L(tsys, rows, at, step)
 
@@ -607,7 +786,8 @@ def riemann_chain(tsys, n, tol, w00, targets):
     (:func:`_chain_reach`): a kernel table on axis s reaches
     ``_CHAIN_REACH`` grid steps beyond its rectangle along s only, one on
     axis t along t only, and a representation table is its rectangle.
-    Each use's tables are one batch.  Returns ``(traces, values)``.
+    Each use's tables are one batch, read as stack arrays: the chain
+    builds no :class:`RiemannTable`.  Returns ``(traces, values)``.
     """
     eps = tsys.epsilon
     h = 2 * eps / (n - 1)
@@ -624,7 +804,7 @@ def riemann_chain(tsys, n, tol, w00, targets):
             leading=by_node(lead),
             damping=by_node(kernel_PQ(tsys, axis, nodes)),
             kernel=by_node(_kernel_table(
-                tsys, RiemannProvider(tsys, n, tol, _chain_reach(axis, h)), axis, nodes,
+                tsys, _Windows(tsys, n, tol, _chain_reach(axis, h)), axis, nodes,
                 _CHAIN_STEP * h,
             )),
             forcing=lambda s: 0.0,
@@ -633,5 +813,5 @@ def riemann_chain(tsys, n, tol, w00, targets):
         )
         marched.append(u)
     traces = CauchyTraces(nodes, *marched)
-    provider = RiemannProvider(tsys, n, tol, _chain_reach(None, h))
-    return traces, represent_solution(provider, w00, traces, targets)
+    windows = _Windows(tsys, n, tol, _chain_reach(None, h))
+    return traces, represent_solution(windows, w00, traces, targets)

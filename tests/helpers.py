@@ -452,6 +452,57 @@ def value_kernel_table(tsys, provider, axis, nodes, step):
     return nine_call_apply_L(tsys, rows, at, step)
 
 
+def loop_represent_solution(provider, w00, traces, targets):
+    """The representation formula at each target, one table at a time from
+    ``provider.tables``, read on its two axis slices with ``np.interp``:
+    the reference for ``ucp2d.riemann.represent_solution``, which reads
+    the tables as stack arrays."""
+
+    def integral_to(nodes, values, b):
+        cum = rm._cumulative_trapezoid(values, np.diff(nodes), 0)
+        return np.interp(b, nodes, cum) - np.interp(0.0, nodes, cum)
+
+    out = np.empty(len(targets))
+    for k, ((s, t), tab) in enumerate(zip(targets, provider.tables(targets))):
+        s_nodes, s_vals = tab.axis_slice("s")
+        t_nodes, t_vals = tab.axis_slice("t")
+        val = w00 * t_vals[np.argmin(np.abs(t_nodes))]
+        val += integral_to(s_nodes, s_vals * np.interp(s_nodes, traces.nodes, traces.phi), s)
+        val += integral_to(t_nodes, t_vals * np.interp(t_nodes, traces.nodes, traces.psi), t)
+        out[k] = val
+    return out
+
+
+def list_volterra_ivp(leading, damping, kernel, forcing, interval, n):
+    """``ucp2d.riemann.volterra_ivp`` with the known nodes of each step taken
+    as a list of indices, both ways from 0, and each step's trapezoid
+    weights formed anew: the reference for its march on slices and
+    reversed views with weights formed once per march."""
+    nodes = np.linspace(float(interval[0]), float(interval[1]), n)
+    i0 = int(np.argmin(np.abs(nodes)))
+    lead, damp, force = (np.asarray([f(s) for s in nodes], dtype=float)
+                         for f in (leading, damping, forcing))
+    k_table = np.array([np.broadcast_to(kernel(s, nodes), (n,)) for s in nodes], dtype=float)
+    u = np.zeros(n)
+    for direction, idx in ((1, range(i0, n - 1)), (-1, range(i0, 0, -1))):
+        for i in idx:
+            j = i + direction
+            h_s = nodes[j] - nodes[i]
+            known = list(range(i0, i + direction, direction))
+            sig = nodes[known]
+            int_i = np.trapezoid(k_table[i, known] * u[known], sig) if len(sig) > 1 else 0.0
+            du_i = (force[i] - damp[i] * u[i] - int_i) / lead[i]
+            steps = np.diff(nodes[known + [j]])
+            w = np.zeros(len(known) + 1)
+            w[:-1] += steps / 2
+            w[1:] += steps / 2
+            int_j_known = float(np.dot(w[:-1], k_table[j, known] * u[known]))
+            denom = 1.0 + (h_s / 2) * (damp[j] + w[-1] * k_table[j, j]) / lead[j]
+            rhs = u[i] + (h_s / 2) * du_i + (h_s / 2) * (force[j] - int_j_known) / lead[j]
+            u[j] = rhs / denom
+    return nodes, u
+
+
 def bilinear(table, s, t):
     """Bilinear interpolation in a Riemann table, clamped to its end cells
     and extrapolated linearly beyond them: the reference for

@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_elliptic_tensor
+from ucp2d import cli
 from ucp2d import pipeline as pl
 from ucp2d.cli import ScenarioFileError, _write_report, load_scenario, main, scenario_dir
 from ucp2d.pipeline import StageError, expectations_for
+from ucp2d.reduction import reduce_system
 
 BASE = {
     "schema_version": 1,
@@ -313,6 +315,44 @@ def test_run_csv_format_writes_discriminant_grid(tmp_path):
     lines = (tmp_path / "case.delta.csv").read_text().splitlines()
     assert lines[0] == "x,y,value"
     assert len(lines) == 1 + 81
+
+
+def per_line_grid_csv(xs, ys, values):
+    """The grid CSV text written one f-string per line: the reference for
+    ``cli._write_grid_csv``, which formats a row of lines at once."""
+    lines = ["x,y,value\n"]
+    for i, x in enumerate(xs):
+        for j, y in enumerate(ys):
+            lines.append(f"{x:.17g},{y:.17g},{values[i, j]:.17g}\n")
+    return "".join(lines)
+
+
+def test_grid_csv_has_the_bytes_of_one_line_per_write(tmp_path):
+    # signed zeros, infinities, NaN and extreme magnitudes, on a grid with
+    # more columns than rows, a grid of one column, and the nodes and values
+    # of a Riemann table and of a coefficient grid written by the CLI
+    rng = np.random.default_rng(11)
+    special = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 1e300,
+                        5e-324, 1.0 / 3.0, 0.1, -2.5])
+    values = rng.choice(np.concatenate([special, rng.normal(size=20)]), size=(7, 13))
+    xs, ys = np.array([-0.0, 1e-300, 0.5, -1e300, 2.0, 0.1, np.inf]), rng.normal(size=13)
+    cases = [(xs, ys, values), (xs[:3], ys[:1], values[:3, :1]),
+             ([0.25, -0.0], [1.0, 2.0], np.array([[1, 2], [3, 4]]))]
+    for k, (x, y, v) in enumerate(cases):
+        path = tmp_path / f"grid{k}.csv"
+        cli._write_grid_csv(path, x, y, v)
+        assert path.read_text() == per_line_grid_csv(x, y, v), k
+    path = write_scenario(tmp_path, tasks=["conditions"], grid={"n": 17})
+    scenario = load_scenario(path)
+    assert main(["riemann", "--scenario", str(path), "--out", str(tmp_path),
+                 "--format", "csv"]) == 0
+    _, tsys = pl.characteristics(scenario, reduce_system(scenario.coefficients))
+    tab = pl.riemann_section(scenario, tsys)[0]
+    assert (tmp_path / "case.riemann.csv").read_text() == per_line_grid_csv(
+        tab.s_nodes, tab.t_nodes, tab.values)
+    assert main(["dump", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+    written = (tmp_path / "case.a1111.csv").read_text()
+    assert written == per_line_grid_csv(*cli._field_on_grid(scenario, "a1111"))
 
 
 def test_reports_are_jobs_invariant(tmp_path):

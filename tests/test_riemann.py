@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.special import j0
@@ -10,6 +12,8 @@ from helpers import (
     hyperbolic_bessel_series,
     hyperbolic_bessel_series_d,
     laplace_riemann,
+    list_volterra_ivp,
+    loop_represent_solution,
     nine_call_apply_L,
     picard_solve_riemann,
     scalar_apply_L,
@@ -129,6 +133,19 @@ def test_cumulative_trapezoid_matches_scipy_bit_for_bit():
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
     got = rm._cumulative_trapezoid(y[:, 5], np.diff(s_nodes), 0)
     assert got.tobytes() == cumulative_trapezoid(y[:, 5], s_nodes, initial=0.0).tobytes()
+    # axes of 1, 2 and 3 nodes, summed plane by plane, across a stack of 7;
+    # first cells of -0.0, which a sum starting from 0.0 would turn to 0.0
+    y = rng.standard_normal((7, len(s_nodes), 3))
+    y[2:4, :, :2] = y[:, :2] = -0.0
+    for axis, nodes in ((2, t_nodes[:3]), (2, t_nodes[:2]), (2, t_nodes[:1]), (1, s_nodes)):
+        steps = np.diff(nodes).reshape((-1, 1) if axis == 1 else (1, -1))
+        part = y[:, :, :len(nodes)] if axis == 2 else y
+        got = rm._cumulative_trapezoid(part, steps, axis)
+        want = cumulative_trapezoid(part, nodes, axis=axis, initial=0.0)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if axis == 2:  # one line of the stack alone
+            got = rm._cumulative_trapezoid(part[3, 4], np.diff(nodes), 0)
+            assert got.tobytes() == cumulative_trapezoid(part[3, 4], nodes, initial=0.0).tobytes()
 
 
 def test_picard_contraction_is_geometric():
@@ -343,15 +360,21 @@ def test_a_table_of_one_node_on_an_axis_reads_exactly_along_it(parameter, axis):
 @pytest.mark.parametrize("steps", [0, 1])
 def test_a_kernel_table_of_too_small_a_reach_names_the_table(steps):
     # the rows of a stencil parameter shifted 2h from its node reach past
-    # a window of reach 0 or h along the axis
+    # a window of reach 0 or h along the axis: the first to leave is the
+    # backward stencil point of node steps + 1 past 0, whose segment ends
+    # beyond its window
     sc = load_scenario(scenario_dir() / "lame_lower_order.json")
     _, tsys = pl.characteristics(sc, reduce_system(sc.coefficients))
     n = pl._axis_nodes(sc)
     h = 2 * tsys.epsilon / (n - 1)
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
+    x = float(nodes[n // 2 + 1 + steps])
     for axis, reach in (("s", (steps * h, 0.0)), ("t", (0.0, steps * h))):
         prov = RiemannProvider(tsys, n, sc.tolerances.picard_tol, reach)
-        message = r"^\[ucp\] point \(.+\) lies outside the Riemann table of parameter \(.+\)$"
+        point, parameter = (((x, 0.0), (x - 2 * h, -2 * h)) if axis == "s"
+                            else ((0.0, x), (-2 * h, x - 2 * h)))
+        message = "^" + re.escape(f"[ucp] point {point} lies outside the Riemann table "
+                                  f"of parameter {rm._key(parameter)}") + "$"
         with pytest.raises(pl.StageError, match=message):
             with pl.stage("ucp"):
                 rm._kernel_table(tsys, prov, axis, nodes, rm._CHAIN_STEP * h)
@@ -370,8 +393,8 @@ def _same_table(a, b):
 
 
 def counted_stacks(monkeypatch):
-    """The stacks ``rm._solve_stack`` solves from now on, each as the list
-    of its tables."""
+    """The stacks ``rm._solve_stack`` solves from now on, each as its
+    converged iterates, iterations and residuals."""
     stacks, solve_stack = [], rm._solve_stack
 
     def counted(*args):
@@ -630,22 +653,40 @@ def oracle_cases():
     yield pytest.param(variable_system(), 33, id="plain_variable")
 
 
+def recorded_solves(monkeypatch):
+    """``(windows, tables)`` for each ``rm._Windows.solve`` call from now
+    on, its tables a dict from key to the :class:`RiemannTable` that
+    ``_Stacks.table`` builds from the stack arrays."""
+    solves, solve = [], rm._Windows.solve
+
+    def recorded(self, parameters):
+        solved, key = solve(self, parameters)
+        solves.append((self, {tuple(map(float, p)): solved.table(k)
+                              for k, p in enumerate(solved.points)}))
+        return solved, key
+
+    monkeypatch.setattr(rm._Windows, "solve", recorded)
+    return solves
+
+
 @pytest.mark.parametrize("tsys, n", oracle_cases())
-def test_kernels_on_windows_match_the_scalar_oracle(tsys, n):
+def test_kernels_on_windows_match_the_scalar_oracle(tsys, n, monkeypatch):
     # both kernel tables of the ucp stage, each on the chain's windows of
     # its axis, against the node-by-node path on tables of the whole square
     full = RiemannProvider(tsys, n)
     h = grid_step(full)
-    windows = {axis: RiemannProvider(tsys, n, reach=rm._chain_reach(axis, h)) for axis in "st"}
+    windows = {axis: rm._Windows(tsys, n, reach=rm._chain_reach(axis, h)) for axis in "st"}
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
     assert np.max(np.abs(full.table((0.0, 0.0)).values - 1.0)) > 1e-3
+    solves = recorded_solves(monkeypatch)
     for axis in ("s", "t"):
         k = rm._kernel_table(tsys, windows[axis], axis, nodes, 2 * h)
         ref = scalar_kernel_table(tsys, full, axis, nodes, 2 * h)
         read = ~np.isnan(k)
         assert np.max(np.abs(ref)) > 0.1
         assert np.max(np.abs(k[read] - ref[read])) <= 1e-8
-    assert sum(t.values.size for w in windows.values() for t in w._cache.values()) < 0.25 * sum(
+    assert [w for w, _ in solves] == [windows["s"], windows["t"]]
+    assert sum(t.values.size for _, tables in solves for t in tables.values()) < 0.25 * sum(
         t.values.size for t in full._cache.values())
 
 
@@ -896,22 +937,24 @@ def test_kernel_table_equals_the_value_read_rows_bit_for_bit(name, monkeypatch):
 
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
     step = rm._CHAIN_STEP * h
-    windows = {axis: chain_provider(axis) for axis in "st"}
-    got = [rm._kernel_table(tsys, windows[axis], axis, nodes, step) for axis in "st"]
+    solves = recorded_solves(monkeypatch)
+    got = [rm._kernel_table(tsys, rm._Windows(tsys, n, sc.tolerances.picard_tol,
+                                              rm._chain_reach(axis, h)), axis, nodes, step)
+           for axis in "st"]
     monkeypatch.setattr(rm, "solve_riemann", picard_solve_riemann)
     reference = {axis: chain_provider(axis) for axis in "st"}
     want = [value_kernel_table(tsys, reference[axis], axis, nodes, step) for axis in "st"]
     for k, ref in zip(got, want):
         assert np.nanmax(np.abs(ref)) > 0.01
         assert k.tobytes() == ref.tobytes()
-    for axis in "st":
-        assert windows[axis]._cache.keys() == reference[axis]._cache.keys()
-        assert all(_same_table(windows[axis]._cache[key], tab)
-                   for key, tab in reference[axis]._cache.items())
+    assert len(solves) == 2
+    for (_, tables), axis in zip(solves, "st"):
+        assert list(tables) == list(reference[axis]._cache)
+        assert all(_same_table(tables[key], tab) for key, tab in reference[axis]._cache.items())
 
 
 def test_the_chain_solves_each_table_only_where_it_reads_it(monkeypatch):
-    # the chain's three providers (kernel rows on s, on t, representation):
+    # the chain's three batches (kernel rows on s, on t, representation):
     # every node a kernel row or the representation reads is a node of its
     # table, and their cells sum to under half those of one provider
     # whose windows reach _CHAIN_REACH steps along both axes
@@ -919,39 +962,129 @@ def test_the_chain_solves_each_table_only_where_it_reads_it(monkeypatch):
     _, tsys = pl.characteristics(sc, reduce_system(sc.coefficients))
     n, tol, eps = pl._axis_nodes(sc), sc.tolerances.picard_tol, tsys.epsilon
     h = 2 * eps / (n - 1)
-    made = []
-
-    class Recorded(RiemannProvider):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(rm, "RiemannProvider", Recorded)
+    solves = recorded_solves(monkeypatch)
     probe = np.linspace(-eps, eps, 9)
     targets = [(s, t) for s in probe for t in probe]
     rm.riemann_chain(tsys, n, tol, 0.0, targets)
-    kernels, representation = {"s": made[0], "t": made[1]}, made[2]
-    assert [p.reach for p in made] == [rm._chain_reach(use, h) for use in ("s", "t", None)]
+    kernels, representation = {"s": solves[0][1], "t": solves[1][1]}, solves[2][1]
+    assert [w.reach for w, _ in solves] == [rm._chain_reach(use, h) for use in ("s", "t", None)]
 
     def has_nodes(axis_nodes, points):
         return all(np.min(np.abs(axis_nodes - p)) <= 1e-12 for p in points)
 
     nodes = np.linspace(-eps, eps, n)
     i0 = n // 2
-    for axis, provider in kernels.items():
+    for axis, tables in kernels.items():
         for i, s in enumerate(nodes):
             at = (s, 0.0) if axis == "s" else (0.0, s)
             xs, ys = (rm._stencils(x, 2 * h, -eps, eps)[0] for x in at)
             for xi in xs:
                 for eta in ys:
-                    tab = provider.table((xi, eta))
+                    tab = tables[rm._key((xi, eta))]
                     along, across = ((tab.s_nodes, tab.t_nodes) if axis == "s"
                                      else (tab.t_nodes, tab.s_nodes))
                     assert has_nodes(along, nodes[min(i, i0):max(i, i0) + 1]), (axis, i)
                     assert has_nodes(across, [0.0]), (axis, i)
-    for (s, t), tab in zip(targets, representation.tables(targets)):
+    for s, t in targets:
+        tab = representation[rm._key((s, t))]
         assert has_nodes(tab.s_nodes, [0.0, s]) and has_nodes(tab.t_nodes, [0.0, t])
-    cells = sum(t.values.size for p in made for t in p._cache.values())
+    cells = sum(t.values.size for _, tables in solves for t in tables.values())
     parent_rule = RiemannProvider(tsys, n, tol, rm._CHAIN_REACH * h)
-    keys = {key for p in made for key in p._cache}
+    keys = {key for _, tables in solves for key in tables}
     assert cells < 0.5 * sum(t.values.size for t in parent_rule.tables(sorted(keys)))
+
+
+# -- the chain on stack arrays ------------------------------------------------
+
+
+def test_a_run_builds_one_riemann_table(monkeypatch):
+    # the riemann stage's table; the chain reads its 471 tables as stack arrays
+    built, init = [], rm.RiemannTable.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("parameter", args[0] if args else None))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(rm.RiemannTable, "__init__", counted)
+    report, failures = pl.run(load_scenario(scenario_dir() / "lame_lower_order.json"))
+    assert not failures and "w_sup" in report["ucp"] and "riemann" in report
+    assert built == [(0.0, 0.0)]
+
+
+@pytest.mark.parametrize("name", ["lame_lower_order", "lame_traced"])
+def test_representation_with_nonzero_data_equals_the_table_loop_bit_for_bit(name):
+    # w00, phi and psi nonzero, so every table value the formula reads shows
+    # in its result: on the ucp stage's 9 x 9 probe, whose windows are
+    # uniform nodes, and on random targets, whose windows gain an off-grid node
+    sc = load_scenario(scenario_dir() / f"{name}.json")
+    _, tsys = pl.characteristics(sc, reduce_system(sc.coefficients))
+    n, tol, eps = pl._axis_nodes(sc), sc.tolerances.picard_tol, tsys.epsilon
+    nodes = np.linspace(-eps, eps, n)
+    traces = CauchyTraces(nodes, np.sin(3 * nodes) + 0.2, np.cos(2 * nodes) - 0.1)
+    probe = np.linspace(-eps, eps, 9)
+    random = [tuple(p) for p in np.random.default_rng(6).uniform(-eps, eps, (40, 2))]
+    reach = rm._chain_reach(None, 2 * eps / (n - 1))
+    for targets, augmented in (([(s, t) for s in probe for t in probe], False), (random, True)):
+        windows = rm._Windows(tsys, n, tol, reach)
+        solved, _ = windows.solve(targets)
+        assert all(bool(w[3]) == augmented for w in solved.windows)
+        got = represent_solution(windows, 0.37, traces, targets)
+        want = loop_represent_solution(RiemannProvider(tsys, n, tol, reach), 0.37, traces, targets)
+        assert np.min(np.abs(want)) > 1e-3
+        assert got.tobytes() == want.tobytes()
+
+
+def test_interp_rows_equals_np_interp_bit_for_bit():
+    # rows of 1 to 9 nodes padded to 9, read at their nodes, between them,
+    # beyond both ends and an ulp from a node, with infinities in fp
+    rng = np.random.default_rng(8)
+    rows, width = 400, 9
+    count = rng.integers(1, width + 1, rows)
+    xp = np.cumsum(rng.uniform(0.01, 1.0, (rows, width)), axis=1) - 2.0
+    fp = rng.normal(size=(rows, width))
+    fp[rng.random((rows, width)) < 0.03] = np.inf
+    pick = xp[np.arange(rows), rng.integers(0, count)]
+    x = np.stack([pick, np.nextafter(pick, np.inf), np.nextafter(pick, -np.inf),
+                  rng.uniform(-3.0, 8.0, rows), xp[:, 0] - 1.0,
+                  xp[np.arange(rows), count - 1] + 1.0], axis=1)
+    got = rm._interp_rows(x, xp, fp, count)
+    want = [np.interp(x[r], xp[r, :count[r]], fp[r, :count[r]]) for r in range(rows)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("n", [9, 33, 65, 129])
+def test_volterra_ivp_equals_the_list_march_bit_for_bit(n):
+    # the march on slices and reversed views against known nodes as index lists
+    rng = np.random.default_rng(n)
+    nodes = np.linspace(-0.4, 0.4, n)
+    k_table, lead = rng.normal(size=(n, n)), rng.uniform(0.5, 2.0, n)
+    damp, force = rng.normal(size=n), rng.normal(size=n)
+
+    def at(values):
+        return lambda s, *_: values[np.searchsorted(nodes, s)]
+
+    kwargs = dict(leading=at(lead), damping=at(damp), kernel=at(k_table), forcing=at(force),
+                  interval=(-0.4, 0.4), n=n)
+    got, want = volterra_ivp(**kwargs), list_volterra_ivp(**kwargs)
+    assert np.max(np.abs(want[1])) > 0.01
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def test_windows_solve_each_distinct_key_once_in_order_of_first_appearance():
+    # keys rounded as _key rounds them, on values a scaled half-integer away
+    # from a tie, signed zeros and repeats; the tables of the keys, in order
+    tsys = variable_system()
+    rng = np.random.default_rng(9)
+    ties = (rng.integers(-4 * 10**12, 4 * 10**12, 60) + 0.5) / 1e14
+    values = np.concatenate([ties, np.nextafter(ties, 1.0), rng.uniform(-0.5, 0.5, 60),
+                             [0.0, -0.0, 0.1 + 1e-16, 0.1, 1e-20, -1e-20, 0.25]])
+    keys = rm._keys(np.stack([values, values[::-1]], axis=1))
+    want = [rm._key(p) for p in zip(values, values[::-1])]
+    assert keys.tobytes() == np.array(want).tobytes()
+    parameters = [(values[k], values[-1 - k]) for k in rng.integers(0, len(values), 300)]
+    solved, key = rm._Windows(tsys, 17, reach=0.0).solve(parameters)
+    distinct = list(dict.fromkeys(rm._key(p) for p in parameters))
+    assert [tuple(p) for p in solved.points.tolist()] == distinct
+    assert [distinct[k] for k in key] == [rm._key(p) for p in parameters]
+    tables = rm.solve_riemann_tables(tsys, distinct, 17, reach=0.0)
+    assert all(_same_table(solved.table(k), tab) for k, tab in enumerate(tables))
