@@ -218,6 +218,10 @@ _TPQRT_BLOCK = 32
 _PANEL_DIVISOR = 12
 # Inverse iteration steps before an unconverged block is an error.
 _INVERSE_ITERATION_CAP = 100
+# How far past the 1e-13 rule a change of the Ritz values read from the
+# solve's own triangle may lie for the step to check the rule on A V: the
+# two readings lie at most 1.4e-14 of the rule's scale apart on the goldens.
+_RITZ_ESTIMATE_MARGIN = 5e-13
 
 
 @dataclass(frozen=True)
@@ -233,74 +237,93 @@ class NullSpaceResult:
     grid: tuple
 
 
-def _band_sorted(a):
-    """Nonzero rows of the sparse ``a`` in a stable order of their leading
-    column, with those leading columns and the bandwidth ``w``: every row
-    spans at most ``w + 1`` columns from its leading one."""
-    a = a.tocsr(copy=True)
-    a.eliminate_zeros()
-    a.sort_indices()
+def _mapped(size):
+    """``size`` zeros in an anonymous memory map of their own: the map goes
+    back to the system when its last view is freed, and leaves no hole in
+    the heap that the solver's smaller arrays would grow around."""
+    import mmap
+
+    return np.frombuffer(mmap.mmap(-1, 8 * int(size)), dtype=float)
+
+
+def _band_order(a):
+    """The nonzero rows of the CSR ``a`` (no stored zeros) in a stable order
+    of their leading column, those leading columns, one past each row's
+    last column, and the bandwidth ``w``: every row spans at most ``w + 1``
+    columns from its leading one."""
     rows = np.flatnonzero(np.diff(a.indptr))
-    lead = a.indices[a.indptr[rows]]
-    last = a.indices[a.indptr[rows + 1] - 1]
+    lead = np.minimum.reduceat(a.indices, a.indptr[rows])
+    end = np.maximum.reduceat(a.indices, a.indptr[rows]) + 1
     order = np.argsort(lead, kind="stable")
-    return a[rows[order]], lead[order], int((last - lead).max())
+    return rows[order], lead[order], end[order], int((end - lead).max()) - 1
 
 
 def _banded_r(a_sparse):
     """Upper-triangular factor R of a QR factorisation of the sparse
-    ``a_sparse`` (so ``R^T R = A^T A``), as block rows.
+    ``a_sparse`` (so ``R^T R = A^T A``), as ragged block rows.
 
-    With rows sorted by leading column, row ``i`` of R is a combination of
-    rows leading at or before column ``i``, so R has the rows' bandwidth
-    ``w``, and R's rows reach no further than the rows of A merged into
-    them (Golub & Van Loan, *Matrix Computations*, 5.7).  The rows of R
-    not yet final live in an upper-triangular window that slides down the
-    diagonal ``p = max(w // _PANEL_DIVISOR, 1)`` columns at a time.  Each
-    step appends the rows leading inside the next ``p`` columns, read
-    straight from the sorted CSR arrays, with one triangular-pentagonal QR
+    With rows taken in order of their leading column, row ``i`` of R is a
+    combination of rows leading at or before column ``i``, so R has the
+    rows' bandwidth ``w``, and R's rows reach no further than the rows of
+    A merged into them (Golub & Van Loan, *Matrix Computations*, 5.7).  The
+    rows of R not yet final live in an upper-triangular window that slides
+    down the diagonal ``p = max(w // _PANEL_DIVISOR, 1)`` columns at a
+    time.  Each step appends the rows leading inside the next ``p``
+    columns, gathered from the caller's CSR arrays through a stable
+    permutation (``_band_order``), with one triangular-pentagonal QR
     (``dtpqrt``, which leaves the window's zero triangle alone), and keeps
     the window's first ``p`` rows as the next block row of R.  The window
-    is ``e x e`` with ``e = min(max(reach - c0, p), w + p)``, where ``c0``
-    is its first column and ``reach`` one past the last column of every
-    row merged so far: on the FD operator only the boundary-closure rows
+    is ``e x e`` with ``e = max(reach - c0, p) <= w + p``, where ``c0`` is
+    its first column and ``reach`` one past the last column of every row
+    merged so far, known before factoring from the running maximum of the
+    ordered rows' ends: on the FD operator only the boundary-closure rows
     span the full ``w + 1`` columns, so interior steps factor a narrower
     window (0.63 to 0.66 of the ``(w + p)^2`` work at n = 33 to 129).  The
-    next window is a fresh ``e' x e'`` array holding this one's
-    ``[p:, p:]``.
+    windows alternate between two buffers allocated once, each holding the
+    other's ``[p:, p:]``.
 
-    Returns ``blocks`` of shape ``(p, w + p, m)``, Fortran-ordered, with
-    ``m = ceil(ncol / p)``: ``blocks[:, :, i]`` holds rows ``i p`` to
-    ``i p + p`` of R in columns ``i p`` to ``i p + w + p``, upper
-    trapezoidal, so its triangle ``blocks[:, :p, i]`` and the rest
-    ``blocks[:, p:, i]`` are Fortran-contiguous views.  Rows past the last
+    Returns ``m = ceil(ncol / p)`` block rows, Fortran-ordered views of one
+    flat buffer of ``sum(p e_i)`` values (``_mapped``, as are the windows'
+    buffers).  Block row ``i`` is ``p x e_i``: rows ``i p`` to ``i p + p``
+    of R in columns ``i p`` to ``i p + e_i``, upper trapezoidal, so its
+    triangle ``[:, :p]`` and the rest ``[:, p:]`` are Fortran-contiguous
+    views; R is zero past each block row's envelope.  Rows past the last
     column are padding with unit pivots and no other entries.
     """
     from scipy.linalg.lapack import dtpqrt
 
-    a, lead, w = _band_sorted(a_sparse)
+    a = a_sparse.tocsr()
+    if not a.data.all():
+        a = a.copy()
+        a.eliminate_zeros()
+    order, lead, end, w = _band_order(a)
     ncol, p = a.shape[1], max(w // _PANEL_DIVISOR, 1)
-    size, m = w + p, -(-ncol // p)
-    # one past each row's last column; reach is its maximum over the rows merged
-    last = a.indices[a.indptr[1:] - 1] + 1
-    reach = 0
-    window = np.zeros((0, 0), order="F")
-    blocks = np.zeros((p, size, m), order="F")
-    for i, c0 in enumerate(range(0, m * p, p)):
-        r0, r1 = np.searchsorted(lead, [c0, c0 + p])
-        reach = max(reach, last[r0:r1].max(initial=0))
-        e = min(max(reach - c0, p), size)
-        held, window = window[p:, p:], np.zeros((e, e), order="F")
+    m = -(-ncol // p)
+    c0 = np.arange(m + 1) * p
+    bounds = np.searchsorted(lead, c0)
+    reach = np.concatenate(([0], np.maximum.accumulate(end)))[bounds[1:]]
+    widths = np.maximum(reach - c0[:-1], p)
+    flat = _mapped(p * widths.sum())
+    blocks = [b.reshape((p, -1), order="F") for b in np.split(flat, p * np.cumsum(widths[:-1]))]
+    buffers = _mapped(2 * (w + p) ** 2).reshape(2, -1)
+    window = np.zeros((0, 0))
+    for i, e in enumerate(widths):
+        held, window = window[p:, p:], buffers[i % 2, :e * e].reshape((e, e), order="F")
+        window.fill(0.0)
         window[:len(held), :len(held)] = held
-        lo, hi = a.indptr[r0], a.indptr[r1]
-        rows = np.zeros((r1 - r0, e), order="F")
-        row_of = np.repeat(np.arange(r1 - r0), np.diff(a.indptr[r0:r1 + 1]))
-        rows[row_of, a.indices[lo:hi] - c0] = a.data[lo:hi]
+        # the entries of the rows merged at this step, row after row
+        merged = order[bounds[i]:bounds[i + 1]]
+        start = a.indptr[merged]
+        counts = a.indptr[merged + 1] - start
+        row_of = np.repeat(np.arange(len(merged)), counts)
+        entry = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
+        rows = np.zeros((len(merged), e), order="F")
+        rows[row_of, a.indices[entry] - c0[i]] = a.data[entry]
         window, *_ = dtpqrt(0, min(_TPQRT_BLOCK, e), window, rows,
                             overwrite_a=True, overwrite_b=True)
-        blocks[:, :e, i] = window[:p]
+        blocks[i][:] = window[:p]
     pad = np.arange(ncol - (m - 1) * p, p)
-    blocks[pad, pad, -1] = 1.0
+    blocks[-1][pad, pad] = 1.0
     return blocks
 
 
@@ -309,38 +332,42 @@ def _block_solve(blocks, y, trans):
     rows of ``_banded_r`` and the ``(ncol, k)`` right-hand sides ``y``.
 
     Works on ``X^T``, whose block columns are Fortran-contiguous, so each
-    block row costs one ``dgemm`` and one ``dtrsm`` in place and hands BLAS
-    views of ``blocks``, never copies.  ``R x = y`` runs backward,
+    block row costs one ``dtrsm`` in place and, when it reaches past its
+    triangle, one ``dgemm`` on its ``e_i - p`` trailing columns, and hands
+    BLAS views of ``blocks``, never copies.  ``R x = y`` runs backward,
     ``x_i = T_i^-1 (y_i - B_i x_(i+1..))``; ``R^T x = y`` runs forward,
     ``x_i = T_i^-T y_i`` followed by ``y_(i+1..) -= B_i^T x_i``.
     """
     from scipy.linalg.blas import dgemm, dtrsm
 
-    p, size, m = blocks.shape
+    p, m = blocks[0].shape[0], len(blocks)
     ncol, k = y.shape
-    xt = np.zeros((k, (m - 1) * p + size), order="F")
+    xt = np.zeros((k, m * p), order="F")
     xt[:, :ncol] = y.T
     for i in range(m) if trans else range(m - 1, -1, -1):
-        c0 = i * p
-        tri, rest = blocks[:, :p, i], blocks[:, p:, i]
-        head, tail = xt[:, c0:c0 + p], xt[:, c0 + p:c0 + size]
+        c0, e = i * p, blocks[i].shape[1]
+        tri, rest = blocks[i][:, :p], blocks[i][:, p:]
+        head, tail = xt[:, c0:c0 + p], xt[:, c0 + p:c0 + e]
         if trans:
             dtrsm(1.0, tri, head, side=1, overwrite_b=1)
-            dgemm(-1.0, head, rest, 1.0, tail, overwrite_c=1)
+            if e > p:
+                dgemm(-1.0, head, rest, 1.0, tail, overwrite_c=1)
         else:
-            dgemm(-1.0, tail, rest, 1.0, head, trans_b=1, overwrite_c=1)
+            if e > p:
+                dgemm(-1.0, tail, rest, 1.0, head, trans_b=1, overwrite_c=1)
             dtrsm(1.0, tri, head, side=1, trans_a=1, overwrite_b=1)
     return xt[:, :ncol].T
 
 
 def _floor_pivots(blocks):
-    """Raise the pivots on the block diagonals of ``blocks`` to at least
-    1e-150 of the largest (or of 1), in place, so an exact zero pivot
+    """Raise the pivots on the diagonals of the block rows ``blocks`` to at
+    least 1e-150 of the largest (or of 1), in place, so an exact zero pivot
     leaves the solves finite."""
-    on_diagonal = np.arange(blocks.shape[0])
-    diag = blocks[on_diagonal, on_diagonal]
-    floor = max(np.abs(diag).max(), 1.0) * 1e-150
-    blocks[on_diagonal, on_diagonal] = np.where(np.abs(diag) < floor, floor, diag)
+    on_diagonal = np.arange(blocks[0].shape[0])
+    floor = max(max(np.abs(b[on_diagonal, on_diagonal]).max() for b in blocks), 1.0) * 1e-150
+    for b in blocks:
+        diag = b[on_diagonal, on_diagonal]
+        b[on_diagonal, on_diagonal] = np.where(np.abs(diag) < floor, floor, diag)
 
 
 def _smallest_right_vectors(a_sparse, blocks, k, sigma_max):
@@ -351,32 +378,55 @@ def _smallest_right_vectors(a_sparse, blocks, k, sigma_max):
     the right-singular vectors of the ``k`` smallest singular values.
     Each step solves with ``R^T`` and then with ``R`` (``_block_solve``,
     level-3 BLAS one block row at a time), orthonormalising after every
-    solve, and finishes with a Rayleigh-Ritz step: the SVD of the ``k x k``
-    triangle of a QR of ``A V``, which has the right singular vectors of
-    ``A V`` and forms no left ones.  It stops once the first
-    ``k - _RITZ_GUARD`` Ritz values repeat to 1e-13 relative, or to
-    1e-15 of ``sigma_max`` for rounding-level values, and raises
-    ``ValueError`` if that takes more than ``_INVERSE_ITERATION_CAP``
-    steps.  The pivots of ``blocks`` are floored in place first
-    (``_floor_pivots``).
+    solve.  It stops once the first ``k - _RITZ_GUARD`` Ritz values repeat
+    to 1e-13 relative, or to 1e-15 of ``sigma_max`` for rounding-level
+    values, and raises ``ValueError`` if that takes more than
+    ``_INVERSE_ITERATION_CAP`` steps.  The Ritz values that rule reads come
+    from a Rayleigh-Ritz step, the SVD of the ``k x k`` triangle of a QR of
+    ``A V``, which has the right singular vectors of ``A V`` and forms no
+    left ones.  As ``R^T R = A^T A``, the triangle ``T`` of the step's last
+    QR, ``R^-1 Q = V T``, gives ``sigma(A V) = sigma(T^-1)``, whose
+    rounding stays near eps of its norm, well under the rule's floor of
+    1e-2 ``sigma_max``; so ``A V`` is formed only on a step whose change
+    read from ``T^-1`` is within ``_RITZ_ESTIMATE_MARGIN`` of the rule, and
+    on the step before it.  The pivots of ``blocks`` are floored in place
+    first (``_floor_pivots``).
     """
+    from scipy.linalg.lapack import dtrtri
+
     _floor_pivots(blocks)
     rng = np.random.default_rng(0)
     v, _ = np.linalg.qr(rng.standard_normal((a_sparse.shape[1], k)))
     watched = slice(0, max(k - _RITZ_GUARD, 1))
-    previous, change = None, np.inf
-    for _ in range(_INVERSE_ITERATION_CAP):
-        for trans in (True, False):
-            v, _ = np.linalg.qr(_block_solve(blocks, v, trans))
+
+    def relative_change(ritz, previous):
+        # 1e-2 sigma_max is where 1e-13 * ritz meets 1e-15 * sigma_max
+        scale = np.maximum(ritz, 1e-2 * sigma_max)[watched]
+        return float((np.abs(ritz - previous)[watched] / scale).max())
+
+    def rayleigh_ritz(v):
         _, ritz, zt = np.linalg.svd(np.linalg.qr(a_sparse @ v, mode="r"))
-        ritz = ritz[::-1]
-        if previous is not None:
-            # 1e-2 sigma_max is where 1e-13 * ritz meets 1e-15 * sigma_max
-            scale = np.maximum(ritz, 1e-2 * sigma_max)[watched]
-            change = float((np.abs(ritz - previous)[watched] / scale).max())
+        return ritz[::-1], zt
+
+    estimate = previous = last_v = None
+    change = np.inf
+    for _ in range(_INVERSE_ITERATION_CAP):
+        v, _ = np.linalg.qr(_block_solve(blocks, v, True))
+        v, t = np.linalg.qr(_block_solve(blocks, v, False))
+        guess = np.linalg.svd(dtrtri(t)[0], compute_uv=False)[::-1]
+        near = estimate is not None and (
+            relative_change(guess, estimate) <= 1e-13 + _RITZ_ESTIMATE_MARGIN)
+        if near:
+            if previous is None:
+                previous, _ = rayleigh_ritz(last_v)
+            ritz, zt = rayleigh_ritz(v)
+            change = relative_change(ritz, previous)
             if change <= 1e-13:
                 return ritz, v @ zt.T[:, ::-1]
-        previous = ritz
+            previous = ritz
+        else:
+            previous = None
+        estimate, last_v = guess, v
     raise ValueError(
         f"inverse iteration did not converge in {_INVERSE_ITERATION_CAP} steps "
         f"(last relative change of the Ritz values {change:.3g}, tolerance 1e-13)"
@@ -396,8 +446,9 @@ def null_space_dimension(sys, region, n, threshold=1e-6):
 
     Only the singular values the report reads are computed: ``sigma_max``
     by ARPACK on the sparse operator, and the smallest ones by block
-    inverse iteration on the block rows of a banded QR factor
-    (``_banded_r``, solved with level-3 BLAS by ``_block_solve``).  The
+    inverse iteration on a banded QR factor held as ragged block rows, each
+    only as wide as its envelope (``_banded_r``, solved with level-3 BLAS
+    by ``_block_solve``).  The
     block has ``_K_REPORT + _RITZ_GUARD`` (8 + 8) columns, and its first
     ``_K_REPORT``, the values the report prints, decide convergence.  The
     block doubles while the dimension fills its converged part, so the

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ucp2d import characteristics as ch
+from ucp2d import pipeline as pl
 from ucp2d import riemann as rm
 from ucp2d.fields import Bin, Call, Const, EvalDomainError, Neg, ScalarField, Var, _bin, _neg
 from ucp2d.geometry import Rect
@@ -669,3 +670,105 @@ def cauchy_traces_from_w(tsys, w, ws, wt, n):
         w(zero, nodes)
     )
     return CauchyTraces(nodes=nodes, phi=phi, psi=psi)
+
+
+# -- the null-space solver on full-width block rows -------------------------
+# The banded QR factor, its solves and the inverse iteration as they were
+# while R's block rows were stored at the band's full width w + p, read the
+# rows through a sorted copy of the operator and checked every step on A V:
+# references that the envelope-width solver must match byte for byte.
+
+
+def full_width_band_sorted(a):
+    a = a.tocsr(copy=True)
+    a.eliminate_zeros()
+    a.sort_indices()
+    rows = np.flatnonzero(np.diff(a.indptr))
+    lead = a.indices[a.indptr[rows]]
+    last = a.indices[a.indptr[rows + 1] - 1]
+    order = np.argsort(lead, kind="stable")
+    return a[rows[order]], lead[order], int((last - lead).max())
+
+
+def full_width_banded_r(a_sparse):
+    """R as ``(p, w + p, m)`` block rows, zero past each row's envelope."""
+    from scipy.linalg.lapack import dtpqrt
+
+    a, lead, w = full_width_band_sorted(a_sparse)
+    ncol, p = a.shape[1], max(w // pl._PANEL_DIVISOR, 1)
+    size, m = w + p, -(-ncol // p)
+    last = a.indices[a.indptr[1:] - 1] + 1
+    reach = 0
+    window = np.zeros((0, 0), order="F")
+    blocks = np.zeros((p, size, m), order="F")
+    for i, c0 in enumerate(range(0, m * p, p)):
+        r0, r1 = np.searchsorted(lead, [c0, c0 + p])
+        reach = max(reach, last[r0:r1].max(initial=0))
+        e = min(max(reach - c0, p), size)
+        held, window = window[p:, p:], np.zeros((e, e), order="F")
+        window[:len(held), :len(held)] = held
+        lo, hi = a.indptr[r0], a.indptr[r1]
+        rows = np.zeros((r1 - r0, e), order="F")
+        row_of = np.repeat(np.arange(r1 - r0), np.diff(a.indptr[r0:r1 + 1]))
+        rows[row_of, a.indices[lo:hi] - c0] = a.data[lo:hi]
+        window, *_ = dtpqrt(0, min(pl._TPQRT_BLOCK, e), window, rows,
+                            overwrite_a=True, overwrite_b=True)
+        blocks[:, :e, i] = window[:p]
+    pad = np.arange(ncol - (m - 1) * p, p)
+    blocks[pad, pad, -1] = 1.0
+    return blocks
+
+
+def full_width_block_solve(blocks, y, trans):
+    from scipy.linalg.blas import dgemm, dtrsm
+
+    p, size, m = blocks.shape
+    ncol, k = y.shape
+    xt = np.zeros((k, (m - 1) * p + size), order="F")
+    xt[:, :ncol] = y.T
+    for i in range(m) if trans else range(m - 1, -1, -1):
+        c0 = i * p
+        tri, rest = blocks[:, :p, i], blocks[:, p:, i]
+        head, tail = xt[:, c0:c0 + p], xt[:, c0 + p:c0 + size]
+        if trans:
+            dtrsm(1.0, tri, head, side=1, overwrite_b=1)
+            dgemm(-1.0, head, rest, 1.0, tail, overwrite_c=1)
+        else:
+            dgemm(-1.0, tail, rest, 1.0, head, trans_b=1, overwrite_c=1)
+            dtrsm(1.0, tri, head, side=1, trans_a=1, overwrite_b=1)
+    return xt[:, :ncol].T
+
+
+def full_width_floor_pivots(blocks):
+    on_diagonal = np.arange(blocks.shape[0])
+    diag = blocks[on_diagonal, on_diagonal]
+    floor = max(np.abs(diag).max(), 1.0) * 1e-150
+    blocks[on_diagonal, on_diagonal] = np.where(np.abs(diag) < floor, floor, diag)
+
+
+def full_width_smallest_right_vectors(a_sparse, blocks, k, sigma_max):
+    """Ritz values and vectors with a Rayleigh-Ritz step on ``A V`` every
+    step, the count of steps, and the largest distance over the steps
+    between those Ritz values and ``1 / sigma(T)`` for the triangle ``T``
+    of the step's last QR, relative to the stopping rule's scale."""
+    from scipy.linalg.lapack import dtrtri
+
+    full_width_floor_pivots(blocks)
+    rng = np.random.default_rng(0)
+    v, _ = np.linalg.qr(rng.standard_normal((a_sparse.shape[1], k)))
+    watched = slice(0, max(k - pl._RITZ_GUARD, 1))
+    previous, discrepancy = None, 0.0
+    for step in range(1, pl._INVERSE_ITERATION_CAP + 1):
+        v, _ = np.linalg.qr(full_width_block_solve(blocks, v, True))
+        v, t = np.linalg.qr(full_width_block_solve(blocks, v, False))
+        _, ritz, zt = np.linalg.svd(np.linalg.qr(a_sparse @ v, mode="r"))
+        ritz = ritz[::-1]
+        scale = np.maximum(ritz, 1e-2 * sigma_max)[watched]
+        guess = np.linalg.svd(dtrtri(t)[0], compute_uv=False)[::-1]
+        discrepancy = max(discrepancy, float((np.abs(guess - ritz)[watched] / scale).max()))
+        if previous is not None:
+            change = float((np.abs(ritz - previous)[watched] / scale).max())
+            if change <= 1e-13:
+                return ritz, v @ zt.T[:, ::-1], step, discrepancy
+        previous = ritz
+    raise ValueError("inverse iteration did not converge")

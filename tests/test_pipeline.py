@@ -7,7 +7,16 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import blas, lapack
 
-from helpers import grid_step, point_data_solve, residual
+from helpers import (
+    full_width_banded_r,
+    full_width_block_solve,
+    full_width_floor_pivots,
+    full_width_smallest_right_vectors,
+    grid_step,
+    point_data_solve,
+    random_elliptic_tensor,
+    residual,
+)
 from ucp2d import characteristics as ch
 from ucp2d import pipeline as pl
 from ucp2d import riemann as rm
@@ -85,10 +94,10 @@ def test_fd_matrices_exact_on_quartics(n):
 
 
 def _dense_upper(blocks, ncol):
-    p, size, m = blocks.shape
-    r = np.zeros((m * p, m * p + size - p))
-    for i in range(m):
-        r[i * p:i * p + p, i * p:i * p + size] = blocks[:, :, i]
+    p, m = blocks[0].shape[0], len(blocks)
+    r = np.zeros((m * p, m * p))
+    for i, block in enumerate(blocks):
+        r[i * p:i * p + p, i * p:i * p + block.shape[1]] = block
     return r[:ncol, :ncol]
 
 
@@ -155,12 +164,12 @@ def _edge_shape(shape):
 def test_banded_r_matches_the_dense_oracle_on_edge_shapes(shape):
     a_sp = _edge_shape(shape)
     blocks = pl._banded_r(a_sp)
-    p = blocks.shape[0]  # the factor's panel
-    w = blocks.shape[1] - p
+    p = blocks[0].shape[0]  # the factor's panel
+    _, lead, _, w = pl._band_order(a_sp.tocsr())
+    assert max(block.shape[1] for block in blocks) <= w + p
     if shape == "ragged":
         assert a_sp.shape[1] % p != 0
     elif shape == "gap":
-        _, lead, _ = pl._band_sorted(a_sp)
         panels = np.arange(0, a_sp.shape[1], p)
         assert np.any(np.searchsorted(lead, panels) == np.searchsorted(lead, panels + p))
     else:
@@ -170,7 +179,7 @@ def test_banded_r_matches_the_dense_oracle_on_edge_shapes(shape):
     r = _dense_upper(blocks, a_sp.shape[1])
     assert np.abs(r.T @ r - ata).max() <= 1e-13 * np.abs(ata).max()
     # rows past the last column are padding: a unit pivot and nothing else
-    ncol, padded = a_sp.shape[1], p * blocks.shape[2]
+    ncol, padded = a_sp.shape[1], p * len(blocks)
     full = _dense_upper(blocks, padded)
     assert np.array_equal(full[ncol:], np.eye(padded)[ncol:])
     assert not full[:ncol, ncol:].any()
@@ -210,19 +219,26 @@ def test_block_solve_hands_blas_views_of_the_factor(monkeypatch):
     # work array that BLAS overwrites
     a_sp = _edge_shape("ragged")
     blocks = pl._banded_r(a_sp)
-    p, size, m = blocks.shape
+    p, widths = blocks[0].shape[0], [block.shape[1] for block in blocks]
     calls, dtrsm = [], blas.dtrsm
     monkeypatch.setattr(blas, "dtrsm", _recording(calls, dtrsm))
     monkeypatch.setattr(blas, "dgemm", _recording(calls, blas.dgemm))
     v = np.random.default_rng(5).standard_normal((a_sp.shape[1], 3))
     for trans in (True, False):
         pl._block_solve(blocks, v, trans)
-    assert len(calls) == 4 * m
+    # one dtrsm per block row and solve, one dgemm where the row reaches
+    # past its triangle, each on exactly that row's envelope
+    reaching = [e - p for e in widths if e > p]
+    assert 0 < len(reaching) < len(blocks)
+    assert len(calls) == 2 * len(blocks) + 2 * len(reaching)
+    trsm_shapes = [args[1].shape for fn, args, _ in calls if fn is dtrsm]
+    gemm_shapes = [args[2].shape for fn, args, _ in calls if fn is not dtrsm]
+    assert trsm_shapes == [(p, p)] * 2 * len(blocks)
+    assert gemm_shapes == [(p, r) for r in reaching] + [(p, r) for r in reaching[::-1]]
     for fn, args, out in calls:
         # dtrsm(alpha, T, X) overwrites X; dgemm(alpha, X, B, beta, C) overwrites C
         factor, written = (args[1], args[2]) if fn is dtrsm else (args[2], args[4])
-        assert np.shares_memory(factor, blocks) and factor.flags.f_contiguous
-        assert factor.shape in ((p, p), (p, size - p))
+        assert np.shares_memory(factor, blocks[0].base) and factor.flags.f_contiguous
         assert np.shares_memory(out, written)
 
 
@@ -237,13 +253,21 @@ def test_banded_r_windows_follow_the_rows_envelope(monkeypatch):
     calls = []
     monkeypatch.setattr(lapack, "dtpqrt", _recording(calls, lapack.dtpqrt))
     blocks = pl._banded_r(a_sp)
-    p, size, m = blocks.shape
-    w = size - p
+    p, m = blocks[0].shape[0], len(blocks)
+    _, _, _, w = pl._band_order(a_sp)
     assert len(calls) == m
     for _, args, _ in calls:
         window, rows = args[2], args[3]
         assert window.shape[0] == window.shape[1] == rows.shape[1]
     widths = np.array([args[2].shape[0] for _, args, _ in calls])
+    # each block row is stored at its window's width, known before factoring
+    assert [block.shape for block in blocks] == [(p, e) for e in widths]
+    # the windows are factored in place, in two buffers taken in turn
+    windows = [args[2] for _, args, _ in calls]
+    assert all(np.shares_memory(out[0], args[2]) for _, args, out in calls)
+    for before, after, next_but_one in zip(windows, windows[1:], windows[2:]):
+        assert np.may_share_memory(before, next_but_one)
+        assert not np.may_share_memory(before, after)
     a = a_sp.tocsr()
     a.sort_indices()
     lead, last = a.indices[a.indptr[:-1]], a.indices[a.indptr[1:] - 1]
@@ -252,7 +276,35 @@ def test_banded_r_windows_follow_the_rows_envelope(monkeypatch):
     interior = (c0 >= 3 * n) & (c0 + p <= (n - 6) * n)
     assert closure.sum() >= 6 and interior.sum() >= 12
     assert widths[interior].max() < 5 * n + 1 <= widths[closure].min()
-    assert w < widths.max() <= size
+    assert w < widths.max() <= w + p
+
+
+def test_banded_r_stores_each_block_row_to_its_envelope():
+    # one flat buffer of sum(p e_i) values, block row after block row, each
+    # reaching its last nonzero column ("gap", whose empty columns leave
+    # zero pivots, would end a block row in a zero column)
+    blocks = pl._banded_r(_edge_shape("ragged"))
+    flat, p = blocks[0].base, blocks[0].shape[0]
+    widths = np.array([block.shape[1] for block in blocks])
+    assert flat.size == p * widths.sum() and widths.min() < widths.max()
+    starts = [block.ctypes.data - flat.ctypes.data for block in blocks]
+    assert starts == [flat.itemsize * p * widths[:i].sum() for i in range(len(blocks))]
+    assert all(block.flags.f_contiguous for block in blocks)
+    assert all(block[:, -1].any() for block in blocks)
+
+
+def test_banded_r_reads_stored_zeros_as_absent():
+    # a stored zero that leads or ends its row must not widen the band or a
+    # window; the caller's matrix keeps its stored zeros
+    a_sp = _edge_shape("ragged").tocsr()
+    a_sp.data[::5] = 0.0
+    stored = a_sp.nnz
+    clean = a_sp.copy()
+    clean.eliminate_zeros()
+    got, want = pl._banded_r(a_sp), pl._banded_r(clean)
+    assert [block.shape for block in got] == [block.shape for block in want]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+    assert a_sp.nnz == stored > clean.nnz
 
 
 def test_inverse_iteration_solves_on_the_factor_it_was_given(monkeypatch):
@@ -262,17 +314,81 @@ def test_inverse_iteration_solves_on_the_factor_it_was_given(monkeypatch):
     keep[40] = 0.0
     a_sp = a_sp @ sp.diags(keep)
     blocks = pl._banded_r(a_sp)
-    p = blocks.shape[0]
+    p = blocks[0].shape[0]
     block, row = divmod(40, p)
-    assert blocks[row, row, block] == 0.0
+    assert blocks[block][row, row] == 0.0
     sigma_max = np.linalg.norm(a_sp.toarray(), 2)
     calls = []
     monkeypatch.setattr(blas, "dtrsm", _recording(calls, blas.dtrsm))
     ritz, vecs = pl._smallest_right_vectors(a_sp, blocks, 12, sigma_max)
-    assert calls and all(np.shares_memory(args[1], blocks) for _, args, _ in calls)
+    assert calls and all(np.shares_memory(args[1], blocks[0].base) for _, args, _ in calls)
     assert np.all(np.isfinite(ritz)) and np.all(np.isfinite(vecs))
-    assert 0.0 < blocks[row, row, block] <= 1e-140  # floored in place
+    assert 0.0 < blocks[block][row, row] <= 1e-140  # floored in place
     assert ritz[0] <= 1e-15 * sigma_max and abs(abs(vecs[40, 0]) - 1.0) <= 1e-12
+
+
+# every shipped golden that runs the null space, at two grids, and random
+# constant tensors on small grids
+BIT_CASES = [
+    (path.stem, n)
+    for path in sorted(scenario_dir().glob("*.json"))
+    if "nullspace" in load_scenario(path).tasks
+    for n in (33, 65)
+] + [(f"random-{seed}", n) for seed, n in enumerate((25, 29, 33, 37, 41, 33))]
+
+
+def _bit_case_operator(name, n):
+    if name.startswith("random-"):
+        coeffs, omega = random_elliptic_tensor(np.random.default_rng(int(name[7:]))), OMEGA
+    else:
+        sc = load_scenario(scenario_dir() / f"{name}.json")
+        coeffs, omega = sc.coefficients, sc.omega
+    return pl._assemble_operator(reduce_system(coeffs), omega, n)[0]
+
+
+@pytest.mark.parametrize("name, n", BIT_CASES)
+def test_envelope_factor_and_solves_match_full_width_bit_for_bit(monkeypatch, name, n):
+    a_sp = _bit_case_operator(name, n)
+    reference = full_width_banded_r(a_sp)
+    calls = []
+    monkeypatch.setattr(lapack, "dtpqrt", _recording(calls, lapack.dtpqrt))
+    blocks = pl._banded_r(a_sp)
+    # the widths fixed before factoring are those of the dtpqrt windows
+    assert [block.shape[1] for block in blocks] == [args[2].shape[0] for _, args, _ in calls]
+    assert len(blocks) == reference.shape[2] and blocks[0].shape[0] == reference.shape[0]
+    for i, block in enumerate(blocks):
+        e = block.shape[1]
+        assert block.tobytes() == reference[:, :e, i].tobytes()
+        assert not reference[:, e:, i].any()
+    pl._floor_pivots(blocks)
+    full_width_floor_pivots(reference)
+    y = np.random.default_rng(n).standard_normal((a_sp.shape[1], pl._K_REPORT + pl._RITZ_GUARD))
+    for trans in (True, False):
+        x = pl._block_solve(blocks, y, trans)
+        assert x.tobytes() == full_width_block_solve(reference, y, trans).tobytes()
+
+
+@pytest.mark.parametrize("name, n", BIT_CASES)
+def test_envelope_inverse_iteration_matches_full_width_bit_for_bit(monkeypatch, name, n):
+    from scipy.sparse.linalg import svds
+
+    a_sp = _bit_case_operator(name, n)
+    v0 = np.random.default_rng(0).standard_normal(a_sp.shape[1])
+    sigma_max = float(svds(a_sp, k=1, v0=v0, tol=0, return_singular_vectors=False)[0])
+    k = pl._K_REPORT + pl._RITZ_GUARD
+    ritz_ref, vecs_ref, steps, discrepancy = full_width_smallest_right_vectors(
+        a_sp, full_width_banded_r(a_sp), k, sigma_max)
+    solves, passes, qr = [], [], np.linalg.qr
+    monkeypatch.setattr(pl, "_block_solve", _recording(solves, pl._block_solve))
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": (
+        passes.append(mode) if mode == "r" else None, qr(a, mode))[1])
+    ritz, vecs = pl._smallest_right_vectors(a_sp, pl._banded_r(a_sp), k, sigma_max)
+    assert ritz.tobytes() == ritz_ref.tobytes() and vecs.tobytes() == vecs_ref.tobytes()
+    assert len(solves) == 2 * steps
+    # Rayleigh-Ritz on A V runs only near the stop, and the Ritz values read
+    # from the solve's triangle lie well inside the margin that relies on
+    assert 2 <= len(passes) < steps
+    assert discrepancy < pl._RITZ_ESTIMATE_MARGIN / 10
 
 
 def test_inverse_iteration_converges_in_eight_steps(monkeypatch):
