@@ -240,10 +240,13 @@ class NullSpaceResult:
 def _mapped(size):
     """``size`` zeros in an anonymous memory map of their own: the map goes
     back to the system when its last view is freed, and leaves no hole in
-    the heap that the solver's smaller arrays would grow around."""
+    the heap that the solver's smaller arrays would grow around.  Where
+    ``mmap`` has ``MAP_POPULATE`` the map is private and faulted in at once."""
     import mmap
 
-    return np.frombuffer(mmap.mmap(-1, 8 * int(size)), dtype=float)
+    populate = getattr(mmap, "MAP_POPULATE", None)
+    flags = {} if populate is None else {"flags": mmap.MAP_PRIVATE | populate}
+    return np.frombuffer(mmap.mmap(-1, 8 * int(size), **flags), dtype=float)
 
 
 def _band_order(a):
@@ -268,9 +271,9 @@ def _banded_r(a_sparse):
     A merged into them (Golub & Van Loan, *Matrix Computations*, 5.7).  The
     rows of R not yet final live in an upper-triangular window that slides
     down the diagonal ``p = max(w // _PANEL_DIVISOR, 1)`` columns at a
-    time.  Each step appends the rows leading inside the next ``p``
-    columns, gathered from the caller's CSR arrays through a stable
-    permutation (``_band_order``), with one triangular-pentagonal QR
+    time.  Each step scatters the rows leading inside the next ``p``
+    columns from one gather of every stored entry in a stable band order
+    (``_band_order``), appends them with one triangular-pentagonal QR
     (``dtpqrt``, which leaves the window's zero triangle alone), and keeps
     the window's first ``p`` rows as the next block row of R.  The window
     is ``e x e`` with ``e = max(reach - c0, p) <= w + p``, where ``c0`` is
@@ -279,8 +282,10 @@ def _banded_r(a_sparse):
     ordered rows' ends: on the FD operator only the boundary-closure rows
     span the full ``w + 1`` columns, so interior steps factor a narrower
     window (0.63 to 0.66 of the ``(w + p)^2`` work at n = 33 to 129).  The
-    windows alternate between two buffers allocated once, each holding the
-    other's ``[p:, p:]``.
+    windows live in two buffers allocated once.  A window as wide as the
+    last starts ``p (e + 1)`` values past it, where the last one's
+    ``[p:, p:]`` already lies, while its buffer holds it; any other starts
+    the other buffer with a copy.  Only the new border is zeroed.
 
     Returns ``m = ceil(ncol / p)`` block rows, Fortran-ordered views of one
     flat buffer of ``sum(p e_i)`` values (``_mapped``, as are the windows'
@@ -303,22 +308,31 @@ def _banded_r(a_sparse):
     bounds = np.searchsorted(lead, c0)
     reach = np.concatenate(([0], np.maximum.accumulate(end)))[bounds[1:]]
     widths = np.maximum(reach - c0[:-1], p)
+    # every stored entry gathered once in band order, its column index made
+    # its place in its step's rows (Fortran order): row + merged * (col - c0)
+    band, merged = a[order], np.diff(bounds)
+    values, place, split = band.data, band.indices, band.indptr[bounds]
+    step, counts = np.repeat(np.arange(m), merged), np.diff(band.indptr)
+    shift = np.arange(len(order)) - bounds[step] - merged[step] * c0[step]
+    place *= np.repeat(merged[step].astype(place.dtype), counts)
+    place += np.repeat(shift.astype(place.dtype), counts)
     flat = _mapped(p * widths.sum())
     blocks = [b.reshape((p, -1), order="F") for b in np.split(flat, p * np.cumsum(widths[:-1]))]
     buffers = _mapped(2 * (w + p) ** 2).reshape(2, -1)
-    window = np.zeros((0, 0))
+    window, side, start = np.zeros((0, 0)), 1, 0
     for i, e in enumerate(widths):
-        held, window = window[p:, p:], buffers[i % 2, :e * e].reshape((e, e), order="F")
-        window.fill(0.0)
-        window[:len(held), :len(held)] = held
-        # the entries of the rows merged at this step, row after row
-        merged = order[bounds[i]:bounds[i + 1]]
-        start = a.indptr[merged]
-        counts = a.indptr[merged + 1] - start
-        row_of = np.repeat(np.arange(len(merged)), counts)
-        entry = np.arange(counts.sum()) + np.repeat(start - np.cumsum(counts) + counts, counts)
-        rows = np.zeros((len(merged), e), order="F")
-        rows[row_of, a.indices[entry] - c0[i]] = a.data[entry]
+        held = window[p:, p:]
+        h, slid = len(held), start + p * (e + 1)
+        if e == len(window) and slid + e * e <= buffers.shape[1]:
+            # the held rows already lie where this window's [:h, :h] goes
+            window, start = buffers[side, slid:slid + e * e].reshape((e, e), order="F"), slid
+        else:
+            side, start = 1 - side, 0
+            window = buffers[side, :e * e].reshape((e, e), order="F")
+            window[:h, :h] = held
+        window[:h, h:], window[h:] = 0.0, 0.0
+        rows = np.zeros((merged[i], e), order="F")
+        rows.T.ravel()[place[split[i]:split[i + 1]]] = values[split[i]:split[i + 1]]
         window, *_ = dtpqrt(0, min(_TPQRT_BLOCK, e), window, rows,
                             overwrite_a=True, overwrite_b=True)
         blocks[i][:] = window[:p]
@@ -370,6 +384,18 @@ def _floor_pivots(blocks):
         b[on_diagonal, on_diagonal] = np.where(np.abs(diag) < floor, floor, diag)
 
 
+def _qr(a, mode="reduced"):
+    """``Q, R`` of the tall ``a`` (``R`` alone if ``mode="r"``) by numpy's
+    LAPACK pair ``dgeqrf``, ``dorgqr`` and work size (32 per column), in one
+    Fortran-ordered copy of ``a`` (or ``a`` itself) that both overwrite."""
+    from scipy.linalg.lapack import dgeqrf, dorgqr
+
+    k = a.shape[1]
+    qr, tau, _, _ = dgeqrf(a, lwork=32 * k, overwrite_a=True)
+    r = np.triu(qr[:k])
+    return r if mode == "r" else (dorgqr(qr, tau, lwork=32 * k, overwrite_a=True)[0], r)
+
+
 def _smallest_right_vectors(a_sparse, blocks, k, sigma_max):
     """Block inverse iteration on the QR factor's block rows.
 
@@ -378,10 +404,10 @@ def _smallest_right_vectors(a_sparse, blocks, k, sigma_max):
     the right-singular vectors of the ``k`` smallest singular values.
     Each step solves with ``R^T`` and then with ``R`` (``_block_solve``,
     level-3 BLAS one block row at a time), orthonormalising after every
-    solve.  It stops once the first ``k - _RITZ_GUARD`` Ritz values repeat
-    to 1e-13 relative, or to 1e-15 of ``sigma_max`` for rounding-level
-    values, and raises ``ValueError`` if that takes more than
-    ``_INVERSE_ITERATION_CAP`` steps.  The Ritz values that rule reads come
+    solve (every QR goes through ``_qr``).  It stops once the first
+    ``k - _RITZ_GUARD`` Ritz values repeat to 1e-13 relative, or to 1e-15
+    of ``sigma_max`` for rounding-level values, and raises ``ValueError``
+    if that takes more than ``_INVERSE_ITERATION_CAP`` steps.  The Ritz values that rule reads come
     from a Rayleigh-Ritz step, the SVD of the ``k x k`` triangle of a QR of
     ``A V``, which has the right singular vectors of ``A V`` and forms no
     left ones.  As ``R^T R = A^T A``, the triangle ``T`` of the step's last
@@ -396,7 +422,7 @@ def _smallest_right_vectors(a_sparse, blocks, k, sigma_max):
 
     _floor_pivots(blocks)
     rng = np.random.default_rng(0)
-    v, _ = np.linalg.qr(rng.standard_normal((a_sparse.shape[1], k)))
+    v, _ = _qr(rng.standard_normal((a_sparse.shape[1], k)))
     watched = slice(0, max(k - _RITZ_GUARD, 1))
 
     def relative_change(ritz, previous):
@@ -405,14 +431,14 @@ def _smallest_right_vectors(a_sparse, blocks, k, sigma_max):
         return float((np.abs(ritz - previous)[watched] / scale).max())
 
     def rayleigh_ritz(v):
-        _, ritz, zt = np.linalg.svd(np.linalg.qr(a_sparse @ v, mode="r"))
+        _, ritz, zt = np.linalg.svd(_qr(a_sparse @ v, mode="r"))
         return ritz[::-1], zt
 
     estimate = previous = last_v = None
     change = np.inf
     for _ in range(_INVERSE_ITERATION_CAP):
-        v, _ = np.linalg.qr(_block_solve(blocks, v, True))
-        v, t = np.linalg.qr(_block_solve(blocks, v, False))
+        v, _ = _qr(_block_solve(blocks, v, True))
+        v, t = _qr(_block_solve(blocks, v, False))
         guess = np.linalg.svd(dtrtri(t)[0], compute_uv=False)[::-1]
         near = estimate is not None and (
             relative_change(guess, estimate) <= 1e-13 + _RITZ_ESTIMATE_MARGIN)

@@ -262,12 +262,21 @@ def test_banded_r_windows_follow_the_rows_envelope(monkeypatch):
     widths = np.array([args[2].shape[0] for _, args, _ in calls])
     # each block row is stored at its window's width, known before factoring
     assert [block.shape for block in blocks] == [(p, e) for e in widths]
-    # the windows are factored in place, in two buffers taken in turn
+    # the windows are factored in place in two buffers of (w + p)^2 values:
+    # one as wide as the last starts p (e + 1) values past it, where the
+    # last one's [p:, p:] lies, while its buffer holds it; any other starts
+    # the other buffer
     windows = [args[2] for _, args, _ in calls]
     assert all(np.shares_memory(out[0], args[2]) for _, args, out in calls)
-    for before, after, next_but_one in zip(windows, windows[1:], windows[2:]):
-        assert np.may_share_memory(before, next_but_one)
-        assert not np.may_share_memory(before, after)
+    size, slides = (w + p) ** 2, 0
+    offsets = [(window.ctypes.data - windows[0].ctypes.data) // 8 for window in windows]
+    for before, after, e0, e in zip(offsets, offsets[1:], widths, widths[1:]):
+        if e == e0 and before % size + p * (e + 1) + e * e <= size:
+            assert after == before + p * (e + 1)
+            slides += 1
+        else:
+            assert after == size - (before - before % size)
+    assert 0 < slides < len(windows) - 1
     a = a_sp.tocsr()
     a.sort_indices()
     lead, last = a.indices[a.indptr[:-1]], a.indices[a.indptr[1:] - 1]
@@ -378,9 +387,9 @@ def test_envelope_inverse_iteration_matches_full_width_bit_for_bit(monkeypatch, 
     k = pl._K_REPORT + pl._RITZ_GUARD
     ritz_ref, vecs_ref, steps, discrepancy = full_width_smallest_right_vectors(
         a_sp, full_width_banded_r(a_sp), k, sigma_max)
-    solves, passes, qr = [], [], np.linalg.qr
+    solves, passes, qr = [], [], pl._qr
     monkeypatch.setattr(pl, "_block_solve", _recording(solves, pl._block_solve))
-    monkeypatch.setattr(np.linalg, "qr", lambda a, mode="reduced": (
+    monkeypatch.setattr(pl, "_qr", lambda a, mode="reduced": (
         passes.append(mode) if mode == "r" else None, qr(a, mode))[1])
     ritz, vecs = pl._smallest_right_vectors(a_sp, pl._banded_r(a_sp), k, sigma_max)
     assert ritz.tobytes() == ritz_ref.tobytes() and vecs.tobytes() == vecs_ref.tobytes()
@@ -389,6 +398,46 @@ def test_envelope_inverse_iteration_matches_full_width_bit_for_bit(monkeypatch, 
     # from the solve's triangle lie well inside the margin that relies on
     assert 2 <= len(passes) < steps
     assert discrepancy < pl._RITZ_ESTIMATE_MARGIN / 10
+
+
+@pytest.mark.parametrize("name, n", [("lame_constant", 65), ("random-4", 41)])
+def test_banded_r_on_maps_full_of_nan_matches_bit_for_bit(monkeypatch, name, n):
+    # each step zeroes only its window's new border and scatters its rows
+    # from one gather of every entry: no entry of a map is read unwritten
+    assert (name, n) in BIT_CASES
+    a_sp = _bit_case_operator(name, n)
+    indices = a_sp.indices.copy()
+    want = pl._banded_r(a_sp)
+    assert np.array_equal(a_sp.indices, indices)  # the gather is a copy
+    maps, mapped = [], pl._mapped
+
+    def full_of_nan(size):
+        maps.append(mapped(size))
+        maps[-1].fill(np.nan)
+        return maps[-1]
+
+    monkeypatch.setattr(pl, "_mapped", full_of_nan)
+    got = pl._banded_r(a_sp)
+    assert len(maps) == 2 and np.shares_memory(got[0], maps[0])
+    assert [block.shape for block in got] == [block.shape for block in want]
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
+
+
+def test_mapped_populates_its_pages_only_where_mmap_can(monkeypatch):
+    import mmap
+
+    # without the flag, the maps are mmap's default (shared); with it, private
+    flags, real = [], mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *args, **kwargs: (
+        flags.append(kwargs.get("flags")), real(*args, **kwargs))[1])
+    a_sp = _edge_shape("ragged")
+    want = pl._banded_r(a_sp)
+    if hasattr(mmap, "MAP_POPULATE"):
+        assert flags == [mmap.MAP_PRIVATE | mmap.MAP_POPULATE] * 2
+    monkeypatch.delattr(mmap, "MAP_POPULATE", raising=False)
+    got = pl._banded_r(a_sp)
+    assert flags[-2:] == [None] * 2
+    assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want))
 
 
 def test_inverse_iteration_converges_in_eight_steps(monkeypatch):
