@@ -2,10 +2,10 @@
 """Riemann-table work of one ``ucp2d run`` of a scenario, batch by batch.
 
 For each batch of tables the run solves (``_solve_windows``, behind
-``solve_riemann_tables`` and the chain's stack arrays), one line gives its
-reach (along s, along t), the tables it solved, its Picard loops (one per
-stack), the stacked Picard steps and the cell-steps (stack cells times
-steps, padding included); a last line gives the totals.  When the
+``RiemannProvider.table`` and ``RiemannProvider.solve``), one line gives
+its reach (along s, along t), the tables it solved, its Picard loops (one
+per stack), the stacked Picard steps and the cell-steps (stack cells
+times steps, padding included); a last line gives the totals.  When the
 scenario runs the ucp task, the chain's kernel rows on each axis are also
 compared with rows from tables of the whole square, and the largest
 difference over the entries the march reads is printed.
@@ -55,10 +55,10 @@ def _kernel_row_differences(scenario):
     n, tol = pl._axis_nodes(scenario), scenario.tolerances.picard_tol
     h = 2 * tsys.epsilon / (n - 1)
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
-    square = rm._Windows(tsys, n, tol)
+    square = rm.RiemannProvider(tsys, n, tol)
     out = {}
     for axis in ("s", "t"):
-        chain = rm._Windows(tsys, n, tol, rm._chain_reach(axis, h))
+        chain = rm.RiemannProvider(tsys, n, tol, rm._chain_reach(axis, h))
         rows = rm._kernel_table(tsys, chain, axis, nodes, rm._CHAIN_STEP * h)
         ref = rm._kernel_table(tsys, square, axis, nodes, rm._CHAIN_STEP * h)
         read = ~np.isnan(rows)

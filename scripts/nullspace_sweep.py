@@ -8,16 +8,18 @@ fourth-order stencils, and h-independent structural defects of
 nearly-admissible discrete modes.
 
 Each grid is solved in a fresh process, one at a time, which prints the
-solve's wall time, the part of it spent in the banded QR factor, the
-process's peak resident memory (interpreter and imports included) and
-the BLAS thread count it ran with (``OPENBLAS_NUM_THREADS``).  ucp2d
-runs BLAS on one thread unless that variable or ``OMP_NUM_THREADS`` is
-set; on a 2-core machine one thread is as fast or faster on every grid
-up to n = 257 (``lame_constant`` 27-29 s on one thread against 28 s on
-two there).
+time it took to import the scipy modules the solver uses (before the
+solve's clock starts), the solve's wall time, the part of it spent in
+the banded QR factor, the process's peak resident memory (interpreter
+and imports included) and the BLAS thread count it ran with
+(``OPENBLAS_NUM_THREADS``).  ucp2d runs BLAS on one thread unless that
+variable or ``OMP_NUM_THREADS`` is set; on a 2-core machine one thread
+is as fast or faster on every grid up to n = 257 (``lame_constant``
+27-29 s on one thread against 28 s on two there).
 """
 
 import argparse
+import importlib
 import os
 import resource
 import time
@@ -27,6 +29,10 @@ from multiprocessing import get_context
 from ucp2d import cli
 from ucp2d import pipeline as pl
 from ucp2d.reduction import reduce_system
+
+# the scipy modules null_space_dimension imports where it runs
+SOLVER_MODULES = ("scipy.sparse", "scipy.sparse.linalg", "scipy.linalg.blas",
+                  "scipy.linalg.lapack")
 
 FAMILY_SCENARIOS = (
     "lame_constant",
@@ -38,10 +44,14 @@ FAMILY_SCENARIOS = (
 
 
 def _solve(stem, n, threshold):
-    """The null-space result of ``stem`` on an ``n x n`` grid, its wall
-    time, its factor time, the process's peak RSS in MB and its BLAS
-    thread setting."""
+    """The null-space result of ``stem`` on an ``n x n`` grid, the import
+    time of the solver's scipy modules, its wall time, its factor time,
+    the process's peak RSS in MB and its BLAS thread setting."""
     sc = cli.load_scenario(cli.scenario_dir() / f"{stem}.json")
+    start = time.perf_counter()
+    for name in SOLVER_MODULES:
+        importlib.import_module(name)
+    import_s = time.perf_counter() - start
     factor, factor_s = pl._banded_r, []
 
     def timed_factor(a):
@@ -56,7 +66,7 @@ def _solve(stem, n, threshold):
     res = pl.null_space_dimension(reduce_system(sc.coefficients), sc.omega, n, threshold)
     wall = time.perf_counter() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    return res, wall, sum(factor_s), peak_mb, os.environ.get("OPENBLAS_NUM_THREADS")
+    return res, import_s, wall, sum(factor_s), peak_mb, os.environ.get("OPENBLAS_NUM_THREADS")
 
 
 def main():
@@ -73,7 +83,8 @@ def main():
         thr = args.threshold or sc.tolerances.nullspace_threshold
         for n in args.n:
             with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
-                res, wall, factor_s, peak_mb, threads = pool.submit(_solve, stem, n, thr).result()
+                res, import_s, wall, factor_s, peak_mb, threads = (
+                    pool.submit(_solve, stem, n, thr).result())
             flag = " (ambiguous)" if res.ambiguous else ""
             print(f"{stem}: n={n} threshold={thr:g}")
             print(f"  dimension={res.dimension} gap={res.gap:.3g}{flag} "
@@ -82,6 +93,7 @@ def main():
             absolute = " ".join(f"{v * res.sigma_max:.2e}" for v in res.smallest[:pl._K_REPORT])
             print(f"  smallest relative sigmas: {relative}")
             print(f"  smallest absolute sigmas: {absolute}")
+            print(f"  scipy import {import_s:.2f} s")
             print(f"  wall {wall:.2f} s (factor {factor_s:.2f} s), peak RSS {peak_mb:.0f} MB, "
                   f"OPENBLAS_NUM_THREADS={threads}")
 

@@ -23,9 +23,10 @@ windows of one shape class padded to one shape and stacked, and each
 stack iterated in buffers of its own until its last table converges.
 Each table's step is taken over its own window, and each table keeps
 its iterate from the step where that step reaches the tolerance, so a
-table's bits do not depend on its batch.  :func:`solve_riemann_tables`
-returns a batch as :class:`RiemannTable` objects that own their values;
-:func:`solve_riemann` is its one-parameter call.
+table's bits do not depend on its batch.  :class:`RiemannProvider` has the
+two entry points: :meth:`RiemannProvider.solve` gives a batch as stack
+arrays, and :meth:`RiemannProvider.table` gives one
+:class:`RiemannTable` that owns its values (:func:`solve_riemann`).
 
 :func:`riemann_chain` is the vanishing chain on these tables.  Zero point
 data make the Cauchy traces phi and psi solve two homogeneous Volterra
@@ -50,7 +51,6 @@ __all__ = [
     "RiemannProvider",
     "CauchyTraces",
     "solve_riemann",
-    "solve_riemann_tables",
     "represent_solution",
     "kernel_PQ",
     "apply_L",
@@ -150,12 +150,6 @@ class RiemannTable:
             k = np.flatnonzero(outside)[0]
             raise _outside(s.flat[k], t.flat[k], self.parameter)
 
-    def axis_slice(self, axis):
-        """Values along t = 0 (axis 's') or s = 0 (axis 't'), with nodes."""
-        if axis == "s":
-            return self.s_nodes, self.values[:, _origin(self.t_nodes)]
-        return self.t_nodes, self.values[_origin(self.s_nodes), :]
-
 
 def _outside(s, t, parameter):
     """The ValueError of a read at ``(s, t)`` outside the table of ``parameter``."""
@@ -226,35 +220,11 @@ def solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf):
     on its window a table agrees with the whole square's up to rounding
     and the stopping tolerance.  Iteration stops when successive iterates
     differ by at most ``tol`` in sup norm over the window.  This is the
-    one-parameter call of :func:`solve_riemann_tables`.
+    one-parameter call of :func:`_solve_windows`, and the table owns a
+    copy of its values.
     """
-    return solve_riemann_tables(tsys, [parameter], n, tol, reach)[0]
-
-
-def solve_riemann_tables(tsys, parameters, n, tol=1e-10, reach=np.inf):
-    """One table per parameter point, in order, each as :func:`solve_riemann`
-    gives it for that point alone.
-
-    B12, B11 and C1 are evaluated once on the uniform ``n x n`` grid (on
-    a traced map ``transform_system`` memoises that grid, so only the
-    first call pulls it back); a window of uniform nodes is sliced from
-    that evaluation, a window augmented with an off-grid node is
-    evaluated on its own nodes.  The windows of one shape class (node
-    counts rounded up to powers of 2) are stacked, each padded at its far
-    end with zero coefficients and zero steps to the stack's shape, and
-    iterated in one Picard loop until the last of them converges.  The
-    trapezoid sums run from each window's first node, so the padding
-    never reaches a table's cells, and a table's step is the sup norm
-    over its own window.  A table's values are its iterate at the step
-    where its own step reaches ``tol``, and the next step's sup norm is
-    its residual, so its bits do not depend on its stack.  A table still
-    above ``tol`` after ``_PICARD_MAX_ITER`` steps raises
-    :class:`SolveError` naming its parameter.  Each table owns a copy of
-    its values.
-    """
-    points = np.array([(float(p[0]), float(p[1])) for p in parameters]).reshape(-1, 2)
-    solved = _solve_windows(tsys, points, n, tol, reach)
-    return [solved.table(k) for k in range(len(points))]
+    point = np.array([(float(parameter[0]), float(parameter[1]))])
+    return _solve_windows(tsys, point, n, tol, reach).table(0)
 
 
 @dataclass(frozen=True)
@@ -325,8 +295,25 @@ class _Stacks:
 
 
 def _solve_windows(tsys, points, n, tol, reach):
-    """The tables of ``points``, an (m, 2) array, solved as
-    :func:`solve_riemann_tables` describes, as a :class:`_Stacks`."""
+    """The tables of ``points``, an (m, 2) array, as a :class:`_Stacks`:
+    each table as :func:`solve_riemann` gives it for its point alone.
+
+    B12, B11 and C1 are evaluated once on the uniform ``n x n`` grid (on
+    a traced map ``transform_system`` memoises that grid, so only the
+    first call pulls it back); a window of uniform nodes is sliced from
+    that evaluation, a window augmented with an off-grid node is
+    evaluated on its own nodes.  The windows of one shape class (node
+    counts rounded up to powers of 2) are stacked, each padded at its far
+    end with zero coefficients and zero steps to the stack's shape, and
+    iterated in one Picard loop until the last of them converges.  The
+    trapezoid sums run from each window's first node, so the padding
+    never reaches a table's cells, and a table's step is the sup norm
+    over its own window.  A table's values are its iterate at the step
+    where its own step reaches ``tol``, and the next step's sup norm is
+    its residual, so its bits do not depend on its stack.  A table still
+    above ``tol`` after ``_PICARD_MAX_ITER`` steps raises
+    :class:`SolveError` naming its parameter.
+    """
     if n < 9:
         raise ValueError("need at least 9 nodes per axis")
     if tol <= 0:
@@ -427,16 +414,14 @@ def _solve_stack(tsys, parameters, axes, uniform, grid, tol):
     return final, converged, residuals
 
 
-def _key(parameter):
-    return (round(float(parameter[0]), 14), round(float(parameter[1]), 14))
-
-
 def _keys(points):
-    """:func:`_key` of each row of ``points``, in array passes.  The scaled
-    value's ``rint`` is the integer Python's correctly rounded ``round``
-    picks wherever the scaled value lies farther than its spacing from a
-    half-integer, and dividing it back is then the same correctly rounded
-    division; the other entries go through ``round``."""
+    """The key of each row of ``points``, the parameter a table is solved
+    at: each entry rounded to 14 decimals as Python's ``round(x, 14)``
+    rounds it, in array passes.  The scaled value's ``rint`` is the
+    integer that correctly rounded ``round`` picks wherever the scaled
+    value lies farther than its spacing from a half-integer, and dividing
+    it back is then the same correctly rounded division; the other
+    entries go through ``round``."""
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = points * 1e14
         near = np.rint(scaled)
@@ -446,13 +431,15 @@ def _keys(points):
     return keys
 
 
-class _Windows:
-    """Where a family of Riemann tables is solved: on ``n`` uniform nodes
-    per axis, to ``tol``, each on its window of ``reach``, one distance or
-    a pair (along s, along t) (see :func:`solve_riemann`; the whole square
-    by default).  :meth:`solve` gives a batch of tables as stack arrays,
-    the form that :func:`_kernel_table` and :func:`represent_solution`
-    read."""
+class RiemannProvider:
+    """Where Riemann tables are solved: on ``n`` uniform nodes per axis, to
+    ``tol``, each on its window of ``reach``, one distance or a pair
+    (along s, along t) (see :func:`solve_riemann`; the whole square by
+    default), and each at its parameter's key (:func:`_keys`).
+    :meth:`solve` gives a batch of tables as stack arrays, the form that
+    :func:`_kernel_table` and :func:`represent_solution` read;
+    :meth:`table` gives one table.  A table has the same bits on either
+    route."""
 
     def __init__(self, tsys, n, tol=1e-10, reach=np.inf):
         self.tsys = tsys
@@ -461,9 +448,9 @@ class _Windows:
         self.reach = reach
 
     def solve(self, parameters):
-        """The tables of ``parameters``, one per distinct rounded key
-        (:func:`_key`), each solved at its key: a :class:`_Stacks` of the
-        keys in order of first appearance, and each parameter's key."""
+        """The tables of ``parameters``, one per distinct key, each solved
+        at its key: a :class:`_Stacks` of the keys in order of first
+        appearance, and each parameter's key."""
         keys = _keys(np.reshape(np.asarray(parameters, dtype=float), (-1, 2)))
         _, first, of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         order = np.argsort(first)
@@ -472,39 +459,11 @@ class _Windows:
         solved = _solve_windows(self.tsys, keys[first[order]], self.n, self.tol, self.reach)
         return solved, rank[of.ravel()]
 
-
-class RiemannProvider(_Windows):
-    """Memoised Riemann tables keyed by parameter point.
-
-    Each table is solved on its window of ``reach`` (see :class:`_Windows`).
-    :meth:`table` solves one parameter through :func:`solve_riemann`;
-    :meth:`tables` solves every parameter not yet cached in one
-    :func:`solve_riemann_tables` batch, so tables of one shape class share
-    a Picard loop.  A table has the same bits on either route, and on the
-    stack arrays of :meth:`solve`, which neither reads nor fills the
-    cache.
-    """
-
-    def __init__(self, tsys, n, tol=1e-10, reach=np.inf):
-        super().__init__(tsys, n, tol, reach)
-        self._cache = {}
-
     def table(self, parameter):
-        key = _key(parameter)
-        tab = self._cache.get(key)
-        if tab is None:
-            tab = solve_riemann(self.tsys, key, self.n, self.tol, self.reach)
-            self._cache[key] = tab
-        return tab
-
-    def tables(self, parameters):
-        """The tables of ``parameters``, in order."""
-        keys = [_key(p) for p in parameters]
-        missing = [k for k in dict.fromkeys(keys) if k not in self._cache]
-        if missing:
-            solved = solve_riemann_tables(self.tsys, missing, self.n, self.tol, self.reach)
-            self._cache.update(zip(missing, solved))
-        return [self._cache[k] for k in keys]
+        """The :class:`RiemannTable` of ``parameter``'s key, from
+        :func:`solve_riemann`, owning its values."""
+        key = _keys(np.reshape(np.asarray(parameter, dtype=float), (1, 2)))[0]
+        return solve_riemann(self.tsys, key, self.n, self.tol, self.reach)
 
 
 @dataclass(frozen=True)
@@ -545,14 +504,13 @@ def represent_solution(provider, w00, traces, targets):
     ``w(s,t) = w00 R(0,0,s,t) + int_0^s R(sig,0,s,t) phi(sig) dsig
     + int_0^t R(0,tau,s,t) psi(tau) dtau``.  Each target point is the
     parameter of its own Riemann table; the tables are solved in one
-    ``provider.solve`` batch (a :class:`_Windows`, which a
-    :class:`RiemannProvider` is, whose cache is not read), and each is
-    read on its two axis slices only, R(0, 0) at the node where they
-    cross.  Each stack of tables is read in array passes: the slices and
-    R(0, 0) in one gather each, the trapezoid sums of the integrands along
-    each window's nodes, padded at the far end, and their values at 0 and
-    at the target, with the arithmetic of ``np.interp`` on each window
-    alone.  The values have the bits of the same formula on each table.
+    :meth:`RiemannProvider.solve` batch, and each is read on its two axis
+    slices only, R(0, 0) at the node where they cross.  Each stack of
+    tables is read in array passes: the slices and R(0, 0) in one gather
+    each, the trapezoid sums of the integrands along each window's nodes,
+    padded at the far end, and their values at 0 and at the target, with
+    the arithmetic of ``np.interp`` on each window alone.  The values have
+    the bits of the same formula on each table.
     """
     solved, key = provider.solve(targets)
     targets = np.reshape(np.asarray(targets, dtype=float), (-1, 2))
@@ -733,13 +691,12 @@ def volterra_ivp(leading, damping, kernel, forcing, interval, n):
     return nodes, u
 
 
-def _kernel_table(tsys, windows, axis, nodes, step):
+def _kernel_table(tsys, provider, axis, nodes, step):
     """Kernel rows of the trace equation on ``axis``: ``L R(sig, 0; .)`` at
     ``(s, 0)`` (axis 's') or ``L R(0, sig; .)`` at ``(0, s)`` (axis 't'),
     from one ``apply_L`` pass over the axis, whose nine stencil parameters
-    per node are solved in one ``windows.solve`` batch (a
-    :class:`_Windows` on the ``nodes``, which a :class:`RiemannProvider`
-    is, whose cache is not read).  Row ``s`` holds only the segment of
+    per node are solved in one :meth:`RiemannProvider.solve` batch of
+    ``provider`` on the ``nodes``.  Row ``s`` holds only the segment of
     ``sig`` between 0 and ``s`` that ``volterra_ivp``'s march reads, read
     at the table's own nodes on the axis; the rest is NaN.  The rows of one
     stack of tables are one gather from its values: on axis s, entry ``j``
@@ -754,7 +711,7 @@ def _kernel_table(tsys, windows, axis, nodes, step):
     along = "st".index(axis)
 
     def rows(xi, eta):
-        solved, key = windows.solve(np.stack([xi.ravel(), eta.ravel()], axis=1))
+        solved, key = provider.solve(np.stack([xi.ravel(), eta.ravel()], axis=1))
         i0, column = _origin(solved.uniform), np.arange(len(nodes))
         node = np.arange(key.size) % len(nodes)  # the node of each stencil parameter
         lo, hi = np.minimum(node, i0), np.maximum(node, i0)
@@ -804,7 +761,7 @@ def riemann_chain(tsys, n, tol, w00, targets):
             leading=by_node(lead),
             damping=by_node(kernel_PQ(tsys, axis, nodes)),
             kernel=by_node(_kernel_table(
-                tsys, _Windows(tsys, n, tol, _chain_reach(axis, h)), axis, nodes,
+                tsys, RiemannProvider(tsys, n, tol, _chain_reach(axis, h)), axis, nodes,
                 _CHAIN_STEP * h,
             )),
             forcing=lambda s: 0.0,
@@ -813,5 +770,5 @@ def riemann_chain(tsys, n, tol, w00, targets):
         )
         marched.append(u)
     traces = CauchyTraces(nodes, *marched)
-    windows = _Windows(tsys, n, tol, _chain_reach(None, h))
-    return traces, represent_solution(windows, w00, traces, targets)
+    provider = RiemannProvider(tsys, n, tol, _chain_reach(None, h))
+    return traces, represent_solution(provider, w00, traces, targets)

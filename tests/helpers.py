@@ -353,10 +353,57 @@ def scalar_kernel_table(tsys, provider, axis, nodes, step):
 # -- the per-table Riemann path: one Picard loop per table, rows read by value
 
 
+def round_key(parameter):
+    """A parameter point rounded to 14 decimals, one Python ``round`` per
+    entry: the reference for ``ucp2d.riemann._keys``."""
+    return (round(float(parameter[0]), 14), round(float(parameter[1]), 14))
+
+
+def solve_riemann_tables(tsys, parameters, n, tol=1e-10, reach=np.inf):
+    """One table per parameter point, in order, each solved in one batch of
+    ``ucp2d.riemann._solve_windows`` and owning its values."""
+    points = np.array([(float(p[0]), float(p[1])) for p in parameters]).reshape(-1, 2)
+    solved = rm._solve_windows(tsys, points, n, tol, reach)
+    return [solved.table(k) for k in range(len(points))]
+
+
+class CachedTables(rm.RiemannProvider):
+    """A ``RiemannProvider`` that keeps each table it builds, keyed by
+    :func:`round_key`: one table object per key, whichever route built it."""
+
+    def __init__(self, tsys, n, tol=1e-10, reach=np.inf):
+        super().__init__(tsys, n, tol, reach)
+        self._cache = {}
+
+    def table(self, parameter):
+        key = round_key(parameter)
+        if key not in self._cache:
+            self._cache[key] = super().table(parameter)
+        return self._cache[key]
+
+    def tables(self, parameters):
+        """The tables of ``parameters``, in order; those not yet kept are
+        solved in one :func:`solve_riemann_tables` batch."""
+        keys = [round_key(p) for p in parameters]
+        missing = [k for k in dict.fromkeys(keys) if k not in self._cache]
+        if missing:
+            solved = solve_riemann_tables(self.tsys, missing, self.n, self.tol, self.reach)
+            self._cache.update(zip(missing, solved))
+        return [self._cache[k] for k in keys]
+
+
+def axis_slice(tab, axis):
+    """The values of ``tab`` along t = 0 (axis 's') or s = 0 (axis 't'),
+    with their nodes."""
+    if axis == "s":
+        return tab.s_nodes, tab.values[:, rm._origin(tab.t_nodes)]
+    return tab.t_nodes, tab.values[rm._origin(tab.s_nodes), :]
+
+
 def picard_solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf):
     """One table from its own Picard loop, the iterate compared with the
     previous one after every step: the reference for
-    ``ucp2d.riemann.solve_riemann_tables``, which iterates a padded stack
+    ``ucp2d.riemann._solve_windows``, which iterates a padded stack
     of tables of one shape class together.  ``reach`` is one distance or
     a pair (along s, along t).  A window of uniform nodes is sliced from
     the coefficients on the whole uniform grid, as there."""
@@ -465,8 +512,8 @@ def loop_represent_solution(provider, w00, traces, targets):
 
     out = np.empty(len(targets))
     for k, ((s, t), tab) in enumerate(zip(targets, provider.tables(targets))):
-        s_nodes, s_vals = tab.axis_slice("s")
-        t_nodes, t_vals = tab.axis_slice("t")
+        s_nodes, s_vals = axis_slice(tab, "s")
+        t_nodes, t_vals = axis_slice(tab, "t")
         val = w00 * t_vals[np.argmin(np.abs(t_nodes))]
         val += integral_to(s_nodes, s_vals * np.interp(s_nodes, traces.nodes, traces.phi), s)
         val += integral_to(t_nodes, t_vals * np.interp(t_nodes, traces.nodes, traces.psi), t)

@@ -1,14 +1,17 @@
 """The names that the benchmark's tracer (``bench/tracing.py``) patches or
-replaces must exist: a renamed function or map field would otherwise
-surface only when the benchmark runs."""
+replaces must exist, and the riemann stage must run through them: a
+renamed function or map field would otherwise surface only when the
+benchmark runs, and a stage routed round them not at all."""
 
 import dataclasses
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from ucp2d import characteristics as ch
+from ucp2d import pipeline as pl
 from ucp2d import riemann as rm
 from ucp2d.cli import load_scenario, scenario_dir
 from ucp2d.reduction import reduce_system
@@ -42,3 +45,19 @@ def test_replaced_map_and_system_fields_exist(tracing, golden, linear):
     dataclasses.replace(cmap, **{k: getattr(cmap, k) for k in tracing._MAP_FIELDS})
     tsys = ch.transform_system(sys, cmap, sc.omega)
     dataclasses.replace(tsys, **{k: getattr(tsys, k) for k in tracing._TSYS_FIELDS})
+
+
+def test_the_riemann_stage_runs_through_the_traced_names(tracing):
+    # stage.riemann_s is the time of the riemann.table and riemann.value
+    # spans directly under pipeline.run; a stage that went round those
+    # names would read 0 there without failing
+    sc = dataclasses.replace(load_scenario(scenario_dir() / "lame_lower_order.json"),
+                             tasks=("characteristics", "riemann"), expect={})
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        pl.run(sc)
+    counts = Counter(span[0] for span in tracer.spans)
+    assert [counts[name] for name in ("riemann.table", "riemann.solve", "riemann.value")] == [1] * 3
+    for span in tracer.spans:
+        if span[0] in ("riemann.table", "riemann.value"):
+            assert tracer.spans[span[3]][0] == "pipeline.run", span[0]

@@ -5,6 +5,8 @@ import pytest
 from scipy.special import j0
 
 from helpers import (
+    CachedTables,
+    axis_slice,
     bessel_representation,
     bilinear,
     cauchy_traces_from_w,
@@ -16,9 +18,11 @@ from helpers import (
     loop_represent_solution,
     nine_call_apply_L,
     picard_solve_riemann,
+    round_key,
     scalar_apply_L,
     scalar_kernel_PQ,
     scalar_kernel_table,
+    solve_riemann_tables,
     value_kernel_table,
 )
 from ucp2d import pipeline as pl
@@ -269,8 +273,8 @@ def test_chain_windows_match_the_laplace_closed_form(form):
     h = 2 * tsys.epsilon / (n - 1)
     parameters = [(0.0, 0.0), (0.125, -0.25), (-0.1, 0.2), (0.5, -0.5)]
     for use in ("s", "t", None):
-        tables = rm.solve_riemann_tables(tsys, parameters, n, tol=1e-12,
-                                         reach=rm._chain_reach(use, h))
+        tables = solve_riemann_tables(tsys, parameters, n, tol=1e-12,
+                                      reach=rm._chain_reach(use, h))
         for parameter, tab in zip(parameters, tables):
             assert tab.parameter == parameter and tab.values.size < n * n
             assert laplace_error(tab, form)[0] <= 0.035 * h**2, (use, parameter)
@@ -343,7 +347,7 @@ def test_a_table_of_one_node_on_an_axis_reads_exactly_along_it(parameter, axis):
             with pytest.raises(ValueError, match=r"lies outside the Riemann table " + name):
                 tab.value(*point)
         return
-    along, vals = tab.axis_slice(axis)
+    along, vals = axis_slice(tab, axis)
     assert tab.values.shape == ((9, 1) if axis == "s" else (1, 9))
     at = np.concatenate([along, [0.1, 0.2 + 1e-3]])
     i = np.minimum(np.searchsorted(along, at, "right") - 1, len(along) - 2)
@@ -374,7 +378,7 @@ def test_a_kernel_table_of_too_small_a_reach_names_the_table(steps):
         point, parameter = (((x, 0.0), (x - 2 * h, -2 * h)) if axis == "s"
                             else ((0.0, x), (-2 * h, x - 2 * h)))
         message = "^" + re.escape(f"[ucp] point {point} lies outside the Riemann table "
-                                  f"of parameter {rm._key(parameter)}") + "$"
+                                  f"of parameter {round_key(parameter)}") + "$"
         with pytest.raises(pl.StageError, match=message):
             with pl.stage("ucp"):
                 rm._kernel_table(tsys, prov, axis, nodes, rm._CHAIN_STEP * h)
@@ -428,7 +432,7 @@ def test_tables_equal_the_per_table_picard_loop_bit_for_bit(monkeypatch):
     batches = {}
     for reach in REACHES:
         del stacks[:]
-        batches[reach] = RiemannProvider(tsys, n, reach=reach).tables(parameters)
+        batches[reach] = CachedTables(tsys, n, reach=reach).tables(parameters)
         shapes = {tab.values.shape for tab in batches[reach]}
         assert len(shapes) >= (2 if reach == np.inf else 5)
         assert len(stacks) < len(shapes) < len(set(parameters))
@@ -449,7 +453,7 @@ def test_a_padded_table_keeps_its_iterations_when_its_neighbour_converges_later(
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
     parameters = [(nodes[20], nodes[20]), (nodes[23], nodes[23])]
     stacks = counted_stacks(monkeypatch)
-    small, large = rm.solve_riemann_tables(tsys, parameters, n, reach=0.0)
+    small, large = solve_riemann_tables(tsys, parameters, n, reach=0.0)
     assert len(stacks) == 1
     assert small.values.shape == (5, 5) and large.values.shape == (8, 8)
     assert small.iterations < large.iterations
@@ -468,7 +472,7 @@ def test_a_table_has_the_same_bits_on_each_route(reach):
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
     parameters = [(nodes[20], nodes[12]), (0.123, -0.071), (nodes[0], nodes[32]),
                   (0.0, 0.0), (nodes[3], 0.0), (nodes[12], nodes[20]), (0.0, 0.2)]
-    batch = RiemannProvider(tsys, n, tol, reach).tables(parameters)
+    batch = CachedTables(tsys, n, tol, reach).tables(parameters)
     for parameter, tab in zip(parameters, batch):
         alone = solve_riemann(tsys, parameter, n, tol, reach)
         one = RiemannProvider(tsys, n, tol, reach).table(parameter)
@@ -482,7 +486,7 @@ def test_one_non_contracting_table_in_a_batch_names_its_parameter():
     # C1 = 1e3: the corner window grows R past 1e17, whose rounding keeps
     # each Picard step above 1e-10; the windows near the origin contract
     tsys = plain_system(c1=1e3)
-    prov = RiemannProvider(tsys, 33, reach=4 / 32)
+    prov = CachedTables(tsys, 33, reach=4 / 32)
     contracting = [(0.0, 0.0), (0.0625, 0.0), (0.0, -0.0625)]
     assert all(t.iterations < 200 for t in prov.tables(contracting))
     message = (r"^Picard iteration for the Riemann table of parameter \(0\.5, 0\.5\) did not "
@@ -636,7 +640,7 @@ def test_kernel_PQ_closed_form_against_table_differences(axis):
     tsys = variable_system()
     errors = []
     for n in (17, 33, 65):
-        full = RiemannProvider(tsys, n)
+        full = CachedTables(tsys, n)
         nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
         ref = scalar_kernel_PQ(tsys, full, axis, nodes)
         err = np.max(np.abs(kernel_PQ(tsys, axis, nodes) - ref))
@@ -654,10 +658,10 @@ def oracle_cases():
 
 
 def recorded_solves(monkeypatch):
-    """``(windows, tables)`` for each ``rm._Windows.solve`` call from now
-    on, its tables a dict from key to the :class:`RiemannTable` that
+    """``(provider, tables)`` for each ``rm.RiemannProvider.solve`` call from
+    now on, its tables a dict from key to the :class:`RiemannTable` that
     ``_Stacks.table`` builds from the stack arrays."""
-    solves, solve = [], rm._Windows.solve
+    solves, solve = [], rm.RiemannProvider.solve
 
     def recorded(self, parameters):
         solved, key = solve(self, parameters)
@@ -665,7 +669,7 @@ def recorded_solves(monkeypatch):
                               for k, p in enumerate(solved.points)}))
         return solved, key
 
-    monkeypatch.setattr(rm._Windows, "solve", recorded)
+    monkeypatch.setattr(rm.RiemannProvider, "solve", recorded)
     return solves
 
 
@@ -673,9 +677,9 @@ def recorded_solves(monkeypatch):
 def test_kernels_on_windows_match_the_scalar_oracle(tsys, n, monkeypatch):
     # both kernel tables of the ucp stage, each on the chain's windows of
     # its axis, against the node-by-node path on tables of the whole square
-    full = RiemannProvider(tsys, n)
+    full = CachedTables(tsys, n)
     h = grid_step(full)
-    windows = {axis: rm._Windows(tsys, n, reach=rm._chain_reach(axis, h)) for axis in "st"}
+    windows = {axis: rm.RiemannProvider(tsys, n, reach=rm._chain_reach(axis, h)) for axis in "st"}
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
     assert np.max(np.abs(full.table((0.0, 0.0)).values - 1.0)) > 1e-3
     solves = recorded_solves(monkeypatch)
@@ -708,7 +712,7 @@ def test_riemann_chain_marches_both_axes_on_the_oracle_kernels(monkeypatch):
     monkeypatch.setattr(rm, "volterra_ivp", record)
     traces, values = rm.riemann_chain(tsys, n, 1e-10, 0.0, [(0.1, -0.2)])
     assert values.tolist() == [0.0] and not traces.phi.any() and not traces.psi.any()
-    full = RiemannProvider(tsys, n)
+    full = CachedTables(tsys, n)
     leads = (tsys.a11(nodes, zero), tsys.a22(zero, nodes))
     assert len(marched) == 2
     for (lead, damp, k), axis, want in zip(marched, ("s", "t"), leads):
@@ -772,7 +776,7 @@ def test_apply_L_edge_stencils_shift_inside():
 def test_apply_L_on_a_row_matches_entrywise_calls():
     tsys = plain_system(b11=0.25, b12=0.15, c1=0.35, a11=1.0, a12=0.2, a22=3.0,
                         b21=0.4, b22=-0.3, c2=0.6)
-    prov = RiemannProvider(tsys, 33)
+    prov = CachedTables(tsys, 33)
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, prov.n)
     step = 2 * grid_step(prov)
     # first two and last two rows take the one-sided stencils
@@ -790,7 +794,7 @@ def test_apply_L_on_a_row_matches_entrywise_calls():
 def test_apply_L_on_an_axis_matches_the_scalar_oracle():
     # one call at all the nodes of an axis, rows of evaluation points after them
     tsys = variable_system()
-    prov = RiemannProvider(tsys, 33)
+    prov = CachedTables(tsys, 33)
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, prov.n)
     step = 2 * grid_step(prov)
     zero = np.zeros_like(nodes)
@@ -933,13 +937,13 @@ def test_kernel_table_equals_the_value_read_rows_bit_for_bit(name, monkeypatch):
     h = 2 * tsys.epsilon / (n - 1)
 
     def chain_provider(axis):
-        return RiemannProvider(tsys, n, sc.tolerances.picard_tol, rm._chain_reach(axis, h))
+        return CachedTables(tsys, n, sc.tolerances.picard_tol, rm._chain_reach(axis, h))
 
     nodes = np.linspace(-tsys.epsilon, tsys.epsilon, n)
     step = rm._CHAIN_STEP * h
     solves = recorded_solves(monkeypatch)
-    got = [rm._kernel_table(tsys, rm._Windows(tsys, n, sc.tolerances.picard_tol,
-                                              rm._chain_reach(axis, h)), axis, nodes, step)
+    got = [rm._kernel_table(tsys, rm.RiemannProvider(tsys, n, sc.tolerances.picard_tol,
+                                                     rm._chain_reach(axis, h)), axis, nodes, step)
            for axis in "st"]
     monkeypatch.setattr(rm, "solve_riemann", picard_solve_riemann)
     reference = {axis: chain_provider(axis) for axis in "st"}
@@ -980,16 +984,16 @@ def test_the_chain_solves_each_table_only_where_it_reads_it(monkeypatch):
             xs, ys = (rm._stencils(x, 2 * h, -eps, eps)[0] for x in at)
             for xi in xs:
                 for eta in ys:
-                    tab = tables[rm._key((xi, eta))]
+                    tab = tables[round_key((xi, eta))]
                     along, across = ((tab.s_nodes, tab.t_nodes) if axis == "s"
                                      else (tab.t_nodes, tab.s_nodes))
                     assert has_nodes(along, nodes[min(i, i0):max(i, i0) + 1]), (axis, i)
                     assert has_nodes(across, [0.0]), (axis, i)
     for s, t in targets:
-        tab = representation[rm._key((s, t))]
+        tab = representation[round_key((s, t))]
         assert has_nodes(tab.s_nodes, [0.0, s]) and has_nodes(tab.t_nodes, [0.0, t])
     cells = sum(t.values.size for _, tables in solves for t in tables.values())
-    parent_rule = RiemannProvider(tsys, n, tol, rm._CHAIN_REACH * h)
+    parent_rule = CachedTables(tsys, n, tol, rm._CHAIN_REACH * h)
     keys = {key for _, tables in solves for key in tables}
     assert cells < 0.5 * sum(t.values.size for t in parent_rule.tables(sorted(keys)))
 
@@ -1025,11 +1029,11 @@ def test_representation_with_nonzero_data_equals_the_table_loop_bit_for_bit(name
     random = [tuple(p) for p in np.random.default_rng(6).uniform(-eps, eps, (40, 2))]
     reach = rm._chain_reach(None, 2 * eps / (n - 1))
     for targets, augmented in (([(s, t) for s in probe for t in probe], False), (random, True)):
-        windows = rm._Windows(tsys, n, tol, reach)
+        windows = rm.RiemannProvider(tsys, n, tol, reach)
         solved, _ = windows.solve(targets)
         assert all(bool(w[3]) == augmented for w in solved.windows)
         got = represent_solution(windows, 0.37, traces, targets)
-        want = loop_represent_solution(RiemannProvider(tsys, n, tol, reach), 0.37, traces, targets)
+        want = loop_represent_solution(CachedTables(tsys, n, tol, reach), 0.37, traces, targets)
         assert np.min(np.abs(want)) > 1e-3
         assert got.tobytes() == want.tobytes()
 
@@ -1071,7 +1075,7 @@ def test_volterra_ivp_equals_the_list_march_bit_for_bit(n):
 
 
 def test_windows_solve_each_distinct_key_once_in_order_of_first_appearance():
-    # keys rounded as _key rounds them, on values a scaled half-integer away
+    # keys rounded as round_key rounds them, on values a scaled half-integer away
     # from a tie, signed zeros and repeats; the tables of the keys, in order
     tsys = variable_system()
     rng = np.random.default_rng(9)
@@ -1079,12 +1083,22 @@ def test_windows_solve_each_distinct_key_once_in_order_of_first_appearance():
     values = np.concatenate([ties, np.nextafter(ties, 1.0), rng.uniform(-0.5, 0.5, 60),
                              [0.0, -0.0, 0.1 + 1e-16, 0.1, 1e-20, -1e-20, 0.25]])
     keys = rm._keys(np.stack([values, values[::-1]], axis=1))
-    want = [rm._key(p) for p in zip(values, values[::-1])]
+    want = [round_key(p) for p in zip(values, values[::-1])]
     assert keys.tobytes() == np.array(want).tobytes()
-    parameters = [(values[k], values[-1 - k]) for k in rng.integers(0, len(values), 300)]
-    solved, key = rm._Windows(tsys, 17, reach=0.0).solve(parameters)
-    distinct = list(dict.fromkeys(rm._key(p) for p in parameters))
+    draws = rng.integers(0, len(values), 300)
+    parameters = [(values[k], values[-1 - k]) for k in draws]
+    provider = rm.RiemannProvider(tsys, 17, reach=0.0)
+    solved, key = provider.solve(parameters)
+    distinct = list(dict.fromkeys(round_key(p) for p in parameters))
     assert [tuple(p) for p in solved.points.tolist()] == distinct
-    assert [distinct[k] for k in key] == [rm._key(p) for p in parameters]
-    tables = rm.solve_riemann_tables(tsys, distinct, 17, reach=0.0)
+    assert [distinct[k] for k in key] == [round_key(p) for p in parameters]
+    tables = solve_riemann_tables(tsys, distinct, 17, reach=0.0)
     assert all(_same_table(solved.table(k), tab) for k, tab in enumerate(tables))
+    # the one-table route rounds as the batch does: ties, values an ulp
+    # above a tie, and a tie beside +0.0 or -0.0 on either axis
+    picked = [k for k, j in enumerate(draws) if j in (0, 1, 2, 5, 6, 60, 62, 180, 181)]
+    assert {int(draws[k]) for k in picked} == {0, 1, 2, 5, 6, 60, 62, 180, 181}
+    for k in picked:
+        alone, batched = provider.table(parameters[k]), solved.table(key[k])
+        assert _same_table(alone, batched), parameters[k]
+        assert np.array(alone.parameter).tobytes() == np.array(batched.parameter).tobytes()
