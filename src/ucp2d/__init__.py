@@ -14,9 +14,9 @@ import os
 # One BLAS thread unless the caller chose: numpy's and scipy's OpenBLAS each
 # read these once, when they load: numpy's with this package, and scipy's
 # later, at the first null-space solve (the only code that imports scipy).
-# On a 2-core machine the 20 thin QRs of an n = 33 null-space solve take
-# 0.1 s on two threads and 6 ms on one, and one thread count makes reports
-# byte-identical across such machines.
+# On a 2-core VM the 78 window QRs of lame_constant's n = 33 null-space
+# factor took 0.02 s on two threads and 0.01 s on one (one run each), and
+# one thread count makes reports byte-identical across such machines.
 os.environ.setdefault("OMP_NUM_THREADS", "1")
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

@@ -17,16 +17,18 @@ construction.
 
 A table is solved on a window: the rectangle between the origin and its
 parameter, widened by a reach along each axis (the whole square by
-default).  One Picard loop serves every route: a batch of parameter
-points has its coefficients evaluated once on the uniform grid, the
-windows of one shape class padded to one shape and stacked, and each
-stack iterated in buffers of its own until its last table converges.
-Each table's step is taken over its own window, and each table keeps
-its iterate from the step where that step reaches the tolerance, so a
-table's bits do not depend on its batch.  :class:`RiemannProvider` has the
-two entry points: :meth:`RiemannProvider.solve` gives a batch as stack
-arrays, and :meth:`RiemannProvider.table` gives one
-:class:`RiemannTable` that owns its values (:func:`solve_riemann`).
+default).  An off-grid parameter is inserted as a node of its window and
+carried in the same arrays (no golden and no workload has one).  One
+Picard loop serves every route: a batch of parameter points has its
+coefficients evaluated once on the uniform grid, the windows of one
+shape class padded to one shape and stacked, and each stack iterated in
+buffers of its own until its last table converges.  Each table's step is
+taken over its own window, and each table keeps its iterate from the
+step where that step reaches the tolerance, so a table's bits do not
+depend on its batch.  :class:`RiemannProvider` has the two entry
+points: :meth:`RiemannProvider.solve` gives a batch as stack arrays, and
+:meth:`RiemannProvider.table` gives one :class:`RiemannTable` that owns
+its values (:func:`solve_riemann`).
 
 :func:`riemann_chain` is the vanishing chain on these tables.  Zero point
 data make the Cauchy traces phi and psi solve two homogeneous Volterra
@@ -67,39 +69,34 @@ _PICARD_MAX_ITER = 200  # Picard steps before a table is declared divergent
 _LEAD_FLOOR = 1e-12  # least admissible |A(s)| in volterra_ivp
 
 
-def _window(uniform, centre, reach):
-    """Nodes of one axis of a table's window: the ``uniform`` nodes on
-    [-eps, eps] from ``reach`` below min(0, centre) to ``reach`` above
-    max(0, centre), augmented with ``centre`` when it is off that grid.
-    Returns the nodes, the index of ``centre`` among them, and the slice
-    of ``uniform`` they are (None once augmented)."""
-    pad = 1e-12 * max(uniform[-1], 1.0)
-    lo, hi = min(0.0, centre) - reach - pad, max(0.0, centre) + reach + pad
-    cut = slice(int(np.searchsorted(uniform, lo)), int(np.searchsorted(uniform, hi, "right")))
-    nodes = uniform[cut]
-    if not np.any(np.abs(nodes - centre) <= pad):
-        nodes, cut = np.sort(np.append(nodes, centre)), None
-    return nodes, int(np.argmin(np.abs(nodes - centre))), cut
-
-
 def _windows(uniform, centres, reach):
-    """:func:`_window` of every centre on one axis, in one array pass.
-
-    Returns the first uniform index of each window, its node count, the
-    index of its centre among its nodes, and a dict from the position of
-    each off-grid centre to its augmented nodes (whose windows
-    :func:`_window` builds alone)."""
+    """The window of each centre on one axis: the ``uniform`` nodes on
+    [-eps, eps] from ``reach`` below min(0, centre) to ``reach`` above
+    max(0, centre), with the centre inserted as a node where it is off that
+    grid.  Returns each window's first uniform index, its node count, the
+    index of its centre among its nodes, and its inserted node (NaN where
+    there is none)."""
     pad = 1e-12 * max(uniform[-1], 1.0)
     start = np.searchsorted(uniform, np.minimum(0.0, centres) - reach - pad)
     stop = np.searchsorted(uniform, np.maximum(0.0, centres) + reach + pad, "right")
     right = np.clip(np.searchsorted(uniform, centres), 1, len(uniform) - 1)
     near = right - (centres - uniform[right - 1] < uniform[right] - centres)
-    index, augmented = near - start, {}
-    for k in np.flatnonzero(np.abs(uniform[near] - centres) > pad):
-        nodes, index[k], _ = _window(uniform, centres[k], reach)
-        augmented[int(k)] = nodes
-        stop[k] = start[k] + len(nodes)
-    return start, stop - start, index, augmented
+    off = np.abs(uniform[near] - centres) > pad
+    index = np.where(off, np.searchsorted(uniform, centres), near) - start
+    return start, stop - start + off, index, np.where(off, centres, np.nan)
+
+
+def _window_rows(uniform, window, width):
+    """The node rows of the windows ``window`` (as :func:`_windows` gives
+    them), continued with uniform nodes to ``width``; an inserted node sits
+    at its centre's index."""
+    start, _, index, inserted = window
+    j, has, index = np.arange(width), np.isfinite(inserted)[:, None], index[:, None]
+    at = start[:, None] + j
+    at -= has & (j > index)
+    rows = uniform[np.minimum(at, len(uniform) - 1, out=at)]
+    np.copyto(rows, inserted[:, None], where=has & (j == index))
+    return rows
 
 
 def _coefficient_grid(tsys, s_nodes, t_nodes):
@@ -215,13 +212,13 @@ def solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf):
     the origin and the parameter span, widened by ``reach`` on both sides
     and clipped to the square (the whole square by default); ``reach`` is
     one distance for both axes or a pair (along s, along t).  A parameter
-    abscissa off the uniform grid is added as a node.  R at a point
-    depends only on the rectangle between the point and the parameter, so
-    on its window a table agrees with the whole square's up to rounding
-    and the stopping tolerance.  Iteration stops when successive iterates
-    differ by at most ``tol`` in sup norm over the window.  This is the
-    one-parameter call of :func:`_solve_windows`, and the table owns a
-    copy of its values.
+    coordinate off the uniform grid is inserted as a node
+    (:func:`_windows`).  R at a point depends only on the rectangle
+    between the point and the parameter, so on its window a table agrees
+    with the whole square's up to rounding and the stopping tolerance.
+    Iteration stops when successive iterates differ by at most ``tol`` in
+    sup norm over the window.  This is the one-parameter call of
+    :func:`_solve_windows`, and the table owns a copy of its values.
     """
     point = np.array([(float(parameter[0]), float(parameter[1]))])
     return _solve_windows(tsys, point, n, tol, reach).table(0)
@@ -234,9 +231,9 @@ class _Stacks:
 
     ``windows`` holds, per axis, each point's window as :func:`_windows`
     gives it: first uniform index, node count, parameter index and
-    augmented nodes.  Point ``k`` is member ``member[k]`` of stack
-    ``stack[k]``, whose converged iterates ``values[stack[k]]`` are zero in
-    the padding."""
+    inserted node (NaN where the parameter is on the uniform grid).  Point
+    ``k`` is member ``member[k]`` of stack ``stack[k]``, whose converged
+    iterates ``values[stack[k]]`` are zero in the padding."""
 
     points: np.ndarray
     uniform: np.ndarray
@@ -249,8 +246,7 @@ class _Stacks:
 
     def table(self, k):
         """The :class:`RiemannTable` of point ``k``, owning its values."""
-        s, t = (augmented.get(k, self.uniform[start[k]:start[k] + count[k]])
-                for start, count, _, augmented in self.windows)
+        s, t = (self.nodes(axis, [k], self.windows[axis][1][k])[0] for axis in (0, 1))
         values = self.values[self.stack[k]][self.member[k], :len(s), :len(t)].copy()
         return RiemannTable(parameter=tuple(map(float, self.points[k])), s_nodes=s,
                             t_nodes=t, values=values, iterations=int(self.iterations[k]),
@@ -267,23 +263,17 @@ class _Stacks:
     def position(self, axis, k, j):
         """The index of uniform node ``j`` among the window nodes on
         ``axis`` (0 for s, 1 for t) of point ``k``, elementwise, and whether
-        the window has that node.  An augmented window has its parameter's
-        node among them."""
-        start, count, index, augmented = self.windows[axis]
+        the window has that node.  A window with an inserted node has it
+        among them, at its parameter's index."""
+        start, count, index, inserted = self.windows[axis]
         p = j - start[k]
-        if augmented:
-            p += np.isin(k, list(augmented)) & (p >= index[k])
+        p += np.isfinite(inserted)[k] & (p >= index[k])
         return p, (p >= 0) & (p < count[k])
 
     def nodes(self, axis, k, width):
         """The window nodes on ``axis`` of each point ``k``, one row per
         point, continued with uniform nodes to ``width``."""
-        start, count, _, augmented = self.windows[axis]
-        last = len(self.uniform) - 1
-        rows = self.uniform[np.minimum(start[k][:, None] + np.arange(width), last)]
-        for r in np.flatnonzero(np.isin(k, list(augmented))):
-            rows[r, :count[k[r]]] = augmented[k[r]]
-        return rows
+        return _window_rows(self.uniform, [w[k] for w in self.windows[axis]], width)
 
     def read(self, k, i, j):
         """The value at window indices ``(i, j)`` of the table of point
@@ -298,21 +288,21 @@ def _solve_windows(tsys, points, n, tol, reach):
     """The tables of ``points``, an (m, 2) array, as a :class:`_Stacks`:
     each table as :func:`solve_riemann` gives it for its point alone.
 
-    B12, B11 and C1 are evaluated once on the uniform ``n x n`` grid (on
-    a traced map ``transform_system`` memoises that grid, so only the
-    first call pulls it back); a window of uniform nodes is sliced from
-    that evaluation, a window augmented with an off-grid node is
-    evaluated on its own nodes.  The windows of one shape class (node
-    counts rounded up to powers of 2) are stacked, each padded at its far
-    end with zero coefficients and zero steps to the stack's shape, and
-    iterated in one Picard loop until the last of them converges.  The
-    trapezoid sums run from each window's first node, so the padding
-    never reaches a table's cells, and a table's step is the sup norm
-    over its own window.  A table's values are its iterate at the step
-    where its own step reaches ``tol``, and the next step's sup norm is
-    its residual, so its bits do not depend on its stack.  A table still
-    above ``tol`` after ``_PICARD_MAX_ITER`` steps raises
-    :class:`SolveError` naming its parameter.
+    B12, B11 and C1 are evaluated once on the uniform ``n x n`` grid (on a
+    traced map ``transform_system`` memoises that grid, so only the first
+    call pulls it back); a window of uniform nodes is sliced from that
+    evaluation, a window with an inserted node is evaluated on its own
+    nodes.  The windows of one shape class (node counts rounded up to
+    powers of 2) are stacked, each padded at its far end with zero
+    coefficients and zero steps to the stack's shape, and iterated in one
+    Picard loop until the last of them converges.  The trapezoid sums run
+    from each window's first node, so the padding never reaches a table's
+    cells, and a table's step is the sup norm over its own window.  A
+    table's values are its iterate at the step where its own step reaches
+    ``tol``, and the next step's sup norm is its residual, so its bits do
+    not depend on its stack.  A table still above ``tol`` after
+    ``_PICARD_MAX_ITER`` steps raises :class:`SolveError` naming its
+    parameter.
     """
     if n < 9:
         raise ValueError("need at least 9 nodes per axis")
@@ -331,11 +321,9 @@ def _solve_windows(tsys, points, n, tol, reach):
     for stack in range(stack_of.max(initial=-1) + 1):
         members = np.flatnonzero(stack_of == stack)
         member[members] = np.arange(len(members))
-        final, iterations[members], residuals[members] = _solve_stack(tsys, points[members], [
-            (start[members], count[members], index[members],
-             {m: augmented[k] for m, k in enumerate(members) if k in augmented})
-            for start, count, index, augmented in axes
-        ], uniform, grid, tol)
+        final, iterations[members], residuals[members] = _solve_stack(
+            tsys, points[members], [tuple(w[members] for w in window) for window in axes],
+            uniform, grid, tol)
         values.append(final)
     return _Stacks(points, uniform, axes, stack_of, member, values, iterations, residuals)
 
@@ -346,8 +334,9 @@ def _solve_stack(tsys, parameters, axes, uniform, grid, tol):
     residual.
 
     ``axes`` holds, per axis, each window's first uniform index, node
-    count, parameter index and augmented nodes (as :func:`_windows` gives
-    them); ``grid`` holds B12, B11 and C1 on the ``uniform`` grid.  The
+    count, parameter index and inserted node (as :func:`_windows` gives
+    them); ``grid`` holds B12, B11 and C1 on the ``uniform`` grid, and a
+    window with an inserted node has them evaluated on its own nodes.  The
     stack's padding has zero coefficients and zero steps, and the iterate
     is zeroed there after each step, so its step is 0 and each table's
     step is its own window's.  A Picard step writes its products,
@@ -355,24 +344,17 @@ def _solve_stack(tsys, parameters, axes, uniform, grid, tol):
     (each trapezoid's cells aside), in the order of the per-table loop,
     and copies the iterates of the tables whose step reached ``tol`` at
     the step before into the stack-shaped result."""
-    (s0, ls, i_xi, s_aug), (t0, lt, j_eta, t_aug) = axes
-    n = len(uniform)
-    in_s = np.arange(ls.max()) < ls[:, None]
-    in_t = np.arange(lt.max()) < lt[:, None]
+    (s0, ls, i_xi, s_ins), (t0, lt, j_eta, t_ins) = axes
+    in_s, in_t = (np.arange(c.max()) < c[:, None] for c in (ls, lt))
     mask = in_s[:, :, None] & in_t[:, None, :]
-    rows = np.minimum(s0[:, None] + np.arange(in_s.shape[1]), n - 1)
-    cols = np.minimum(t0[:, None] + np.arange(in_t.shape[1]), n - 1)
+    rows = np.minimum(s0[:, None] + np.arange(in_s.shape[1]), len(uniform) - 1)
+    cols = np.minimum(t0[:, None] + np.arange(in_t.shape[1]), len(uniform) - 1)
     b12, b11, c1 = (g[rows[:, :, None], cols[:, None, :]] * mask for g in grid)
-    du = np.diff(uniform)
-    ds = du[np.minimum(rows[:, :-1], n - 2)] * in_s[:, 1:]
-    dt = du[np.minimum(cols[:, :-1], n - 2)] * in_t[:, 1:]
-    for m in sorted(s_aug.keys() | t_aug.keys()):
-        s = s_aug.get(m, uniform[s0[m]:s0[m] + ls[m]])
-        t = t_aug.get(m, uniform[t0[m]:t0[m] + lt[m]])
+    s, t = (_window_rows(uniform, w, inside.shape[1]) for w, inside in zip(axes, (in_s, in_t)))
+    for m in np.flatnonzero(np.isfinite(s_ins) | np.isfinite(t_ins)):
         b12[m, :ls[m], :lt[m]], b11[m, :ls[m], :lt[m]], c1[m, :ls[m], :lt[m]] = (
-            _coefficient_grid(tsys, s, t))
-        ds[m, :ls[m] - 1], dt[m, :lt[m] - 1] = np.diff(s), np.diff(t)
-    ds, dt = ds[:, :, None], dt[:, None, :]
+            _coefficient_grid(tsys, s[m, :ls[m]], t[m, :lt[m]]))
+    ds, dt = (np.diff(s) * in_s[:, 1:])[:, :, None], (np.diff(t) * in_t[:, 1:])[:, None, :]
     count = len(parameters)
     k = np.arange(count)
     r = mask.astype(float)
@@ -454,10 +436,8 @@ class RiemannProvider:
         keys = _keys(np.reshape(np.asarray(parameters, dtype=float), (-1, 2)))
         _, first, of = np.unique(keys, axis=0, return_index=True, return_inverse=True)
         order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
         solved = _solve_windows(self.tsys, keys[first[order]], self.n, self.tol, self.reach)
-        return solved, rank[of.ravel()]
+        return solved, np.argsort(order)[of.ravel()]
 
     def table(self, parameter):
         """The :class:`RiemannTable` of ``parameter``'s key, from

@@ -400,6 +400,22 @@ def axis_slice(tab, axis):
     return tab.t_nodes, tab.values[rm._origin(tab.s_nodes), :]
 
 
+def window(uniform, centre, reach):
+    """Nodes of one axis of a table's window, one centre at a time: the
+    ``uniform`` nodes on [-eps, eps] from ``reach`` below min(0, centre) to
+    ``reach`` above max(0, centre), augmented with ``centre`` when it is off
+    that grid.  Returns the nodes, the index of ``centre`` among them, and
+    the slice of ``uniform`` they are (None once augmented): the reference
+    for ``ucp2d.riemann._windows`` and ``_window_rows``."""
+    pad = 1e-12 * max(uniform[-1], 1.0)
+    lo, hi = min(0.0, centre) - reach - pad, max(0.0, centre) + reach + pad
+    cut = slice(int(np.searchsorted(uniform, lo)), int(np.searchsorted(uniform, hi, "right")))
+    nodes = uniform[cut]
+    if not np.any(np.abs(nodes - centre) <= pad):
+        nodes, cut = np.sort(np.append(nodes, centre)), None
+    return nodes, int(np.argmin(np.abs(nodes - centre))), cut
+
+
 def picard_solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf):
     """One table from its own Picard loop, the iterate compared with the
     previous one after every step: the reference for
@@ -417,8 +433,8 @@ def picard_solve_riemann(tsys, parameter, n, tol=1e-10, reach=np.inf):
         raise ValueError("parameter point outside the working square")
     uniform = np.linspace(-eps, eps, n)
     s_reach, t_reach = np.broadcast_to(reach, 2)
-    s_nodes, i_xi, s_cut = rm._window(uniform, xi, s_reach)
-    t_nodes, j_eta, t_cut = rm._window(uniform, eta, t_reach)
+    s_nodes, i_xi, s_cut = window(uniform, xi, s_reach)
+    t_nodes, j_eta, t_cut = window(uniform, eta, t_reach)
     if s_cut is not None and t_cut is not None:
         grid = rm._coefficient_grid(tsys, uniform, uniform)
         b12, b11, c1 = (g[s_cut, t_cut] for g in grid)

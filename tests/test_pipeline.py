@@ -773,6 +773,24 @@ def test_four_values_and_the_five_they_complete_transfer_alike():
     assert blocks[0] == blocks[1]
 
 
+def test_chain_carries_the_transferred_value_into_w_sup():
+    # u = 1e-9, under the decline gate of 100 ivp_tol, so the chain runs on
+    # a w00 that is not zero: the traces stay zero, and w_sup is w00 times
+    # the largest R(0, 0; probe), so it is positive and linear in u.  A chain
+    # that drops w00, or a ucp stage that zeroes the transferred values,
+    # reads 0 here
+    sc = load_scenario(scenario_dir() / "lame_lower_order.json")
+    sups = []
+    for u in (1e-9, 2e-9):
+        data = {"u": u, "ux": 0.0, "uy": 0.0, "uxx": 0.0, "uyy": 0.0}
+        report, _ = run(dataclasses.replace(sc, point_data=data, expect={}))
+        assert "declined" not in report["ucp"]
+        assert report["ucp"]["phi_sup"] == report["ucp"]["psi_sup"] == 0.0
+        sups.append(report["ucp"]["w_sup"])
+    assert 1e-9 < sups[0] < 2e-9
+    assert sups[1] == pytest.approx(2 * sups[0], rel=1e-12)
+
+
 def test_point_data_mode_declines_five_values_the_pair_leaves_open():
     # a1122 = -a1212 and a1112 = a1222 = 0: both mixed coefficients vanish
     # at the point (Delta = 0 there), so five values leave uxy open

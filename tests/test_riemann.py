@@ -24,6 +24,7 @@ from helpers import (
     scalar_kernel_table,
     solve_riemann_tables,
     value_kernel_table,
+    window,
 )
 from ucp2d import pipeline as pl
 from ucp2d import riemann as rm
@@ -126,8 +127,8 @@ def test_cumulative_trapezoid_matches_scipy_bit_for_bit():
 
     rng = np.random.default_rng(3)
     uniform = np.linspace(-0.25, 0.25, 33)
-    s_nodes = rm._window(uniform, 0.013, np.inf)[0]  # augmented: not uniform
-    t_nodes = rm._window(uniform, -0.2071, np.inf)[0]
+    s_nodes = window(uniform, 0.013, np.inf)[0]  # augmented: not uniform
+    t_nodes = window(uniform, -0.2071, np.inf)[0]
     assert len(s_nodes) == len(t_nodes) == 34
     y = rng.standard_normal((len(s_nodes), len(t_nodes)))
     for axis, nodes in ((0, s_nodes), (1, t_nodes)):
@@ -309,6 +310,38 @@ def test_windowed_table_equals_the_whole_square_on_its_window(parameter):
         assert nodes[0] >= max(a, -tsys.epsilon) and nodes[-1] <= min(b, tsys.epsilon)
     sg, tg = np.meshgrid(win.s_nodes, win.t_nodes, indexing="ij")
     assert np.max(np.abs(win.values - full.value(sg, tg))) <= 10 * 1e-10
+
+
+def test_window_arrays_equal_the_per_centre_window_bit_for_bit():
+    # on-grid, off-grid (one between the last two nodes, one within the pad
+    # of a node), corner and signed-zero centres, at reaches 0, 4h and the
+    # whole square, all in one array pass per reach
+    n, eps = 33, 0.25
+    uniform = np.linspace(-eps, eps, n)
+    h = uniform[1] - uniform[0]
+    centres = np.array([uniform[5], uniform[20], 0.013, -0.2071, uniform[7] + h / 3,
+                        eps - h / 2, uniform[9] + 1e-13, -eps, eps, 0.0, -0.0])
+    for reach in (0.0, 4 * h, np.inf):
+        got = rm._windows(uniform, centres, reach)
+        start, count, index, inserted = got
+        width = count.max() + 3
+        rows = rm._window_rows(uniform, got, width)
+        assert rows.shape == (len(centres), width)
+        for k, centre in enumerate(centres):
+            nodes, i, cut = window(uniform, centre, reach)
+            assert (count[k], index[k]) == (len(nodes), i), (reach, centre)
+            assert rows[k, :count[k]].tobytes() == nodes.tobytes(), (reach, centre)
+            assert np.isnan(inserted[k]) == (cut is not None), (reach, centre)
+            if cut is None:
+                assert inserted[k] == centre
+            else:
+                assert start[k] == cut.start
+            # continued with the uniform nodes after the window's last
+            own = nodes if cut is not None else np.delete(nodes, i)  # its uniform nodes
+            last = int(np.searchsorted(uniform, own[-1]))
+            tail = uniform[np.minimum(last + 1 + np.arange(width - count[k]), n - 1)]
+            assert rows[k, count[k]:].tobytes() == tail.tobytes(), (reach, centre)
+        assert np.isnan(inserted).sum() == 7 and np.all(np.diff(rows, axis=1) >= 0)
 
 
 def test_value_outside_a_window_raises_and_reads_inside_keep_their_bits():
@@ -1031,7 +1064,7 @@ def test_representation_with_nonzero_data_equals_the_table_loop_bit_for_bit(name
     for targets, augmented in (([(s, t) for s in probe for t in probe], False), (random, True)):
         windows = rm.RiemannProvider(tsys, n, tol, reach)
         solved, _ = windows.solve(targets)
-        assert all(bool(w[3]) == augmented for w in solved.windows)
+        assert all(np.isfinite(w[3]).any() == augmented for w in solved.windows)
         got = represent_solution(windows, 0.37, traces, targets)
         want = loop_represent_solution(CachedTables(tsys, n, tol, reach), 0.37, traces, targets)
         assert np.min(np.abs(want)) > 1e-3
