@@ -202,19 +202,25 @@ def _write_grid_csv(path, xs, ys, values):
             fh.write(line % tuple(np.column_stack((np.full(len(ys), x), ys, row)).ravel().tolist()))
 
 
+def _sweep_draws(seed, omega):
+    """The random sweep's 200 samples, one row each: x, y, two angles and
+    three strain entries.  ``lo + (hi - lo) * rng.random()`` is
+    ``rng.uniform(lo, hi)`` bit for bit, without its per-call cost."""
+    rng = np.random.default_rng(seed)
+    (x0, x1), (y0, y1) = omega.xlim, omega.ylim
+    draws = np.empty((200, 7))
+    for row in draws:
+        row[0], row[1] = x0 + (x1 - x0) * rng.random(), y0 + (y1 - y0) * rng.random()
+        row[2:4], row[4:] = np.pi * rng.random(2), rng.standard_normal(3)
+    return draws
+
+
 def _random_sweep(scenario, seed, conditions):
     """Seeded spot-check that the margins of the ``conditions`` report
     really are lower bounds of the sampled quadratic forms."""
-    rng = np.random.default_rng(seed)
     coeffs = scenario.coefficients
     ell, cvx = conditions["ellipticity_margin"], conditions["convexity_margin"]
-    # per sample, in this order: x, y, two angles, three strain entries
-    draws = np.array([
-        (rng.uniform(*scenario.omega.xlim), rng.uniform(*scenario.omega.ylim),
-         *rng.uniform(0, np.pi, 2), *rng.standard_normal(3))
-        for _ in range(200)
-    ])
-    x, y, alpha, beta, e0, e1, e2 = draws.T
+    x, y, alpha, beta, e0, e1, e2 = _sweep_draws(seed, scenario.omega).T
     a4 = coeffs.a_array(x, y)
     xi = np.array([np.cos(alpha), np.sin(alpha)])
     eta = np.array([np.cos(beta), np.sin(beta)])

@@ -6,7 +6,7 @@ makes the symmetry hold by construction.  This module audits, for a
 given coefficient set:
 
 * strong ellipticity   -- positivity of ``sum a_ijkl xi_i eta_j xi_k eta_l``
-  over unit direction pairs;
+  over unit direction pairs, minimised exactly over directions per node;
 * strong convexity     -- positivity of ``sum a_ijkl e_ij e_kl`` over
   symmetric matrices, via the 3x3 Voigt matrix;
 * eigenpairs of the quadratic matrix pencil
@@ -37,8 +37,6 @@ C_NAMES = ("c11", "c12", "c21", "c22")
 
 _ZERO = ScalarField.constant(0.0)
 
-_ANGLES = 360  # direction angles scanned per audit node, over [0, pi)
-_GOLDEN_STEPS = 60  # golden-section steps around each node's scan minimum
 _NULLITY_TOL = 1e-8  # singular values below this times the scale count as null
 
 
@@ -207,31 +205,53 @@ def _least_eigenvalue(a, theta):
     return 0.5 * (m11 + m22) - np.hypot(0.5 * (m11 - m22), m12)
 
 
+def _times(p, q):
+    """Products of polynomials along the last axis (ascending coefficients)."""
+    out = np.zeros(p.shape[:-1] + (p.shape[-1] + q.shape[-1] - 1,))
+    for i in range(p.shape[-1]):
+        out[..., i:i + q.shape[-1]] += p[..., i:i + 1] * q
+    return out
+
+
+def _candidates(a):
+    """Per node, theta at the 8 roots of the margin's polynomial, T's minimiser and pi/2."""
+    a1111, a1112, a1122, a1212, a1222, a2222 = (a[k] for k in A_NAMES)
+    # 2 T, 2 U and 2 V times 1 + tan(theta)^2, in ascending powers of tan(theta)
+    q = np.array([[a1111 + a1212, 2 * (a1112 + a1222), a1212 + a2222],
+                  [a1111 - a1212, 2 * (a1112 - a1222), a1212 - a2222],
+                  [2 * a1112, 2 * (a1122 + a1212), 2 * a1222]]).transpose(0, 2, 1)
+    q = q / np.maximum(np.abs(q).max(axis=(0, 2), keepdims=True), np.finfo(float).tiny)
+    d = np.stack([q[..., 1], 2 * (q[..., 2] - q[..., 0]), -q[..., 1]], -1)  # d/d(2 theta)
+    w = _times(q[1:], d[1:]).sum(axis=0)
+    c = _times(_times(d[0], d[0]), _times(q[1:], q[1:]).sum(axis=0)) - _times(w, w)
+    c /= np.maximum(np.abs(c).max(axis=1, keepdims=True), np.finfo(float).tiny)
+    c[:, 8] += np.abs(c).max(axis=1) == 0  # the zero polynomial as x^8
+    # negligible leading terms go, the rest rise by as many degrees
+    j = np.arange(9) - np.argmax(np.abs(c[:, ::-1]) > np.finfo(float).eps, axis=1)[:, None]
+    c = np.where(j >= 0, np.take_along_axis(c, np.maximum(j, 0), axis=1), 0.0)
+    comp = np.repeat(np.eye(8, k=-1)[None], len(c), axis=0)
+    comp[:, :, 7] = -c[:, :8] / c[:, 8:]
+    t_min = np.arctan2(-q[0, :, 1:2], q[0, :, 2:] - q[0, :, :1]) / 2
+    return np.concatenate([np.arctan(np.linalg.eigvals(comp).real), t_min,
+                           np.full_like(t_min, np.pi / 2)], axis=1)
+
+
 def ellipticity_margin(coeffs, region, n):
     """Least value of the strong-ellipticity form on the ``n x n`` grid of
     a region, over unit direction pairs.
 
-    The minimum over xi is the least eigenvalue of the acoustic tensor
-    M(eta), in closed form.  Over eta (period pi) each node scans
-    ``_ANGLES`` angles and then narrows the bracket around its scan
-    minimum by ``_GOLDEN_STEPS`` golden-section steps.  Every value taken
-    is the form at some unit pair, so a positive return certifies the
-    ellipticity constant up to the sampling of the region.
+    At ``eta = (cos theta, sin theta)`` the minimum over xi is the least
+    eigenvalue ``T - hypot(U, V)`` of the acoustic tensor, T, U and V being
+    first-degree trigonometric polynomials in 2 theta.  Each node's minimum
+    over eta is exact: at a root of ``T'^2 (U^2 + V^2) - (U U' + V V')^2``,
+    of degree <= 8 in ``tan(theta)`` (one batched companion-matrix solve),
+    at pi/2 where the degree drops, or at T's minimiser, where a constant
+    greater eigenvalue makes the polynomial zero.  Every value is the form
+    at a unit pair, so a positive return certifies the ellipticity constant
+    up to the region's sampling.
     """
-    a = {k: v[:, None] for k, v in _grid_values(coeffs, region, n).items()}
-    h = np.pi / _ANGLES
-    scan = _least_eigenvalue(a, h * np.arange(_ANGLES))
-    k = np.argmin(scan, axis=1)[:, None]
-    lo, hi = h * (k - 1), h * (k + 1)
-    best = scan.min()
-    g = (np.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(_GOLDEN_STEPS):
-        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
-        fc, fd = _least_eigenvalue(a, c), _least_eigenvalue(a, d)
-        best = min(best, fc.min(), fd.min())
-        left = fc < fd  # the minimum lies in [lo, d]
-        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
-    return float(best)
+    a = _grid_values(coeffs, region, n)
+    return float(_least_eigenvalue({k: v[:, None] for k, v in a.items()}, _candidates(a)).min())
 
 
 def convexity_margin(coeffs, region, n):

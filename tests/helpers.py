@@ -17,10 +17,12 @@ from ucp2d.fields import Bin, Call, Const, EvalDomainError, Neg, ScalarField, Va
 from ucp2d.geometry import Rect
 from ucp2d.reduction import discriminant, reduce_system
 from ucp2d.riemann import CauchyTraces
-from ucp2d.tensors import ElasticityCoefficients, ellipticity_margin
+from ucp2d.tensors import A_NAMES, ElasticityCoefficients, ellipticity_margin
 
 _ANISOTROPY = 0.25  # random tensors perturb each component by up to this times mu
 _MAX_TRIES = 200  # draws before random_elliptic_tensor gives up
+_SCAN_ANGLES = 360  # eta angles scanned per node by sampled_ellipticity_margin
+_GOLDEN_STEPS = 60  # its golden-section steps around each node's scan minimum
 
 
 def hyperbolic_bessel_series(z, terms=60):
@@ -652,6 +654,39 @@ def point_data_solve(family_basis, data, at, rank_threshold=1e-9):
 
 
 # -- test inputs and symbolic checks --------------------------------------
+
+
+def _least_eigenvalue(a, theta):
+    """Least eigenvalue of the acoustic tensor at eta = (cos theta, sin theta)."""
+    c, s = np.cos(theta), np.sin(theta)
+    cc, cs, ss = c * c, c * s, s * s
+    m11 = a["a1111"] * cc + 2 * a["a1112"] * cs + a["a1212"] * ss
+    m12 = a["a1112"] * cc + (a["a1122"] + a["a1212"]) * cs + a["a1222"] * ss
+    m22 = a["a1212"] * cc + 2 * a["a1222"] * cs + a["a2222"] * ss
+    return 0.5 * (m11 + m22) - np.hypot(0.5 * (m11 - m22), m12)
+
+
+def sampled_ellipticity_margin(coeffs, region, n):
+    """Reference for ``ellipticity_margin`` by sampling: per node of the
+    ``n x n`` grid, the least eigenvalue of the acoustic tensor on 360 eta
+    angles, then 60 golden-section steps around the scan minimum.  Every
+    value is the form at a unit pair, so the exact minimum lies at or
+    below it.  Returns that value and the largest tensor entry on the grid."""
+    xg, yg = np.meshgrid(*region.grid(n), indexing="ij")
+    a = {name: getattr(coeffs, name)(xg, yg).reshape(-1, 1) for name in A_NAMES}
+    h = np.pi / _SCAN_ANGLES
+    scan = _least_eigenvalue(a, h * np.arange(_SCAN_ANGLES))
+    k = np.argmin(scan, axis=1)[:, None]
+    lo, hi = h * (k - 1), h * (k + 1)
+    best = scan.min()
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(_GOLDEN_STEPS):
+        c, d = hi - g * (hi - lo), lo + g * (hi - lo)
+        fc, fd = _least_eigenvalue(a, c), _least_eigenvalue(a, d)
+        best = min(best, fc.min(), fd.min())
+        left = fc < fd  # the minimum lies in [lo, d]
+        lo, hi = np.where(left, lo, c), np.where(left, d, hi)
+    return float(best), max(float(np.abs(v).max()) for v in a.values())
 
 
 def random_elliptic_tensor(rng, require_delta_positive=True):

@@ -18,6 +18,7 @@ from helpers import random_elliptic_tensor
 from ucp2d import cli
 from ucp2d import pipeline as pl
 from ucp2d.cli import ScenarioFileError, _write_report, load_scenario, main, scenario_dir
+from ucp2d.geometry import Rect
 from ucp2d.pipeline import StageError, expectations_for
 from ucp2d.reduction import reduce_system
 
@@ -803,3 +804,16 @@ def test_random_sweep_tests_the_reported_margins(tmp_path, a1212, lower_bounds):
     assert main(["check", "--scenario", str(path), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "case.report.json").read_text())
     assert report["random_sweep"]["margins_are_lower_bounds"] is lower_bounds
+
+
+@pytest.mark.parametrize("omega", [Rect.square(0.0, 0.0, 0.3), Rect((0.1, -3.0), (1.3, 0.4)),
+                                   Rect((-2.5, 7.0), (1e-3, 2.25))])
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345, 2**40 + 3])
+def test_sweep_draws_are_the_uniform_draws_bit_for_bit(omega, seed):
+    rng = np.random.default_rng(seed)
+    want = np.array([
+        (rng.uniform(*omega.xlim), rng.uniform(*omega.ylim),
+         *rng.uniform(0, np.pi, 2), *rng.standard_normal(3))
+        for _ in range(200)
+    ])
+    assert cli._sweep_draws(seed, omega).tobytes() == want.tobytes()

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from helpers import random_elliptic_tensor
-from ucp2d import fields
+from helpers import random_elliptic_tensor, sampled_ellipticity_margin
+from ucp2d import fields, tensors
 from ucp2d.cli import load_scenario, scenario_dir
 from ucp2d.fields import ScalarField
 from ucp2d.geometry import Rect
 from ucp2d.reduction import discriminant, reduce_system
 from ucp2d.tensors import (
+    A_NAMES,
     ElasticityCoefficients,
     convexity_margin,
     ellipticity_margin,
@@ -134,7 +135,7 @@ def test_ellipticity_matches_brute_force_on_anisotropic_sample():
     t = EX41B
     m = ellipticity_margin(t, UNIT, 2)
     oracle = brute_force_ellipticity(t, 0.0, 0.0, np.random.default_rng(1))
-    assert m == pytest.approx(oracle, abs=1e-3)
+    assert m == pytest.approx(oracle, abs=1e-9)
 
 
 def scan_least_eigenvalue(coeffs, region, n, n_angles=2**16):
@@ -173,6 +174,130 @@ def test_ellipticity_margin_matches_a_fine_eta_scan(name, coeffs, region, n):
     scan, scale = scan_least_eigenvalue(coeffs, region, n)
     assert m - scan <= 1e-12 * scale
     assert scan - m <= 1e-8 * scale
+
+
+def assert_matches_sampled(coeffs, region, n):
+    """The exact minimum over directions lies within 1e-13 of the sampled
+    reference's (relative to the largest entry), and at most 1e-14 above
+    it, with overflow and invalid operations raised as in the conditions
+    stage."""
+    with np.errstate(over="raise", invalid="raise"):
+        m = ellipticity_margin(coeffs, region, n)
+    sampled, scale = sampled_ellipticity_margin(coeffs, region, n)
+    assert abs(m - sampled) <= 1e-13 * scale, (m, sampled)
+    assert m - sampled <= 1e-14 * scale, (m, sampled)
+
+
+GOLDENS = sorted(p.stem for p in scenario_dir().glob("*.json"))
+
+
+@pytest.mark.parametrize("name", GOLDENS)
+def test_ellipticity_margin_matches_the_sampled_reference_on_the_goldens(name):
+    sc = load_scenario(scenario_dir() / f"{name}.json")
+    assert_matches_sampled(sc.coefficients, sc.omega, sc.tolerances.conditions_n)
+
+
+def _num(v):
+    return repr(float(v))
+
+
+# random-batch style variable tensors: each component a closed form whose
+# constants are drawn around an isotropic tensor
+_VARIABLE_FORMS = {
+    "a1111": "{0} + {1}*x + {2}*sin(y)",
+    "a1112": "{0} + {1}*x*y",
+    "a1122": "{0} + {1}*cos(x)",
+    "a1212": "{0}*exp({1}*x)",
+    "a1222": "{0} + {1}*y",
+    "a2222": "{0} + {1}*y^2 + {2}*x",
+}
+
+
+def random_variable_tensor(rng):
+    mu = rng.uniform(0.5, 2.0)
+    lam = rng.uniform(-0.4 * mu, 2.0)
+    base = {"a1111": 2 * mu + lam, "a1112": 0.0, "a1122": lam,
+            "a1212": mu, "a1222": 0.0, "a2222": 2 * mu + lam}
+    return ElasticityCoefficients.from_components({
+        k: form.format(_num(base[k] + rng.uniform(-0.2, 0.2) * mu),
+                       *(_num(rng.uniform(-0.3, 0.3) * mu) for _ in range(form.count("{") - 1)))
+        for k, form in _VARIABLE_FORMS.items()
+    })
+
+
+def test_ellipticity_margin_matches_the_sampled_reference_on_a_seeded_campaign():
+    rng = np.random.default_rng(17)
+    for _ in range(80):
+        assert_matches_sampled(random_elliptic_tensor(rng), UNIT, 2)
+    for _ in range(80):
+        assert_matches_sampled(random_variable_tensor(rng), Rect.square(0.0, 0.0, 0.3), 9)
+    for _ in range(25):  # isotropic with lambda < -mu, elliptic only for lambda > -2 mu
+        mu = rng.uniform(0.5, 2.0)
+        t = ElasticityCoefficients.isotropic(mu, rng.uniform(-3.0, -1.0) * mu)
+        assert_matches_sampled(t, UNIT, 2)
+    for _ in range(25):  # arbitrary components, mostly not elliptic
+        t = constant_tensor(**{k: rng.uniform(-1.0, 3.0) for k in A_NAMES})
+        assert_matches_sampled(t, UNIT, 2)
+
+
+def rotated(coeffs, alpha):
+    """The constant tensor ``coeffs`` turned by the angle ``alpha``."""
+    q = np.array([[np.cos(alpha), -np.sin(alpha)], [np.sin(alpha), np.cos(alpha)]])
+    r = np.einsum("ip,jq,kr,ls,pqrs->ijkl", q, q, q, q, coeffs.a_array(0.0, 0.0))
+    return constant_tensor(**{k: float(r[tuple(int(c) - 1 for c in k[1:])]) for k in A_NAMES})
+
+
+def test_ellipticity_margin_of_an_isotropic_tensor_where_the_polynomial_vanishes():
+    # f is constant in theta, so the stationarity polynomial is zero
+    assert_matches_sampled(ElasticityCoefficients.isotropic(1.3, 0.4), UNIT, 3)
+    assert_matches_sampled(ElasticityCoefficients.isotropic(1.0, -2.5), UNIT, 3)
+
+
+def test_ellipticity_margin_of_a_minimiser_at_a_right_angle():
+    # a1222 = 0 and a1212 > a2222: M(pi/2) = diag(a1212, a2222) has its
+    # least eigenvalue stationary there, so the polynomial's leading
+    # coefficient vanishes; a1112 != 0 keeps T's minimiser elsewhere
+    t = constant_tensor(a1111=4.0, a1112=0.5, a1122=-1.25, a1212=1.25, a2222=1.0)
+    assert_matches_sampled(t, UNIT, 2)
+    assert ellipticity_margin(t, UNIT, 2) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_ellipticity_margin_with_a_double_eigenvalue():
+    # M(0) = diag(a1111, a1212) = I; the least eigenvalue has a kink there
+    t = constant_tensor(a1111=1.0, a1122=0.5, a1212=1.0, a2222=3.0)
+    assert_matches_sampled(t, UNIT, 2)
+    assert_matches_sampled(rotated(t, 0.4), UNIT, 2)
+
+
+@pytest.mark.parametrize("alpha", np.linspace(0.05, 3.1, 40))
+def test_ellipticity_margin_at_a_generic_angle(alpha):
+    # a turned orthotropic tensor, least (= 1) only along its first axis;
+    # both eigenvalues are stationary there, a double root of the
+    # polynomial that rounding may split into a complex pair, whose real
+    # parts must still give the direction
+    t = rotated(constant_tensor(a1111=1.0, a1122=-1.5, a1212=2.0, a2222=3.0), alpha)
+    assert_matches_sampled(t, UNIT, 2)
+    assert ellipticity_margin(t, UNIT, 2) == pytest.approx(1.0, abs=1e-14)
+    a = {k: np.array([getattr(t, k)(0.0, 0.0)], dtype=float) for k in A_NAMES}
+    roots = tensors._candidates(a)[0, :8]
+    assert np.abs(np.sin(roots - alpha)).min() <= 1e-7
+
+
+def test_ellipticity_margin_where_the_greater_eigenvalue_is_constant():
+    # M = 2 I - g g^T (g . eta)^2: the polynomial vanishes, yet the least
+    # eigenvalue 2 - (g . eta)^2 is least at eta = g, T's minimiser
+    g = (np.cos(0.7), np.sin(0.7))
+    g4 = {k: np.prod([g[int(c) - 1] for c in k[1:]]) for k in A_NAMES}
+    base = {"a1111": 2.0, "a1122": -2.0, "a1212": 2.0, "a2222": 2.0}
+    t = constant_tensor(**{k: base.get(k, 0.0) - g4[k] for k in A_NAMES})
+    assert_matches_sampled(t, UNIT, 2)
+    assert ellipticity_margin(t, UNIT, 2) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_ellipticity_margin_of_the_orthotropic_convex_counterexample():
+    sc = load_scenario(scenario_dir() / "orthotropic_convex_counterexample.json")
+    assert_matches_sampled(sc.coefficients, sc.omega, sc.tolerances.conditions_n)
+    assert ellipticity_margin(sc.coefficients, sc.omega, 2) == 1.0
 
 
 def test_margins_evaluate_each_component_once(monkeypatch):
