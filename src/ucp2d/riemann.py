@@ -456,28 +456,6 @@ class CauchyTraces:
     psi: np.ndarray
 
 
-def _interp_rows(x, xp, fp, count):
-    """``np.interp(x[r], xp[r, :count[r]], fp[r, :count[r]])`` for each row
-    ``r`` of ``x``, with its rules: the end value beyond either end node,
-    the node value at a node, else ``slope * (x - xp[j]) + fp[j]`` from the
-    node below, or from the node above where that is NaN."""
-    inside = np.arange(xp.shape[1]) < count[:, None]
-    below = np.sum((xp[:, None, :] <= x[:, :, None]) & inside[:, None, :], axis=2)
-    r, j = np.arange(len(xp))[:, None], np.clip(below - 1, 0, count[:, None] - 1)
-    out = fp[r, j]
-    r, c = np.nonzero((below > 0) & (below < count[:, None]) & (xp[r, j] != x))
-    j, x = j[r, c], x[r, c]
-    with np.errstate(invalid="ignore", over="ignore"):  # np.interp is silent on infinities
-        slope = (fp[r, j + 1] - fp[r, j]) / (xp[r, j + 1] - xp[r, j])
-        val = slope * (x - xp[r, j]) + fp[r, j]
-        nan = np.isnan(val)
-        val[nan] = (slope * (x - xp[r, j + 1]) + fp[r, j + 1])[nan]
-    flat = np.isnan(val) & (fp[r, j] == fp[r, j + 1])
-    val[flat] = fp[r, j][flat]
-    out[r, c] = val
-    return out
-
-
 def represent_solution(provider, w00, traces, targets):
     """Evaluate the representation formula at each target point.
 
@@ -485,30 +463,28 @@ def represent_solution(provider, w00, traces, targets):
     + int_0^t R(0,tau,s,t) psi(tau) dtau``.  Each target point is the
     parameter of its own Riemann table; the tables are solved in one
     :meth:`RiemannProvider.solve` batch, and each is read on its two axis
-    slices only, R(0, 0) at the node where they cross.  Each stack of
-    tables is read in array passes: the slices and R(0, 0) in one gather
-    each, the trapezoid sums of the integrands along each window's nodes,
-    padded at the far end, and their values at 0 and at the target, with
-    the arithmetic of ``np.interp`` on each window alone.  The values have
-    the bits of the same formula on each table.
+    slices only, R(0, 0) at the node where they cross.  The formula is
+    taken at each table's parameter, its target's key (:func:`_keys`), so
+    both ends of each integral are window nodes: the parameter at its
+    index, 0 at the crossing.  Each stack of tables is read in array
+    passes: the slices, R(0, 0) and the ends in one gather each, and the
+    trapezoid sums of the integrands along each window's nodes, padded at
+    the far end.  The values have the bits of the same formula on each
+    table.
     """
     solved, key = provider.solve(targets)
-    targets = np.reshape(np.asarray(targets, dtype=float), (-1, 2))
     i0, out = _origin(solved.uniform), np.empty(len(key))
     for values, rows in solved.groups(key):
-        k = key[rows]
+        k, r = key[rows], np.arange(len(rows))
         m = solved.member[k]
         (ps, _), (pt, _) = (solved.position(axis, k, i0) for axis in (0, 1))
         val = w00 * values[m, ps, pt]
-        m, ps, pt = m[:, None], ps[:, None], pt[:, None]
-        for axis, along, trace in ((0, values[m, np.arange(values.shape[1]), pt], traces.phi),
-                                   (1, values[m, ps, np.arange(values.shape[2])], traces.psi)):
-            nodes, count = solved.nodes(axis, k, along.shape[1]), solved.windows[axis][1][k]
+        for axis, along, trace, origin in ((0, values[m, :, pt], traces.phi, ps),
+                                           (1, values[m, ps], traces.psi, pt)):
+            nodes = solved.nodes(axis, k, along.shape[1])
             cum = _cumulative_trapezoid(along * np.interp(nodes, traces.nodes, trace),
                                         np.diff(nodes, axis=1), 1)
-            ends = _interp_rows(np.stack([targets[rows, axis], np.zeros(len(k))], axis=1),
-                                nodes, cum, count)
-            val += ends[:, 0] - ends[:, 1]
+            val += cum[r, solved.windows[axis][2][k]] - cum[r, origin]
         out[rows] = val
     return out
 

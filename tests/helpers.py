@@ -519,17 +519,18 @@ def value_kernel_table(tsys, provider, axis, nodes, step):
 
 
 def loop_represent_solution(provider, w00, traces, targets):
-    """The representation formula at each target, one table at a time from
-    ``provider.tables``, read on its two axis slices with ``np.interp``:
-    the reference for ``ucp2d.riemann.represent_solution``, which reads
-    the tables as stack arrays."""
+    """The representation formula at each target's key, one table at a time
+    from ``provider.tables``, read on its two axis slices with
+    ``np.interp``: the reference for ``ucp2d.riemann.represent_solution``,
+    which reads the tables as stack arrays."""
 
     def integral_to(nodes, values, b):
         cum = rm._cumulative_trapezoid(values, np.diff(nodes), 0)
         return np.interp(b, nodes, cum) - np.interp(0.0, nodes, cum)
 
     out = np.empty(len(targets))
-    for k, ((s, t), tab) in enumerate(zip(targets, provider.tables(targets))):
+    for k, tab in enumerate(provider.tables(targets)):
+        s, t = tab.parameter
         s_nodes, s_vals = axis_slice(tab, "s")
         t_nodes, t_vals = axis_slice(tab, "t")
         val = w00 * t_vals[np.argmin(np.abs(t_nodes))]

@@ -1071,22 +1071,21 @@ def test_representation_with_nonzero_data_equals_the_table_loop_bit_for_bit(name
         assert got.tobytes() == want.tobytes()
 
 
-def test_interp_rows_equals_np_interp_bit_for_bit():
-    # rows of 1 to 9 nodes padded to 9, read at their nodes, between them,
-    # beyond both ends and an ulp from a node, with infinities in fp
-    rng = np.random.default_rng(8)
-    rows, width = 400, 9
-    count = rng.integers(1, width + 1, rows)
-    xp = np.cumsum(rng.uniform(0.01, 1.0, (rows, width)), axis=1) - 2.0
-    fp = rng.normal(size=(rows, width))
-    fp[rng.random((rows, width)) < 0.03] = np.inf
-    pick = xp[np.arange(rows), rng.integers(0, count)]
-    x = np.stack([pick, np.nextafter(pick, np.inf), np.nextafter(pick, -np.inf),
-                  rng.uniform(-3.0, 8.0, rows), xp[:, 0] - 1.0,
-                  xp[np.arange(rows), count - 1] + 1.0], axis=1)
-    got = rm._interp_rows(x, xp, fp, count)
-    want = [np.interp(x[r], xp[r, :count[r]], fp[r, :count[r]]) for r in range(rows)]
-    assert got.tobytes() == np.array(want).tobytes()
+def test_representation_reads_each_target_at_its_key_bit_for_bit():
+    # nonzero w00, phi and psi on random targets: each value is the formula
+    # at the target's key, so the targets and their keys give the same bytes
+    sc = load_scenario(scenario_dir() / "lame_lower_order.json")
+    _, tsys = pl.characteristics(sc, reduce_system(sc.coefficients))
+    n, tol, eps = pl._axis_nodes(sc), sc.tolerances.picard_tol, tsys.epsilon
+    nodes = np.linspace(-eps, eps, n)
+    traces = CauchyTraces(nodes, np.sin(3 * nodes) + 0.2, np.cos(2 * nodes) - 0.1)
+    targets = [tuple(p) for p in np.random.default_rng(11).uniform(-eps, eps, (40, 2))]
+    keys = [round_key(p) for p in targets]
+    assert keys != targets
+    provider = rm.RiemannProvider(tsys, n, tol, rm._chain_reach(None, 2 * eps / (n - 1)))
+    got = represent_solution(provider, 0.37, traces, targets)
+    assert np.min(np.abs(got)) > 1e-3
+    assert got.tobytes() == represent_solution(provider, 0.37, traces, keys).tobytes()
 
 
 @pytest.mark.parametrize("n", [9, 33, 65, 129])
